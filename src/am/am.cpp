@@ -277,7 +277,7 @@ bool serve_one(AmState& am, armci::ProcState& st) {
         r.vc = core.hb().send_snapshot(core.hb().persona(me.rank()));
       }
       core.mailbox(m.src_comm_rank).push(std::move(r));
-      core.poke();
+      core.wake_locked(m.src_comm_rank);
     }
   }
   if (core.hb().enabled()) {

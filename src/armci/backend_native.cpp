@@ -336,7 +336,7 @@ void NativeBackend::mutex_unlock(int m, int proc) {
     mpisim::raise(Errc::invalid_argument, "unlock of a mutex not held");
   core.hb().channel_release(native_mutex_hb_key(proc, m), me.rank());
   mx.holder = -1;
-  core.poke();
+  for (int r : mx.queue) core.wake_locked(r);
   lk.unlock();
   mpisim::clock().advance(mpisim::model().p2p_ns(0));
 }

@@ -2,13 +2,13 @@
 
 #include <cstdint>
 
-#include "src/armci/conflict_tree.hpp"
+#include "src/mpisim/conflict_tree.hpp"
 
 namespace armci {
 
 bool iov_has_overlap(std::span<const void* const> ptrs, std::size_t bytes) {
   if (bytes == 0) return false;
-  ConflictTree tree;
+  mpisim::ConflictTree tree;
   for (const void* p : ptrs) {
     const auto lo = reinterpret_cast<std::uintptr_t>(p);
     if (!tree.insert(lo, lo + bytes - 1)) return true;

@@ -43,7 +43,7 @@ void system_send(SimCore& core, int dest_world, int tag,
   core.note_time_locked(me.clock().now_ns());
   if (core.hb().enabled()) m.vc = core.hb().send_snapshot(me.rank());
   core.mailbox(dest_world).push(std::move(m));
-  core.poke();
+  core.wake_locked(dest_world);
 }
 
 std::vector<std::uint8_t> system_recv(SimCore& core, int src_world, int tag) {
@@ -149,7 +149,7 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
   core.note_time_locked(me.clock().now_ns());
   if (core.hb().enabled()) m.vc = core.hb().send_snapshot(me.rank());
   mb.push(std::move(m));
-  core.poke();
+  core.wake_locked(dest_world);
 }
 
 Status Comm::recv(void* buf, std::size_t capacity, int src, int tag) const {
@@ -482,7 +482,7 @@ bool Comm::collective_round(
     cc.max_clock_ns = 0.0;
     std::fill(cc.present.begin(), cc.present.end(), 0);
     ++cc.gen;
-    core.poke();
+    core.wake_locked(c.group.members());
   };
 
   if (cc.arrived == n ||
@@ -490,7 +490,7 @@ bool Comm::collective_round(
     complete_locked();
   } else {
     // Survivable mode: a waiter may become the completer when the last
-    // missing member dies rather than arrives (the death poke wakes it).
+    // missing member dies rather than arrives (the death wakes it).
     core.wait(lk,
               [&] {
                 if (cc.gen != my_gen) return true;
@@ -867,7 +867,7 @@ Comm Comm::intercomm_create(int local_leader, int remote_leader_world,
     impl->remote_group = Group(std::move(rm));
     std::unique_lock lk(core.mu());
     core.publish_comm_locked(key, impl);
-    core.poke();
+    core.wake_locked(c.group.members());
   } else {
     impl = core.fetch_published_comm(key);
   }
@@ -926,7 +926,7 @@ Comm Comm::merge(bool high) const {
                           Group(std::move(members)));
     std::unique_lock lk(core.mu());
     core.publish_comm_locked(key, impl);
-    core.poke();
+    core.wake_locked(impl->group.members());
   } else {
     impl = core.fetch_published_comm(key);
   }
@@ -956,7 +956,8 @@ void Comm::revoke() const {
   std::lock_guard lk(core.mu());
   c.revoked = true;
   core.note_time_locked(me.clock().now_ns());
-  core.poke();  // blocked receivers must wake and observe the revocation
+  // Blocked members must wake and observe the revocation.
+  core.wake_locked(c.group.members());
 }
 
 Comm Comm::shrink() const {
@@ -1004,7 +1005,7 @@ Comm Comm::shrink() const {
     std::unique_lock lk(core.mu());
     impl = make_intracomm(core, core.alloc_comm_id_locked(), Group(live));
     core.publish_comm_locked(key, impl);
-    core.poke();
+    core.wake_locked(live);
   } else {
     impl = core.fetch_published_comm(key);
   }

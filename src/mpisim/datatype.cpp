@@ -190,7 +190,6 @@ Datatype Datatype::subarray(std::span<const std::size_t> sizes,
   // with hvectors. The start offsets accumulate into one leading hole,
   // expressed as a single-block hindexed at the end.
   Datatype t = Datatype::contiguous(subsizes[nd - 1], old);
-  std::ptrdiff_t row_bytes = old.extent();  // bytes per element of dim d+1 row
   for (std::size_t d = nd - 1; d-- > 0;) {
     // Stride between consecutive index values of dimension d, in bytes:
     // product of sizes of all faster dimensions times the element extent.
@@ -207,7 +206,6 @@ Datatype Datatype::subarray(std::span<const std::size_t> sizes,
       stride *= static_cast<std::ptrdiff_t>(sizes[k]);
     disp += static_cast<std::ptrdiff_t>(starts[d]) * stride;
   }
-  (void)row_bytes;
   if (disp == 0) return t;
   const std::size_t one = 1;
   return Datatype::hindexed(std::span<const std::size_t>(&one, 1),

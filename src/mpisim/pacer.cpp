@@ -26,6 +26,19 @@ struct PacerImpl {
 
 using detail::PacerImpl;
 
+namespace {
+
+/// Minimum clock of the ranks inside the region. Caller holds the global
+/// lock.
+double min_active_clock(const PacerImpl& p) {
+  double min_clock = std::numeric_limits<double>::infinity();
+  for (std::size_t r = 0; r < p.clocks.size(); ++r)
+    if (p.active[r]) min_clock = std::min(min_clock, p.clocks[r]);
+  return min_clock;
+}
+
+}  // namespace
+
 Pacer::Pacer(std::shared_ptr<PacerImpl> impl) : impl_(std::move(impl)) {}
 
 Pacer Pacer::create(const Comm& comm) {
@@ -41,7 +54,7 @@ Pacer Pacer::create(const Comm& comm) {
     // Core-owned rendezvous slot: survives an abort mid-create without
     // leaking and without freeing under a peer still copying.
     core.publish_obj_locked(key, std::move(mk));
-    core.poke();
+    core.wake_locked(comm.group().members());
   }
   comm.bcast(&key, sizeof key, 0);
   std::shared_ptr<PacerImpl> impl =
@@ -64,7 +77,7 @@ void Pacer::enter() {
   if (++p.arrived == p.comm.size()) {
     p.arrived = 0;
     ++p.generation;
-    core.poke();
+    core.wake_locked(p.comm.group().members());
   } else {
     core.wait(lk, [&] { return p.generation != my_gen; }, "pacer.enter");
   }
@@ -78,15 +91,15 @@ void Pacer::pace(double window_ns) {
 
   std::unique_lock lk(core.mu());
   require_internal(p.active[me], "Pacer::pace outside enter/leave");
+  // Clocks only move forward, so the region minimum -- the one input of a
+  // peer's pace predicate that this call changes -- can rise only if this
+  // rank held it. Otherwise no peer can unblock and none is woken.
+  const bool held_min = p.clocks[me] <= min_active_clock(p);
   p.clocks[me] = rc.clock().now_ns();
   core.note_time_locked(rc.clock().now_ns());
-  core.poke();
-  core.wait(lk, [&] {
-    double min_clock = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < p.clocks.size(); ++r)
-      if (p.active[r]) min_clock = std::min(min_clock, p.clocks[r]);
-    return p.clocks[me] <= min_clock + window_ns;
-  }, "pacer.pace");
+  if (held_min) core.wake_locked(p.comm.group().members());
+  core.wait(lk, [&] { return p.clocks[me] <= min_active_clock(p) + window_ns; },
+            "pacer.pace");
 }
 
 void Pacer::leave() {
@@ -95,7 +108,7 @@ void Pacer::leave() {
   const auto me = static_cast<std::size_t>(p.comm.rank());
   std::lock_guard lk(core.mu());
   p.active[me] = false;
-  core.poke();
+  core.wake_locked(p.comm.group().members());
 }
 
 }  // namespace mpisim

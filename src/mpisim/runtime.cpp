@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "src/mpisim/comm.hpp"
 
@@ -65,11 +66,10 @@ SimCore::SimCore(const Config& cfg)
       checker_(effective_rma_check(cfg), cfg.check_conflicts, cfg.nranks),
       hb_(effective_rma_check(cfg) == RmaCheck::race, cfg.nranks,
           cfg.rma_check_max_intervals),
+      slots_(static_cast<std::size_t>(cfg.nranks)),
       mailboxes_(static_cast<std::size_t>(cfg.nranks)) {
   if (cfg.nranks < 1) raise(Errc::invalid_argument, "nranks < 1");
   running_ = cfg.nranks;
-  in_wait_.assign(static_cast<std::size_t>(cfg.nranks), 0);
-  pred_seen_gen_.assign(static_cast<std::size_t>(cfg.nranks), 0);
   dead_.assign(static_cast<std::size_t>(cfg.nranks), 0);
   death_ns_.assign(static_cast<std::size_t>(cfg.nranks), 0.0);
   ranks_.reserve(static_cast<std::size_t>(cfg.nranks));
@@ -87,41 +87,50 @@ void SimCore::abort(std::exception_ptr err) noexcept {
     aborted_ = true;
     first_error_ = err;
   }
-  cv_.notify_all();
+  wake_all_locked();
 }
 
-double SimCore::wait_enter_locked() noexcept {
+void SimCore::wake_all_locked() noexcept {
+  for (int r = 0; r < cfg_.nranks; ++r) wake_locked(r);
+}
+
+SimCore::WakeSlot& SimCore::wait_enter_locked() {
+  require_internal(t_ctx != nullptr, "blocking wait outside a rank thread");
+  WakeSlot& slot = slots_[static_cast<std::size_t>(t_ctx->rank())];
   ++blocked_;
-  if (t_ctx != nullptr) {
-    in_wait_[static_cast<std::size_t>(t_ctx->rank())] = 1;
-  } else {
-    // A waiter outside any rank thread cannot be generation-tracked;
-    // quiescent_locked() refuses to declare deadlock while one exists.
-    ++anon_waiters_;
-  }
-  const double now = t_ctx != nullptr ? t_ctx->clock().now_ns() : latest_ns_;
-  note_time_locked(now);
-  return now;
+  slot.waiting = true;
+  slot.pending = false;
+  slot.t0_ns = t_ctx->clock().now_ns();
+  note_time_locked(slot.t0_ns);
+  if (cfg_.wait_deadline_ns > 0.0)
+    next_deadline_ns_ =
+        std::min(next_deadline_ns_, slot.t0_ns + cfg_.wait_deadline_ns);
+  return slot;
 }
 
-void SimCore::wait_exit_locked() noexcept {
+void SimCore::wait_exit_locked(WakeSlot& slot) noexcept {
   --blocked_;
-  if (t_ctx != nullptr)
-    in_wait_[static_cast<std::size_t>(t_ctx->rank())] = 0;
-  else
-    --anon_waiters_;
-}
-
-void SimCore::mark_pred_unsatisfied_locked() noexcept {
-  if (t_ctx != nullptr)
-    pred_seen_gen_[static_cast<std::size_t>(t_ctx->rank())] = progress_gen_;
+  slot.waiting = false;
 }
 
 bool SimCore::quiescent_locked() const noexcept {
-  if (running_ <= 0 || blocked_ != running_ || anon_waiters_ > 0) return false;
-  for (std::size_t r = 0; r < in_wait_.size(); ++r)
-    if (in_wait_[r] != 0 && pred_seen_gen_[r] != progress_gen_) return false;
+  if (running_ <= 0 || blocked_ != running_) return false;
+  for (const WakeSlot& s : slots_)
+    if (s.waiting && s.pending) return false;
   return true;
+}
+
+void SimCore::wake_expired_locked() noexcept {
+  next_deadline_ns_ = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < cfg_.nranks; ++r) {
+    const WakeSlot& s = slots_[static_cast<std::size_t>(r)];
+    if (!s.waiting) continue;
+    const double deadline = s.t0_ns + cfg_.wait_deadline_ns;
+    if (latest_ns_ > deadline)
+      wake_locked(r);
+    else
+      next_deadline_ns_ = std::min(next_deadline_ns_, deadline);
+  }
 }
 
 void SimCore::throw_aborted() {
@@ -158,9 +167,9 @@ void SimCore::rank_crashed(int rank, double now_ns) noexcept {
   latest_dead_ = rank;
   ++death_epoch_;
   note_time_locked(now_ns);
-  // A death can satisfy failure-aware wait predicates (recv from the dead
-  // rank, collectives completing over the survivors), so it is progress.
-  poke();
+  // A death can satisfy failure-aware wait predicates anywhere (recv from
+  // the dead rank, collectives completing over the survivors).
+  wake_all_locked();
 }
 
 bool SimCore::is_failed(int r) {
@@ -207,11 +216,10 @@ void SimCore::observe_death_locked(int dead_rank, const char* site) {
 void SimCore::rank_exited() noexcept {
   std::lock_guard lk(mu_);
   --running_;
-  // Wake blocked peers without bumping the progress generation: an exit is
-  // not progress toward any predicate, but survivors must re-evaluate
-  // quiescence (a rank leaving a rendezvous unmatched is how deadlocks
-  // from early exits arise).
-  cv_.notify_all();
+  // An exit satisfies no predicate, but the survivors must re-evaluate
+  // quiescence: a rank leaving a rendezvous unmatched is how deadlocks from
+  // early exits arise.
+  wake_all_locked();
 }
 
 Mailbox& SimCore::mailbox(int r) {

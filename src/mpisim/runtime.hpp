@@ -13,14 +13,19 @@
 ///       mpisim::world().barrier();
 ///     });
 ///
-/// Shared simulator state is serialized by a single global mutex (SimCore::mu)
-/// with one condition variable for all blocking operations. This coarse
-/// locking is deliberate: the simulator's performance story is told in
-/// *virtual* time (SimClock + NetworkModel), so host-side scalability of the
-/// simulator itself is irrelevant, while a single lock makes the many
-/// blocking-rendezvous protocols (receives, window locks, collectives)
-/// trivially deadlock- and race-free and lets an aborting rank wake every
-/// blocked peer.
+/// Shared simulator state is serialized by a single global mutex
+/// (SimCore::mu). This coarse locking is deliberate: the simulator's
+/// performance story is told in *virtual* time (SimClock + NetworkModel),
+/// while a single lock makes the many blocking-rendezvous protocols
+/// (receives, window locks, collectives) trivially race-free.
+///
+/// Blocking is per rank. Each rank owns a wake slot (a condition variable
+/// plus a pending-wake flag), and every state change wakes only the ranks
+/// it can unblock: a mailbox push wakes the destination, a lock grant the
+/// granted origin, a collective completion the communicator's members.
+/// Only abort, rank exit, rank death, the survivable lock purge and the
+/// deadlock verdict wake every rank. A run is deadlocked once every live
+/// rank is blocked and none has a pending wake.
 
 #include <atomic>
 #include <chrono>
@@ -28,9 +33,11 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/mpisim/checker.hpp"
@@ -177,69 +184,76 @@ class SimCore {
 
   /// The global lock guarding all shared simulator state.
   std::mutex& mu() noexcept { return mu_; }
-  /// Notified on every state change; all blocking waits use wait().
-  std::condition_variable& cv() noexcept { return cv_; }
 
-  /// Announce a state change that can satisfy a blocked rank's predicate:
-  /// bumps the progress generation (so the deadlock detector knows work
-  /// happened) and wakes every waiter. Caller must hold mu(). All mutation
-  /// sites (mailbox push, lock grant, collective completion, ...) must use
-  /// this instead of cv().notify_all(), or quiescence detection would
-  /// miscount them as deadlock.
-  void poke() noexcept {
-    ++progress_gen_;
-    cv_.notify_all();
+  /// Announce a state change that can satisfy world rank \p r's blocking
+  /// predicate: flags a pending wake (so the deadlock detector knows \p r
+  /// still has to re-evaluate) and wakes \p r if it is blocked. Caller must
+  /// hold mu(). Every mutation site must wake each rank whose predicate it
+  /// can flip; a missed rank sleeps until the 1 s safety net and can be
+  /// misjudged deadlocked.
+  void wake_locked(int r) noexcept {
+    WakeSlot& s = slots_[static_cast<std::size_t>(r)];
+    s.pending = true;
+    if (s.waiting) s.cv.notify_one();
   }
 
-  /// Block until \p pred() holds, waking on any state change. Raises
-  /// Errc::aborted if another rank failed meanwhile, and Errc::wait_timeout
-  /// when every live rank is blocked (deadlock) or when the virtual-time
-  /// deadline (Config::wait_deadline_ns) expires first. \p lk must hold
-  /// mu(); \p site names the wait in diagnostics.
+  /// wake_locked() for each world rank in \p ranks.
+  void wake_locked(std::span<const int> ranks) noexcept {
+    for (int r : ranks) wake_locked(r);
+  }
+
+  /// Wake every rank (abort, rank exit or death, survivable purge,
+  /// deadlock verdict). Caller must hold mu().
+  void wake_all_locked() noexcept;
+
+  /// Block until \p pred() holds, waking when a peer wakes this rank.
+  /// Raises Errc::aborted if another rank failed meanwhile, and
+  /// Errc::wait_timeout when every live rank is blocked (deadlock) or when
+  /// the virtual-time deadline (Config::wait_deadline_ns) expires first.
+  /// \p lk must hold mu() and the caller must be a rank thread; \p site
+  /// names the wait in diagnostics.
   template <typename Pred>
   void wait(std::unique_lock<std::mutex>& lk, Pred pred,
             const char* site = "blocking wait") {
     if (aborted_) throw_aborted();
     if (pred()) return;
-    const double t0 = wait_enter_locked();
+    WakeSlot& slot = wait_enter_locked();
     for (;;) {
+      if (deadlocked_) {
+        wait_exit_locked(slot);
+        throw_wait_timeout(site, /*deadlock=*/true, slot.t0_ns);
+      }
+      if (cfg_.wait_deadline_ns > 0.0 &&
+          latest_ns_ - slot.t0_ns > cfg_.wait_deadline_ns) {
+        wait_exit_locked(slot);
+        throw_wait_timeout(site, /*deadlock=*/false, slot.t0_ns);
+      }
+      // Our predicate is false against the current state and no wake is
+      // pending for us. Deadlock is certain -- not merely suspected -- once
+      // that holds for every live rank: all mutations run under mu() on a
+      // live rank and wake the ranks they can unblock, so no predicate can
+      // ever become true again. A peer woken but not yet rescheduled still
+      // carries its pending flag, which defers the verdict until it
+      // actually re-evaluates, so host-scheduling stalls cannot fake one.
+      if (quiescent_locked()) {
+        deadlocked_ = true;
+        wake_all_locked();
+        wait_exit_locked(slot);
+        throw_wait_timeout(site, /*deadlock=*/true, slot.t0_ns);
+      }
+      // The timeout is only a safety net: every relevant transition wakes
+      // the ranks it concerns.
+      slot.cv.wait_for(lk, std::chrono::seconds(1),
+                       [&] { return slot.pending; });
+      slot.pending = false;
       if (aborted_) {
-        wait_exit_locked();
+        wait_exit_locked(slot);
         throw_aborted();
       }
       if (pred()) {
-        wait_exit_locked();
+        wait_exit_locked(slot);
         return;
       }
-      if (deadlocked_) {
-        wait_exit_locked();
-        throw_wait_timeout(site, /*deadlock=*/true, t0);
-      }
-      if (cfg_.wait_deadline_ns > 0.0 &&
-          latest_ns_ - t0 > cfg_.wait_deadline_ns) {
-        wait_exit_locked();
-        throw_wait_timeout(site, /*deadlock=*/false, t0);
-      }
-      // We just evaluated our predicate as false against the current state;
-      // stamp that with the progress generation. Quiescence is certain --
-      // not merely suspected -- once every live rank is blocked AND has
-      // re-evaluated its predicate since the last poke(): all state
-      // mutations run under mu() on a live rank and announce themselves via
-      // poke(), so no predicate can ever become true again. A peer that was
-      // poked but has not rescheduled yet still carries a stale stamp,
-      // which defers the verdict until it actually re-evaluates; detection
-      // is therefore immune to host-scheduling stalls (and needs no
-      // heuristic grace period).
-      mark_pred_unsatisfied_locked();
-      if (quiescent_locked()) {
-        deadlocked_ = true;
-        cv_.notify_all();
-        wait_exit_locked();
-        throw_wait_timeout(site, /*deadlock=*/true, t0);
-      }
-      // The timeout is only a safety net: every relevant transition
-      // (poke, abort, rank exit, deadlock verdict) notifies cv_.
-      cv_.wait_for(lk, std::chrono::seconds(1));
     }
   }
 
@@ -263,7 +277,7 @@ class SimCore {
   bool survivable() const noexcept { return cfg_.fault.survivable; }
 
   /// Record that \p rank died at virtual time \p now_ns and wake every
-  /// blocked waiter so failure-aware predicates can observe it. Called by
+  /// rank so failure-aware predicates can observe it. Called by
   /// the victim's FaultInjector before its crash exception unwinds.
   void rank_crashed(int rank, double now_ns) noexcept;
 
@@ -315,9 +329,12 @@ class SimCore {
   }
 
   /// Fold \p now_ns into the global high-water virtual time that wait
-  /// deadlines measure against. Caller must hold mu().
+  /// deadlines measure against, waking the waiters whose deadline it
+  /// passes. Caller must hold mu().
   void note_time_locked(double now_ns) noexcept {
-    if (now_ns > latest_ns_) latest_ns_ = now_ns;
+    if (now_ns <= latest_ns_) return;
+    latest_ns_ = now_ns;
+    if (now_ns > next_deadline_ns_) wake_expired_locked();
   }
 
   /// A rank's thread is exiting (normally or after a failure).
@@ -345,7 +362,7 @@ class SimCore {
 
   /// Publish a communicator impl under \p key for peers to fetch (used by
   /// intercomm construction, where one leader builds the shared state).
-  /// Caller must hold mu() and notify cv() afterwards.
+  /// Caller must hold mu() and wake the fetching ranks afterwards.
   void publish_comm_locked(std::uint64_t key, std::shared_ptr<CommImpl> impl);
 
   /// Block until a peer publishes \p key, then return the shared impl.
@@ -360,7 +377,8 @@ class SimCore {
   /// (windows, pacers: one leader builds the shared state, peers copy it).
   /// The core holds a strong reference until retire_published_obj(), so an
   /// abort mid-rendezvous can neither leak the object nor free it under a
-  /// peer still copying. Caller must hold mu() and poke() afterwards.
+  /// peer still copying. Caller must hold mu() and wake the fetching ranks
+  /// afterwards.
   void publish_obj_locked(std::uint64_t key, std::shared_ptr<void> obj);
 
   /// Block until a peer publishes \p key, then return the shared object.
@@ -374,17 +392,26 @@ class SimCore {
  private:
   friend void run(const Config&, const std::function<void()>&);
 
-  /// Publish the caller's clock and count it as blocked; returns the wait's
-  /// entry time (deadline reference point). Caller must hold mu().
-  double wait_enter_locked() noexcept;
-  void wait_exit_locked() noexcept;
-  /// Record that the calling rank evaluated its wait predicate as false at
-  /// the current progress generation. Caller must hold mu().
-  void mark_pred_unsatisfied_locked() noexcept;
-  /// True when every live rank is blocked and has evaluated its predicate
-  /// as false at the current progress generation: a certain deadlock.
-  /// Caller must hold mu().
+  /// One rank's blocking state.
+  struct WakeSlot {
+    std::condition_variable cv;
+    bool waiting = false;  ///< inside wait()
+    bool pending = false;  ///< woken since its last predicate evaluation
+    double t0_ns = 0.0;    ///< entry time of the current wait
+  };
+
+  /// Count the calling rank as blocked, clear its pending wake (its
+  /// predicate was just found false) and publish its clock as the wait's
+  /// entry time (deadline reference point). Caller must hold mu() and be a
+  /// rank thread.
+  WakeSlot& wait_enter_locked();
+  void wait_exit_locked(WakeSlot& slot) noexcept;
+  /// True when every live rank is blocked and none has a pending wake: a
+  /// certain deadlock. Caller must hold mu().
   bool quiescent_locked() const noexcept;
+  /// Wake the waiters whose virtual-time deadline latest_ns_ has passed and
+  /// recompute next_deadline_ns_. Caller must hold mu().
+  void wake_expired_locked() noexcept;
   [[noreturn]] static void throw_aborted();
   [[noreturn]] void throw_wait_timeout(const char* site, bool deadlock,
                                        double t0_ns) const;
@@ -396,24 +423,22 @@ class SimCore {
   HbChecker hb_;
 
   std::mutex mu_;
-  std::condition_variable cv_;
   std::atomic<bool> aborted_{false};
   std::exception_ptr first_error_;
 
   // Liveness accounting (all under mu_ except the atomic aborted_ above).
+  std::vector<WakeSlot> slots_;  ///< per rank
   int running_ = 0;            ///< rank threads not yet exited
   int blocked_ = 0;            ///< ranks currently inside wait()
-  int anon_waiters_ = 0;       ///< waiters with no rank context (untrackable)
   bool deadlocked_ = false;    ///< sticky: quiescence was detected
-  std::uint64_t progress_gen_ = 0;  ///< bumped by every poke()
   double latest_ns_ = 0.0;     ///< high-water published virtual time
+  /// Earliest wait deadline (entry + Config::wait_deadline_ns) among the
+  /// blocked ranks not yet woken for it; +inf when deadlines are off.
+  double next_deadline_ns_ = std::numeric_limits<double>::infinity();
   std::vector<std::uint8_t> dead_;  ///< per rank: declared dead? (survivable)
   std::vector<double> death_ns_;    ///< per rank: virtual death time
   std::uint64_t death_epoch_ = 0;   ///< total deaths so far
   int latest_dead_ = -1;            ///< most recently declared dead rank
-  std::vector<std::uint8_t> in_wait_;  ///< per rank: inside wait()?
-  /// Per rank: progress generation at its last false predicate evaluation.
-  std::vector<std::uint64_t> pred_seen_gen_;
 
   std::vector<std::unique_ptr<RankContext>> ranks_;
   std::vector<Mailbox> mailboxes_;

@@ -48,10 +48,12 @@ namespace {
 /// Survivor-side lock-state cleanup: a dead rank can neither complete the
 /// epochs it holds nor consume the grants it queued for, so both would
 /// stall every later requester forever. Abandon its open epochs (silently
-/// -- see RmaChecker::epoch_abandoned) and drop its queued requests.
-/// Caller must hold the global lock.
+/// -- see RmaChecker::epoch_abandoned) and drop its queued requests,
+/// waking every rank when anything was dropped. Caller must hold the
+/// global lock.
 void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
   TargetState& ts = w.targets[static_cast<std::size_t>(target)];
+  const std::size_t before = ts.open.size() + ts.waiters.size();
   for (auto it = ts.open.begin(); it != ts.open.end();) {
     const int world = w.comm.group().world_rank(it->first);
     if (core.is_dead_locked(world)) {
@@ -65,12 +67,14 @@ void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
   std::erase_if(ts.waiters, [&](const std::pair<int, LockType>& wtr) {
     return core.is_dead_locked(w.comm.group().world_rank(wtr.first));
   });
+  if (ts.open.size() + ts.waiters.size() != before) core.wake_all_locked();
 }
 
-/// Grant as many queued lock requests as compatibility allows (FIFO).
-/// Registers each granted epoch with the RMA checker here -- not after the
-/// waiter's wait() returns -- so a ghost handoff by an epoch closing in
-/// between already sees the new epoch as concurrent.
+/// Grant as many queued lock requests as compatibility allows (FIFO) and
+/// wake each granted origin. Registers each granted epoch with the RMA
+/// checker here -- not after the waiter's wait() returns -- so a ghost
+/// handoff by an epoch closing in between already sees the new epoch as
+/// concurrent.
 void grant_locked(SimCore& core, WinImpl& w, int target) {
   if (core.survivable()) purge_dead_locked(core, w, target);
   TargetState& ts = w.targets[static_cast<std::size_t>(target)];
@@ -90,8 +94,10 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
     ts.open.emplace(origin, ep);
     core.checker().epoch_opened(w.id, target, origin,
                                 type == LockType::exclusive);
-    core.hb().lock_granted(w.id, target, w.comm.group().world_rank(origin),
+    const int origin_world = w.comm.group().world_rank(origin);
+    core.hb().lock_granted(w.id, target, origin_world,
                            type == LockType::exclusive);
+    core.wake_locked(origin_world);
     ts.waiters.pop_front();
   }
 }
@@ -245,7 +251,7 @@ Win Win::create(void* base, std::size_t bytes, const Comm& comm) {
       // Core-owned rendezvous slot: survives an abort mid-create without
       // leaking and without freeing under a peer still copying.
       core.publish_obj_locked(SimCore::kWinPublishTag | id, std::move(mk));
-      core.poke();
+      core.wake_locked(comm.group().members());
     }
   }
   comm.bcast(&id, sizeof id, 0);
@@ -306,7 +312,7 @@ Win Win::allocate_shared(std::size_t bytes, const Comm& comm) {
       mk->id = core.alloc_win_id_locked();
       id = mk->id;
       core.publish_obj_locked(SimCore::kWinPublishTag | id, std::move(mk));
-      core.poke();
+      core.wake_locked(comm.group().members());
     }
   }
   comm.bcast(&id, sizeof id, 0);
@@ -373,19 +379,12 @@ void Win::lock(LockType type, int target_rank) const {
   TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
   ts.waiters.emplace_back(myrank, type);
   detail::grant_locked(core, w, target_rank);
-  core.poke();
   core.wait(lk,
             [&] {
               if (ts.open.contains(myrank)) return true;
               if (!core.survivable()) return false;
-              // The blocking holder may have died: purge and regrant. Only
-              // poke when something actually changed, so an unchanged
-              // predicate still counts toward quiescence detection.
-              const std::size_t open_n = ts.open.size();
-              const std::size_t wait_n = ts.waiters.size();
+              // The blocking holder may have died: purge and regrant.
               detail::grant_locked(core, w, target_rank);
-              if (ts.open.size() != open_n || ts.waiters.size() != wait_n)
-                core.poke();
               return ts.open.contains(myrank);
             },
             "win.lock");
@@ -443,7 +442,6 @@ void Win::unlock(int target_rank) const {
   core.note_time_locked(me.clock().now_ns());
 
   detail::grant_locked(core, w, target_rank);
-  core.poke();
   if (me.tracer().enabled()) {
     ++me.tracer().win(w.id).epochs;
     me.tracer().end(TraceCat::window, "win.unlock", w.id);
@@ -470,7 +468,6 @@ void Win::lock_all() const {
     TargetState& ts = w.targets[static_cast<std::size_t>(t)];
     ts.waiters.emplace_back(myrank, LockType::shared);
     detail::grant_locked(core, w, t);
-    core.poke();
     core.wait(lk, [&] { return ts.open.contains(myrank); }, "win.lock_all");
     // lock_all epochs follow MPI-3 semantics: conflicting accesses have
     // undefined values but are not erroneous, so the checker skips them.
@@ -507,7 +504,6 @@ void Win::unlock_all() const {
   w.locked_target[static_cast<std::size_t>(myrank)] = -1;
   me.clock().advance(core.model().unlock_ns());
   core.note_time_locked(me.clock().now_ns());
-  core.poke();
   if (me.tracer().enabled()) {
     ++me.tracer().win(w.id).epochs;
     me.tracer().end(TraceCat::window, "win.unlock_all", w.id);

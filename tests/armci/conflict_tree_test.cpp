@@ -1,6 +1,6 @@
 // Unit and property tests for the AVL conflict tree (paper §VI-B).
 
-#include "src/armci/conflict_tree.hpp"
+#include "src/mpisim/conflict_tree.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,8 @@
 
 namespace armci {
 namespace {
+
+using mpisim::ConflictTree;
 
 TEST(ConflictTreeTest, EmptyTreeHasNoConflicts) {
   ConflictTree t;

@@ -156,6 +156,32 @@ TEST(FaultRuntimeTest, PeerExitLeavingRankBlockedIsDetectedAsDeadlock) {
   }
 }
 
+TEST(FaultRuntimeTest, LockQueuedBehindBlockedHolderIsDetectedAsDeadlock) {
+  // Rank 0 holds the only exclusive lock and waits for a message rank 1
+  // never sends; rank 1 queues for the lock. Neither wait has a pending
+  // wake, so quiescence detection must fire rather than the safety net
+  // spinning forever.
+  try {
+    run(2, Platform::ideal, [] {
+      int mem = 0;
+      Win win = Win::create(&mem, sizeof mem, world());
+      if (rank() == 0) {
+        win.lock(LockType::exclusive, 0);
+        world().barrier();
+        char b = 0;
+        world().recv(&b, 1, 1, 5);
+      } else {
+        world().barrier();
+        win.lock(LockType::exclusive, 0);
+      }
+    });
+    FAIL() << "expected a deadlock diagnosis";
+  } catch (const MpiError& e) {
+    EXPECT_EQ(e.code(), Errc::wait_timeout);
+    EXPECT_TRUE(contains(e.what(), "deadlock detected")) << e.what();
+  }
+}
+
 TEST(FaultRuntimeTest, VirtualTimeWaitDeadlineFires) {
   Config cfg;
   cfg.nranks = 2;
