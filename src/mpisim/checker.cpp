@@ -56,9 +56,8 @@ const char* rma_violation_name(RmaViolation v) noexcept {
   return "?";
 }
 
-RmaChecker::RmaChecker(RmaCheck mode, bool immediate, int nranks)
+RmaChecker::RmaChecker(RmaCheck mode, int nranks)
     : mode_(mode),
-      immediate_(immediate),
       per_rank_(static_cast<std::size_t>(nranks > 0 ? nranks : 1)) {}
 
 bool RmaChecker::Sets::empty() const noexcept {
@@ -75,23 +74,14 @@ void RmaChecker::Sets::clear() noexcept {
 }
 
 void RmaChecker::epoch_opened(std::uint64_t win, int target, int origin,
-                              bool exclusive) {
+                              bool exclusive, bool mpi3) {
   if (!enabled()) return;
   EpochRec ep;
   ep.id = next_epoch_id_++;
   ep.origin = origin;
   ep.exclusive = exclusive;
+  ep.mpi3 = mpi3;
   wins_[win].targets[target].open.insert_or_assign(origin, std::move(ep));
-}
-
-void RmaChecker::epoch_set_mpi3(std::uint64_t win, int target, int origin) {
-  if (!enabled()) return;
-  auto wit = wins_.find(win);
-  if (wit == wins_.end()) return;
-  auto tit = wit->second.targets.find(target);
-  if (tit == wit->second.targets.end()) return;
-  auto eit = tit->second.open.find(origin);
-  if (eit != tit->second.open.end()) eit->second.mpi3 = true;
 }
 
 void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
@@ -207,6 +197,12 @@ RmaViolation RmaChecker::classify(OpKind kind, const Hit& hit,
   return same_origin ? RmaViolation::same_origin : RmaViolation::concurrent;
 }
 
+std::string RmaChecker::describe_direct(const LocalRec& lrec) {
+  return std::string(lrec.shm ? "direct shared-memory " : "direct local ") +
+         (lrec.acc ? "accumulate to " : lrec.write ? "store to " : "load of ") +
+         byte_range(lrec.lo, lrec.hi);
+}
+
 std::string RmaChecker::describe_hit(const Hit& hit) {
   switch (hit.kind) {
     case Hit::Kind::read:
@@ -229,10 +225,7 @@ void RmaChecker::flag(std::vector<Violation>& pending, RmaViolation cls,
     per_rank_[static_cast<std::size_t>(world_rank)]
         .v[static_cast<int>(cls)]
         .fetch_add(1, std::memory_order_relaxed);
-  // Legacy issue-time path (Config::check_conflicts): the operation itself
-  // is the error site. Deferral is the rma_check refinement.
-  if (immediate_) raise(Errc::conflicting_access, msg);
-  if (mode_ != RmaCheck::off) pending.push_back({cls, std::move(msg)});
+  pending.push_back({cls, std::move(msg)});
 }
 
 void RmaChecker::report(std::vector<Violation>& pending) {
@@ -268,18 +261,19 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
   EpochRec& ep = eit->second;
   ep.scope = scope;
 
-  const char* kind_str = kind == OpKind::put   ? "put"
-                         : kind == OpKind::get ? "get"
-                         : kind == OpKind::acc ? "accumulate"
-                                               : "get_accumulate";
   const auto ulo = static_cast<std::uintptr_t>(lo);
   const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
-  const std::string what = std::string(kind_str) + " on " +
-                           byte_range(lo, hi) + " of rank " +
-                           std::to_string(target) + " (win " +
-                           std::to_string(win) + ", epoch #" +
-                           std::to_string(ep.id) + " by origin " +
-                           std::to_string(origin) + scope_suffix(scope) + ")";
+  // Diagnostics are built only on the (rare) conflict path.
+  const auto what = [&] {
+    const char* kind_str = kind == OpKind::put   ? "put"
+                           : kind == OpKind::get ? "get"
+                           : kind == OpKind::acc ? "accumulate"
+                                                 : "get_accumulate";
+    return std::string(kind_str) + " on " + byte_range(lo, hi) + " of rank " +
+           std::to_string(target) + " (win " + std::to_string(win) +
+           ", epoch #" + std::to_string(ep.id) + " by origin " +
+           std::to_string(origin) + scope_suffix(scope) + ")";
+  };
 
   Hit hit;
   // Epoch-vs-epoch rules apply to MPI-2 lock epochs only: under an MPI-3
@@ -290,14 +284,14 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
     if (conflict_with(ep.sets, kind, op, ulo, uhi, &hit))
       flag(ep.pending, classify(kind, hit, /*same_origin=*/true, false),
            world_origin,
-           what + " conflicts with " + describe_hit(hit) +
+           what() + " conflicts with " + describe_hit(hit) +
                " recorded earlier in the same epoch");
 
     for (auto& [orank, oe] : tr.open) {
       if (orank == origin || oe.mpi3) continue;
       if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
         flag(ep.pending, classify(kind, hit, false, false), world_origin,
-             what + " conflicts with " + describe_hit(hit) +
+             what() + " conflicts with " + describe_hit(hit) +
                  " by concurrent epoch #" + std::to_string(oe.id) +
                  " of origin " + std::to_string(orank) +
                  scope_suffix(oe.scope));
@@ -306,7 +300,7 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
     for (const auto& g : ep.ghosts) {
       if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
         flag(ep.pending, classify(kind, hit, false, false), world_origin,
-             what + " conflicts with " + describe_hit(hit) +
+             what() + " conflicts with " + describe_hit(hit) +
                  " by closed concurrent epoch #" +
                  std::to_string(g->epoch_id) + " of origin " +
                  std::to_string(g->origin) + scope_suffix(g->scope));
@@ -336,16 +330,8 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
     // non-accumulate access (no_op mixes with any operator).
     if (lrec.acc && acc_class && (op == lrec.op || op == Op::no_op)) continue;
     flag(ep.pending, RmaViolation::local, world_origin,
-         what + " conflicts with a direct " +
-             (lrec.shm ? std::string("shared-memory ") +
-                             (lrec.acc    ? "accumulate to "
-                              : lrec.write ? "store to "
-                                           : "load of ") +
-                             byte_range(lrec.lo, lrec.hi) + " by rank " +
-                             std::to_string(lrec.accessor)
-                       : std::string("local ") +
-                             (lrec.write ? "store to " : "load of ") +
-                             byte_range(lrec.lo, lrec.hi)) +
+         what() + " conflicts with a " + describe_direct(lrec) +
+             (lrec.shm ? " by rank " + std::to_string(lrec.accessor) : "") +
              " on rank " + std::to_string(target) + scope_suffix(lrec.scope));
   }
 
@@ -363,6 +349,49 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
   }
 }
 
+void RmaChecker::check_direct(std::uint64_t win, int target, TargetRec& tr,
+                              LocalRec& lrec, OpKind kind, Op op,
+                              int world_rank) {
+  // A direct access takes no epoch of its own: check it against every epoch
+  // open on the target's memory -- and the closed epochs those were
+  // concurrent with -- exactly as if it were a same-address RMA op. A local
+  // access skips MPI-3 lock_all epochs (plain local access under the
+  // unified memory model is legal after a flush, the backend's discipline);
+  // a same-node shm access races their recorded in-flight operations too,
+  // since nothing orders the two until the next flush, except its own
+  // standing lock_all epoch. conflict_with applies the acc-mixing rules, so
+  // the CPU-atomic accumulate path coexists with same-operator RMA
+  // accumulates.
+  const auto ulo = static_cast<std::uintptr_t>(lrec.lo);
+  const auto uhi = static_cast<std::uintptr_t>(lrec.hi) - 1;
+  // Diagnostics are built only on the (rare) conflict path.
+  const auto what = [&] {
+    return describe_direct(lrec) + " on rank " + std::to_string(target) +
+           " (win " + std::to_string(win) +
+           (lrec.shm ? ", by rank " + std::to_string(lrec.accessor) +
+                           ", no epoch"
+                     : std::string(", no exclusive self-epoch")) +
+           scope_suffix(lrec.scope) + ")";
+  };
+  Hit hit;
+  for (auto& [orank, oe] : tr.open) {
+    if (oe.mpi3 && (!lrec.shm || orank == lrec.accessor)) continue;
+    if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
+      flag(lrec.pending, RmaViolation::local, world_rank,
+           what() + " conflicts with " + describe_hit(hit) +
+               " by open epoch #" + std::to_string(oe.id) + " of origin " +
+               std::to_string(orank) + scope_suffix(oe.scope));
+    for (const auto& g : oe.ghosts) {
+      if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
+        flag(lrec.pending, RmaViolation::local, world_rank,
+             what() + " conflicts with " + describe_hit(hit) +
+                 " by closed concurrent epoch #" +
+                 std::to_string(g->epoch_id) + " of origin " +
+                 std::to_string(g->origin) + scope_suffix(g->scope));
+    }
+  }
+}
+
 void RmaChecker::local_begin(std::uint64_t win, int rank, int world_rank,
                              std::ptrdiff_t lo, std::ptrdiff_t hi, bool write,
                              bool covered, const char* scope) {
@@ -375,52 +404,12 @@ void RmaChecker::local_begin(std::uint64_t win, int rank, int world_rank,
   lrec.covered = covered;
   lrec.accessor = rank;
   lrec.scope = scope;
-
-  if (!covered) {
-    // An undisciplined direct access: check it against every access epoch
-    // currently open on this rank's memory, exactly as if it were a
-    // same-address RMA op (a local store behaves like a put, a local load
-    // like a get).
-    const auto ulo = static_cast<std::uintptr_t>(lo);
-    const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
-    const OpKind as_kind = write ? OpKind::put : OpKind::get;
-    const std::string what =
-        std::string("direct local ") + (write ? "store to " : "load of ") +
-        byte_range(lo, hi) + " on rank " + std::to_string(rank) + " (win " +
-        std::to_string(win) + ", no exclusive self-epoch" +
-        scope_suffix(scope) + ")";
-    Hit hit;
-    for (auto& [orank, oe] : tr.open) {
-      if (oe.mpi3) continue;
-      if (conflict_with(oe.sets, as_kind, Op::replace, ulo, uhi, &hit))
-        flag(lrec.pending, RmaViolation::local, world_rank,
-             what + " conflicts with " + describe_hit(hit) +
-                 " by open epoch #" + std::to_string(oe.id) + " of origin " +
-                 std::to_string(orank) + scope_suffix(oe.scope));
-      for (const auto& g : oe.ghosts) {
-        if (conflict_with(g->sets, as_kind, Op::replace, ulo, uhi, &hit))
-          flag(lrec.pending, RmaViolation::local, world_rank,
-               what + " conflicts with " + describe_hit(hit) +
-                   " by closed concurrent epoch #" +
-                   std::to_string(g->epoch_id) + " of origin " +
-                   std::to_string(g->origin) + scope_suffix(g->scope));
-      }
-    }
-  }
+  // An undisciplined direct access: a local store behaves like a put, a
+  // local load like a get.
+  if (!covered)
+    check_direct(win, rank, tr, lrec, write ? OpKind::put : OpKind::get,
+                 Op::replace, world_rank);
   tr.locals.insert_or_assign(LocalKey{rank, lo}, std::move(lrec));
-}
-
-void RmaChecker::local_end(std::uint64_t win, int rank, std::ptrdiff_t lo) {
-  if (!enabled()) return;
-  auto wit = wins_.find(win);
-  if (wit == wins_.end()) return;
-  auto tit = wit->second.targets.find(rank);
-  if (tit == wit->second.targets.end()) return;
-  auto lit = tit->second.locals.find(LocalKey{rank, lo});
-  if (lit == tit->second.locals.end()) return;
-  std::vector<Violation> pending = std::move(lit->second.pending);
-  tit->second.locals.erase(lit);
-  report(pending);
 }
 
 void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
@@ -429,60 +418,28 @@ void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
                            const char* scope) {
   if (!enabled() || lo >= hi) return;
   TargetRec& tr = wins_[win].targets[target];
-  const bool write = kind != OpKind::get;
   LocalRec lrec;
   lrec.lo = lo;
   lrec.hi = hi;
-  lrec.write = write;
+  lrec.write = kind != OpKind::get;
   lrec.shm = true;
   lrec.acc = kind == OpKind::acc || kind == OpKind::get_acc;
   lrec.op = op;
   lrec.accessor = origin;
   lrec.scope = scope;
-
-  // The fast path takes no epoch, so the access is never "covered": check
-  // it against every epoch open on the target's memory as if it were a
-  // same-address RMA op -- including MPI-3 lock_all epochs, whose recorded
-  // in-flight operations a concurrent direct load/store genuinely races
-  // (nothing orders the two until the next flush). conflict_with applies
-  // the acc-mixing rules, so the CPU-atomic accumulate path coexists with
-  // same-operator RMA accumulates.
-  const auto ulo = static_cast<std::uintptr_t>(lo);
-  const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
-  const std::string what =
-      std::string("direct shared-memory ") +
-      (lrec.acc ? "accumulate to " : write ? "store to " : "load of ") +
-      byte_range(lo, hi) + " on rank " +
-      std::to_string(target) + " (win " + std::to_string(win) + ", by rank " +
-      std::to_string(origin) + ", no epoch" + scope_suffix(scope) + ")";
-  Hit hit;
-  for (auto& [orank, oe] : tr.open) {
-    if (oe.mpi3 && orank == origin) continue;  // own standing lock_all epoch
-    if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
-      flag(lrec.pending, RmaViolation::local, world_origin,
-           what + " conflicts with " + describe_hit(hit) +
-               " by open epoch #" + std::to_string(oe.id) + " of origin " +
-               std::to_string(orank) + scope_suffix(oe.scope));
-    for (const auto& g : oe.ghosts) {
-      if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
-        flag(lrec.pending, RmaViolation::local, world_origin,
-             what + " conflicts with " + describe_hit(hit) +
-                 " by closed concurrent epoch #" +
-                 std::to_string(g->epoch_id) + " of origin " +
-                 std::to_string(g->origin) + scope_suffix(g->scope));
-    }
-  }
+  // The fast path takes no epoch, so the access is never "covered".
+  check_direct(win, target, tr, lrec, kind, op, world_origin);
   tr.locals.insert_or_assign(LocalKey{origin, lo}, std::move(lrec));
 }
 
-void RmaChecker::shm_end(std::uint64_t win, int target, int origin,
-                         std::ptrdiff_t lo) {
+void RmaChecker::access_end(std::uint64_t win, int target, int accessor,
+                            std::ptrdiff_t lo) {
   if (!enabled()) return;
   auto wit = wins_.find(win);
   if (wit == wins_.end()) return;
   auto tit = wit->second.targets.find(target);
   if (tit == wit->second.targets.end()) return;
-  auto lit = tit->second.locals.find(LocalKey{origin, lo});
+  auto lit = tit->second.locals.find(LocalKey{accessor, lo});
   if (lit == tit->second.locals.end()) return;
   std::vector<Violation> pending = std::move(lit->second.pending);
   tit->second.locals.erase(lit);

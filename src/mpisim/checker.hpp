@@ -32,14 +32,13 @@
 /// Interval bookkeeping reuses the AVL conflict tree of paper §VI-B
 /// (conflict_tree.hpp) via its union-building insert_merge().
 ///
-/// Reporting has two paths sharing one recorded state:
-///  - Config::check_conflicts (legacy, default on): a conflict raises
-///    Errc::conflicting_access immediately at the issuing operation;
-///  - Config::rma_check = warn | abort: conflicts become structured
-///    diagnostics reported when the access epoch completes -- at unlock /
-///    flush / local_access_end -- as MPI-2 prescribes for erroneous-access
-///    detection. warn prints to stderr and counts; abort raises
-///    Errc::rma_conflict.
+/// One knob, Config::rma_check (or MPISIM_RMA_CHECK), selects how violations
+/// are reported; they become structured diagnostics reported when the access
+/// epoch completes -- at unlock / flush / local_access_end -- which is where
+/// MPI-2 places erroneous-access detection. abort (the default) raises
+/// Errc::rma_conflict; warn prints to stderr and counts; off records
+/// nothing. Every window event reaches this checker and the happens-before
+/// detector (hb.hpp) through one recording path in win.cpp.
 ///
 /// Epochs opened by lock_all() follow MPI-3 semantics (conflicting accesses
 /// have undefined *values* but are not erroneous) and are not tracked.
@@ -65,9 +64,9 @@ namespace mpisim {
 
 /// Checker reporting mode (Config::rma_check).
 enum class RmaCheck {
-  off,   ///< record nothing (unless check_conflicts is on)
+  off,   ///< record nothing
   warn,  ///< print each violation to stderr at epoch completion and count it
-  abort, ///< raise Errc::rma_conflict at epoch completion
+  abort, ///< raise Errc::rma_conflict at epoch completion (the default)
   race   ///< abort, plus the vector-clock happens-before detector (hb.hpp)
          ///< raising Errc::rma_race on cross-epoch unordered conflicts
 };
@@ -109,16 +108,12 @@ struct RmaCheckCounts {
 /// it when enabled().
 class RmaChecker {
  public:
-  /// \p immediate is Config::check_conflicts: raise Errc::conflicting_access
-  /// at the issuing operation instead of deferring to epoch completion.
-  RmaChecker(RmaCheck mode, bool immediate, int nranks);
+  RmaChecker(RmaCheck mode, int nranks);
 
   RmaChecker(const RmaChecker&) = delete;
   RmaChecker& operator=(const RmaChecker&) = delete;
 
-  bool enabled() const noexcept {
-    return immediate_ || mode_ != RmaCheck::off;
-  }
+  bool enabled() const noexcept { return mode_ != RmaCheck::off; }
   RmaCheck mode() const noexcept { return mode_; }
 
   /// Operation kinds recorded by the window layer. get_acc is
@@ -127,12 +122,10 @@ class RmaChecker {
 
   // ---- epoch lifecycle (caller holds SimCore::mu()) ----
 
-  /// A lock was granted: open epoch <win, target, origin>.
-  void epoch_opened(std::uint64_t win, int target, int origin,
-                    bool exclusive);
-
-  /// Mark an epoch as opened by lock_all (MPI-3 semantics: untracked).
-  void epoch_set_mpi3(std::uint64_t win, int target, int origin);
+  /// A lock was granted: open epoch <win, target, origin>. \p mpi3 marks
+  /// an epoch of lock_all (MPI-3 semantics: untracked).
+  void epoch_opened(std::uint64_t win, int target, int origin, bool exclusive,
+                    bool mpi3);
 
   /// The epoch is closing (unlock/unlock_all): report its pending
   /// violations (raising Errc::rma_conflict in abort mode), hand its access
@@ -172,10 +165,6 @@ class RmaChecker {
                    std::ptrdiff_t lo, std::ptrdiff_t hi, bool write,
                    bool covered, const char* scope);
 
-  /// End of the local access that began at \p lo: report its pending
-  /// violations and drop the record.
-  void local_end(std::uint64_t win, int rank, std::ptrdiff_t lo);
-
   /// A direct shared-memory access of [lo, hi) in \p target's slice of a
   /// shared window by co-located \p origin (Win::shm_access_begin and the
   /// shm_put/shm_get/shm_acc fast path). The fast path bypasses epochs
@@ -191,8 +180,11 @@ class RmaChecker {
                  OpKind kind, Op op, std::ptrdiff_t lo, std::ptrdiff_t hi,
                  const char* scope);
 
-  /// End of origin's shared-memory access that began at \p lo.
-  void shm_end(std::uint64_t win, int target, int origin, std::ptrdiff_t lo);
+  /// End of the direct access by \p accessor (local_begin's \p rank, or
+  /// shm_begin's \p origin) that began at \p lo in \p target's slice:
+  /// report its pending violations and drop the record.
+  void access_end(std::uint64_t win, int target, int accessor,
+                  std::ptrdiff_t lo);
 
   /// Lock-discipline misuse detected by the window layer (which raises the
   /// classified Errc itself); the checker only counts it. Lock-free.
@@ -285,9 +277,15 @@ class RmaChecker {
   static RmaViolation classify(OpKind kind, const Hit& hit, bool same_origin,
                                bool local);
   static std::string describe_hit(const Hit& hit);
+  static std::string describe_direct(const LocalRec& lrec);
 
-  /// Count, then either raise Errc::conflicting_access (immediate mode) or
-  /// defer the message into \p pending.
+  /// Check the direct access \p lrec on \p target, as a \p kind / \p op
+  /// access, against the epochs open on \p tr and the closed epochs they
+  /// were concurrent with; violations are deferred into lrec.pending.
+  void check_direct(std::uint64_t win, int target, TargetRec& tr,
+                    LocalRec& lrec, OpKind kind, Op op, int world_rank);
+
+  /// Count, and defer the message into \p pending.
   void flag(std::vector<Violation>& pending, RmaViolation cls, int world_rank,
             std::string msg);
 
@@ -295,7 +293,6 @@ class RmaChecker {
   void report(std::vector<Violation>& pending);
 
   RmaCheck mode_;
-  bool immediate_;
   std::uint64_t next_epoch_id_ = 1;
   std::map<std::uint64_t, WinRec> wins_;
   std::vector<PerRankCounts> per_rank_;

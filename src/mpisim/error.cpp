@@ -13,7 +13,6 @@ const char* errc_name(Errc e) noexcept {
     case Errc::no_epoch: return "no_epoch";
     case Errc::double_lock: return "double_lock";
     case Errc::not_locked: return "not_locked";
-    case Errc::conflicting_access: return "conflicting_access";
     case Errc::rma_conflict: return "rma_conflict";
     case Errc::rma_race: return "rma_race";
     case Errc::comm_mismatch: return "comm_mismatch";

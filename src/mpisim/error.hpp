@@ -26,9 +26,8 @@ enum class Errc {
   no_epoch,            ///< RMA op issued outside a passive-target epoch
   double_lock,         ///< origin already holds a lock on this window
   not_locked,          ///< unlock without a matching lock
-  conflicting_access,  ///< conflicting RMA accesses within/between epochs
-  rma_conflict,        ///< deferred rma_check violation reported at
-                       ///< unlock/flush/local-access-end (checker.hpp)
+  rma_conflict,        ///< MPI-2 conflicting accesses (rma_check), reported
+                       ///< at unlock/flush/local-access-end (checker.hpp)
   rma_race,            ///< conflicting accesses unordered by happens-before
                        ///< (vector-clock race detector, hb.hpp)
   comm_mismatch,       ///< operation on the wrong communicator kind

@@ -63,7 +63,7 @@ SimCore::SimCore(const Config& cfg)
     : cfg_(cfg),
       prof_(platform_profile(cfg.platform)),
       model_(prof_, cfg.ranks_per_node),
-      checker_(effective_rma_check(cfg), cfg.check_conflicts, cfg.nranks),
+      checker_(effective_rma_check(cfg), cfg.nranks),
       hb_(effective_rma_check(cfg) == RmaCheck::race, cfg.nranks,
           cfg.rma_check_max_intervals),
       slots_(static_cast<std::size_t>(cfg.nranks)),

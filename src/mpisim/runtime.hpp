@@ -61,18 +61,17 @@ class SimCore;
 struct Config {
   int nranks = 4;
   Platform platform = Platform::ideal;
-  /// Track access ranges inside window epochs and raise
-  /// Errc::conflicting_access on MPI-2-erroneous overlap.
-  bool check_conflicts = true;
-  /// RMA validity checker mode (checker.hpp): record every RMA byte
-  /// interval and declared direct local access, and report MPI-2 conflict
-  /// violations when the access epoch completes. warn (the default) prints
-  /// to stderr and counts; abort raises Errc::rma_conflict; race adds the
-  /// vector-clock happens-before detector (hb.hpp), raising Errc::rma_race
-  /// on cross-epoch unordered conflicts. Overridable at run time by the
-  /// MPISIM_RMA_CHECK environment variable (off|warn|abort|race; unknown
-  /// values warn on stderr and fall back to off).
-  RmaCheck rma_check = RmaCheck::warn;
+  /// RMA validity checker mode (checker.hpp), the one conflict-checking
+  /// knob: record every RMA byte interval and declared direct local access,
+  /// and report MPI-2 conflict violations when the access epoch completes
+  /// (unlock / flush / local-access end). abort (the default) raises
+  /// Errc::rma_conflict; warn prints to stderr and counts; off records
+  /// nothing; race adds the vector-clock happens-before detector (hb.hpp),
+  /// raising Errc::rma_race on cross-epoch unordered conflicts. Overridable
+  /// at run time by the MPISIM_RMA_CHECK environment variable
+  /// (off|warn|abort|race; unknown values warn on stderr and fall back to
+  /// off).
+  RmaCheck rma_check = RmaCheck::abort;
   /// Cap on the happens-before shadow store's total recorded byte
   /// intervals (pending accesses plus published summaries): past it the
   /// oldest summaries are dropped and counted in the race overflow

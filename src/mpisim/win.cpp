@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "src/mpisim/checker.hpp"
 #include "src/mpisim/error.hpp"
@@ -45,6 +46,142 @@ struct WinImpl {
 
 namespace {
 
+/// The caller's innermost traced operation, for checker diagnostics.
+const char* trace_scope(RankContext& me) {
+  return me.tracer().enabled() ? me.tracer().current_scope() : nullptr;
+}
+
+// ---- Access recording ------------------------------------------------------
+// Every window event reaches both analyses -- the epoch checker
+// (checker.hpp) and the happens-before detector (hb.hpp) -- through exactly
+// one of these helpers. Callers hold the global lock. \p origin is always
+// the window-group rank of the rank that opened the epoch or made the
+// access. The detector is active only at RmaCheck::race, which enables the
+// checker too, so the checker's enabled() gates the per-access work of
+// both.
+
+/// The window's operation kind as both analyses classify it.
+RmaChecker::OpKind access_kind(RmaKind kind) {
+  return kind == RmaKind::put   ? RmaChecker::OpKind::put
+         : kind == RmaKind::get ? RmaChecker::OpKind::get
+                                : RmaChecker::OpKind::acc;
+}
+
+/// A lock was granted; \p mpi3 marks a lock_all epoch.
+void record_epoch_open(SimCore& core, const WinImpl& w, int target, int origin,
+                       bool exclusive, bool mpi3) {
+  core.checker().epoch_opened(w.id, target, origin, exclusive, mpi3);
+  core.hb().lock_granted(w.id, target, w.comm.group().world_rank(origin),
+                         exclusive);
+}
+
+/// unlock/unlock_all. Epoch completion is the MPI-2 reporting point for
+/// erroneous accesses: raises Errc::rma_conflict in abort mode before
+/// anything is released.
+void record_epoch_close(SimCore& core, const WinImpl& w, int target,
+                        int origin, bool exclusive) {
+  core.checker().epoch_closing(w.id, target, origin);
+  core.hb().lock_released(w.id, target, w.comm.group().world_rank(origin),
+                          exclusive);
+}
+
+/// flush/flush_all: remote completion orders accesses across the flush, so
+/// pending violations are reported and the conflict-tracking unit restarts.
+void record_flush(SimCore& core, const WinImpl& w, int target, int origin) {
+  core.checker().epoch_flushed(w.id, target, origin);
+  core.hb().epoch_flushed(w.id, target, w.comm.group().world_rank(origin));
+}
+
+/// The epoch's origin died before completing it (survivable mode).
+void record_epoch_abandoned(SimCore& core, const WinImpl& w, int target,
+                            int origin) {
+  core.checker().epoch_abandoned(w.id, target, origin);
+  core.hb().epoch_abandoned(w.id, target, w.comm.group().world_rank(origin));
+}
+
+void record_window_freed(SimCore& core, const WinImpl& w) {
+  core.checker().window_freed(w.id);
+  core.hb().window_freed(w.id);
+}
+
+/// One RMA operation covering \p segs, offset by \p disp, of \p target's
+/// slice. Record-and-check per segment, so conflicts *within* one operation
+/// (e.g. a put datatype that writes the same bytes twice) are caught too:
+/// earlier segments are already recorded when later segments are checked.
+void record_rma(SimCore& core, const WinImpl& w, RankContext& me, int target,
+                int origin, RmaChecker::OpKind kind, Op op, std::size_t disp,
+                std::span<const Segment> segs) {
+  if (!core.checker().enabled()) return;
+  const bool hb = core.hb().enabled();
+  const char* scope = trace_scope(me);
+  for (const Segment& s : segs) {
+    const std::ptrdiff_t lo = static_cast<std::ptrdiff_t>(disp) + s.offset;
+    const std::ptrdiff_t hi = lo + static_cast<std::ptrdiff_t>(s.length);
+    core.checker().record_op(w.id, target, origin, me.rank(), kind, op, lo, hi,
+                             scope);
+    if (hb)
+      core.hb().record_op(w.id, target, origin, me.rank(), kind, op, lo, hi,
+                          scope);
+  }
+}
+
+/// A declared direct load/store of [lo, hi) in \p rank's slice.
+/// \p covered: the DLA discipline holds (an exclusive or lock_all
+/// self-epoch). \p exclusive: an exclusive self-epoch, which also orders
+/// the access through the lock slot; a lock_all-covered or bare access is
+/// only ordered by whatever edges the program actually created, so the
+/// happens-before detector records it.
+void record_local_begin(SimCore& core, const WinImpl& w, RankContext& me,
+                        int rank, int origin, std::ptrdiff_t lo,
+                        std::ptrdiff_t hi, bool write, bool covered,
+                        bool exclusive) {
+  const char* scope = trace_scope(me);
+  core.checker().local_begin(w.id, rank, me.rank(), lo, hi, write, covered,
+                             scope);
+  if (!exclusive)
+    core.hb().access_begin(w.id, rank, origin, me.rank(), write, lo, hi,
+                           scope);
+}
+
+/// A held-open same-node direct access (shm_access_begin).
+void record_shm_begin(SimCore& core, const WinImpl& w, RankContext& me,
+                      int target, int origin, bool write, std::ptrdiff_t lo,
+                      std::ptrdiff_t hi) {
+  const char* scope = trace_scope(me);
+  core.checker().shm_begin(
+      w.id, target, origin, me.rank(),
+      write ? RmaChecker::OpKind::put : RmaChecker::OpKind::get, Op::replace,
+      lo, hi, scope);
+  core.hb().access_begin(w.id, target, origin, me.rank(), write, lo, hi,
+                         scope);
+}
+
+/// End of a held-open direct access (local or shm) by \p accessor that
+/// began at \p lo in \p target's slice: reports its pending violations
+/// (may raise Errc::rma_conflict).
+void record_access_end(SimCore& core, const WinImpl& w, RankContext& me,
+                       int target, int accessor, std::ptrdiff_t lo) {
+  core.checker().access_end(w.id, target, accessor, lo);
+  core.hb().access_end(w.id, target, me.rank(), lo);
+}
+
+/// One shm fast-path operation: the only record of the access, as no epoch
+/// exists to attribute it to. The operation executes atomically under the
+/// core lock, so it begins and ends in one step: it only ever conflicts
+/// with RMA already in flight (recorded since its epoch's last flush), never
+/// with operations issued afterwards.
+void record_shm_op(SimCore& core, const WinImpl& w, RankContext& me,
+                   int target, int origin, RmaChecker::OpKind kind, Op op,
+                   std::ptrdiff_t lo, std::ptrdiff_t hi) {
+  if (!core.checker().enabled()) return;
+  const char* scope = trace_scope(me);
+  core.checker().shm_begin(w.id, target, origin, me.rank(), kind, op, lo, hi,
+                           scope);
+  core.hb().direct_op(w.id, target, origin, me.rank(), kind, op, lo, hi,
+                      scope);
+  core.checker().access_end(w.id, target, origin, lo);
+}
+
 /// Survivor-side lock-state cleanup: a dead rank can neither complete the
 /// epochs it holds nor consume the grants it queued for, so both would
 /// stall every later requester forever. Abandon its open epochs (silently
@@ -57,8 +194,7 @@ void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
   for (auto it = ts.open.begin(); it != ts.open.end();) {
     const int world = w.comm.group().world_rank(it->first);
     if (core.is_dead_locked(world)) {
-      core.checker().epoch_abandoned(w.id, target, it->first);
-      core.hb().epoch_abandoned(w.id, target, world);
+      record_epoch_abandoned(core, w, target, it->first);
       it = ts.open.erase(it);
     } else {
       ++it;
@@ -71,10 +207,10 @@ void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
 }
 
 /// Grant as many queued lock requests as compatibility allows (FIFO) and
-/// wake each granted origin. Registers each granted epoch with the RMA
-/// checker here -- not after the waiter's wait() returns -- so a ghost
-/// handoff by an epoch closing in between already sees the new epoch as
-/// concurrent.
+/// wake each granted origin. Records each granted epoch here -- not after
+/// the waiter's wait() returns -- so a ghost handoff by an epoch closing in
+/// between already sees the new epoch as concurrent. An origin in lock_all
+/// is marked kLockAll before it queues, so its epochs open as MPI-3 ones.
 void grant_locked(SimCore& core, WinImpl& w, int target) {
   if (core.survivable()) purge_dead_locked(core, w, target);
   TargetState& ts = w.targets[static_cast<std::size_t>(target)];
@@ -92,12 +228,10 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
     Epoch ep;
     ep.type = type;
     ts.open.emplace(origin, ep);
-    core.checker().epoch_opened(w.id, target, origin,
-                                type == LockType::exclusive);
-    const int origin_world = w.comm.group().world_rank(origin);
-    core.hb().lock_granted(w.id, target, origin_world,
-                           type == LockType::exclusive);
-    core.wake_locked(origin_world);
+    record_epoch_open(
+        core, w, target, origin, type == LockType::exclusive,
+        w.locked_target[static_cast<std::size_t>(origin)] == kLockAll);
+    core.wake_locked(w.comm.group().world_rank(origin));
     ts.waiters.pop_front();
   }
 }
@@ -116,11 +250,6 @@ int require_member(const WinImpl& w, RankContext& me) {
   const int myrank = w.comm.group().rank_of_world(me.rank());
   if (myrank < 0) raise(Errc::rank_out_of_range, "caller not in window group");
   return myrank;
-}
-
-/// The caller's innermost traced operation, for checker diagnostics.
-const char* trace_scope(RankContext& me) {
-  return me.tracer().enabled() ? me.tracer().current_scope() : nullptr;
 }
 
 /// Validate a same-node direct access and return the target-segment pointer
@@ -211,6 +340,43 @@ void charge_round_trip(RankContext& me, const WinImpl& w, int target_rank,
     pl->defer_round_trip(w.id, target_rank, round_trip_ns);
   else
     me.clock().advance(round_trip_ns);
+}
+
+/// Shared body of the fetching accumulate-class operations (get_accumulate,
+/// compare_and_swap) on the target bytes [disp, disp + bytes): record the
+/// access as get_acc with \p op, then run \p apply on the target bytes --
+/// accumulate-class atomicity: fetch and combine in one critical section.
+/// Fetching semantics: the caller needs the reply, so unlike put-class
+/// operations the round trip is always paid.
+template <typename Apply>
+void fetch_op(WinImpl& w, RankContext& me, int myrank, int target_rank,
+              std::size_t disp, std::size_t bytes, Op op, const char* site,
+              Apply&& apply) {
+  if (disp + bytes > w.sizes[static_cast<std::size_t>(target_rank)])
+    raise(Errc::window_bounds, std::string(site) + " outside the window");
+  SimCore& core = *w.comm.impl()->core;
+  std::unique_lock lk(core.mu());
+  core.check_failed_locked();
+  core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
+                                 "win.rma");
+  TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
+  auto eit = ts.open.find(myrank);
+  if (eit == ts.open.end())
+    raise(Errc::no_epoch, "RMA operation outside a passive-target epoch");
+  Epoch& ep = eit->second;
+
+  const Segment seg{0, bytes};
+  record_rma(core, w, me, target_rank, myrank, RmaChecker::OpKind::get_acc,
+             op, disp, {&seg, 1});
+  apply(static_cast<std::uint8_t*>(
+            w.bases[static_cast<std::size_t>(target_rank)]) +
+        disp);
+
+  const NetworkModel& nm = core.model();
+  me.clock().advance(nm.rma_op_ns(RmaKind::acc, bytes, 1, Path::mpi,
+                                  ep.ops_issued, true, w.comm.size()) +
+                     nm.p2p_ns(bytes));
+  ++ep.ops_issued;
 }
 
 }  // namespace
@@ -346,8 +512,7 @@ void Win::free() {
   if (w.comm.rank() == 0) {
     std::lock_guard lk(core.mu());
     w.freed = true;
-    core.checker().window_freed(w.id);
-    core.hb().window_freed(w.id);
+    detail::record_window_freed(core, w);
   }
   w.comm.barrier();
   impl_.reset();
@@ -425,14 +590,12 @@ void Win::unlock(int target_rank) const {
     raise(Errc::not_locked, "unlock without a matching lock");
   }
 
-  // Epoch completion is the MPI-2 reporting point for erroneous accesses:
-  // may raise Errc::rma_conflict in abort mode (before the trace 'B' event,
-  // so an aborting unlock leaves the trace balanced).
-  core.checker().epoch_closing(w.id, target_rank, myrank);
+  // May raise Errc::rma_conflict (before the trace 'B' event, so an
+  // aborting unlock leaves the trace balanced).
+  const bool was_exclusive = it->second.type == LockType::exclusive;
+  detail::record_epoch_close(core, w, target_rank, myrank, was_exclusive);
 
   me.tracer().begin(TraceCat::window, "win.unlock", w.id);
-  const bool was_exclusive = it->second.type == LockType::exclusive;
-  core.hb().lock_released(w.id, target_rank, me.rank(), was_exclusive);
   ts.open.erase(it);
   w.locked_target[static_cast<std::size_t>(myrank)] = -1;
 
@@ -463,17 +626,16 @@ void Win::lock_all() const {
   me.tracer().begin(TraceCat::window, "win.lock_all", w.id);
   // Shared-mode epochs on every target; wait for each in turn (shared
   // requests only queue behind exclusive holders, so this cannot deadlock
-  // against another lock_all).
+  // against another lock_all). Marking the origin first makes each grant
+  // open an MPI-3 epoch: conflicting accesses have undefined values but are
+  // not erroneous, so the checker skips them.
+  w.locked_target[static_cast<std::size_t>(myrank)] = detail::kLockAll;
   for (int t = 0; t < w.comm.size(); ++t) {
     TargetState& ts = w.targets[static_cast<std::size_t>(t)];
     ts.waiters.emplace_back(myrank, LockType::shared);
     detail::grant_locked(core, w, t);
     core.wait(lk, [&] { return ts.open.contains(myrank); }, "win.lock_all");
-    // lock_all epochs follow MPI-3 semantics: conflicting accesses have
-    // undefined values but are not erroneous, so the checker skips them.
-    core.checker().epoch_set_mpi3(w.id, t, myrank);
   }
-  w.locked_target[static_cast<std::size_t>(myrank)] = detail::kLockAll;
   me.clock().advance(core.model().lock_ns() +
                      me.fault().draw_lock_stall_ns());
   if (me.tracer().enabled()) {
@@ -496,8 +658,7 @@ void Win::unlock_all() const {
   me.tracer().begin(TraceCat::window, "win.unlock_all", w.id);
   for (int t = 0; t < w.comm.size(); ++t) {
     TargetState& ts = w.targets[static_cast<std::size_t>(t)];
-    core.checker().epoch_closing(w.id, t, myrank);
-    core.hb().lock_released(w.id, t, me.rank(), /*exclusive=*/false);
+    detail::record_epoch_close(core, w, t, myrank, /*exclusive=*/false);
     ts.open.erase(myrank);
     detail::grant_locked(core, w, t);
   }
@@ -522,10 +683,7 @@ void Win::flush(int target_rank) const {
   auto it = ts.open.find(myrank);
   if (it == ts.open.end())
     raise(Errc::no_epoch, "flush without an epoch on the target");
-  // Remote completion orders accesses across the flush: report pending
-  // violations and restart the epoch's conflict-tracking unit.
-  core.checker().epoch_flushed(w.id, target_rank, myrank);
-  core.hb().epoch_flushed(w.id, target_rank, me.rank());
+  detail::record_flush(core, w, target_rank, myrank);
   me.tracer().begin(TraceCat::window, "win.flush", w.id);
   // Remote completion of everything outstanding: one acknowledgement round
   // trip; afterwards the next operation pays wire latency again.
@@ -554,8 +712,7 @@ void Win::flush_all() const {
     TargetState& ts = w.targets[static_cast<std::size_t>(t)];
     auto it = ts.open.find(myrank);
     if (it != ts.open.end()) {
-      core.checker().epoch_flushed(w.id, t, myrank);
-      core.hb().epoch_flushed(w.id, t, me.rank());
+      detail::record_flush(core, w, t, myrank);
       if (it->second.ops_issued > 0) {
         it->second.ops_issued = 0;
         any = true;
@@ -573,14 +730,14 @@ void Win::flush_all() const {
 void Win::put(const void* origin, std::size_t bytes, int target_rank,
               std::size_t target_disp) const {
   const Datatype t = byte_type();
-  rma_op(OpKind::put, origin, bytes, t, target_rank, target_disp, bytes, t,
+  rma_op(RmaKind::put, origin, bytes, t, target_rank, target_disp, bytes, t,
          Op::replace);
 }
 
 void Win::get(void* origin, std::size_t bytes, int target_rank,
               std::size_t target_disp) const {
   const Datatype t = byte_type();
-  rma_op(OpKind::get, origin, bytes, t, target_rank, target_disp, bytes, t,
+  rma_op(RmaKind::get, origin, bytes, t, target_rank, target_disp, bytes, t,
          Op::replace);
 }
 
@@ -588,7 +745,7 @@ void Win::put(const void* origin, std::size_t origin_count,
               const Datatype& origin_type, int target_rank,
               std::size_t target_disp, std::size_t target_count,
               const Datatype& target_type) const {
-  rma_op(OpKind::put, origin, origin_count, origin_type, target_rank,
+  rma_op(RmaKind::put, origin, origin_count, origin_type, target_rank,
          target_disp, target_count, target_type, Op::replace);
 }
 
@@ -596,7 +753,7 @@ void Win::get(void* origin, std::size_t origin_count,
               const Datatype& origin_type, int target_rank,
               std::size_t target_disp, std::size_t target_count,
               const Datatype& target_type) const {
-  rma_op(OpKind::get, origin, origin_count, origin_type, target_rank,
+  rma_op(RmaKind::get, origin, origin_count, origin_type, target_rank,
          target_disp, target_count, target_type, Op::replace);
 }
 
@@ -604,18 +761,16 @@ void Win::accumulate(const void* origin, std::size_t origin_count,
                      const Datatype& origin_type, int target_rank,
                      std::size_t target_disp, std::size_t target_count,
                      const Datatype& target_type, Op op) const {
-  rma_op(OpKind::acc, origin, origin_count, origin_type, target_rank,
+  rma_op(RmaKind::acc, origin, origin_count, origin_type, target_rank,
          target_disp, target_count, target_type, op);
 }
 
 void Win::get_accumulate(const void* origin, void* result, std::size_t count,
                          const Datatype& type, int target_rank,
                          std::size_t target_disp, Op op) const {
-  WinImpl& w = *impl_;
-  SimCore& core = *w.comm.impl()->core;
   RankContext& me = ctx();
-  const int myrank = detail::require_member(w, me);
-  detail::require_target(w, target_rank, "get_accumulate");
+  const int myrank = detail::require_member(*impl_, me);
+  detail::require_target(*impl_, target_rank, "get_accumulate");
   const std::size_t bytes = count * type.size();
   if (bytes == 0) return;
   if (!type.contiguous_layout())
@@ -623,53 +778,14 @@ void Win::get_accumulate(const void* origin, void* result, std::size_t count,
           "get_accumulate supports contiguous datatypes");
   if (op != Op::no_op && origin == nullptr)
     raise(Errc::invalid_argument, "null origin with a combining op");
-  if (target_disp + bytes > w.sizes[static_cast<std::size_t>(target_rank)])
-    raise(Errc::window_bounds, "get_accumulate outside the window");
-
-  auto* tptr = static_cast<std::uint8_t*>(
-                   w.bases[static_cast<std::size_t>(target_rank)]) +
-               target_disp;
-
-  std::unique_lock lk(core.mu());
-  core.check_failed_locked();
-  core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
-                                 "win.rma");
-  TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
-  auto eit = ts.open.find(myrank);
-  if (eit == ts.open.end())
-    raise(Errc::no_epoch, "RMA operation outside a passive-target epoch");
-  Epoch& ep = eit->second;
-
-  // Accumulate-class access: recorded under MPI's same_op_no_op mixing rule
-  // (no_op combines with any accumulate operator).
-  if (core.checker().enabled()) {
-    const auto lo = static_cast<std::ptrdiff_t>(target_disp);
-    core.checker().record_op(w.id, target_rank, myrank, me.rank(),
-                             RmaChecker::OpKind::get_acc, op, lo,
-                             lo + static_cast<std::ptrdiff_t>(bytes),
-                             detail::trace_scope(me));
-  }
-  if (core.hb().enabled()) {
-    const auto lo = static_cast<std::ptrdiff_t>(target_disp);
-    core.hb().record_op(w.id, target_rank, myrank, me.rank(),
-                        RmaChecker::OpKind::get_acc, op, lo,
-                        lo + static_cast<std::ptrdiff_t>(bytes),
-                        detail::trace_scope(me));
-  }
-
-  // Accumulate-class atomicity: fetch, then combine, in one critical
-  // section.
-  std::memcpy(result, tptr, bytes);
-  if (op != Op::no_op)
-    apply_op(op, type.element_type(), tptr, origin, count);
-
-  // Fetching semantics: the caller needs the reply, so unlike put-class
-  // operations the round trip is always paid.
-  const NetworkModel& nm = core.model();
-  me.clock().advance(nm.rma_op_ns(RmaKind::acc, bytes, 1, Path::mpi,
-                                  ep.ops_issued, true, w.comm.size()) +
-                     nm.p2p_ns(bytes));
-  ++ep.ops_issued;
+  // Recorded under MPI's same_op_no_op mixing rule (no_op combines with any
+  // accumulate operator).
+  detail::fetch_op(*impl_, me, myrank, target_rank, target_disp, bytes, op,
+                   "get_accumulate", [&](std::uint8_t* tptr) {
+                     std::memcpy(result, tptr, bytes);
+                     if (op != Op::no_op)
+                       apply_op(op, type.element_type(), tptr, origin, count);
+                   });
 }
 
 void Win::fetch_and_op(const void* origin, void* result, BasicType type,
@@ -682,41 +798,20 @@ void Win::fetch_and_op(const void* origin, void* result, BasicType type,
 void Win::compare_and_swap(const void* origin, const void* compare,
                            void* result, BasicType type, int target_rank,
                            std::size_t target_disp) const {
-  WinImpl& w = *impl_;
-  SimCore& core = *w.comm.impl()->core;
   RankContext& me = ctx();
-  const int myrank = detail::require_member(w, me);
-  detail::require_target(w, target_rank, "compare_and_swap");
+  const int myrank = detail::require_member(*impl_, me);
+  detail::require_target(*impl_, target_rank, "compare_and_swap");
   const std::size_t bytes = basic_type_size(type);
-  if (target_disp + bytes > w.sizes[static_cast<std::size_t>(target_rank)])
-    raise(Errc::window_bounds, "compare_and_swap outside the window");
-
-  auto* tptr = static_cast<std::uint8_t*>(
-                   w.bases[static_cast<std::size_t>(target_rank)]) +
-               target_disp;
-
-  std::unique_lock lk(core.mu());
-  core.check_failed_locked();
-  core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
-                                 "win.rma");
-  TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
-  auto eit = ts.open.find(myrank);
-  if (eit == ts.open.end())
-    raise(Errc::no_epoch, "RMA operation outside a passive-target epoch");
-  Epoch& ep = eit->second;
-
-  std::memcpy(result, tptr, bytes);
-  if (std::memcmp(tptr, compare, bytes) == 0)
-    std::memcpy(tptr, origin, bytes);
-
-  const NetworkModel& nm = core.model();
-  me.clock().advance(nm.rma_op_ns(RmaKind::acc, bytes, 1, Path::mpi,
-                                  ep.ops_issued, true, w.comm.size()) +
-                     nm.p2p_ns(bytes));
-  ++ep.ops_issued;
+  // Accumulate-class: an atomic conditional replace.
+  detail::fetch_op(*impl_, me, myrank, target_rank, target_disp, bytes,
+                   Op::replace, "compare_and_swap", [&](std::uint8_t* tptr) {
+                     std::memcpy(result, tptr, bytes);
+                     if (std::memcmp(tptr, compare, bytes) == 0)
+                       std::memcpy(tptr, origin, bytes);
+                   });
 }
 
-void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
+void Win::rma_op(RmaKind kind, const void* origin, std::size_t origin_count,
                  const Datatype& origin_type, int target_rank,
                  std::size_t target_disp, std::size_t target_count,
                  const Datatype& target_type, Op op) const {
@@ -731,7 +826,7 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
     raise(Errc::type_mismatch, "origin/target transfer sizes differ");
   if (bytes == 0) return;
   me.fault().fault_point(me.clock());
-  if (kind == OpKind::acc &&
+  if (kind == RmaKind::acc &&
       origin_type.element_type() != target_type.element_type())
     raise(Errc::type_mismatch, "accumulate element types differ");
 
@@ -763,39 +858,9 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
   const std::vector<Segment> osegs = origin_type.flatten(origin_count);
   const std::vector<Segment> tsegs = target_type.flatten(target_count);
 
-  // ---- MPI-2 conflicting-access detection (checker.hpp) ----
-  // Record-and-check per segment, so conflicts *within* one operation
-  // (e.g. a put datatype that writes the same bytes twice) are caught too:
-  // earlier segments of this op are already recorded when later segments
-  // are checked. With Config::check_conflicts a conflict raises
-  // Errc::conflicting_access here; in rma_check warn/abort mode it is
-  // reported when the epoch completes.
-  if (core.checker().enabled()) {
-    const auto chk_kind = kind == OpKind::put   ? RmaChecker::OpKind::put
-                          : kind == OpKind::get ? RmaChecker::OpKind::get
-                                                : RmaChecker::OpKind::acc;
-    const char* scope = detail::trace_scope(me);
-    for (const Segment& s : tsegs) {
-      const std::ptrdiff_t lo =
-          static_cast<std::ptrdiff_t>(target_disp) + s.offset;
-      core.checker().record_op(w.id, target_rank, myrank, me.rank(), chk_kind,
-                               op, lo, lo + static_cast<std::ptrdiff_t>(s.length),
-                               scope);
-    }
-  }
-  if (core.hb().enabled()) {
-    const auto hb_kind = kind == OpKind::put   ? RmaChecker::OpKind::put
-                         : kind == OpKind::get ? RmaChecker::OpKind::get
-                                               : RmaChecker::OpKind::acc;
-    const char* scope = detail::trace_scope(me);
-    for (const Segment& s : tsegs) {
-      const std::ptrdiff_t lo =
-          static_cast<std::ptrdiff_t>(target_disp) + s.offset;
-      core.hb().record_op(w.id, target_rank, myrank, me.rank(), hb_kind, op,
-                          lo, lo + static_cast<std::ptrdiff_t>(s.length),
-                          scope);
-    }
-  }
+  // MPI-2 conflicting-access detection: reported when the epoch completes.
+  detail::record_rma(core, w, me, target_rank, myrank,
+                     detail::access_kind(kind), op, target_disp, tsegs);
 
   // ---- Data movement (safe under the global lock) ----
   {
@@ -809,13 +874,13 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
       std::uint8_t* optr = obase + osegs[oi].offset + opos;
       std::uint8_t* tptr = tbase + tsegs[ti].offset + tpos;
       switch (kind) {
-        case OpKind::put:
+        case RmaKind::put:
           std::memcpy(tptr, optr, chunk);
           break;
-        case OpKind::get:
+        case RmaKind::get:
           std::memcpy(optr, tptr, chunk);
           break;
-        case OpKind::acc:
+        case RmaKind::acc:
           apply_op(op, origin_type.element_type(), tptr, optr, chunk / esz);
           break;
       }
@@ -831,12 +896,8 @@ void Win::rma_op(OpKind kind, const void* origin, std::size_t origin_count,
   const PlatformProfile& prof = nm.profile();
   const std::size_t nseg = std::max(osegs.size(), tsegs.size());
   const bool contig = nseg == 1;
-  double cost = nm.rma_op_ns(
-      kind == OpKind::put ? RmaKind::put
-      : kind == OpKind::get ? RmaKind::get
-                            : RmaKind::acc,
-      bytes, nseg, Path::mpi, ep.ops_issued, /*local_pinned=*/true,
-      w.comm.size());
+  double cost = nm.rma_op_ns(kind, bytes, nseg, Path::mpi, ep.ops_issued,
+                             /*local_pinned=*/true, w.comm.size());
   if (!contig) {
     cost += nm.dtype_build_ns(nseg);
     // A noncontiguous side without hardware scatter/gather costs a pack at
@@ -906,20 +967,14 @@ void Win::local_access_begin(const void* ptr, std::size_t bytes,
   // against the epochs currently exposing this memory.
   const TargetState& ts = w.targets[static_cast<std::size_t>(s.rank)];
   auto it = ts.open.find(myrank);
-  const bool covered =
-      it != ts.open.end() &&
-      (it->second.type == LockType::exclusive ||
-       w.locked_target[static_cast<std::size_t>(myrank)] == detail::kLockAll);
-  core.checker().local_begin(w.id, s.rank, me.rank(), s.lo, s.hi, write,
-                             covered, detail::trace_scope(me));
-  // Happens-before: an exclusive self-epoch orders the access through the
-  // lock slot; a lock_all-covered or bare access is only ordered by
-  // whatever edges the program actually created, so record it.
-  const bool covered_excl =
+  const bool exclusive =
       it != ts.open.end() && it->second.type == LockType::exclusive;
-  if (!covered_excl)
-    core.hb().access_begin(w.id, s.rank, myrank, me.rank(), write, s.lo,
-                           s.hi, detail::trace_scope(me));
+  const bool covered =
+      exclusive ||
+      (it != ts.open.end() &&
+       w.locked_target[static_cast<std::size_t>(myrank)] == detail::kLockAll);
+  detail::record_local_begin(core, w, me, s.rank, myrank, s.lo, s.hi, write,
+                             covered, exclusive);
 }
 
 void Win::local_access_end(const void* ptr) const {
@@ -930,29 +985,27 @@ void Win::local_access_end(const void* ptr) const {
   if (s.rank < 0) return;
 
   std::lock_guard lk(core.mu());
-  // Reports the access's pending violations: may raise Errc::rma_conflict.
-  core.checker().local_end(w.id, s.rank, s.lo);
-  core.hb().access_end(w.id, s.rank, ctx().rank(), s.lo);
+  detail::record_access_end(core, w, ctx(), s.rank, s.rank, s.lo);
 }
 
 void Win::shm_put(const void* origin, std::size_t bytes, int target_rank,
                   std::size_t target_disp) const {
-  shm_op(OpKind::put, Op::replace, BasicType::byte_, origin, bytes,
+  shm_op(RmaKind::put, Op::replace, BasicType::byte_, origin, bytes,
          target_rank, target_disp);
 }
 
 void Win::shm_get(void* origin, std::size_t bytes, int target_rank,
                   std::size_t target_disp) const {
-  shm_op(OpKind::get, Op::replace, BasicType::byte_, origin, bytes,
+  shm_op(RmaKind::get, Op::replace, BasicType::byte_, origin, bytes,
          target_rank, target_disp);
 }
 
 void Win::shm_acc(Op op, BasicType type, const void* origin, std::size_t bytes,
                   int target_rank, std::size_t target_disp) const {
-  shm_op(OpKind::acc, op, type, origin, bytes, target_rank, target_disp);
+  shm_op(RmaKind::acc, op, type, origin, bytes, target_rank, target_disp);
 }
 
-void Win::shm_op(OpKind kind, Op op, BasicType type, const void* origin,
+void Win::shm_op(RmaKind kind, Op op, BasicType type, const void* origin,
                  std::size_t bytes, int target_rank,
                  std::size_t target_disp) const {
   WinImpl& w = *impl_;
@@ -961,13 +1014,13 @@ void Win::shm_op(OpKind kind, Op op, BasicType type, const void* origin,
   const int myrank = detail::require_member(w, me);
   if (bytes == 0) return;
   me.fault().fault_point(me.clock());
-  const char* site = kind == OpKind::put   ? "win.shm_put"
-                     : kind == OpKind::get ? "win.shm_get"
-                                           : "win.shm_acc";
+  const char* site = kind == RmaKind::put   ? "win.shm_put"
+                     : kind == RmaKind::get ? "win.shm_get"
+                                            : "win.shm_acc";
   std::uint8_t* tptr = detail::require_shm(w, core, me, target_rank,
                                            target_disp, bytes, site);
   std::size_t count = 0;
-  if (kind == OpKind::acc) {
+  if (kind == RmaKind::acc) {
     const std::size_t esz = basic_type_size(type);
     if (bytes % esz != 0)
       raise(Errc::invalid_argument,
@@ -980,38 +1033,21 @@ void Win::shm_op(OpKind kind, Op op, BasicType type, const void* origin,
   core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
                                  "win.shm_op");
   const auto lo = static_cast<std::ptrdiff_t>(target_disp);
-  const auto hi = lo + static_cast<std::ptrdiff_t>(bytes);
-  // The only record of this access: no epoch exists to attribute it to.
-  // Begin/copy/end execute atomically under the core lock, so the record
-  // only ever conflicts with RMA already in flight (recorded since its
-  // epoch's last flush), never with operations issued afterwards.
-  if (core.checker().enabled())
-    core.checker().shm_begin(w.id, target_rank, myrank, me.rank(),
-                             kind == OpKind::put   ? RmaChecker::OpKind::put
-                             : kind == OpKind::get ? RmaChecker::OpKind::get
-                                                   : RmaChecker::OpKind::acc,
-                             op, lo, hi, detail::trace_scope(me));
-  // Happens-before: the shm fast path bypasses every epoch, so the access
-  // checks and publishes in one atomic step under the core lock.
-  core.hb().direct_op(w.id, target_rank, myrank, me.rank(),
-                      kind == OpKind::put   ? RmaChecker::OpKind::put
-                      : kind == OpKind::get ? RmaChecker::OpKind::get
-                                            : RmaChecker::OpKind::acc,
-                      op, lo, hi, detail::trace_scope(me));
+  detail::record_shm_op(core, w, me, target_rank, myrank,
+                        detail::access_kind(kind), op, lo,
+                        lo + static_cast<std::ptrdiff_t>(bytes));
   auto* obase = static_cast<std::uint8_t*>(const_cast<void*>(origin));
   switch (kind) {
-    case OpKind::put:
+    case RmaKind::put:
       std::memcpy(tptr, obase, bytes);
       break;
-    case OpKind::get:
+    case RmaKind::get:
       std::memcpy(obase, tptr, bytes);
       break;
-    case OpKind::acc:
+    case RmaKind::acc:
       apply_op(op, type, tptr, obase, count);
       break;
   }
-  if (core.checker().enabled())
-    core.checker().shm_end(w.id, target_rank, myrank, lo);
   // Direct load/store: no lock or flush round trips, just the intra-node
   // copy. WinStats epoch counters are deliberately untouched -- the fast
   // path completing without epochs is an observable property tests assert.
@@ -1032,13 +1068,8 @@ void Win::shm_access_begin(int target_rank, std::size_t target_disp,
 
   std::lock_guard lk(core.mu());
   const auto lo = static_cast<std::ptrdiff_t>(target_disp);
-  core.checker().shm_begin(
-      w.id, target_rank, myrank, me.rank(),
-      write ? RmaChecker::OpKind::put : RmaChecker::OpKind::get, Op::replace,
-      lo, lo + static_cast<std::ptrdiff_t>(bytes), detail::trace_scope(me));
-  core.hb().access_begin(w.id, target_rank, myrank, me.rank(), write, lo,
-                         lo + static_cast<std::ptrdiff_t>(bytes),
-                         detail::trace_scope(me));
+  detail::record_shm_begin(core, w, me, target_rank, myrank, write, lo,
+                           lo + static_cast<std::ptrdiff_t>(bytes));
 }
 
 void Win::shm_access_end(int target_rank, std::size_t target_disp) const {
@@ -1049,11 +1080,8 @@ void Win::shm_access_end(int target_rank, std::size_t target_disp) const {
   const int myrank = detail::require_member(w, me);
 
   std::lock_guard lk(core.mu());
-  // Reports the access's pending violations: may raise Errc::rma_conflict.
-  core.checker().shm_end(w.id, target_rank, myrank,
-                         static_cast<std::ptrdiff_t>(target_disp));
-  core.hb().access_end(w.id, target_rank, me.rank(),
-                       static_cast<std::ptrdiff_t>(target_disp));
+  detail::record_access_end(core, w, me, target_rank, myrank,
+                            static_cast<std::ptrdiff_t>(target_disp));
 }
 
 void* Win::base(int rank) const {

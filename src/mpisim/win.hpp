@@ -18,8 +18,9 @@
 ///  - Conflicting accesses (put/get overlap, put/put overlap, accumulate
 ///    mixed with put/get, accumulates with different ops on the same
 ///    location) -- whether within one epoch or across concurrent shared
-///    epochs -- are *erroneous* in MPI-2; with Config::check_conflicts the
-///    simulator detects them and raises Errc::conflicting_access.
+///    epochs -- are *erroneous* in MPI-2; the RMA checker (Config::rma_check,
+///    default abort) detects them and raises Errc::rma_conflict when the
+///    epoch completes (unlock / flush / local-access end).
 ///  - Operations complete (locally and remotely) at unlock(); there is no
 ///    separate local-completion event, matching MPI-2.
 ///
@@ -36,6 +37,7 @@
 
 #include "src/mpisim/comm.hpp"
 #include "src/mpisim/datatype.hpp"
+#include "src/mpisim/netmodel.hpp"
 
 namespace mpisim {
 
@@ -263,12 +265,11 @@ class Win {
  private:
   explicit Win(std::shared_ptr<detail::WinImpl> impl);
 
-  enum class OpKind { put, get, acc };
-  void rma_op(OpKind kind, const void* origin, std::size_t origin_count,
+  void rma_op(RmaKind kind, const void* origin, std::size_t origin_count,
               const Datatype& origin_type, int target_rank,
               std::size_t target_disp, std::size_t target_count,
               const Datatype& target_type, Op op) const;
-  void shm_op(OpKind kind, Op op, BasicType type, const void* origin,
+  void shm_op(RmaKind kind, Op op, BasicType type, const void* origin,
               std::size_t bytes, int target_rank,
               std::size_t target_disp) const;
 

@@ -315,7 +315,6 @@ mpisim::Config race_cfg(int nranks) {
   mpisim::Config cfg;
   cfg.nranks = nranks;
   cfg.platform = mpisim::Platform::ideal;
-  cfg.check_conflicts = false;
   cfg.rma_check = mpisim::RmaCheck::race;
   return cfg;
 }

@@ -173,13 +173,13 @@ TEST(ArmciOptionsTest, NoLocalCopySkipsStagingButStaysCorrect) {
 }
 
 TEST(ArmciOptionsTest, ConflictCheckingCanBeDisabled) {
-  // With Config::check_conflicts off, the MPI-2-erroneous overlap below is
-  // not detected (production mode trades checking for speed); the run must
+  // With Config::rma_check off, the MPI-2-erroneous overlap below is not
+  // detected (production mode trades checking for speed); the run must
   // complete without raising.
   mpisim::Config cfg;
   cfg.nranks = 2;
   cfg.platform = Platform::ideal;
-  cfg.check_conflicts = false;
+  cfg.rma_check = mpisim::RmaCheck::off;
   mpisim::run(cfg, [] {
     init({});
     std::vector<void*> bases = malloc_world(64);

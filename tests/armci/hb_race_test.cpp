@@ -32,7 +32,6 @@ mpisim::Config race_cfg(int nranks) {
   mpisim::Config cfg;
   cfg.nranks = nranks;
   cfg.platform = Platform::ideal;
-  cfg.check_conflicts = false;
   cfg.rma_check = mpisim::RmaCheck::race;
   return cfg;
 }

@@ -1,16 +1,16 @@
 // Negative-path suite for the RMA validity checker (src/mpisim/checker.hpp):
 // each MPI-2 conflict class must be detected and classified, abort mode must
 // raise Errc::rma_conflict at the epoch boundary, warn mode must count and
-// complete, and the lock-state fixes must raise classified errors instead of
-// indexing out of range. Config::check_conflicts is off throughout so the
-// deferred reporting path (rather than the legacy issue-time raise) is what
-// the assertions exercise.
+// complete, off must record nothing, and the lock-state fixes must raise
+// classified errors instead of indexing out of range.
 
 #include "src/mpisim/checker.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,14 +21,34 @@
 namespace mpisim {
 namespace {
 
+/// abort is the default checker mode.
 Config abort_cfg(int nranks) {
   Config cfg;
   cfg.nranks = nranks;
   cfg.platform = Platform::ideal;
-  cfg.check_conflicts = false;
-  cfg.rma_check = RmaCheck::abort;
   return cfg;
 }
+
+/// Sets MPISIM_RMA_CHECK for one test and restores the previous value on
+/// exit (CI legs run the whole suite with it set).
+class ScopedRmaCheckEnv {
+ public:
+  explicit ScopedRmaCheckEnv(const char* value) {
+    if (const char* old = std::getenv("MPISIM_RMA_CHECK")) saved_ = old;
+    setenv("MPISIM_RMA_CHECK", value, 1);
+  }
+  ~ScopedRmaCheckEnv() {
+    if (saved_)
+      setenv("MPISIM_RMA_CHECK", saved_->c_str(), 1);
+    else
+      unsetenv("MPISIM_RMA_CHECK");
+  }
+  ScopedRmaCheckEnv(const ScopedRmaCheckEnv&) = delete;
+  ScopedRmaCheckEnv& operator=(const ScopedRmaCheckEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
 
 RmaCheckCounts my_counts() { return ctx().core().checker().counts(rank()); }
 
@@ -201,6 +221,39 @@ TEST(CheckerTest, ClosedConcurrentEpochStillConflicts) {
   });
 }
 
+// compare_and_swap is accumulate-class (an atomic conditional replace), so a
+// put to the same bytes from a concurrent shared epoch mixes accumulate with
+// non-accumulate. The put's epoch closes and a barrier orders it before the
+// CAS: only the MPI-2 epoch rule is broken, not happens-before.
+TEST(CheckerTest, CompareAndSwapMixedWithPutAborts) {
+  run(abort_cfg(2), [] {
+    std::vector<std::int64_t> mem(4, 0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(std::int64_t),
+                          world());
+    win.lock(LockType::shared, 0);
+    world().barrier();  // both shared epochs are open and thus concurrent
+    if (rank() == 0) {
+      const std::int64_t v = 7;
+      win.put(&v, sizeof v, 0, 0);  // bytes [0, 8)
+      win.unlock(0);
+    }
+    world().barrier();
+    if (rank() == 1) {
+      const std::int64_t swap = 9;
+      const std::int64_t expected = 7;
+      std::int64_t prev = 0;
+      win.compare_and_swap(&swap, &expected, &prev, BasicType::int64, 0, 0);
+      const std::string msg = expect_conflict([&] { win.unlock(0); });
+      EXPECT_NE(msg.find("a put to bytes [0, 8)"), std::string::npos) << msg;
+      win.unlock(0);
+      EXPECT_EQ(my_counts().acc_mix, 1u);
+      EXPECT_EQ(my_counts().total(), 1u);
+    }
+    world().barrier();
+    win.free();
+  });
+}
+
 // Serialized reuse stays legal: once an epoch closes, epochs opened *later*
 // on the same bytes never see its ghost.
 TEST(CheckerTest, SerializedEpochsOnSameBytesAreClean) {
@@ -310,7 +363,8 @@ TEST(CheckerTest, FlushResetsTrackingUnit) {
 
 // Direction 1: remote RMA already in flight, then a same-node direct access
 // touches the same bytes. The shm fast path must be checked like a local
-// access: the conflicting store is reported at shm_end, classified local.
+// access: the conflicting store is reported when the access ends,
+// classified local.
 TEST(CheckerTest, ShmAccessAgainstInFlightRmaAborts) {
   Config cfg = abort_cfg(2);
   cfg.ranks_per_node = 2;  // co-locate both ranks: the shm path is legal
@@ -498,12 +552,32 @@ TEST(CheckerTest, LockAllThenLockRaisesDoubleLock) {
 // The MPISIM_RMA_CHECK environment variable overrides Config::rma_check at
 // SimCore construction (the hook the abort-mode CI job uses).
 TEST(CheckerTest, EnvVarOverridesConfiguredMode) {
-  ASSERT_EQ(setenv("MPISIM_RMA_CHECK", "off", 1), 0);
+  const ScopedRmaCheckEnv env("off");
   Config cfg = abort_cfg(2);
   run(cfg, [] {
     EXPECT_EQ(ctx().core().checker().mode(), RmaCheck::off);
   });
-  unsetenv("MPISIM_RMA_CHECK");
+}
+
+// off turns conflict checking off entirely: a conflicting program completes
+// and no violation is counted.
+TEST(CheckerTest, OffModeLetsConflictingProgramComplete) {
+  const ScopedRmaCheckEnv env("off");
+  run(abort_cfg(2), [] {
+    std::vector<double> mem(8, 0.0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(double), world());
+    world().barrier();
+    if (rank() == 0) {
+      const double src[2] = {1.0, 2.0};
+      win.lock(LockType::exclusive, 1);
+      win.put(src, sizeof src, 1, 0);
+      win.put(src, sizeof src, 1, sizeof(double));  // overlaps [8, 16)
+      win.unlock(1);
+    }
+    world().barrier();
+    EXPECT_EQ(my_counts().total(), 0u);
+    win.free();
+  });
 }
 
 TEST(CheckerTest, ViolationAndModeNamesAreStable) {

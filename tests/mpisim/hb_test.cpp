@@ -31,7 +31,6 @@ Config race_cfg(int nranks) {
   Config cfg;
   cfg.nranks = nranks;
   cfg.platform = Platform::ideal;
-  cfg.check_conflicts = false;
   cfg.rma_check = RmaCheck::race;
   return cfg;
 }

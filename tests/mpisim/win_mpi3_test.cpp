@@ -180,8 +180,9 @@ TEST(WinMpi3Test, CompareAndSwapOnlyOneWinner) {
 }
 
 TEST(WinMpi3Test, ConflictsAreUndefinedNotErroneousUnderLockAll) {
-  // Under MPI-2 epochs this put/get overlap raises conflicting_access; the
-  // MPI-3 lock_all epoch relaxes it to undefined -- no error.
+  // Under MPI-2 epochs this put/get overlap raises rma_conflict at epoch
+  // completion; the MPI-3 lock_all epoch relaxes it to undefined -- no
+  // error.
   run(2, Platform::ideal, [] {
     std::vector<double> mem(4, 0.0);
     Win win = Win::create(mem.data(), 32, world());

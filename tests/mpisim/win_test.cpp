@@ -241,7 +241,7 @@ TEST(WinSemanticsTest, ConflictingPutPutInEpochThrows) {
     });
     FAIL() << "expected MpiError";
   } catch (const MpiError& e) {
-    EXPECT_EQ(e.code(), Errc::conflicting_access);
+    EXPECT_EQ(e.code(), Errc::rma_conflict);
   }
 }
 
@@ -262,7 +262,7 @@ TEST(WinSemanticsTest, PutGetOverlapInEpochThrows) {
     });
     FAIL() << "expected MpiError";
   } catch (const MpiError& e) {
-    EXPECT_EQ(e.code(), Errc::conflicting_access);
+    EXPECT_EQ(e.code(), Errc::rma_conflict);
   }
 }
 
@@ -320,7 +320,7 @@ TEST(WinSemanticsTest, DifferentOpAccumulateOverlapThrows) {
     });
     FAIL() << "expected MpiError";
   } catch (const MpiError& e) {
-    EXPECT_EQ(e.code(), Errc::conflicting_access);
+    EXPECT_EQ(e.code(), Errc::rma_conflict);
   }
 }
 
