@@ -29,7 +29,7 @@ std::span<const void* const> as_const_span(const std::vector<void*>& v) {
 
 /// Drop a queue's range bookkeeping after its ops reach operation
 /// completion (or park on an error).
-void clear_trees(NbQueue& q) {
+void clear_ranges(NbQueue& q) {
   q.r_reads.clear();
   q.r_writes.clear();
   q.r_accs.clear();
@@ -105,7 +105,7 @@ void NbEngine::flush(ProcState& st, NbQueue& q) {
   if (q.ops.empty() && !had_pending) return;
   std::vector<NbOp> batch = std::move(q.ops);
   q.ops.clear();
-  clear_trees(q);
+  clear_ranges(q);
   q.pending_flush = false;
   // Mark complete *before* executing: if the backend surfaces an error
   // (e.g. retry exhaustion) the queue stays consistent and the error
@@ -243,19 +243,27 @@ std::uint64_t NbEngine::enqueue(ProcState& st, const std::shared_ptr<Gmr>& gmr,
   // box [l_lo, l_hi]: a multi-owner GA access interleaves several disjoint
   // footprints inside one user buffer, and bounding boxes would report
   // them as conflicting and serialize the whole pipeline. Very fragmented
-  // types fall back to the bounding box to cap the cost.
+  // types fall back to the bounding box to cap the cost. A gather's
+  // segments come in the caller's order; sorted, they join the queue's set
+  // in one O(N + M) merge.
   constexpr std::size_t kMaxPreciseSegments = 4096;
-  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> lsegs;
+  std::vector<mpisim::IntervalSet::Range> lsegs;
   if (op.typed && op.ltype.segment_count() <= kMaxPreciseSegments) {
     const std::uintptr_t base = lo_of(op.local);
     op.ltype.for_each_segment(1, [&](mpisim::Segment s) {
       if (s.length == 0) return;
       const std::uintptr_t lo = base + static_cast<std::uintptr_t>(s.offset);
-      lsegs.emplace_back(lo, lo + s.length - 1);
+      lsegs.push_back({lo, lo + s.length - 1});
     });
   }
-  if (lsegs.empty()) lsegs.emplace_back(l_lo, l_hi);
-  const auto l_conflicts = [&lsegs](const mpisim::ConflictTree& t) {
+  if (lsegs.empty()) lsegs.push_back({l_lo, l_hi});
+  const auto by_lo = [](const mpisim::IntervalSet::Range& a,
+                        const mpisim::IntervalSet::Range& b) {
+    return a.lo < b.lo;
+  };
+  if (!std::is_sorted(lsegs.begin(), lsegs.end(), by_lo))
+    std::sort(lsegs.begin(), lsegs.end(), by_lo);
+  const auto l_conflicts = [&lsegs](const mpisim::IntervalSet& t) {
     for (const auto& [lo, hi] : lsegs)
       if (t.conflicts(lo, hi)) return true;
     return false;
@@ -264,7 +272,7 @@ std::uint64_t NbEngine::enqueue(ProcState& st, const std::shared_ptr<Gmr>& gmr,
   // Local-buffer hazards are checked against *every* queue: two queues
   // flush in unspecified order, so cross-queue buffer reuse must serialize
   // through a flush. Queues in the issued-awaiting-completion state keep
-  // their trees populated, so a newcomer conflicting with an in-flight
+  // their range sets populated, so a newcomer conflicting with an in-flight
   // batch forces its completion here too.
   for (auto& [k, q] : queues_) {
     if (q.ops.empty() && !q.pending_flush) continue;
@@ -305,8 +313,7 @@ std::uint64_t NbEngine::enqueue(ProcState& st, const std::shared_ptr<Gmr>& gmr,
     q.proc = proc;
     q.target_rank = target_rank;
   }
-  mpisim::ConflictTree& l_tree = local_write ? q.l_writes : q.l_reads;
-  for (const auto& [lo, hi] : lsegs) l_tree.insert_merge(lo, hi);
+  (local_write ? q.l_writes : q.l_reads).insert_merge(lsegs);
   switch (op.kind) {
     case OneSided::put:
       q.r_writes.insert_merge(r_lo, r_hi);
@@ -625,7 +632,7 @@ void NbEngine::progress_tick(ProcState& st) {
             // put/acc-only batch under the standing epoch: issue is the
             // whole completion (matching flush_queue's get-only flush).
             q.seq_completed = q.seq_enqueued;
-            clear_trees(q);
+            clear_ranges(q);
             retire_queue(st, q);
             note_retired(q);
           }
@@ -633,7 +640,7 @@ void NbEngine::progress_tick(ProcState& st) {
           // The backend completes per batch (MPI-2 exclusive epochs):
           // issue and completion are one stage.
           q.seq_completed = q.seq_enqueued;
-          clear_trees(q);
+          clear_ranges(q);
           st.backend->flush_queue(*q.gmr, q.target_rank, batch);
           retire_queue(st, q);
           note_retired(q);
@@ -643,7 +650,7 @@ void NbEngine::progress_tick(ProcState& st) {
         st.backend->complete_target(*q.gmr, q.target_rank);
         q.pending_flush = false;
         q.seq_completed = q.seq_issued;
-        clear_trees(q);
+        clear_ranges(q);
         retire_queue(st, q);
         note_retired(q);
       }
@@ -658,7 +665,7 @@ void NbEngine::progress_tick(ProcState& st) {
       q.pending_flush = false;
       q.seq_issued = q.seq_enqueued;
       q.seq_completed = q.seq_enqueued;
-      clear_trees(q);
+      clear_ranges(q);
       abandon_contract(q);
     }
   }

@@ -16,13 +16,14 @@
 ///  - ops within one queue flush together in program order;
 ///  - each queue tracks the remote byte ranges it will read / write /
 ///    accumulate and the local ranges it will read / write in per-queue
-///    ConflictTrees (the same structure the §VI-B auto method and the RMA
-///    checker use). A new op whose ranges conflict -- under the MPI-2
-///    same-origin rules: put vs anything, get vs writes/accs, acc vs
-///    reads/writes or a different accumulate type -- forces the conflicting
-///    queue to flush *first*, so dependent ops are never batched into one
-///    (unordered) epoch. This also keeps the RMA validity checker silent:
-///    every batch handed to the backend is proven conflict-free.
+///    flat range sets (mpisim::IntervalSet, as the RMA checker uses; they
+///    keep their storage across flushes). A new op whose ranges conflict
+///    -- under the MPI-2 same-origin rules: put vs anything, get vs
+///    writes/accs, acc vs reads/writes or a different accumulate type --
+///    forces the conflicting queue to flush *first*, so dependent ops are
+///    never batched into one (unordered) epoch. This also keeps the RMA
+///    validity checker silent: every batch handed to the backend is proven
+///    conflict-free.
 ///  - blocking ops, fence/barrier, rmw, direct local access, frees, and the
 ///    wait family are flush points (api.cpp).
 ///
@@ -41,8 +42,8 @@
 
 #include "src/armci/gmr.hpp"
 #include "src/armci/types.hpp"
-#include "src/mpisim/conflict_tree.hpp"
 #include "src/mpisim/datatype.hpp"
+#include "src/mpisim/interval_set.hpp"
 
 namespace armci {
 
@@ -83,10 +84,10 @@ struct NbQueue {
   // Remote coverage in target-slice offset space. Reads and writes are
   // kept disjoint from everything; accumulates may overlap each other
   // (same-op accumulate is well defined), so r_accs stores their union.
-  mpisim::ConflictTree r_reads, r_writes, r_accs;
+  mpisim::IntervalSet r_reads, r_writes, r_accs;
   // Local coverage in this process's address space: ranges queued ops will
   // read (put/acc sources) and write (get destinations).
-  mpisim::ConflictTree l_reads, l_writes;
+  mpisim::IntervalSet l_reads, l_writes;
 
   bool has_acc = false;
   AccType acc_type = AccType::float64;  ///< element type of queued accs
@@ -98,7 +99,7 @@ struct NbQueue {
 
   /// Progress-engine split completion: true between issue_queue() and the
   /// matching complete_target() (ops issued, target completion pending).
-  /// Ops may keep arriving meanwhile; the range trees retain issued
+  /// Ops may keep arriving meanwhile; the range sets retain issued
   /// coverage until completion so conflicting newcomers force a flush.
   bool pending_flush = false;
 

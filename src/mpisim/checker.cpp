@@ -1,5 +1,6 @@
 #include "src/mpisim/checker.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <utility>
@@ -60,17 +61,30 @@ RmaChecker::RmaChecker(RmaCheck mode, int nranks)
     : mode_(mode),
       per_rank_(static_cast<std::size_t>(nranks > 0 ? nranks : 1)) {}
 
-bool RmaChecker::Sets::empty() const noexcept {
-  if (!reads.empty() || !writes.empty()) return false;
-  for (const auto& [op, tree] : accs)
-    if (!tree.empty()) return false;
-  return true;
-}
-
 void RmaChecker::Sets::clear() noexcept {
   reads.clear();
   writes.clear();
-  accs.clear();
+  for (IntervalSet& set : accs) set.clear();
+  end = 0;
+}
+
+std::size_t RmaChecker::Sets::capacity() const noexcept {
+  std::size_t n = reads.ranges().capacity() + writes.ranges().capacity();
+  for (const IntervalSet& set : accs) n += set.ranges().capacity();
+  return n;
+}
+
+RmaChecker::Sets RmaChecker::take_sets() {
+  if (spare_sets_.empty()) return {};
+  Sets sets = std::move(spare_sets_.back());
+  spare_sets_.pop_back();
+  return sets;
+}
+
+void RmaChecker::recycle(Sets&& sets) {
+  if (sets.capacity() > kMaxSpareRanges) return;
+  sets.clear();
+  spare_sets_.push_back(std::move(sets));
 }
 
 void RmaChecker::epoch_opened(std::uint64_t win, int target, int origin,
@@ -81,6 +95,7 @@ void RmaChecker::epoch_opened(std::uint64_t win, int target, int origin,
   ep.origin = origin;
   ep.exclusive = exclusive;
   ep.mpi3 = mpi3;
+  ep.sets = take_sets();
   wins_[win].targets[target].open.insert_or_assign(origin, std::move(ep));
 }
 
@@ -101,8 +116,8 @@ void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
   // conflicting pair erroneous no matter which side's accesses landed
   // first. Epochs opened later never see this ghost, which is what keeps
   // properly serialized (lock-ordered) reuse of the same bytes legal.
+  std::shared_ptr<Ghost> g;
   if (!ep.mpi3 && !ep.sets.empty()) {
-    std::shared_ptr<Ghost> g;
     for (auto& [orank, oe] : tit->second.open) {
       if (oe.mpi3) continue;
       if (g == nullptr) {
@@ -116,6 +131,7 @@ void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
       oe.ghosts.push_back(g);
     }
   }
+  if (g == nullptr) recycle(std::move(ep.sets));
   report(ep.pending);
 }
 
@@ -143,7 +159,10 @@ void RmaChecker::epoch_abandoned(std::uint64_t win, int target, int origin) {
   if (wit == wins_.end()) return;
   auto tit = wit->second.targets.find(target);
   if (tit == wit->second.targets.end()) return;
-  tit->second.open.erase(origin);
+  auto eit = tit->second.open.find(origin);
+  if (eit == tit->second.open.end()) return;
+  recycle(std::move(eit->second.sets));
+  tit->second.open.erase(eit);
 }
 
 void RmaChecker::window_freed(std::uint64_t win) { wins_.erase(win); }
@@ -151,6 +170,7 @@ void RmaChecker::window_freed(std::uint64_t win) { wins_.erase(win); }
 bool RmaChecker::conflict_with(const Sets& s, OpKind kind, Op op,
                                std::uintptr_t lo, std::uintptr_t hi,
                                Hit* hit) {
+  if (lo >= s.end) return false;
   std::uintptr_t olo = 0;
   std::uintptr_t ohi = 0;
   // MPI-2 access rules: get conflicts with writes and accumulates; put with
@@ -166,7 +186,10 @@ bool RmaChecker::conflict_with(const Sets& s, OpKind kind, Op op,
     *hit = Hit{Hit::Kind::write, Op::sum, olo, ohi};
     return true;
   }
-  for (const auto& [o, tree] : s.accs) {
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    const IntervalSet& set = s.accs[i];
+    if (set.empty()) continue;
+    const auto o = static_cast<Op>(i);
     bool mixes = false;
     switch (kind) {
       case OpKind::put:
@@ -180,7 +203,7 @@ bool RmaChecker::conflict_with(const Sets& s, OpKind kind, Op op,
         mixes = o != op && o != Op::no_op && op != Op::no_op;
         break;
     }
-    if (mixes && tree.overlapping(lo, hi, &olo, &ohi)) {
+    if (mixes && set.overlapping(lo, hi, &olo, &ohi)) {
       *hit = Hit{Hit::Kind::acc, o, olo, ohi};
       return true;
     }
@@ -250,9 +273,9 @@ void RmaChecker::report(std::vector<Violation>& pending) {
 
 void RmaChecker::record_op(std::uint64_t win, int target, int origin,
                            int world_origin, OpKind kind, Op op,
-                           std::ptrdiff_t lo, std::ptrdiff_t hi,
+                           std::ptrdiff_t disp, std::span<const Segment> segs,
                            const char* scope) {
-  if (!enabled() || lo >= hi) return;
+  if (!enabled()) return;
   auto wit = wins_.find(win);
   if (wit == wins_.end()) return;
   TargetRec& tr = wit->second.targets[target];
@@ -261,92 +284,123 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
   EpochRec& ep = eit->second;
   ep.scope = scope;
 
-  const auto ulo = static_cast<std::uintptr_t>(lo);
-  const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
-  // Diagnostics are built only on the (rare) conflict path.
-  const auto what = [&] {
-    const char* kind_str = kind == OpKind::put   ? "put"
-                           : kind == OpKind::get ? "get"
-                           : kind == OpKind::acc ? "accumulate"
-                                                 : "get_accumulate";
-    return std::string(kind_str) + " on " + byte_range(lo, hi) + " of rank " +
-           std::to_string(target) + " (win " + std::to_string(win) +
-           ", epoch #" + std::to_string(ep.id) + " by origin " +
-           std::to_string(origin) + scope_suffix(scope) + ")";
-  };
-
-  Hit hit;
-  // Epoch-vs-epoch rules apply to MPI-2 lock epochs only: under an MPI-3
-  // lock_all epoch conflicting operations have undefined values but are not
-  // erroneous. The op is still recorded below so a concurrent direct
-  // shared-memory access (shm_begin) can be checked against it.
-  if (!ep.mpi3) {
-    if (conflict_with(ep.sets, kind, op, ulo, uhi, &hit))
-      flag(ep.pending, classify(kind, hit, /*same_origin=*/true, false),
-           world_origin,
-           what() + " conflicts with " + describe_hit(hit) +
-               " recorded earlier in the same epoch");
-
-    for (auto& [orank, oe] : tr.open) {
-      if (orank == origin || oe.mpi3) continue;
-      if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
-        flag(ep.pending, classify(kind, hit, false, false), world_origin,
-             what() + " conflicts with " + describe_hit(hit) +
-                 " by concurrent epoch #" + std::to_string(oe.id) +
-                 " of origin " + std::to_string(orank) +
-                 scope_suffix(oe.scope));
-    }
-
-    for (const auto& g : ep.ghosts) {
-      if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
-        flag(ep.pending, classify(kind, hit, false, false), world_origin,
-             what() + " conflicts with " + describe_hit(hit) +
-                 " by closed concurrent epoch #" +
-                 std::to_string(g->epoch_id) + " of origin " +
-                 std::to_string(g->origin) + scope_suffix(g->scope));
-    }
-  }
-
-  // Direct accesses to the target's exposed memory. A get conflicts only
-  // with a direct store; put/accumulate write the bytes, so a direct load
-  // conflicts too (get_accumulate with no_op is a pure fetch). An MPI-3
-  // epoch only checks shared-memory records: plain local access under the
-  // unified memory model is legal after a flush (the backend's discipline),
-  // while a same-node direct access has no such ordering against in-flight
-  // RMA from third ranks.
   const bool writes_target =
       kind == OpKind::put || kind == OpKind::acc ||
       (kind == OpKind::get_acc && op != Op::no_op);
   const bool acc_class = kind == OpKind::acc || kind == OpKind::get_acc;
-  for (auto& [lkey, lrec] : tr.locals) {
-    if (lrec.covered) continue;
-    if (ep.mpi3 && !lrec.shm) continue;
-    if (lrec.shm && lrec.accessor == origin) continue;  // origin's own access
-    if (lrec.hi <= lo || hi <= lrec.lo) continue;
-    if (!lrec.write && !writes_target) continue;
-    // The shm accumulate path is element-atomic with RMA accumulates (both
-    // apply under the runtime's accumulate atomicity), so only the MPI
-    // acc-mixing rules make it a conflict: a different operator, or a
-    // non-accumulate access (no_op mixes with any operator).
-    if (lrec.acc && acc_class && (op == lrec.op || op == Op::no_op)) continue;
-    flag(ep.pending, RmaViolation::local, world_origin,
-         what() + " conflicts with a " + describe_direct(lrec) +
-             (lrec.shm ? " by rank " + std::to_string(lrec.accessor) : "") +
-             " on rank " + std::to_string(target) + scope_suffix(lrec.scope));
+  const auto set_of = [&](Sets& sets) -> IntervalSet& {
+    return kind == OpKind::get   ? sets.reads
+           : kind == OpKind::put ? sets.writes
+                                 : sets.accs[static_cast<std::size_t>(op)];
+  };
+
+  // Visit the segments in ascending offset order, so each one is recorded
+  // into op_sets_ (this operation's coverage so far) by an append or a
+  // merge with the last range; the operation then joins the epoch's
+  // coverage in one merge. A gather's or an IOV's target segments come in
+  // the caller's order.
+  const auto by_offset = [](const Segment& a, const Segment& b) {
+    return a.offset < b.offset;
+  };
+  std::vector<Segment> sorted;
+  if (!std::is_sorted(segs.begin(), segs.end(), by_offset)) {
+    sorted.assign(segs.begin(), segs.end());
+    std::sort(sorted.begin(), sorted.end(), by_offset);
+    segs = sorted;
+  }
+  IntervalSet& mine = set_of(op_sets_);
+
+  for (const Segment& seg : segs) {
+    const std::ptrdiff_t lo = disp + seg.offset;
+    const std::ptrdiff_t hi = lo + static_cast<std::ptrdiff_t>(seg.length);
+    if (lo >= hi) continue;
+    const auto ulo = static_cast<std::uintptr_t>(lo);
+    const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
+    // Diagnostics are built only on the (rare) conflict path.
+    const auto what = [&] {
+      const char* kind_str = kind == OpKind::put   ? "put"
+                             : kind == OpKind::get ? "get"
+                             : kind == OpKind::acc ? "accumulate"
+                                                   : "get_accumulate";
+      return std::string(kind_str) + " on " + byte_range(lo, hi) +
+             " of rank " + std::to_string(target) + " (win " +
+             std::to_string(win) + ", epoch #" + std::to_string(ep.id) +
+             " by origin " + std::to_string(origin) + scope_suffix(scope) +
+             ")";
+    };
+
+    Hit hit;
+    // Epoch-vs-epoch rules apply to MPI-2 lock epochs only: under an MPI-3
+    // lock_all epoch conflicting operations have undefined values but are
+    // not erroneous. The op is still recorded below so a concurrent direct
+    // shared-memory access (shm_begin) can be checked against it.
+    if (!ep.mpi3) {
+      // The operation's earlier segments are recorded in op_sets_.
+      if (conflict_with(ep.sets, kind, op, ulo, uhi, &hit) ||
+          conflict_with(op_sets_, kind, op, ulo, uhi, &hit))
+        flag(ep.pending, classify(kind, hit, /*same_origin=*/true, false),
+             world_origin,
+             what() + " conflicts with " + describe_hit(hit) +
+                 " recorded earlier in the same epoch");
+
+      for (auto& [orank, oe] : tr.open) {
+        if (orank == origin || oe.mpi3) continue;
+        if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
+          flag(ep.pending, classify(kind, hit, false, false), world_origin,
+               what() + " conflicts with " + describe_hit(hit) +
+                   " by concurrent epoch #" + std::to_string(oe.id) +
+                   " of origin " + std::to_string(orank) +
+                   scope_suffix(oe.scope));
+      }
+
+      for (const auto& g : ep.ghosts) {
+        if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
+          flag(ep.pending, classify(kind, hit, false, false), world_origin,
+               what() + " conflicts with " + describe_hit(hit) +
+                   " by closed concurrent epoch #" +
+                   std::to_string(g->epoch_id) + " of origin " +
+                   std::to_string(g->origin) + scope_suffix(g->scope));
+      }
+    }
+
+    // Direct accesses to the target's exposed memory. A get conflicts only
+    // with a direct store; put/accumulate write the bytes, so a direct load
+    // conflicts too (get_accumulate with no_op is a pure fetch). An MPI-3
+    // epoch only checks shared-memory records: plain local access under the
+    // unified memory model is legal after a flush (the backend's
+    // discipline), while a same-node direct access has no such ordering
+    // against in-flight RMA from third ranks.
+    for (auto& [lkey, lrec] : tr.locals) {
+      if (lrec.covered) continue;
+      if (ep.mpi3 && !lrec.shm) continue;
+      if (lrec.shm && lrec.accessor == origin) continue;  // its own access
+      if (lrec.hi <= lo || hi <= lrec.lo) continue;
+      if (!lrec.write && !writes_target) continue;
+      // The shm accumulate path is element-atomic with RMA accumulates (both
+      // apply under the runtime's accumulate atomicity), so only the MPI
+      // acc-mixing rules make it a conflict: a different operator, or a
+      // non-accumulate access (no_op mixes with any operator).
+      if (lrec.acc && acc_class && (op == lrec.op || op == Op::no_op))
+        continue;
+      flag(ep.pending, RmaViolation::local, world_origin,
+           what() + " conflicts with a " + describe_direct(lrec) +
+               (lrec.shm ? " by rank " + std::to_string(lrec.accessor) : "") +
+               " on rank " + std::to_string(target) +
+               scope_suffix(lrec.scope));
+    }
+
+    mine.insert_merge(ulo, uhi);
+    op_sets_.end = std::max(op_sets_.end, uhi + 1);
   }
 
-  switch (kind) {
-    case OpKind::get:
-      ep.sets.reads.insert_merge(ulo, uhi);
-      break;
-    case OpKind::put:
-      ep.sets.writes.insert_merge(ulo, uhi);
-      break;
-    case OpKind::acc:
-    case OpKind::get_acc:
-      ep.sets.accs[op].insert_merge(ulo, uhi);
-      break;
-  }
+  set_of(ep.sets).insert_merge(mine.ranges());
+  ep.sets.end = std::max(ep.sets.end, op_sets_.end);
+  // Only `mine` was written; drop it outright after a large operation.
+  if (mine.ranges().capacity() > kMaxSpareRanges)
+    mine = IntervalSet();
+  else
+    mine.clear();
+  op_sets_.end = 0;
 }
 
 void RmaChecker::check_direct(std::uint64_t win, int target, TargetRec& tr,

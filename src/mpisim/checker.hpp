@@ -29,8 +29,10 @@
 ///  - lock-discipline misuse (counted here; the window layer raises the
 ///    classified Errc).
 ///
-/// Interval bookkeeping reuses the AVL conflict tree of paper §VI-B
-/// (conflict_tree.hpp) via its union-building insert_merge().
+/// Per-epoch coverage lives in flat sorted-range sets (interval_set.hpp).
+/// An operation's segments are recorded in offset order whatever order its
+/// datatype lists them in, and a closed or flushed epoch's storage is kept
+/// for the next epoch, so steady-state recording allocates nothing.
 ///
 /// One knob, Config::rma_check (or MPISIM_RMA_CHECK), selects how violations
 /// are reported; they become structured diagnostics reported when the access
@@ -48,16 +50,19 @@
 /// shared per-window state). Counters are atomics so the metrics exporters
 /// can read them from any rank thread without the lock.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/mpisim/conflict_tree.hpp"
+#include "src/mpisim/datatype.hpp"
+#include "src/mpisim/interval_set.hpp"
 #include "src/mpisim/op.hpp"
 
 namespace mpisim {
@@ -147,15 +152,20 @@ class RmaChecker {
 
   // ---- access recording (caller holds SimCore::mu()) ----
 
-  /// Record one target-side byte interval [lo, hi) of an RMA operation and
-  /// check it against the origin's own epoch, concurrent epochs, closed
-  /// concurrent epochs' summaries, and open local accesses. \p origin is
-  /// the window-communicator rank, \p world_origin the world rank (counter
-  /// attribution), \p scope the origin's innermost open trace scope (may be
-  /// null when tracing is off).
+  /// Record the target-side byte intervals of one RMA operation -- each of
+  /// \p segs, offset by \p disp -- and check each against the origin's own
+  /// epoch, concurrent epochs, closed concurrent epochs' summaries, and
+  /// open local accesses *before* recording it, so an operation whose
+  /// datatype touches the same bytes twice conflicts with itself. Segments
+  /// are visited in ascending offset (a sorted copy when \p segs is not):
+  /// O(M log M) for M segments in any order, plus one O(N + M) merge into
+  /// the epoch's N recorded ranges. \p origin
+  /// is the window-communicator rank, \p world_origin the world rank
+  /// (counter attribution), \p scope the origin's innermost open trace
+  /// scope (may be null when tracing is off).
   void record_op(std::uint64_t win, int target, int origin, int world_origin,
-                 OpKind kind, Op op, std::ptrdiff_t lo, std::ptrdiff_t hi,
-                 const char* scope);
+                 OpKind kind, Op op, std::ptrdiff_t disp,
+                 std::span<const Segment> segs, const char* scope);
 
   /// A direct local load/store of [lo, hi) in \p rank's window slice was
   /// declared (Win::local_access_begin). \p covered means the caller holds
@@ -196,14 +206,21 @@ class RmaChecker {
   RmaCheckCounts total_counts() const noexcept;
 
  private:
-  /// Per-epoch (or per-ghost) recorded coverage.
+  /// Per-epoch (or per-ghost) recorded coverage. clear() keeps the
+  /// storage, so a recycled Sets (spare_sets_) records without allocating.
   struct Sets {
-    ConflictTree reads;
-    ConflictTree writes;
-    std::map<Op, ConflictTree> accs;
+    IntervalSet reads;
+    IntervalSet writes;
+    std::array<IntervalSet, kOpCount> accs;  ///< indexed by Op
+    /// One past the highest recorded byte (0 when empty): an access at or
+    /// above it conflicts with nothing here, which makes the usual
+    /// ascending recording O(1) per segment.
+    std::uintptr_t end = 0;
 
-    bool empty() const noexcept;
+    bool empty() const noexcept { return end == 0; }
     void clear() noexcept;
+    /// Ranges the storage holds without reallocating, over all the sets.
+    std::size_t capacity() const noexcept;
   };
 
   /// Summary of a closed epoch, shared by every epoch it was concurrent
@@ -292,9 +309,23 @@ class RmaChecker {
   /// warn: print and clear; abort: print, clear and raise Errc::rma_conflict.
   void report(std::vector<Violation>& pending);
 
+  /// A cleared Sets for a new epoch, from spare_sets_ when one is there.
+  Sets take_sets();
+
+  /// Clear \p sets and keep them in spare_sets_ for take_sets(), unless
+  /// they grew past kMaxSpareRanges (one large scatter must not pin its
+  /// peak storage for the rest of the run). Sets a ghost took are not
+  /// returned: they die with the last epoch that was concurrent with them.
+  void recycle(Sets&& sets);
+
+  static constexpr std::size_t kMaxSpareRanges = 1024;
+
   RmaCheck mode_;
   std::uint64_t next_epoch_id_ = 1;
   std::map<std::uint64_t, WinRec> wins_;
+  std::vector<Sets> spare_sets_;
+  /// Coverage of the operation record_op is recording; empty between calls.
+  Sets op_sets_;
   std::vector<PerRankCounts> per_rank_;
 };
 

@@ -171,24 +171,6 @@ bool ConflictTree::insert(std::uintptr_t lo, std::uintptr_t hi) {
   return ok;
 }
 
-void ConflictTree::insert_merge(std::uintptr_t lo, std::uintptr_t hi) {
-  if (lo > hi) return;
-  // Absorb every stored range the new one touches, extending the new range
-  // to their union, then insert the (now conflict-free) union.
-  for (;;) {
-    const Node* o = find_overlap_node(root_, lo, hi);
-    if (o == nullptr) break;
-    lo = std::min(lo, o->lo);
-    hi = std::max(hi, o->hi);
-    bool removed = false;
-    root_ = erase_node(root_, o->lo, removed);
-    if (removed) --size_;
-  }
-  bool ok = false;
-  root_ = insert_node(root_, lo, hi, ok);
-  if (ok) ++size_;
-}
-
 void ConflictTree::insert_coalesce(std::uintptr_t lo, std::uintptr_t hi) {
   if (lo > hi) return;
   // Widen the probe by one on each side (clamped at the type bounds) so

@@ -19,11 +19,16 @@
 /// paper does, with the check and insert steps merged into one descent plus
 /// the usual rebalancing on the way back up.
 ///
-/// The tree lives in mpisim (shared with the armci layer through a using
-/// alias) because the RMA validity checker (checker.hpp) reuses it for its
-/// per-epoch access-interval bookkeeping: the union-building insert_merge()
-/// plus overlapping() give the checker O(log N) conflict queries over the
-/// same structure the paper uses for IOV overlap detection.
+/// The tree lives in mpisim because the happens-before detector (hb.hpp)
+/// also keeps its long-lived shadow store of up to 65536 intervals in it,
+/// through insert_coalesce(), overlapping() and visit(). Short-lived
+/// coverage that is reset at every epoch close or flush -- the RMA
+/// checker's per-epoch sets and the nb queues' ranges -- lives in the flat
+/// IntervalSet (interval_set.hpp) instead, whose callers sort each
+/// operation's ranges and add them with one merge, and whose storage is
+/// reused across epochs. A single out-of-order insert into it costs O(N),
+/// which the IOV check (the paper's method, ablation A1) and the shadow
+/// store, coalescing one access at a time, do not pay.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,14 +58,9 @@ class ConflictTree {
   /// overlaps any stored range. Single O(log N) descent.
   bool insert(std::uintptr_t lo, std::uintptr_t hi);
 
-  /// Insert the union: any stored ranges overlapping [lo, hi] are removed
-  /// and replaced by one range covering them all. Unlike insert(), this
-  /// never fails -- it is the accumulation primitive of the RMA checker,
-  /// which records coverage and must keep recording after an overlap.
-  void insert_merge(std::uintptr_t lo, std::uintptr_t hi);
-
-  /// insert_merge() that additionally absorbs stored ranges *adjacent* to
-  /// [lo, hi] (other.hi + 1 == lo or hi + 1 == other.lo). Accumulation
+  /// Insert the union: any stored ranges overlapping or *adjacent* to
+  /// [lo, hi] (other.hi + 1 == lo or hi + 1 == other.lo) are removed and
+  /// replaced by one range covering them all. Never fails. Accumulation
   /// primitive of the happens-before shadow store (hb.hpp), which coalesces
   /// neighbouring same-class intervals to bound checker memory.
   void insert_coalesce(std::uintptr_t lo, std::uintptr_t hi);
@@ -75,8 +75,9 @@ class ConflictTree {
   bool conflicts(std::uintptr_t lo, std::uintptr_t hi) const;
 
   /// If [lo, hi] overlaps a stored range, copy that range into
-  /// (*out_lo, *out_hi) and return true (diagnostics: the checker reports
-  /// the previously recorded interval a new access collides with).
+  /// (*out_lo, *out_hi) and return true (diagnostics: the happens-before
+  /// detector reports the previously recorded interval a new access
+  /// collides with).
   bool overlapping(std::uintptr_t lo, std::uintptr_t hi,
                    std::uintptr_t* out_lo, std::uintptr_t* out_hi) const;
 

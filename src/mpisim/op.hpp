@@ -30,7 +30,8 @@ std::size_t basic_type_size(BasicType t) noexcept;
 /// Printable name ("double", "int", ...).
 const char* basic_type_name(BasicType t) noexcept;
 
-/// Reduction / accumulate operators.
+/// Reduction / accumulate operators. Keep bor last: kOpCount is derived
+/// from it and sizes per-operator arrays indexed by Op.
 enum class Op : std::uint8_t {
   sum,
   prod,
@@ -41,8 +42,11 @@ enum class Op : std::uint8_t {
   land,     ///< logical AND (integer types)
   lor,      ///< logical OR (integer types)
   band,     ///< bitwise AND (integer types)
-  bor,      ///< bitwise OR (integer types)
+  bor,      ///< bitwise OR (integer types) -- must stay the last value
 };
+
+/// Number of Op values (they are dense from 0), for per-operator arrays.
+inline constexpr std::size_t kOpCount = static_cast<std::size_t>(Op::bor) + 1;
 
 /// Printable name of an operator.
 const char* op_name(Op op) noexcept;

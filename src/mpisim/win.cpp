@@ -105,23 +105,23 @@ void record_window_freed(SimCore& core, const WinImpl& w) {
 }
 
 /// One RMA operation covering \p segs, offset by \p disp, of \p target's
-/// slice. Record-and-check per segment, so conflicts *within* one operation
-/// (e.g. a put datatype that writes the same bytes twice) are caught too:
-/// earlier segments are already recorded when later segments are checked.
+/// slice. The checker takes the whole operation at once and checks each
+/// segment before recording it, so conflicts *within* one operation (e.g. a
+/// put datatype that writes the same bytes twice) are caught too; the
+/// happens-before detector records segment by segment.
 void record_rma(SimCore& core, const WinImpl& w, RankContext& me, int target,
                 int origin, RmaChecker::OpKind kind, Op op, std::size_t disp,
                 std::span<const Segment> segs) {
   if (!core.checker().enabled()) return;
-  const bool hb = core.hb().enabled();
   const char* scope = trace_scope(me);
+  core.checker().record_op(w.id, target, origin, me.rank(), kind, op,
+                           static_cast<std::ptrdiff_t>(disp), segs, scope);
+  if (!core.hb().enabled()) return;
   for (const Segment& s : segs) {
     const std::ptrdiff_t lo = static_cast<std::ptrdiff_t>(disp) + s.offset;
     const std::ptrdiff_t hi = lo + static_cast<std::ptrdiff_t>(s.length);
-    core.checker().record_op(w.id, target, origin, me.rank(), kind, op, lo, hi,
-                             scope);
-    if (hb)
-      core.hb().record_op(w.id, target, origin, me.rank(), kind, op, lo, hi,
-                          scope);
+    core.hb().record_op(w.id, target, origin, me.rank(), kind, op, lo, hi,
+                        scope);
   }
 }
 

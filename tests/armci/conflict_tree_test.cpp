@@ -144,67 +144,17 @@ TEST(ConflictTreeTest, RandomInsertKeepsInvariants) {
   EXPECT_TRUE(t.check_invariants());
 }
 
-// insert_merge/overlapping extend the tree for the RMA validity checker
-// (src/mpisim/checker.cpp): epochs accumulate union access sets and report
-// the stored range that an access collided with.
-
-TEST(ConflictTreeMergeTest, MergeUnionsOverlappingRanges) {
+// overlapping() names the stored range a query hit (happens-before
+// detector diagnostics, src/mpisim/hb.cpp).
+TEST(ConflictTreeTest, OverlappingReportsStoredRange) {
   ConflictTree t;
-  t.insert_merge(10, 20);
-  t.insert_merge(15, 30);  // overlaps -> one node [10, 30]
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_TRUE(t.conflicts(30, 30));
-  EXPECT_FALSE(t.conflicts(31, 40));
-  EXPECT_TRUE(t.check_invariants());
-}
-
-TEST(ConflictTreeMergeTest, MergeSwallowsSeveralNodes) {
-  ConflictTree t;
-  t.insert_merge(0, 9);
-  t.insert_merge(20, 29);
-  t.insert_merge(40, 49);
-  t.insert_merge(5, 45);  // bridges all three
-  EXPECT_EQ(t.size(), 1u);
-  EXPECT_TRUE(t.conflicts(0, 0));
-  EXPECT_TRUE(t.conflicts(49, 49));
-  EXPECT_FALSE(t.conflicts(50, 60));
-  EXPECT_TRUE(t.check_invariants());
-}
-
-TEST(ConflictTreeMergeTest, MergeKeepsDisjointRangesSeparate) {
-  ConflictTree t;
-  t.insert_merge(0, 9);
-  t.insert_merge(11, 19);  // a one-unit gap at 10
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_FALSE(t.conflicts(10, 10));
-}
-
-TEST(ConflictTreeMergeTest, OverlappingReportsStoredRange) {
-  ConflictTree t;
-  t.insert_merge(100, 200);
+  ASSERT_TRUE(t.insert(100, 200));
   std::uintptr_t lo = 0;
   std::uintptr_t hi = 0;
   EXPECT_TRUE(t.overlapping(150, 160, &lo, &hi));
   EXPECT_EQ(lo, 100u);
   EXPECT_EQ(hi, 200u);
   EXPECT_FALSE(t.overlapping(201, 300, &lo, &hi));
-}
-
-TEST(ConflictTreeMergeTest, RandomMergeAgreesWithBitset) {
-  // Property check: after arbitrary merges the tree's membership matches a
-  // per-unit reference bitmap, and invariants hold throughout.
-  std::mt19937_64 rng(7);
-  ConflictTree t;
-  std::vector<bool> ref(2000, false);
-  for (int i = 0; i < 500; ++i) {
-    const std::uintptr_t lo = rng() % 1900;
-    const std::uintptr_t hi = lo + rng() % 90;
-    t.insert_merge(lo, hi);
-    for (std::uintptr_t u = lo; u <= hi; ++u) ref[u] = true;
-  }
-  EXPECT_TRUE(t.check_invariants());
-  for (std::uintptr_t u = 0; u < ref.size(); ++u)
-    EXPECT_EQ(t.conflicts(u, u), static_cast<bool>(ref[u])) << "unit " << u;
 }
 
 TEST(IovOverlapTest, DisjointVectorIsClean) {

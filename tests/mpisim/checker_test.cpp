@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/mpisim/datatype.hpp"
 #include "src/mpisim/error.hpp"
 #include "src/mpisim/runtime.hpp"
 #include "src/mpisim/win.hpp"
@@ -188,6 +189,80 @@ TEST(CheckerTest, SameOriginOverlappingPutsAbort) {
       expect_conflict([&] { win.unlock(1); });
       win.unlock(1);
       EXPECT_EQ(my_counts().same_origin, 1u);
+    }
+    world().barrier();
+    win.free();
+  });
+}
+
+// One operation whose target datatype writes the same bytes twice conflicts
+// with itself: the checker records an operation's segments one by one and
+// checks each against those recorded before it.
+TEST(CheckerTest, DatatypeWritingSameBytesTwiceAborts) {
+  run(abort_cfg(2), [] {
+    std::vector<double> mem(8, 0.0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(double), world());
+    world().barrier();
+    if (rank() == 0) {
+      const double src[2] = {1.0, 2.0};
+      const std::size_t blocklens[2] = {sizeof(double), sizeof(double)};
+      const std::ptrdiff_t displs[2] = {8, 8};  // both blocks: bytes [8, 16)
+      const Datatype twice = Datatype::hindexed(blocklens, displs, byte_type());
+      win.lock(LockType::exclusive, 1);
+      win.put(src, sizeof src, byte_type(), 1, 0, 1, twice);
+      const std::string msg = expect_conflict([&] { win.unlock(1); });
+      EXPECT_NE(msg.find("recorded earlier in the same epoch"),
+                std::string::npos)
+          << msg;
+      win.unlock(1);
+      EXPECT_EQ(my_counts().same_origin, 1u);
+      EXPECT_EQ(my_counts().total(), 1u);
+    }
+    world().barrier();
+    win.free();
+  });
+}
+
+// The checker visits an operation's segments in offset order, whatever
+// order its datatype lists them in (a gather's or an IOV's come in the
+// caller's order): a repeated block that is not next to its twin still
+// conflicts, and shuffled disjoint blocks leave exact coverage behind.
+TEST(CheckerTest, OutOfOrderDatatypeSegmentsAreCheckedInOffsetOrder) {
+  run(abort_cfg(2), [] {
+    std::vector<double> mem(8, 0.0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(double), world());
+    world().barrier();
+    if (rank() == 0) {
+      const double src[4] = {1.0, 2.0, 3.0, 4.0};
+      const std::size_t blocklens[4] = {8, 8, 8, 8};
+      // Bytes [8, 16) twice, with another block between the two.
+      const std::ptrdiff_t twice_displs[4] = {40, 8, 24, 8};
+      const Datatype twice =
+          Datatype::hindexed(blocklens, twice_displs, byte_type());
+      win.lock(LockType::exclusive, 1);
+      win.put(src, sizeof src, byte_type(), 1, 0, 1, twice);
+      const std::string msg = expect_conflict([&] { win.unlock(1); });
+      EXPECT_NE(msg.find("put on bytes [8, 16)"), std::string::npos) << msg;
+      win.unlock(1);
+      EXPECT_EQ(my_counts().same_origin, 1u);
+
+      // Disjoint blocks in shuffled order: clean, and the epoch then holds
+      // exactly [0, 8), [16, 24), [32, 40) and [48, 56).
+      const std::ptrdiff_t shuffled_displs[4] = {48, 0, 32, 16};
+      const Datatype shuffled =
+          Datatype::hindexed(blocklens, shuffled_displs, byte_type());
+      win.lock(LockType::exclusive, 1);
+      win.put(src, sizeof src, byte_type(), 1, 0, 1, shuffled);
+      win.put(src, 8, 1, 8);    // a gap: clean
+      win.put(src, 8, 1, 56);   // the gap above the last block: clean
+      double buf = 0.0;
+      win.get(&buf, 8, 1, 32);  // a recorded block: conflicts
+      const std::string msg2 = expect_conflict([&] { win.unlock(1); });
+      EXPECT_NE(msg2.find("get on bytes [32, 40)"), std::string::npos)
+          << msg2;
+      win.unlock(1);
+      EXPECT_EQ(my_counts().same_origin, 2u);
+      EXPECT_EQ(my_counts().total(), 2u);
     }
     world().barrier();
     win.free();
