@@ -1,9 +1,10 @@
 #include "src/armci/metrics.hpp"
 
 #include <bit>
+#include <charconv>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
+#include <cstdint>
+#include <string_view>
 
 #include "src/armci/state.hpp"
 #include "src/mpisim/runtime.hpp"
@@ -12,16 +13,8 @@
 namespace armci {
 
 const char* op_class_name(OpClass c) noexcept {
-  switch (c) {
-    case OpClass::put: return "put";
-    case OpClass::get: return "get";
-    case OpClass::acc: return "acc";
-    case OpClass::strided: return "strided";
-    case OpClass::iov: return "iov";
-    case OpClass::rmw: return "rmw";
-    case OpClass::mutex: return "mutex";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {ARMCI_OP_CLASSES(MPISIM_TABLE_NAME)};
+  return mpisim::table_name(kNames, c);
 }
 
 namespace {
@@ -93,105 +86,98 @@ OpTimer::~OpTimer() {
 
 namespace {
 
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  out += buf;
+/// \p v in fixed-point notation with \p digits decimals, as printf("%.*f").
+std::string fixed(double v, int digits) {
+  char buf[352];  // room for DBL_MAX's 309 integer digits
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v, std::chars_format::fixed, digits);
+  return {buf, r.ptr};
+}
+
+/// Appends one JSON document to a string: every value is formatted to its
+/// full length, and the writer places the separating commas.
+class JsonOut {
+ public:
+  explicit JsonOut(std::string& out) : out_(out) { out_ += '{'; }
+
+  /// Member \p key (nullptr for an array element) holding JSON text \p v.
+  void put(const char* key, std::string_view v) {
+    if (!first_) out_ += ',';
+    first_ = false;
+    if (key != nullptr) out_.append("\"").append(key).append("\":");
+    out_.append(v);
+  }
+  void num(const char* key, std::uint64_t v) { put(key, std::to_string(v)); }
+  void num(const char* key, double v, int digits = 3) {
+    put(key, fixed(v, digits));
+  }
+  void str(const char* key, const char* v) {
+    put(key, std::string("\"") + v + '"');
+  }
+  /// Opens an object ("{") or array ("[") as member \p key.
+  void open(const char* key, const char* bracket = "{") {
+    put(key, bracket);
+    first_ = true;
+  }
+  void close(const char* bracket = "}") {
+    out_ += bracket;
+    first_ = false;
+  }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
+
+/// Writes the Stats table entries of armci-metrics-v1 object \p section.
+void stats_fields(JsonOut& j, std::string_view section, const Stats& s) {
+#define ARMCI_JSON_COUNTER(sec, name) \
+  if (section == #sec) j.num(#name, s.name);
+#define ARMCI_JSON_PROGRESS(type, name, key) \
+  if (section == "progress") j.num(#key, s.name);
+  ARMCI_STATS(ARMCI_JSON_COUNTER, ARMCI_JSON_PROGRESS)
+#undef ARMCI_JSON_COUNTER
+#undef ARMCI_JSON_PROGRESS
 }
 
 }  // namespace
 
 std::string metrics_json() {
   ProcState& st = state();
-  const Stats& s = stats();  // syncs rma_conflicts from the checker
-  (void)st;
+  const Stats& s = stats();  // syncs the checker counters and gauges
   const mpisim::Tracer& tr = mpisim::tracer();
 
   std::string out;
-  out.reserve(2048);
-  append(out, "{\"schema\":\"armci-metrics-v1\",\"rank\":%d,", mpisim::rank());
+  out.reserve(4096);
+  JsonOut j(out);
+  j.str("schema", "armci-metrics-v1");
+  j.num("rank", static_cast<std::uint64_t>(mpisim::rank()));
 
-  // Flat operation counters (stats.hpp).
-  append(out,
-         "\"counters\":{\"puts\":%llu,\"gets\":%llu,\"accs\":%llu,"
-         "\"put_bytes\":%llu,\"get_bytes\":%llu,\"acc_bytes\":%llu,"
-         "\"strided_ops\":%llu,\"strided_bytes\":%llu,"
-         "\"iov_ops\":%llu,\"iov_bytes\":%llu,\"iov_segments\":%llu,"
-         "\"rmws\":%llu,\"mutex_locks\":%llu,\"fences\":%llu,"
-         "\"barriers\":%llu,\"allocations\":%llu,\"frees\":%llu,"
-         "\"dla_epochs\":%llu,\"staged_local_copies\":%llu,"
-         "\"transient_faults\":%llu,\"retries\":%llu,"
-         "\"retry_exhausted\":%llu,\"rma_conflicts\":%llu,",
-         (unsigned long long)s.puts, (unsigned long long)s.gets,
-         (unsigned long long)s.accs, (unsigned long long)s.put_bytes,
-         (unsigned long long)s.get_bytes, (unsigned long long)s.acc_bytes,
-         (unsigned long long)s.strided_ops,
-         (unsigned long long)s.strided_bytes, (unsigned long long)s.iov_ops,
-         (unsigned long long)s.iov_bytes, (unsigned long long)s.iov_segments,
-         (unsigned long long)s.rmws, (unsigned long long)s.mutex_locks,
-         (unsigned long long)s.fences, (unsigned long long)s.barriers,
-         (unsigned long long)s.allocations, (unsigned long long)s.frees,
-         (unsigned long long)s.dla_epochs,
-         (unsigned long long)s.staged_local_copies,
-         (unsigned long long)s.transient_faults, (unsigned long long)s.retries,
-         (unsigned long long)s.retry_exhausted,
-         (unsigned long long)s.rma_conflicts);
-  // Second half of "counters": nonblocking aggregation, datatype cache, and
-  // GA owner pipelining (split across two append calls; one would overflow
-  // its buffer).
-  append(out,
-         "\"nb_ops\":%llu,\"nb_deferred\":%llu,\"nb_eager\":%llu,"
-         "\"nb_conflict_flushes\":%llu,\"flushed_queues\":%llu,"
-         "\"coalesced_epochs\":%llu,\"dt_cache_hits\":%llu,"
-         "\"dt_cache_misses\":%llu,\"ga_multi_owner_ops\":%llu,"
-         "\"ga_owner_fanout\":%llu,\"ga_nb_batches\":%llu,",
-         (unsigned long long)s.nb_ops, (unsigned long long)s.nb_deferred,
-         (unsigned long long)s.nb_eager,
-         (unsigned long long)s.nb_conflict_flushes,
-         (unsigned long long)s.flushed_queues,
-         (unsigned long long)s.coalesced_epochs,
-         (unsigned long long)s.dt_cache_hits,
-         (unsigned long long)s.dt_cache_misses,
-         (unsigned long long)s.ga_multi_owner_ops,
-         (unsigned long long)s.ga_owner_fanout,
-         (unsigned long long)s.ga_nb_batches);
-  // Locality classification of contiguous op targets (third append call:
-  // the previous format string is near its 512-byte buffer).
-  append(out,
-         "\"ops_self\":%llu,\"ops_same_node\":%llu,\"ops_remote\":%llu,"
-         "\"failovers\":%llu,\"replica_writes\":%llu},",
-         (unsigned long long)s.ops_self, (unsigned long long)s.ops_same_node,
-         (unsigned long long)s.ops_remote, (unsigned long long)s.failovers,
-         (unsigned long long)s.replica_writes);
-
-  // Active-message layer (src/am): delegate traffic and terminations.
-  append(out,
-         "\"am\":{\"am_sent\":%llu,\"am_served\":%llu,"
-         "\"am_terminations\":%llu},",
-         (unsigned long long)s.am_sent, (unsigned long long)s.am_served,
-         (unsigned long long)s.am_terminations);
+  // Operation counters (stats.hpp ARMCI_STATS) and the active-message layer.
+  for (const char* section : {"counters", "am"}) {
+    j.open(section);
+    stats_fields(j, section, s);
+    j.close();
+  }
 
   // Per-op-class virtual-time latency summaries.
-  out += "\"ops\":{";
+  j.open("ops");
   for (int c = 0; c < kOpClassCount; ++c) {
     const auto cls = static_cast<OpClass>(c);
     const LatencyHistogram& h = st.metrics.op(cls).latency;
-    append(out,
-           "%s\"%s\":{\"count\":%llu,\"mean_ns\":%.3f,\"p50_ns\":%.3f,"
-           "\"p95_ns\":%.3f,\"max_ns\":%.3f}",
-           c == 0 ? "" : ",", op_class_name(cls),
-           (unsigned long long)h.count(), h.mean_ns(), h.percentile(0.50),
-           h.percentile(0.95), h.max_ns());
+    j.open(op_class_name(cls));
+    j.num("count", h.count());
+    j.num("mean_ns", h.mean_ns());
+    j.num("p50_ns", h.percentile(0.50));
+    j.num("p95_ns", h.percentile(0.95));
+    j.num("max_ns", h.max_ns());
+    j.close();
   }
-  out += "},";
+  j.close();
 
   // Per-window lock/epoch counters, annotated with the owning GMR where
   // one is still live (mutex-set windows report with "gmr_id":null).
-  out += "\"windows\":[";
-  bool first = true;
+  j.open("windows", "[");
   for (const auto& [win_id, ws] : tr.win_stats()) {
     long long gmr_id = -1;
     for (const auto& gmr : st.table.all()) {
@@ -200,74 +186,60 @@ std::string metrics_json() {
         break;
       }
     }
-    append(out, "%s{\"win_id\":%llu,", first ? "" : ",",
-           (unsigned long long)win_id);
-    if (gmr_id >= 0)
-      append(out, "\"gmr_id\":%lld,", gmr_id);
-    else
-      out += "\"gmr_id\":null,";
-    append(out,
-           "\"exclusive_locks\":%llu,\"shared_locks\":%llu,"
-           "\"lock_alls\":%llu,\"flushes\":%llu,\"epochs\":%llu}",
-           (unsigned long long)ws.exclusive_locks,
-           (unsigned long long)ws.shared_locks,
-           (unsigned long long)ws.lock_alls, (unsigned long long)ws.flushes,
-           (unsigned long long)ws.epochs);
-    first = false;
+    j.open(nullptr);
+    j.num("win_id", win_id);
+    j.put("gmr_id", gmr_id >= 0 ? std::to_string(gmr_id) : "null");
+#define ARMCI_JSON_WIN(name) j.num(#name, ws.name);
+    MPISIM_WIN_STATS(ARMCI_JSON_WIN)
+#undef ARMCI_JSON_WIN
+    j.close();
   }
-  out += "],";
+  j.close("]");
 
-  // RMA validity checker (mpisim checker.hpp): mode and this rank's
-  // violation counters by class. All zero on a correct run.
+  // RMA validity checker (mpisim checker.hpp) and happens-before race
+  // detector (mpisim hb.hpp, MPISIM_RMA_CHECK=race): this rank's counters
+  // by class, and the race summaries dropped by the shadow-store cap. All
+  // zero on a correctly synchronized run.
+#define ARMCI_JSON_CLASS(name) j.num(#name, c.name);
   {
     const mpisim::RmaChecker& chk = mpisim::ctx().core().checker();
     const mpisim::RmaCheckCounts c = chk.counts(mpisim::rank());
-    append(out,
-           "\"rma_check\":{\"mode\":\"%s\",\"same_origin\":%llu,"
-           "\"concurrent\":%llu,\"acc_mix\":%llu,\"local\":%llu,"
-           "\"discipline\":%llu},",
-           mpisim::rma_check_name(chk.mode()),
-           (unsigned long long)c.same_origin, (unsigned long long)c.concurrent,
-           (unsigned long long)c.acc_mix, (unsigned long long)c.local,
-           (unsigned long long)c.discipline);
+    j.open("rma_check");
+    j.str("mode", mpisim::rma_check_name(chk.mode()));
+    MPISIM_RMA_VIOLATIONS(ARMCI_JSON_CLASS)
+    j.close();
   }
-
-  // Happens-before race detector (mpisim hb.hpp, MPISIM_RMA_CHECK=race):
-  // this rank's race counters by class, plus summaries dropped by the
-  // shadow-store cap. All zero on a correctly synchronized run.
   {
-    const mpisim::HbRaceCounts r =
+    const mpisim::HbRaceCounts c =
         mpisim::ctx().core().hb().counts(mpisim::rank());
-    append(out,
-           "\"rma_race\":{\"ww\":%llu,\"rw\":%llu,\"acc_mix\":%llu,"
-           "\"shm\":%llu,\"dead_origin\":%llu,\"overflow\":%llu},",
-           (unsigned long long)r.ww, (unsigned long long)r.rw,
-           (unsigned long long)r.acc_mix, (unsigned long long)r.shm,
-           (unsigned long long)r.dead_origin, (unsigned long long)r.overflow);
+    j.open("rma_race");
+    MPISIM_HB_RACE_COUNTS(ARMCI_JSON_CLASS)
+    j.close();
   }
+#undef ARMCI_JSON_CLASS
 
   // Survivable-mode recovery gauge: virtual time between the most recently
   // observed peer death and this rank noticing it (failure-aware site or
   // read failover). -1 until a death has been observed here.
-  append(out, "\"recovery\":{\"detect_latency_ns\":%.3f},",
-         mpisim::ctx().last_detect_latency_ns);
+  j.open("recovery");
+  j.num("detect_latency_ns", mpisim::ctx().last_detect_latency_ns);
+  j.close();
 
   // Cooperative progress engine (nb.hpp progress_tick): tick/retire
   // counters and the measured compute/communication overlap -- how much
   // virtual communication time the engine hid under application compute.
-  append(out,
-         "\"progress\":{\"enabled\":%s,\"ticks\":%llu,\"retires\":%llu,"
-         "\"overlap_comm_ns\":%.3f,\"overlap_hidden_ns\":%.3f,"
-         "\"overlap_efficiency\":%.6f},",
-         st.opts.progress ? "true" : "false",
-         (unsigned long long)s.progress_ticks,
-         (unsigned long long)s.progress_retires, s.overlap_comm_ns,
-         s.overlap_hidden_ns, s.overlap_efficiency());
+  j.open("progress");
+  j.put("enabled", st.opts.progress ? "true" : "false");
+  stats_fields(j, "progress", s);
+  j.num("overlap_efficiency", s.overlap_efficiency(), 6);
+  j.close();
 
-  append(out, "\"trace\":{\"enabled\":%s,\"events\":%llu,\"dropped\":%llu}}",
-         tr.enabled() ? "true" : "false",
-         (unsigned long long)tr.total_events(),
-         (unsigned long long)tr.dropped());
+  j.open("trace");
+  j.put("enabled", tr.enabled() ? "true" : "false");
+  j.num("events", tr.total_events());
+  j.num("dropped", tr.dropped());
+  j.close();
+  j.close();
   return out;
 }
 

@@ -17,19 +17,23 @@
 #include <cstdint>
 #include <string>
 
+#include "src/mpisim/counter_table.hpp"
+
 namespace armci {
 
-/// Operation classes with independent latency distributions.
-enum class OpClass : int {
-  put,      ///< contiguous put
-  get,      ///< contiguous get
-  acc,      ///< contiguous accumulate
-  strided,  ///< ARMCI_PutS/GetS/AccS
-  iov,      ///< ARMCI_PutV/GetV/AccV
-  rmw,      ///< ARMCI_Rmw
-  mutex,    ///< ARMCI_Lock (acquisition, including queueing delay)
-};
-inline constexpr int kOpClassCount = static_cast<int>(OpClass::mutex) + 1;
+/// Operation classes with independent latency distributions, in the order
+/// of the armci-metrics-v1 "ops" object.
+#define ARMCI_OP_CLASSES(X)                                                  \
+  X(put) /* contiguous put */                                                \
+  X(get) /* contiguous get */                                                \
+  X(acc) /* contiguous accumulate */                                         \
+  X(strided) /* ARMCI_PutS/GetS/AccS */                                      \
+  X(iov) /* ARMCI_PutV/GetV/AccV */                                          \
+  X(rmw) /* ARMCI_Rmw */                                                     \
+  X(mutex) /* ARMCI_Lock (acquisition, including queueing delay) */
+
+enum class OpClass : int { ARMCI_OP_CLASSES(MPISIM_TABLE_ENUMERATOR) };
+inline constexpr int kOpClassCount = 0 ARMCI_OP_CLASSES(MPISIM_TABLE_COUNT);
 
 const char* op_class_name(OpClass c) noexcept;
 

@@ -14,99 +14,95 @@
 
 namespace armci {
 
-/// Cumulative operation counters for the calling process.
+/// The counter table: one entry per Stats field, in armci-metrics-v1 order.
+/// The struct below and the JSON writer (metrics.cpp) both expand it.
+///  - C(section, name): a std::uint64_t counter, exported as "name" in the
+///    armci-metrics-v1 object \p section (counters or am).
+///  - P(type, name, key): a progress-engine entry, exported as progress.key.
+///
+/// The groups, in table order:
+///  - Contiguous one-sided operations, then noncontiguous ones (one per
+///    ARMCI_PutS/GetS/AccS or ARMCI_PutV/GetV/AccV call), with payload bytes.
+///  - Synchronization, atomics and memory management.
+///  - Direct local access epochs (ARMCI_Access_begin/end pairs, paper §V-E).
+///  - Staging copies of local buffers that themselves live in global space
+///    (paper §V-E1): each one is an extra exclusive self-epoch plus a
+///    memcpy, so this counter exposes a hidden cost of the MPI mapping.
+///  - Fault handling (mpisim::FaultPlan injection).
+///  - RMA validity violations (mpisim checker, Config::rma_check) and
+///    happens-before races (mpisim::HbChecker, MPISIM_RMA_CHECK=race)
+///    attributed to this process since the last reset_stats(). Zero on
+///    every correct run; stats() syncs them from the detectors.
+///  - The nonblocking aggregation engine (nb.hpp), the derived-datatype
+///    cache of the direct strided/IOV paths (dtype_cache.hpp) and GA-layer
+///    owner pipelining (ga/ga.cpp, ga/ga_gather.cpp): ga_owner_fanout /
+///    ga_multi_owner_ops is the mean owner count of a multi-owner access.
+///  - Locality of contiguous operations (blocking and deferred) under the
+///    NetworkModel's node map. self and same_node ops are eligible for the
+///    backend's shared-memory fast path.
+///  - Survivable-mode recovery (mpisim::FaultPlan::survivable).
+///  - The active-message layer (src/am).
+///  - The cooperative progress engine (nb.hpp progress_tick,
+///    Options::progress) and the compute/communication overlap measured by
+///    the virtual clock (SimClock::advance_compute): virtual time spent
+///    communicating inside ticks, and the share of it that fell under
+///    compute the application had already paid for, i.e. hidden latency.
+#define ARMCI_STATS(C, P)                                                    \
+  C(counters, puts)                                                          \
+  C(counters, gets)                                                          \
+  C(counters, accs)                                                          \
+  C(counters, put_bytes)                                                     \
+  C(counters, get_bytes)                                                     \
+  C(counters, acc_bytes)                                                     \
+  C(counters, strided_ops)           /* ARMCI_PutS/GetS/AccS calls */        \
+  C(counters, strided_bytes)                                                 \
+  C(counters, iov_ops)               /* ARMCI_PutV/GetV/AccV calls */        \
+  C(counters, iov_bytes)                                                     \
+  C(counters, iov_segments)          /* segments over all IOV calls */       \
+  C(counters, rmws)                                                          \
+  C(counters, mutex_locks)                                                   \
+  C(counters, fences)                                                        \
+  C(counters, barriers)                                                      \
+  C(counters, allocations)                                                   \
+  C(counters, frees)                                                         \
+  C(counters, dla_epochs)            /* ARMCI_Access_begin/end pairs */      \
+  C(counters, staged_local_copies)   /* self-epoch + memcpy each */          \
+  C(counters, transient_faults)      /* transient faults hit */              \
+  C(counters, retries)               /* epochs retried after one */          \
+  C(counters, retry_exhausted)       /* ops that ran out of retries */       \
+  C(counters, rma_conflicts)         /* checker violations */                \
+  C(counters, rma_races)             /* happens-before races */              \
+  C(counters, nb_ops)                /* nb_* API calls */                    \
+  C(counters, nb_deferred)           /* deferred into a queue */             \
+  C(counters, nb_eager)              /* executed eagerly */                  \
+  C(counters, nb_conflict_flushes)   /* drains forced by a conflict */       \
+  C(counters, flushed_queues)        /* queue drains, any cause */           \
+  C(counters, coalesced_epochs)      /* drains of >= 2 ops in one epoch */   \
+  C(counters, dt_cache_hits)         /* types served from the cache */       \
+  C(counters, dt_cache_misses)       /* types built fresh */                 \
+  C(counters, ga_multi_owner_ops)    /* accesses over >= 2 owners */         \
+  C(counters, ga_owner_fanout)       /* owners summed over those */          \
+  C(counters, ga_nb_batches)         /* owner batches via the nb engine */   \
+  C(counters, ops_self)              /* target is the caller */              \
+  C(counters, ops_same_node)         /* target on the caller's node */       \
+  C(counters, ops_remote)            /* target on another node */            \
+  C(counters, failovers)             /* GA reads served by a replica */      \
+  C(counters, replica_writes)        /* write-through replica copies */      \
+  C(am, am_sent)                     /* rpc + fire-and-forget requests */    \
+  C(am, am_served)                   /* inbound requests served here */      \
+  C(am, am_terminations)             /* am::quiesce waits completed */       \
+  P(std::uint64_t, progress_ticks, ticks) /* persona ticks fired */          \
+  P(std::uint64_t, progress_retires, retires) /* queues retired by a tick */ \
+  P(double, overlap_comm_ns, overlap_comm_ns) /* tick comm time */           \
+  P(double, overlap_hidden_ns, overlap_hidden_ns) /* of which hidden */
+
+/// Cumulative operation counters for the calling process (see ARMCI_STATS).
 struct Stats {
-  // Contiguous one-sided operations and payload bytes.
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t accs = 0;
-  std::uint64_t put_bytes = 0;
-  std::uint64_t get_bytes = 0;
-  std::uint64_t acc_bytes = 0;
-
-  // Noncontiguous operations (one per ARMCI_PutS/GetS/AccS or
-  // ARMCI_PutV/GetV/AccV call) and their payload bytes.
-  std::uint64_t strided_ops = 0;
-  std::uint64_t strided_bytes = 0;
-  std::uint64_t iov_ops = 0;
-  std::uint64_t iov_bytes = 0;
-  std::uint64_t iov_segments = 0;
-
-  // Locality of contiguous one-sided operations (blocking and deferred)
-  // under the NetworkModel's node map: target is the calling process
-  // itself, a co-located process (same node), or a remote node. self and
-  // same_node ops are eligible for the backend's shared-memory fast path.
-  std::uint64_t ops_self = 0;
-  std::uint64_t ops_same_node = 0;
-  std::uint64_t ops_remote = 0;
-
-  // Synchronization and atomics.
-  std::uint64_t rmws = 0;
-  std::uint64_t mutex_locks = 0;
-  std::uint64_t fences = 0;
-  std::uint64_t barriers = 0;
-
-  // Direct local access epochs (ARMCI_Access_begin/end pairs, paper §V-E).
-  std::uint64_t dla_epochs = 0;
-
-  // Staging copies of local buffers that themselves live in global space
-  // (paper §V-E1): each one is an extra exclusive self-epoch plus a memcpy,
-  // so this counter exposes a hidden cost of the MPI mapping.
-  std::uint64_t staged_local_copies = 0;
-
-  // Memory management.
-  std::uint64_t allocations = 0;
-  std::uint64_t frees = 0;
-
-  // RMA validity violations attributed to this process since the last
-  // reset_stats() (mpisim checker, Config::rma_check): conflicting access
-  // pairs, undisciplined direct local accesses, and lock-state misuse. Zero
-  // on every correct run; synced from the checker's counters by stats().
-  std::uint64_t rma_conflicts = 0;
-
-  // Happens-before races attributed to this process since the last
-  // reset_stats() (mpisim::HbChecker, MPISIM_RMA_CHECK=race): conflicting
-  // access pairs unordered by any synchronization edge. Zero on every
-  // correctly synchronized run; synced from the detector by stats().
-  std::uint64_t rma_races = 0;
-
-  // Fault handling (mpisim::FaultPlan injection): transient faults hit,
-  // epochs retried after one, and operations that exhausted their retry
-  // budget and surfaced the error.
-  std::uint64_t transient_faults = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t retry_exhausted = 0;
-
-  // Survivable-mode recovery (mpisim::FaultPlan::survivable): GA reads
-  // transparently redirected to a buddy replica because the owner died, and
-  // write-through copies pushed to replica tiles of replicated arrays.
-  std::uint64_t failovers = 0;
-  std::uint64_t replica_writes = 0;
-
-  // Nonblocking aggregation engine (nb.hpp): nb_* API calls, how many were
-  // deferred into a queue vs executed eagerly, queue drains forced by a
-  // conflicting enqueue (location consistency), total queue drains, and
-  // drains that coalesced >= 2 ops into one backend epoch.
-  std::uint64_t nb_ops = 0;
-  std::uint64_t nb_deferred = 0;
-  std::uint64_t nb_eager = 0;
-  std::uint64_t nb_conflict_flushes = 0;
-  std::uint64_t flushed_queues = 0;
-  std::uint64_t coalesced_epochs = 0;
-
-  // Cooperative progress engine (nb.hpp progress_tick, Options::progress):
-  // persona ticks fired (from SimClock compute intervals and explicit
-  // armci::progress() pokes) and queues retired from a tick rather than a
-  // blocking completion point.
-  std::uint64_t progress_ticks = 0;
-  std::uint64_t progress_retires = 0;
-
-  // Compute/communication overlap measured by the virtual clock
-  // (SimClock::advance_compute): virtual time spent communicating inside
-  // progress ticks, and the share of it that fell under compute the
-  // application had already paid for -- i.e. latency the engine hid.
-  double overlap_comm_ns = 0.0;
-  double overlap_hidden_ns = 0.0;
+#define ARMCI_STATS_COUNTER_FIELD(section, name) std::uint64_t name = 0;
+#define ARMCI_STATS_PROGRESS_FIELD(type, name, key) type name = 0;
+  ARMCI_STATS(ARMCI_STATS_COUNTER_FIELD, ARMCI_STATS_PROGRESS_FIELD)
+#undef ARMCI_STATS_COUNTER_FIELD
+#undef ARMCI_STATS_PROGRESS_FIELD
 
   /// Fraction of progress-engine communication time hidden under
   /// application compute (0 when the engine never ran). 1.0 = perfect
@@ -114,28 +110,6 @@ struct Stats {
   double overlap_efficiency() const noexcept {
     return overlap_comm_ns > 0.0 ? overlap_hidden_ns / overlap_comm_ns : 0.0;
   }
-
-  // Active-message layer (src/am): requests sent (rpc + fire-and-forget
-  // delegates), inbound requests served by this process's progress
-  // persona, and termination-detection waits completed (am::quiesce).
-  std::uint64_t am_sent = 0;
-  std::uint64_t am_served = 0;
-  std::uint64_t am_terminations = 0;
-
-  // Derived-datatype cache (dtype_cache.hpp) in the direct strided/IOV
-  // paths: lookups served from the cache vs types built fresh.
-  std::uint64_t dt_cache_hits = 0;
-  std::uint64_t dt_cache_misses = 0;
-
-  // GA-layer owner pipelining (ga/ga.cpp, ga/ga_gather.cpp): region or
-  // element accesses that decomposed into >= 2 owners, the total owner
-  // fan-out summed over those accesses (fanout / ops = mean owners per
-  // multi-owner access), and the per-owner batches such accesses issued
-  // through the nonblocking aggregation engine rather than as blocking
-  // per-owner epochs.
-  std::uint64_t ga_multi_owner_ops = 0;
-  std::uint64_t ga_owner_fanout = 0;
-  std::uint64_t ga_nb_batches = 0;
 
   /// Total one-sided data volume (all op classes).
   std::uint64_t total_bytes() const noexcept {

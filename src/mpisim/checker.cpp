@@ -47,14 +47,9 @@ bool parse_rma_check(const char* text, RmaCheck* out) noexcept {
 }
 
 const char* rma_violation_name(RmaViolation v) noexcept {
-  switch (v) {
-    case RmaViolation::same_origin: return "same_origin";
-    case RmaViolation::concurrent: return "concurrent";
-    case RmaViolation::acc_mix: return "acc_mix";
-    case RmaViolation::local: return "local";
-    case RmaViolation::discipline: return "discipline";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      MPISIM_RMA_VIOLATIONS(MPISIM_TABLE_NAME)};
+  return table_name(kNames, v);
 }
 
 RmaChecker::RmaChecker(RmaCheck mode, int nranks)
@@ -512,24 +507,18 @@ RmaCheckCounts RmaChecker::counts(int world_rank) const noexcept {
   if (world_rank < 0 || world_rank >= static_cast<int>(per_rank_.size()))
     return c;
   const PerRankCounts& p = per_rank_[static_cast<std::size_t>(world_rank)];
-  c.same_origin = p.v[0].load(std::memory_order_relaxed);
-  c.concurrent = p.v[1].load(std::memory_order_relaxed);
-  c.acc_mix = p.v[2].load(std::memory_order_relaxed);
-  c.local = p.v[3].load(std::memory_order_relaxed);
-  c.discipline = p.v[4].load(std::memory_order_relaxed);
+#define MPISIM_LOAD(name)                                                    \
+  c.name = p.v[static_cast<int>(RmaViolation::name)].load(                   \
+      std::memory_order_relaxed);
+  MPISIM_RMA_VIOLATIONS(MPISIM_LOAD)
+#undef MPISIM_LOAD
   return c;
 }
 
 RmaCheckCounts RmaChecker::total_counts() const noexcept {
   RmaCheckCounts t;
-  for (std::size_t r = 0; r < per_rank_.size(); ++r) {
-    const RmaCheckCounts c = counts(static_cast<int>(r));
-    t.same_origin += c.same_origin;
-    t.concurrent += c.concurrent;
-    t.acc_mix += c.acc_mix;
-    t.local += c.local;
-    t.discipline += c.discipline;
-  }
+  for (std::size_t r = 0; r < per_rank_.size(); ++r)
+    t += counts(static_cast<int>(r));
   return t;
 }
 

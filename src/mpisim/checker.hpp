@@ -61,6 +61,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/mpisim/counter_table.hpp"
 #include "src/mpisim/datatype.hpp"
 #include "src/mpisim/interval_set.hpp"
 #include "src/mpisim/op.hpp"
@@ -84,28 +85,30 @@ const char* rma_check_name(RmaCheck m) noexcept;
 bool parse_rma_check(const char* text, RmaCheck* out) noexcept;
 
 /// Violation classes (counter buckets; also named in diagnostics).
-enum class RmaViolation {
-  same_origin,  ///< overlapping conflicting ops by one origin in one epoch
-  concurrent,   ///< put/put or put/get overlap across concurrent epochs
-  acc_mix,      ///< accumulate vs non-accumulate or different-op accumulate
-  local,        ///< direct local access conflicting with an RMA access
-  discipline,   ///< lock-state misuse (unlock mismatch, double lock, ...)
-};
+#define MPISIM_RMA_VIOLATIONS(X)                                             \
+  X(same_origin) /* overlapping conflicting ops of one origin, one epoch */  \
+  X(concurrent) /* put/put or put/get overlap across concurrent epochs */    \
+  X(acc_mix) /* accumulate vs non-accumulate or different-op accumulate */   \
+  X(local) /* direct local access conflicting with an RMA access */          \
+  X(discipline) /* lock-state misuse (unlock mismatch, double lock, ...) */
 
-inline constexpr int kRmaViolationCount = 5;
+enum class RmaViolation { MPISIM_RMA_VIOLATIONS(MPISIM_TABLE_ENUMERATOR) };
+inline constexpr int kRmaViolationCount =
+    0 MPISIM_RMA_VIOLATIONS(MPISIM_TABLE_COUNT);
 
 const char* rma_violation_name(RmaViolation v) noexcept;
 
 /// Snapshot of violation counters (per rank or totalled).
 struct RmaCheckCounts {
-  std::uint64_t same_origin = 0;
-  std::uint64_t concurrent = 0;
-  std::uint64_t acc_mix = 0;
-  std::uint64_t local = 0;
-  std::uint64_t discipline = 0;
+  MPISIM_RMA_VIOLATIONS(MPISIM_TABLE_U64_FIELD)
 
   std::uint64_t total() const noexcept {
-    return same_origin + concurrent + acc_mix + local + discipline;
+    return 0 MPISIM_RMA_VIOLATIONS(MPISIM_TABLE_SUM);
+  }
+
+  RmaCheckCounts& operator+=(const RmaCheckCounts& o) noexcept {
+    MPISIM_RMA_VIOLATIONS(MPISIM_TABLE_ADD)
+    return *this;
   }
 };
 

@@ -55,14 +55,8 @@ bool ops_conflict(HbChecker::OpKind k1, Op o1, HbChecker::OpKind k2, Op o2) {
 thread_local int HbChecker::muted_ = 0;
 
 const char* hb_race_name(HbRace c) noexcept {
-  switch (c) {
-    case HbRace::ww: return "ww";
-    case HbRace::rw: return "rw";
-    case HbRace::acc_mix: return "acc_mix";
-    case HbRace::shm: return "shm";
-    case HbRace::dead_origin: return "dead_origin";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {MPISIM_HB_RACES(MPISIM_TABLE_NAME)};
+  return table_name(kNames, c);
 }
 
 std::size_t HbChecker::Summary::interval_count() const noexcept {
@@ -646,11 +640,11 @@ HbRaceCounts HbChecker::counts(int world_rank) const noexcept {
   // persona acts on the rank's behalf, and callers index by world rank.
   for (const int row : {world_rank, nranks_ + world_rank}) {
     const PerRankCounts& c = per_rank_[static_cast<std::size_t>(row)];
-    out.ww += c.v[0].load(std::memory_order_relaxed);
-    out.rw += c.v[1].load(std::memory_order_relaxed);
-    out.acc_mix += c.v[2].load(std::memory_order_relaxed);
-    out.shm += c.v[3].load(std::memory_order_relaxed);
-    out.dead_origin += c.v[4].load(std::memory_order_relaxed);
+#define MPISIM_LOAD(name)                                                    \
+  out.name += c.v[static_cast<int>(HbRace::name)].load(                      \
+      std::memory_order_relaxed);
+    MPISIM_HB_RACES(MPISIM_LOAD)
+#undef MPISIM_LOAD
     out.overflow += c.overflow.load(std::memory_order_relaxed);
   }
   return out;
@@ -658,15 +652,7 @@ HbRaceCounts HbChecker::counts(int world_rank) const noexcept {
 
 HbRaceCounts HbChecker::total_counts() const noexcept {
   HbRaceCounts out;
-  for (int r = 0; r < nranks_; ++r) {
-    const HbRaceCounts c = counts(r);
-    out.ww += c.ww;
-    out.rw += c.rw;
-    out.acc_mix += c.acc_mix;
-    out.shm += c.shm;
-    out.dead_origin += c.dead_origin;
-    out.overflow += c.overflow;
-  }
+  for (int r = 0; r < nranks_; ++r) out += counts(r);
   return out;
 }
 

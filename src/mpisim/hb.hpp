@@ -72,30 +72,34 @@ namespace mpisim {
 using HbClock = std::vector<std::uint64_t>;
 
 /// Race classes (counter buckets; also named in diagnostics).
-enum class HbRace {
-  ww,           ///< unordered write vs write (put/put)
-  rw,           ///< unordered read vs write (get vs put or accumulate)
-  acc_mix,      ///< accumulate vs non-accumulate or different-op accumulate
-  shm,          ///< a direct (shared-memory or local) access is involved
-  dead_origin,  ///< conflicts with a dead rank's data, no recovery edge
-};
+#define MPISIM_HB_RACES(X)                                                   \
+  X(ww) /* unordered write vs write (put/put) */                             \
+  X(rw) /* unordered read vs write (get vs put or accumulate) */             \
+  X(acc_mix) /* accumulate vs non-accumulate or different-op accumulate */   \
+  X(shm) /* a direct (shared-memory or local) access is involved */          \
+  X(dead_origin) /* conflicts with a dead rank's data, no recovery edge */
 
-inline constexpr int kHbRaceCount = 5;
+enum class HbRace { MPISIM_HB_RACES(MPISIM_TABLE_ENUMERATOR) };
+inline constexpr int kHbRaceCount = 0 MPISIM_HB_RACES(MPISIM_TABLE_COUNT);
 
 const char* hb_race_name(HbRace c) noexcept;
 
+/// The HbRaceCounts fields: one counter per race class, then the summaries
+/// dropped by the interval cap (coverage silently lost), which is not a race
+/// class and so stays out of total().
+#define MPISIM_HB_RACE_COUNTS(X) MPISIM_HB_RACES(X) X(overflow)
+
 /// Snapshot of race counters (per rank or totalled).
 struct HbRaceCounts {
-  std::uint64_t ww = 0;
-  std::uint64_t rw = 0;
-  std::uint64_t acc_mix = 0;
-  std::uint64_t shm = 0;
-  std::uint64_t dead_origin = 0;
-  /// Summaries dropped by the interval cap: coverage silently lost.
-  std::uint64_t overflow = 0;
+  MPISIM_HB_RACE_COUNTS(MPISIM_TABLE_U64_FIELD)
 
   std::uint64_t total() const noexcept {
-    return ww + rw + acc_mix + shm + dead_origin;
+    return 0 MPISIM_HB_RACES(MPISIM_TABLE_SUM);
+  }
+
+  HbRaceCounts& operator+=(const HbRaceCounts& o) noexcept {
+    MPISIM_HB_RACE_COUNTS(MPISIM_TABLE_ADD)
+    return *this;
   }
 };
 

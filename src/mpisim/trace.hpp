@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/mpisim/clock.hpp"
+#include "src/mpisim/counter_table.hpp"
 
 namespace mpisim {
 
@@ -50,13 +51,17 @@ struct TraceEvent {
 };
 
 /// Cumulative per-window profiling counters (the per-GMR lock/epoch costs
-/// of paper §VIII: epoch-per-op semantics show up here first).
+/// of paper §VIII: epoch-per-op semantics show up here first), in the order
+/// of an armci-metrics-v1 "windows" entry.
+#define MPISIM_WIN_STATS(X)                                                  \
+  X(exclusive_locks)                                                         \
+  X(shared_locks)                                                            \
+  X(lock_alls)                                                               \
+  X(flushes)                                                                 \
+  X(epochs) /* completed lock/unlock pairs */
+
 struct WinStats {
-  std::uint64_t exclusive_locks = 0;
-  std::uint64_t shared_locks = 0;
-  std::uint64_t lock_alls = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t epochs = 0;  ///< completed lock/unlock pairs
+  MPISIM_WIN_STATS(MPISIM_TABLE_U64_FIELD)
 };
 
 /// Per-rank trace sink. Owned by the rank's context and touched only from

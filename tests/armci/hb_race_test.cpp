@@ -168,6 +168,12 @@ TEST_P(ArmciHbRacePositiveTest, UnprotectedReadOfMutexGuardedCounterRaces) {
         EXPECT_NE(msg.find("missing edge"), std::string::npos) << msg;
       }
       EXPECT_GE(stats().rma_races, 1u);
+      // The race count reaches the armci-metrics-v1 counters object.
+      const std::string doc = metrics_json();
+      EXPECT_NE(doc.find("\"rma_races\":" +
+                         std::to_string(stats().rma_races) + ","),
+                std::string::npos)
+          << doc;
       reset_stats();
       EXPECT_EQ(stats().rma_races, 0u);  // baseline resets with the rest
     }

@@ -337,5 +337,83 @@ TEST(TraceJsonTest, MetricsDocumentIsWellFormed) {
   });
 }
 
+/// The key structure of a JSON document: every key in order, with the
+/// brackets and commas around them, and every scalar value dropped.
+std::string json_keys(const std::string& doc) {
+  std::string keys;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const char c = doc[i];
+    if (c == '"') {
+      std::size_t end = i + 1;
+      while (doc[end] != '"') end += doc[end] == '\\' ? 2 : 1;
+      if (end + 1 < doc.size() && doc[end + 1] == ':')
+        keys.append(doc, i + 1, end - i - 1);
+      i = end;
+    } else if (std::strchr("{}[],", c) != nullptr) {
+      keys += c;
+    }
+  }
+  return keys;
+}
+
+// Pins the armci-metrics-v1 schema: a table edit that renames, reorders or
+// drops a key fails here. Two ranks on the ideal platform; rank 0 issues a
+// put, get, acc, a nonblocking get and a mutex lock, so both the GMR window
+// and the mutex window appear under "windows".
+TEST(TraceJsonTest, MetricsDocumentKeysArePinned) {
+  std::string doc;
+  mpisim::run(2, Platform::ideal, [&] {
+    Options o;
+    o.metrics = true;
+    o.trace = true;
+    init(o);
+    std::vector<void*> bases = malloc_world(256);
+    create_mutexes(1);
+    barrier();
+    if (mpisim::rank() == 0) {
+      double buf[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+      const double one = 1.0;
+      char* const remote = static_cast<char*>(bases[1]);
+      put(buf, remote, sizeof buf, 1);
+      get(remote, buf, sizeof buf, 1);
+      acc(AccType::float64, &one, buf, remote, sizeof buf, 1);
+      Request req = nb_get(remote + 128, buf, 64, 1);
+      wait(req);
+      lock(0, 1);
+      unlock(0, 1);
+      doc = metrics_json();
+    }
+    barrier();
+    destroy_mutexes();
+    free(bases[static_cast<std::size_t>(mpisim::rank())]);
+    finalize();
+  });
+  const std::string op = "{count,mean_ns,p50_ns,p95_ns,max_ns}";
+  const std::string win =
+      "{win_id,gmr_id,exclusive_locks,shared_locks,lock_alls,flushes,epochs}";
+  EXPECT_EQ(json_keys(doc),
+            "{schema,rank,"
+            "counters{puts,gets,accs,put_bytes,get_bytes,acc_bytes,"
+            "strided_ops,strided_bytes,iov_ops,iov_bytes,iov_segments,rmws,"
+            "mutex_locks,fences,barriers,allocations,frees,dla_epochs,"
+            "staged_local_copies,transient_faults,retries,retry_exhausted,"
+            "rma_conflicts,rma_races,nb_ops,nb_deferred,nb_eager,"
+            "nb_conflict_flushes,flushed_queues,coalesced_epochs,"
+            "dt_cache_hits,dt_cache_misses,ga_multi_owner_ops,"
+            "ga_owner_fanout,ga_nb_batches,ops_self,ops_same_node,ops_remote,"
+            "failovers,replica_writes},"
+            "am{am_sent,am_served,am_terminations},"
+            "ops{put" + op + ",get" + op + ",acc" + op + ",strided" + op +
+                ",iov" + op + ",rmw" + op + ",mutex" + op + "},"
+            "windows[" + win + "," + win + "],"
+            "rma_check{mode,same_origin,concurrent,acc_mix,local,discipline},"
+            "rma_race{ww,rw,acc_mix,shm,dead_origin,overflow},"
+            "recovery{detect_latency_ns},"
+            "progress{enabled,ticks,retires,overlap_comm_ns,"
+            "overlap_hidden_ns,overlap_efficiency},"
+            "trace{enabled,events,dropped}}")
+      << doc;
+}
+
 }  // namespace
 }  // namespace armci
