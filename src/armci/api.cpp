@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <thread>
 
 #include "src/armci/accops.hpp"
 #include "src/armci/backend_mpi.hpp"
@@ -228,11 +227,13 @@ std::vector<void*> malloc_impl(std::size_t bytes, const PGroup& group) {
   }
 
   // Agree on an id (leader's counter, unique via leader world rank).
-  static thread_local std::uint64_t counter = 0;
+  // The counter lives in the rank context, not ProcState, so ids stay
+  // unique across init/finalize cycles within one run.
+  std::uint64_t& seq = mpisim::ctx().user_seq;
   std::uint64_t id =
-      (static_cast<std::uint64_t>(group.absolute_id(0)) << 32) | counter;
+      (static_cast<std::uint64_t>(group.absolute_id(0)) << 32) | seq;
   group.comm().bcast(&id, sizeof id, 0);
-  if (group.rank() == 0) ++counter;
+  if (group.rank() == 0) ++seq;
   gmr->id = id;
 
   st.backend->gmr_created(*gmr);
@@ -789,7 +790,7 @@ void put_notify(const void* src, void* dst, std::size_t bytes, int* flag,
                               mpisim::ctx().rank());
   }
   {
-    mpisim::HbChecker::MuteScope mute;
+    mpisim::HbChecker::MuteScope mute(core.hb(), mpisim::rank());
     put(&value, flag, sizeof value, proc);
     fence(proc);
   }
@@ -810,7 +811,7 @@ void wait_notify(const int* flag, int value) {
     {
       // Sync-word access: mute the race detector for the poll itself (the
       // flag is ordered by the notify channel, not by data-race rules).
-      mpisim::HbChecker::MuteScope mute;
+      mpisim::HbChecker::MuteScope mute(core.hb(), mpisim::rank());
       st.backend->access_begin(loc);
       {
         // The remote flag write lands as a memcpy under the simulator's
@@ -833,10 +834,11 @@ void wait_notify(const int* flag, int value) {
       mpisim::raise(Errc::wait_timeout,
                     "wait_notify exceeded the virtual-time wait deadline of " +
                         std::to_string(deadline_ns) + " ns");
-    // Yield the host thread so the producer can make progress, and charge
-    // a poll interval to the virtual clock.
+    // Charge a poll interval to the virtual clock and let the producer run:
+    // ranks share one host thread, so a spin that never yields would
+    // starve it.
     mpisim::clock().advance(100.0);
-    std::this_thread::yield();
+    mpisim::yield();
   }
 }
 

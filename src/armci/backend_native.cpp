@@ -277,7 +277,7 @@ void NativeBackend::mutex_lock(int m, int proc) {
   int reclaimed_from = -1;
   bool host_gone = false;
   // The host's death deletes its ProcState (user_state_cleanup runs under
-  // mu() when its rank thread exits), so never hold a reference across a
+  // mu() when its rank exits), so never hold a reference across a
   // wait: re-resolve the mutex row on every predicate evaluation and bail
   // out first when the host is gone. The predicate only flags; the throw
   // happens after wait() returns so the blocked-rank accounting stays

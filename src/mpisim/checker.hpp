@@ -48,7 +48,7 @@
 /// Thread-safety: every method except counts()/total_counts()/
 /// note_discipline() must be called with SimCore::mu() held (they mutate
 /// shared per-window state). Counters are atomics so the metrics exporters
-/// can read them from any rank thread without the lock.
+/// can read them from any rank without the lock.
 
 #include <array>
 #include <atomic>

@@ -19,8 +19,9 @@
 
 namespace mpisim {
 
-/// A monotonically advancing virtual clock, owned by exactly one rank
-/// (its own thread); other ranks may only read a published snapshot.
+/// A monotonically advancing virtual clock, owned by exactly one rank;
+/// other ranks may only read a published snapshot. The rank scheduler
+/// (runtime.hpp) reads every runnable rank's clock to pick the next one.
 ///
 /// The clock doubles as the scheduling point for the rank's cooperative
 /// progress engine: a hook installed with set_progress_hook() fires every

@@ -297,7 +297,7 @@ int pending_death_locked(const SimCore& core, const CommImpl& c,
 /// Finish a matched receive on the poster's thread: happens-before join,
 /// truncation raise, clock advance to the node-aware delivery time, status
 /// publication. Expects the global lock held on entry; returns unlocked.
-void Comm::Request::complete_matched(std::unique_lock<std::mutex>& lk,
+void Comm::Request::complete_matched(std::unique_lock<SimMutex>& lk,
                                      Status* st) {
   CommImpl& c = *impl_;
   SimCore& core = *c.core;

@@ -24,6 +24,7 @@
 namespace mpisim {
 
 class SimCore;
+class SimMutex;
 
 /// Rendezvous state for in-progress collectives on one communicator.
 /// All fields are guarded by the simulator's global lock.
@@ -162,7 +163,7 @@ class Comm {
 
    private:
     friend class Comm;
-    void complete_matched(std::unique_lock<std::mutex>& lk, Status* st);
+    void complete_matched(std::unique_lock<SimMutex>& lk, Status* st);
     std::shared_ptr<CommImpl> impl_;
     std::shared_ptr<PostedRecv> rec_;
     bool is_recv_ = false;

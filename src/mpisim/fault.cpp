@@ -70,7 +70,7 @@ void FaultInjector::fault_point_slow(const SimClock& clock) {
   }
   // Survivable mode: record the death in the core *before* unwinding, so
   // peers blocked on this rank wake with Errc::crashed instead of waiting
-  // for the victim's thread to exit.
+  // for the victim's fiber to exit.
   if (survivable_ && core_ != nullptr)
     core_->rank_crashed(rank_, clock.now_ns());
   throw MpiError(Errc::crashed,

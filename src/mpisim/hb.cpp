@@ -52,8 +52,6 @@ bool ops_conflict(HbChecker::OpKind k1, Op o1, HbChecker::OpKind k2, Op o2) {
 
 }  // namespace
 
-thread_local int HbChecker::muted_ = 0;
-
 const char* hb_race_name(HbRace c) noexcept {
   static constexpr const char* kNames[] = {MPISIM_HB_RACES(MPISIM_TABLE_NAME)};
   return table_name(kNames, c);
@@ -77,6 +75,7 @@ HbChecker::HbChecker(bool enabled, int nranks, std::size_t max_intervals)
       clocks_(static_cast<std::size_t>(2 * nranks),
               HbClock(static_cast<std::size_t>(2 * nranks), 0)),
       dead_(static_cast<std::size_t>(2 * nranks), 0),
+      muted_(static_cast<std::size_t>(nranks), 0),
       per_rank_(static_cast<std::size_t>(2 * nranks)) {}
 
 void HbChecker::tick(int world_rank) {
@@ -170,7 +169,7 @@ void HbChecker::record_local_pending(std::uint64_t space, int target,
                                      int origin, int world_origin, OpKind kind,
                                      Op op, std::ptrdiff_t lo,
                                      std::ptrdiff_t hi, const char* scope) {
-  if (!enabled_ || muted_ != 0 || lo >= hi) return;
+  if (!enabled_ || muted(world_origin) || lo >= hi) return;
   Pending a;
   a.origin = origin;
   a.world_origin = world_origin;
@@ -385,7 +384,7 @@ void HbChecker::record_op(std::uint64_t space, int target, int origin,
                           int world_origin, OpKind kind, Op op,
                           std::ptrdiff_t lo, std::ptrdiff_t hi,
                           const char* scope) {
-  if (!enabled_ || muted_ != 0 || lo >= hi) return;
+  if (!enabled_ || muted(world_origin) || lo >= hi) return;
   Pending a;
   a.origin = origin;
   a.world_origin = world_origin;
@@ -405,7 +404,7 @@ void HbChecker::direct_op(std::uint64_t space, int target, int origin,
                           int world_origin, OpKind kind, Op op,
                           std::ptrdiff_t lo, std::ptrdiff_t hi,
                           const char* scope) {
-  if (!enabled_ || muted_ != 0 || lo >= hi) return;
+  if (!enabled_ || muted(world_origin) || lo >= hi) return;
   Pending a;
   a.origin = origin;
   a.world_origin = world_origin;
@@ -427,7 +426,7 @@ void HbChecker::direct_op(std::uint64_t space, int target, int origin,
 void HbChecker::access_begin(std::uint64_t space, int target, int origin,
                              int world_origin, bool write, std::ptrdiff_t lo,
                              std::ptrdiff_t hi, const char* scope) {
-  if (!enabled_ || muted_ != 0 || lo >= hi) return;
+  if (!enabled_ || muted(world_origin) || lo >= hi) return;
   Pending a;
   a.origin = origin;
   a.world_origin = world_origin;
@@ -445,7 +444,7 @@ void HbChecker::access_begin(std::uint64_t space, int target, int origin,
 
 void HbChecker::access_end(std::uint64_t space, int target, int world_origin,
                            std::ptrdiff_t lo) {
-  if (!enabled_ || muted_ != 0) return;
+  if (!enabled_ || muted(world_origin)) return;
   auto it = spaces_.find({space, target});
   if (it == spaces_.end()) return;
   TargetRec& t = it->second;

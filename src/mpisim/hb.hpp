@@ -51,7 +51,7 @@
 ///
 /// Thread-safety: every method except counts()/total_counts() must be
 /// called with SimCore::mu() held. Counters are atomics so the metrics
-/// exporters can read them from any rank thread without the lock.
+/// exporters can read them from any rank without the lock.
 
 #include <atomic>
 #include <cstddef>
@@ -121,16 +121,23 @@ class HbChecker {
   /// top bit over the GMR id keeps them disjoint from window ids.
   static constexpr std::uint64_t kNativeSpace = 1ull << 63;
 
-  /// RAII: suppress access recording on the calling thread. Used for
-  /// synchronization-word accesses (notify flags): like an atomic in TSan,
-  /// a sync word orders other data and is exempt from race checking itself
-  /// -- its ordering is expressed through channel_release/channel_acquire.
+  /// RAII: suppress the access recording of world rank \p world_rank
+  /// (other ranks keep recording). Used for synchronization-word accesses
+  /// (notify flags): like an atomic in TSan, a sync word orders other data
+  /// and is exempt from race checking itself -- its ordering is expressed
+  /// through channel_release/channel_acquire.
   class MuteScope {
    public:
-    MuteScope() noexcept { ++muted_; }
+    MuteScope(HbChecker& hb, int world_rank) noexcept
+        : muted_(hb.muted_[static_cast<std::size_t>(world_rank)]) {
+      ++muted_;
+    }
     ~MuteScope() { --muted_; }
     MuteScope(const MuteScope&) = delete;
     MuteScope& operator=(const MuteScope&) = delete;
+
+   private:
+    int& muted_;
   };
 
   // ---- synchronization edges (caller holds SimCore::mu()) ----
@@ -331,10 +338,13 @@ class HbChecker {
 
   [[noreturn]] void report(HbRace cls, int world_rank, std::string msg);
 
+  /// True inside a MuteScope of \p world (a rank or its persona).
+  bool muted(int world) const noexcept {
+    return muted_[static_cast<std::size_t>(world % nranks_)] != 0;
+  }
+
   /// "rank N", or "rank N's progress persona" for persona identities.
   std::string rank_desc(int world) const;
-
-  static thread_local int muted_;
 
   bool enabled_;
   int nranks_;
@@ -343,6 +353,7 @@ class HbChecker {
   std::uint64_t next_id_ = 1;
   std::vector<HbClock> clocks_;
   std::vector<std::uint8_t> dead_;
+  std::vector<int> muted_;  ///< per world rank: open MuteScopes
   std::map<SpaceKey, TargetRec> spaces_;
   std::map<std::uint64_t, HbClock> channels_;
   std::vector<PerRankCounts> per_rank_;

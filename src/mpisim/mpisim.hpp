@@ -4,7 +4,7 @@
 /// \file mpisim.hpp
 /// Umbrella header for the simulated MPI runtime.
 ///
-/// mpisim is a from-scratch, thread-per-rank substitute for an MPI-2 library
+/// mpisim is a from-scratch, fiber-per-rank substitute for an MPI-2 library
 /// (see DESIGN.md §2): communicators with two-sided messaging and
 /// collectives, derived datatypes, and passive-target RMA windows with
 /// MPI-2's strict semantics enforced. Performance is modeled in virtual

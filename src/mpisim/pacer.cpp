@@ -71,7 +71,7 @@ void Pacer::enter() {
   std::unique_lock lk(core.mu());
   p.active[me] = true;
   p.clocks[me] = ctx().clock().now_ns();
-  // Rendezvous: without it, a host-fast thread would see only itself
+  // Rendezvous: without it, the first rank to enter would see only itself
   // active, consider itself the minimum, and race ahead of the region.
   const std::uint64_t my_gen = p.generation;
   if (++p.arrived == p.comm.size()) {

@@ -4,17 +4,18 @@
 /// \file pacer.hpp
 /// Virtual-time pacing for dynamically load-balanced loops.
 ///
-/// The simulator races rank threads on the host's wall clock, but work
-/// distribution in a dynamically load-balanced loop (shared-counter task
-/// claiming) should be decided by the *modeled* clocks: a rank whose
+/// Work distribution in a dynamically load-balanced loop (shared-counter
+/// task claiming) should be decided by the *modeled* clocks: a rank whose
 /// virtual clock is ahead has, in the modeled execution, not yet finished
 /// its current task and must not claim the next one early. Pacer provides
 /// that ordering: inside an enter()/leave() region, pace() blocks the
-/// calling thread while its virtual clock is ahead of the minimum clock of
+/// calling rank while its virtual clock is ahead of the minimum clock of
 /// all ranks still in the region (plus an optional window). The rank at the
 /// minimum never blocks, so progress is guaranteed; the result is a
 /// deterministic, virtually-balanced task assignment -- a lightweight
-/// conservative parallel-discrete-event scheme for the task loop.
+/// conservative parallel-discrete-event scheme for the task loop. The rank
+/// scheduler (runtime.hpp) already runs ranks in virtual-clock order, so
+/// pacing is now redundant with it; retiring Pacer is open work.
 
 #include <memory>
 

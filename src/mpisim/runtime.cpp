@@ -1,19 +1,32 @@
 #include "src/mpisim/runtime.hpp"
 
-#include <limits.h>
+#include <cxxabi.h>
 #include <pthread.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <thread>
 
 #include "src/mpisim/comm.hpp"
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
+#ifdef __SANITIZE_THREAD__
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace mpisim {
 
 namespace {
 
+/// The running rank's context: the scheduler's current-rank pointer, set on
+/// every switch (null in the host context and outside run()).
 thread_local RankContext* t_ctx = nullptr;
 
 /// Config::rma_check, unless MPISIM_RMA_CHECK overrides it
@@ -66,10 +79,11 @@ SimCore::SimCore(const Config& cfg)
       checker_(effective_rma_check(cfg), cfg.nranks),
       hb_(effective_rma_check(cfg) == RmaCheck::race, cfg.nranks,
           cfg.rma_check_max_intervals),
-      slots_(static_cast<std::size_t>(cfg.nranks)),
+      fibers_(static_cast<std::size_t>(cfg.nranks)),
       mailboxes_(static_cast<std::size_t>(cfg.nranks)) {
   if (cfg.nranks < 1) raise(Errc::invalid_argument, "nranks < 1");
-  running_ = cfg.nranks;
+  runq_.reserve(static_cast<std::size_t>(cfg.nranks));
+  yielded_.reserve(static_cast<std::size_t>(cfg.nranks));
   dead_.assign(static_cast<std::size_t>(cfg.nranks), 0);
   death_ns_.assign(static_cast<std::size_t>(cfg.nranks), 0.0);
   ranks_.reserve(static_cast<std::size_t>(cfg.nranks));
@@ -94,38 +108,144 @@ void SimCore::wake_all_locked() noexcept {
   for (int r = 0; r < cfg_.nranks; ++r) wake_locked(r);
 }
 
-SimCore::WakeSlot& SimCore::wait_enter_locked() {
-  require_internal(t_ctx != nullptr, "blocking wait outside a rank thread");
-  WakeSlot& slot = slots_[static_cast<std::size_t>(t_ctx->rank())];
-  ++blocked_;
-  slot.waiting = true;
-  slot.pending = false;
-  slot.t0_ns = t_ctx->clock().now_ns();
-  note_time_locked(slot.t0_ns);
+SimCore::Fiber& SimCore::wait_enter_locked() {
+  require_internal(t_ctx != nullptr, "blocking wait outside a rank");
+  Fiber& f = fibers_[static_cast<std::size_t>(t_ctx->rank())];
+  f.waiting = true;
+  f.t0_ns = t_ctx->clock().now_ns();
+  note_time_locked(f.t0_ns);
   if (cfg_.wait_deadline_ns > 0.0)
     next_deadline_ns_ =
-        std::min(next_deadline_ns_, slot.t0_ns + cfg_.wait_deadline_ns);
-  return slot;
+        std::min(next_deadline_ns_, f.t0_ns + cfg_.wait_deadline_ns);
+  return f;
 }
 
-void SimCore::wait_exit_locked(WakeSlot& slot) noexcept {
-  --blocked_;
-  slot.waiting = false;
+void SimCore::wait_exit_locked(Fiber& f) noexcept { f.waiting = false; }
+
+// ---- scheduler ----
+//
+// The scheduler runs between critical sections: on a rank's fiber inside
+// SimMutex::lock() before the lock is taken, inside block() after it is
+// released, and at rank exit. It never switches with mu_ held.
+
+void SimMutex::lock() {
+  core_->maybe_hand_off();
+  require_internal(!held_, "recursive SimCore::mu() acquisition");
+  held_ = true;
 }
 
-bool SimCore::quiescent_locked() const noexcept {
-  if (running_ <= 0 || blocked_ != running_) return false;
-  for (const WakeSlot& s : slots_)
-    if (s.waiting && s.pending) return false;
-  return true;
+void SimCore::make_runnable(int r) noexcept {
+  fibers_[static_cast<std::size_t>(r)].state = Fiber::State::runnable;
+  runq_.push_back(key(r));
+  std::push_heap(runq_.begin(), runq_.end(), std::greater<>{});
+}
+
+void SimCore::maybe_hand_off() {
+  if (current_ < 0) return;
+  // Reaching this point counts as the caller's handoff for the yielded.
+  if (!yielded_.empty()) release_yielded();
+  if (runq_.empty() || !(runq_.front() < key(current_))) return;
+  reschedule(Fiber::State::runnable);
+}
+
+void SimCore::block(std::unique_lock<SimMutex>& lk) {
+  require_internal(lk.mutex() == &mu_ && lk.owns_lock(),
+                   "wait() without holding SimCore::mu()");
+  // Release and re-take behind \p lk's back: the re-take must not hand
+  // off again, and \p lk still owns the lock when the caller resumes.
+  mu_.held_ = false;
+  reschedule(Fiber::State::blocked);
+  mu_.held_ = true;
+}
+
+void SimCore::yield() {
+  require_internal(current_ >= 0 && !mu_.held_,
+                   "yield() outside a rank or under SimCore::mu()");
+  if (aborted_) throw_aborted();
+  if (runq_.empty() && yielded_.empty()) return;  // nobody else can run
+  reschedule(Fiber::State::yielded);
+}
+
+void SimCore::reschedule(Fiber::State s) {
+  require_internal(!mu_.held_, "rank switch under SimCore::mu()");
+  const int me = current_;
+  Fiber& f = fibers_[static_cast<std::size_t>(me)];
+  f.out_seq = ++switches_;
+  if (s == Fiber::State::runnable) {
+    make_runnable(me);
+  } else {
+    f.state = s;
+    if (s == Fiber::State::yielded) yielded_.push_back(me);
+  }
+  const int next = pick_next();
+  if (next == me) {
+    f.state = Fiber::State::running;
+    return;
+  }
+  switch_to(next);
+}
+
+void SimCore::release_yielded() noexcept {
+  const int y = yielded_.front();
+  const std::uint64_t since = fibers_[static_cast<std::size_t>(y)].out_seq;
+  for (const Key& k : runq_)
+    if (fibers_[static_cast<std::size_t>(k.second)].out_seq < since) return;
+  yielded_.erase(yielded_.begin());
+  make_runnable(y);
+}
+
+int SimCore::pick_next() noexcept {
+  if (!yielded_.empty()) release_yielded();
+  if (runq_.empty()) {
+    // Only blocked (or finished) ranks remain. If any is blocked, no
+    // predicate can ever become true again: every mutation runs on a
+    // rank, and none is left to run. Wake them all to raise the verdict.
+    const bool any_blocked =
+        std::any_of(fibers_.begin(), fibers_.end(), [](const Fiber& f) {
+          return f.state == Fiber::State::blocked;
+        });
+    if (!any_blocked) return -1;
+    deadlocked_ = true;
+    wake_all_locked();
+  }
+  std::pop_heap(runq_.begin(), runq_.end(), std::greater<>{});
+  const int next = runq_.back().second;
+  runq_.pop_back();
+  return next;
+}
+
+void SimCore::switch_to(int next) {
+  Fiber& from = fiber(current_);
+  Fiber& to = fiber(next);
+  void* eh = abi::__cxa_get_globals();
+  std::memcpy(&from.eh, eh, sizeof(EhGlobals));
+  std::memcpy(eh, &to.eh, sizeof(EhGlobals));
+  current_ = next;
+  t_ctx = next < 0 ? nullptr : ranks_[static_cast<std::size_t>(next)].get();
+  to.state = Fiber::State::running;
+#ifdef __SANITIZE_ADDRESS__
+  // A finished fiber never resumes: passing no save slot frees its fake
+  // stack.
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(
+      from.state == Fiber::State::done ? nullptr : &fake_stack, to.stack,
+      to.stack_bytes);
+#endif
+#ifdef __SANITIZE_THREAD__
+  __tsan_switch_to_fiber(to.tsan_fiber, 0);
+#endif
+  swapcontext(&from.uc, &to.uc);
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
 }
 
 void SimCore::wake_expired_locked() noexcept {
   next_deadline_ns_ = std::numeric_limits<double>::infinity();
   for (int r = 0; r < cfg_.nranks; ++r) {
-    const WakeSlot& s = slots_[static_cast<std::size_t>(r)];
-    if (!s.waiting) continue;
-    const double deadline = s.t0_ns + cfg_.wait_deadline_ns;
+    const Fiber& f = fibers_[static_cast<std::size_t>(r)];
+    if (!f.waiting) continue;
+    const double deadline = f.t0_ns + cfg_.wait_deadline_ns;
     if (latest_ns_ > deadline)
       wake_locked(r);
     else
@@ -213,15 +333,6 @@ void SimCore::observe_death_locked(int dead_rank, const char* site) {
           " ns)");
 }
 
-void SimCore::rank_exited() noexcept {
-  std::lock_guard lk(mu_);
-  --running_;
-  // An exit satisfies no predicate, but the survivors must re-evaluate
-  // quiescence: a rank leaving a rendezvous unmatched is how deadlocks from
-  // early exits arise.
-  wake_all_locked();
-}
-
 Mailbox& SimCore::mailbox(int r) {
   if (r < 0 || r >= cfg_.nranks)
     raise(Errc::rank_out_of_range, "mailbox rank " + std::to_string(r));
@@ -264,31 +375,29 @@ void SimCore::retire_published_obj(std::uint64_t key) {
   published_objs_.erase(key);
 }
 
-namespace {
+void SimCore::fiber_entry(unsigned lo, unsigned hi) {
+  auto* core = reinterpret_cast<SimCore*>(
+      (static_cast<std::uintptr_t>(hi) << 32) | std::uintptr_t{lo});
+  core->fiber_main(core->current_);
+}
 
-struct ThreadArg {
-  SimCore* core;
-  int rank;
-  const std::function<void()>* fn;
-};
-
-void* rank_thread_main(void* p) {
-  auto* arg = static_cast<ThreadArg*>(p);
-  SimCore& core = *arg->core;
-  RankContext& me = core.rank_ctx(arg->rank);
-  t_ctx = &me;
+void SimCore::fiber_main(int r) {
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
+#endif
+  RankContext& me = *ranks_[static_cast<std::size_t>(r)];
+  // No exception may leave the fiber: it has nowhere to unwind to.
   try {
-    (*arg->fn)();
+    (*rank_main_)();
   } catch (const MpiError& e) {
     // A survivable crash is an expected, per-rank failure: the victim is
     // already marked dead, peers observe Errc::crashed at their own
     // failure-aware sites, and the run continues over the survivors.
     // Anything else still tears the run down.
-    if (!(e.code() == Errc::crashed && core.survivable() &&
-          core.is_failed(me.rank())))
-      core.abort(std::current_exception());
+    if (!(e.code() == Errc::crashed && survivable() && is_failed(r)))
+      abort(std::current_exception());
   } catch (...) {
-    core.abort(std::current_exception());
+    abort(std::current_exception());
   }
   if (me.user_state_cleanup) {
     // Run the layer-above cleanup under the global lock: after a peer
@@ -297,7 +406,7 @@ void* rank_thread_main(void* p) {
     // the global memory they would copy into.
     std::exception_ptr cleanup_err;
     {
-      std::lock_guard lk(core.mu());
+      std::lock_guard lk(mu_);
       try {
         me.user_state_cleanup();
       } catch (...) {
@@ -306,46 +415,75 @@ void* rank_thread_main(void* p) {
       }
       me.user_state_cleanup = nullptr;
     }
-    if (cleanup_err) core.abort(cleanup_err);
+    if (cleanup_err) abort(cleanup_err);
   }
-  core.rank_exited();
-  t_ctx = nullptr;
-  return nullptr;
+  fibers_[static_cast<std::size_t>(r)].state = Fiber::State::done;
+  switch_to(pick_next());
+  std::abort();  // unreachable: a finished fiber is never resumed
 }
 
-}  // namespace
+void SimCore::run_fibers(const std::function<void()>& rank_main) {
+  rank_main_ = &rank_main;
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t stack =
+      (std::max<std::size_t>(cfg_.stack_bytes, 4 * page) + page - 1) / page *
+      page;
+#ifdef __SANITIZE_ADDRESS__
+  pthread_attr_t attr;
+  pthread_getattr_np(pthread_self(), &attr);
+  pthread_attr_getstack(&attr, &host_.stack, &host_.stack_bytes);
+  pthread_attr_destroy(&attr);
+#endif
+#ifdef __SANITIZE_THREAD__
+  host_.tsan_fiber = __tsan_get_current_fiber();
+#endif
+  const auto self = reinterpret_cast<std::uintptr_t>(this);
+  bool mapped = true;
+  for (int r = 0; r < cfg_.nranks && mapped; ++r) {
+    Fiber& f = fibers_[static_cast<std::size_t>(r)];
+    void* map = mmap(nullptr, page + stack, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    mapped = map != MAP_FAILED;
+    if (!mapped) {
+      abort(std::make_exception_ptr(MpiError(
+          Errc::internal,
+          "mpisim: cannot map the fiber stack of rank " + std::to_string(r))));
+      break;
+    }
+    mprotect(map, page, PROT_NONE);  // guard page: an overflow faults
+    f.stack = static_cast<char*>(map) + page;
+    f.stack_bytes = stack;
+    getcontext(&f.uc);
+    f.uc.uc_stack.ss_sp = f.stack;
+    f.uc.uc_stack.ss_size = stack;
+    f.uc.uc_link = nullptr;
+    makecontext(&f.uc, reinterpret_cast<void (*)()>(&SimCore::fiber_entry), 2,
+                static_cast<unsigned>(self & 0xffffffffu),
+                static_cast<unsigned>(self >> 32));
+#ifdef __SANITIZE_THREAD__
+    f.tsan_fiber = __tsan_create_fiber(0);
+#endif
+    make_runnable(r);
+  }
+  if (mapped) switch_to(pick_next());  // returns once every rank finished
+  for (Fiber& f : fibers_) {
+    if (f.stack == nullptr) continue;
+#ifdef __SANITIZE_THREAD__
+    __tsan_destroy_fiber(f.tsan_fiber);
+#endif
+    munmap(static_cast<char*>(f.stack) - page, page + f.stack_bytes);
+  }
+}
 
 void run(const Config& cfg, const std::function<void()>& rank_main) {
   if (t_ctx != nullptr)
     raise(Errc::invalid_argument, "nested mpisim::run() is not supported");
   SimCore core(cfg);
-
-  pthread_attr_t attr;
-  pthread_attr_init(&attr);
-  const std::size_t stack =
-      std::max<std::size_t>(cfg.stack_bytes, PTHREAD_STACK_MIN);
-  pthread_attr_setstacksize(&attr, stack);
-
-  std::vector<pthread_t> threads(static_cast<std::size_t>(cfg.nranks));
-  std::vector<ThreadArg> args(static_cast<std::size_t>(cfg.nranks));
-  for (int r = 0; r < cfg.nranks; ++r) {
-    args[static_cast<std::size_t>(r)] = {&core, r, &rank_main};
-    const int rc = pthread_create(&threads[static_cast<std::size_t>(r)], &attr,
-                                  rank_thread_main,
-                                  &args[static_cast<std::size_t>(r)]);
-    if (rc != 0) {
-      core.abort(std::make_exception_ptr(
-          MpiError(Errc::internal, "pthread_create failed")));
-      for (int j = 0; j < r; ++j)
-        pthread_join(threads[static_cast<std::size_t>(j)], nullptr);
-      pthread_attr_destroy(&attr);
-      raise(Errc::internal, "pthread_create failed for rank " +
-                                std::to_string(r));
-    }
-  }
-  pthread_attr_destroy(&attr);
-  for (pthread_t t : threads) pthread_join(t, nullptr);
-
+  // One fresh host thread runs every rank, leaving the caller's thread (and
+  // its CPU affinity) untouched.
+  std::thread host([&] { core.run_fibers(rank_main); });
+  host.join();
   if (core.first_error_) std::rethrow_exception(core.first_error_);
 }
 
@@ -364,6 +502,8 @@ RankContext& ctx() {
 }
 
 bool in_simulation() noexcept { return t_ctx != nullptr; }
+
+void yield() { ctx().core().yield(); }
 
 int rank() { return ctx().rank(); }
 

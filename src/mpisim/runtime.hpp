@@ -2,34 +2,38 @@
 #define MPISIM_RUNTIME_HPP
 
 /// \file runtime.hpp
-/// The simulator core: thread-per-rank SPMD execution.
+/// The simulator core: deterministic fiber-per-rank SPMD execution.
 ///
-/// mpisim::run(cfg, fn) launches cfg.nranks OS threads; each runs \p fn as
-/// one "MPI process". All mpisim calls locate their rank's context through a
-/// thread-local pointer, so user code reads like ordinary SPMD MPI code:
+/// mpisim::run(cfg, fn) runs \p fn as cfg.nranks "MPI processes". Each rank
+/// is a ucontext fiber, and all fibers share one host thread that run()
+/// spawns and joins (the caller's thread, and its CPU affinity, are left
+/// alone). All mpisim calls locate their rank's context through the
+/// scheduler's current-rank pointer, so user code reads like ordinary SPMD
+/// MPI code:
 ///
 ///     mpisim::run({.nranks = 4}, [] {
 ///       if (mpisim::rank() == 0) ...
 ///       mpisim::world().barrier();
 ///     });
 ///
-/// Shared simulator state is serialized by a single global mutex
-/// (SimCore::mu). This coarse locking is deliberate: the simulator's
-/// performance story is told in *virtual* time (SimClock + NetworkModel),
-/// while a single lock makes the many blocking-rendezvous protocols
-/// (receives, window locks, collectives) trivially race-free.
+/// Exactly one rank runs at a time, and the order is a pure function of
+/// the config and seed. Every acquisition of the core lock (SimCore::mu())
+/// is a scheduling point: the caller first hands off to any runnable rank
+/// with a smaller (virtual clock, rank) key. A blocking wait marks the rank
+/// blocked, releases the lock and switches to the next rank in that order.
+/// So lock grants, any-source matches and shared-counter claims happen in
+/// virtual-time order, and a handoff costs a context switch. The lock
+/// itself never contends; it marks the critical sections that must not
+/// switch.
 ///
-/// Blocking is per rank. Each rank owns a wake slot (a condition variable
-/// plus a pending-wake flag), and every state change wakes only the ranks
-/// it can unblock: a mailbox push wakes the destination, a lock grant the
-/// granted origin, a collective completion the communicator's members.
-/// Only abort, rank exit, rank death, the survivable lock purge and the
-/// deadlock verdict wake every rank. A run is deadlocked once every live
-/// rank is blocked and none has a pending wake.
+/// A state change wakes only the ranks it can unblock: a mailbox push wakes
+/// the destination, a lock grant the granted origin, a collective
+/// completion the communicator's members. Only abort, rank death, the
+/// survivable lock purge and the deadlock verdict wake every rank. A run is
+/// deadlocked when no rank is runnable while some are blocked.
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <ucontext.h>
+
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -38,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/mpisim/checker.hpp"
@@ -55,6 +60,7 @@ namespace mpisim {
 
 class Comm;
 struct CommImpl;
+class EpochPipeline;
 class SimCore;
 
 /// Simulation parameters.
@@ -82,8 +88,11 @@ struct Config {
   /// 0 (the default) takes the platform profile's ranks_per_node; > 0
   /// overrides it, letting tests co-locate or separate ranks at will.
   int ranks_per_node = 0;
-  /// Per-rank thread stack size in bytes (large rank counts need small
-  /// stacks; user code must keep big arrays on the heap).
+  /// Per-rank fiber stack size in bytes. Each stack is mmap'ed with a
+  /// PROT_NONE guard page below it, so an overflow faults instead of
+  /// corrupting a neighbour. Pages are committed on first touch: large rank
+  /// counts can take small stacks, and user code must keep big arrays on
+  /// the heap.
   std::size_t stack_bytes = 1 << 20;
   /// Deterministic fault schedule (fault.hpp). Disabled by default.
   FaultPlan fault;
@@ -111,7 +120,7 @@ struct Config {
 };
 
 /// Per-rank state. One instance per simulated process, owned by SimCore and
-/// bound to its thread via a thread_local pointer.
+/// current while its fiber runs.
 class RankContext {
  public:
   RankContext(SimCore& core, int rank);
@@ -137,8 +146,14 @@ class RankContext {
 
   /// Slot for the layer above (ARMCI keeps its per-process state here).
   void* user_state = nullptr;
-  /// Cleanup hook invoked when the rank thread finishes (even on error).
+  /// Cleanup hook invoked when the rank finishes (even on error).
   std::function<void()> user_state_cleanup;
+  /// Per-run sequence counter for the layer above; unlike user_state it
+  /// survives the layer's teardown (ARMCI numbers its GMRs with it).
+  std::uint64_t user_seq = 0;
+
+  /// Innermost EpochPipeline scope open on this rank (win.hpp).
+  EpochPipeline* active_pipeline = nullptr;
 
   /// Virtual-time latency of this rank's most recent failure observation
   /// (observation clock minus the victim's death time; < 0 until this rank
@@ -157,6 +172,26 @@ class RankContext {
   RegistrationCache mpi_reg_;
   RegistrationCache native_reg_;
   FaultInjector fault_;
+};
+
+/// The lock around shared simulator state (SimCore::mu()). Ranks share one
+/// host thread, so it never contends: lock() is the scheduler's hand-off
+/// point, and holding it marks a section that must not switch ranks.
+class SimMutex {
+ public:
+  explicit SimMutex(SimCore& core) noexcept : core_(&core) {}
+  SimMutex(const SimMutex&) = delete;
+  SimMutex& operator=(const SimMutex&) = delete;
+
+  /// Hand off to every runnable rank ordered before the caller, then take
+  /// the lock. Raises Errc::internal on a recursive acquisition.
+  void lock();
+  void unlock() noexcept { held_ = false; }
+
+ private:
+  friend class SimCore;
+  SimCore* core_;
+  bool held_ = false;
 };
 
 /// Shared simulation state for one run().
@@ -182,18 +217,17 @@ class SimCore {
   HbChecker& hb() noexcept { return hb_; }
 
   /// The global lock guarding all shared simulator state.
-  std::mutex& mu() noexcept { return mu_; }
+  SimMutex& mu() noexcept { return mu_; }
 
   /// Announce a state change that can satisfy world rank \p r's blocking
-  /// predicate: flags a pending wake (so the deadlock detector knows \p r
-  /// still has to re-evaluate) and wakes \p r if it is blocked. Caller must
-  /// hold mu(). Every mutation site must wake each rank whose predicate it
-  /// can flip; a missed rank sleeps until the 1 s safety net and can be
-  /// misjudged deadlocked.
+  /// predicate: a blocked \p r becomes runnable and re-evaluates it when
+  /// its turn comes. Caller must hold mu(). Every mutation site must wake
+  /// each rank whose predicate it can flip; a missed rank stays blocked
+  /// and can be judged deadlocked.
   void wake_locked(int r) noexcept {
-    WakeSlot& s = slots_[static_cast<std::size_t>(r)];
-    s.pending = true;
-    if (s.waiting) s.cv.notify_one();
+    Fiber& f = fibers_[static_cast<std::size_t>(r)];
+    if (f.state != Fiber::State::blocked) return;
+    make_runnable(r);
   }
 
   /// wake_locked() for each world rank in \p ranks.
@@ -201,65 +235,54 @@ class SimCore {
     for (int r : ranks) wake_locked(r);
   }
 
-  /// Wake every rank (abort, rank exit or death, survivable purge,
-  /// deadlock verdict). Caller must hold mu().
+  /// Wake every rank (abort, rank death, survivable purge, deadlock
+  /// verdict). Caller must hold mu().
   void wake_all_locked() noexcept;
 
-  /// Block until \p pred() holds, waking when a peer wakes this rank.
-  /// Raises Errc::aborted if another rank failed meanwhile, and
-  /// Errc::wait_timeout when every live rank is blocked (deadlock) or when
+  /// Block until \p pred() holds, re-evaluating it whenever a peer wakes
+  /// this rank. Raises Errc::aborted if another rank failed meanwhile, and
+  /// Errc::wait_timeout when no rank is left runnable (deadlock) or when
   /// the virtual-time deadline (Config::wait_deadline_ns) expires first.
-  /// \p lk must hold mu() and the caller must be a rank thread; \p site
-  /// names the wait in diagnostics.
+  /// \p lk must hold mu() and the caller must be a rank; \p site names the
+  /// wait in diagnostics.
   template <typename Pred>
-  void wait(std::unique_lock<std::mutex>& lk, Pred pred,
+  void wait(std::unique_lock<SimMutex>& lk, Pred pred,
             const char* site = "blocking wait") {
     if (aborted_) throw_aborted();
     if (pred()) return;
-    WakeSlot& slot = wait_enter_locked();
+    Fiber& me = wait_enter_locked();
     for (;;) {
       if (deadlocked_) {
-        wait_exit_locked(slot);
-        throw_wait_timeout(site, /*deadlock=*/true, slot.t0_ns);
+        wait_exit_locked(me);
+        throw_wait_timeout(site, /*deadlock=*/true, me.t0_ns);
       }
       if (cfg_.wait_deadline_ns > 0.0 &&
-          latest_ns_ - slot.t0_ns > cfg_.wait_deadline_ns) {
-        wait_exit_locked(slot);
-        throw_wait_timeout(site, /*deadlock=*/false, slot.t0_ns);
+          latest_ns_ - me.t0_ns > cfg_.wait_deadline_ns) {
+        wait_exit_locked(me);
+        throw_wait_timeout(site, /*deadlock=*/false, me.t0_ns);
       }
-      // Our predicate is false against the current state and no wake is
-      // pending for us. Deadlock is certain -- not merely suspected -- once
-      // that holds for every live rank: all mutations run under mu() on a
-      // live rank and wake the ranks they can unblock, so no predicate can
-      // ever become true again. A peer woken but not yet rescheduled still
-      // carries its pending flag, which defers the verdict until it
-      // actually re-evaluates, so host-scheduling stalls cannot fake one.
-      if (quiescent_locked()) {
-        deadlocked_ = true;
-        wake_all_locked();
-        wait_exit_locked(slot);
-        throw_wait_timeout(site, /*deadlock=*/true, slot.t0_ns);
-      }
-      // The timeout is only a safety net: every relevant transition wakes
-      // the ranks it concerns.
-      slot.cv.wait_for(lk, std::chrono::seconds(1),
-                       [&] { return slot.pending; });
-      slot.pending = false;
+      block(lk);
       if (aborted_) {
-        wait_exit_locked(slot);
+        wait_exit_locked(me);
         throw_aborted();
       }
       if (pred()) {
-        wait_exit_locked(slot);
+        wait_exit_locked(me);
         return;
       }
     }
   }
 
+  /// The calling rank continues only after every other runnable rank has
+  /// run to its next handoff or blocked, whatever its clock (see
+  /// mpisim::yield()). Raises Errc::aborted once a peer failed. Caller
+  /// must be a rank and must not hold mu().
+  void yield();
+
   /// Record the first failure and wake all blocked ranks.
   void abort(std::exception_ptr err) noexcept;
 
-  /// True once any rank failed. Safe to poll without holding mu().
+  /// True once any rank failed.
   bool aborted() const noexcept { return aborted_; }
 
   /// Raise Errc::aborted if a peer already failed; caller must hold mu().
@@ -310,13 +333,13 @@ class SimCore {
   /// The calling rank observes \p dead_rank's death without failing: its
   /// clock advances to the detector bound and its detection-latency gauge
   /// is stamped (read-failover sites survive the death, so no throw).
-  /// Caller must hold mu() and be a rank thread.
+  /// Caller must hold mu() and be a rank.
   void note_death_observed_locked(int dead_rank);
 
   /// The calling rank observes \p dead_rank's death: its clock advances to
   /// the detector bound (death time + FaultPlan::detect_period_ns), its
   /// detection-latency gauge is stamped, and Errc::crashed is raised.
-  /// Caller must hold mu() and be a rank thread.
+  /// Caller must hold mu() and be a rank.
   [[noreturn]] void observe_death_locked(int dead_rank, const char* site);
 
   /// Raise Errc::crashed via observe_death_locked() when \p target is
@@ -336,8 +359,6 @@ class SimCore {
     if (now_ns > next_deadline_ns_) wake_expired_locked();
   }
 
-  /// A rank's thread is exiting (normally or after a failure).
-  void rank_exited() noexcept;
 
   /// Mailbox of world rank \p r (access under mu()).
   Mailbox& mailbox(int r);
@@ -390,24 +411,84 @@ class SimCore {
 
  private:
   friend void run(const Config&, const std::function<void()>&);
+  friend class SimMutex;
 
-  /// One rank's blocking state.
-  struct WakeSlot {
-    std::condition_variable cv;
-    bool waiting = false;  ///< inside wait()
-    bool pending = false;  ///< woken since its last predicate evaluation
-    double t0_ns = 0.0;    ///< entry time of the current wait
+  /// The layout of the C++ runtime's per-thread exception state
+  /// (__cxa_get_globals(): the caught-exception stack and the uncaught
+  /// count), copied out and in on every switch so a rank that blocks
+  /// inside a catch block gets its own exception back.
+  struct EhGlobals {
+    void* caught = nullptr;
+    unsigned int uncaught = 0;
   };
 
-  /// Count the calling rank as blocked, clear its pending wake (its
-  /// predicate was just found false) and publish its clock as the wait's
+  /// One rank's fiber and scheduling state.
+  struct Fiber {
+    enum class State : std::uint8_t {
+      runnable,  ///< in the run queue
+      running,   ///< the current rank
+      blocked,   ///< inside wait(), not yet woken
+      yielded,   ///< inside yield(), waiting for its peers' turns
+      done,      ///< returned from the rank body
+    };
+    State state = State::runnable;
+    bool waiting = false;      ///< inside wait() (blocked or woken)
+    double t0_ns = 0.0;        ///< entry time of the current wait
+    std::uint64_t out_seq = 0; ///< switch count when it last switched out
+    ucontext_t uc{};
+    void* stack = nullptr;     ///< lowest stack address (guard page below)
+    std::size_t stack_bytes = 0;
+    EhGlobals eh;
+    void* tsan_fiber = nullptr;
+  };
+
+  /// Rank \p r's fiber, or the host context's for -1.
+  Fiber& fiber(int r) noexcept {
+    return r < 0 ? host_ : fibers_[static_cast<std::size_t>(r)];
+  }
+
+  /// Scheduling key: the runnable rank with the smallest one runs next.
+  using Key = std::pair<double, int>;
+  Key key(int r) const noexcept {
+    return {ranks_[static_cast<std::size_t>(r)]->clock().now_ns(), r};
+  }
+
+  /// Queue \p r as runnable under its current key.
+  void make_runnable(int r) noexcept;
+  /// The calling rank reached a scheduling point (SimMutex::lock): hand
+  /// off if a runnable rank's key is below its own.
+  void maybe_hand_off();
+  /// The current rank leaves the running state for \p s and the next rank
+  /// runs; returns when the caller is scheduled again.
+  void reschedule(Fiber::State s);
+  /// Make the oldest yielded rank runnable once every queued rank has
+  /// switched out since it yielded.
+  void release_yielded() noexcept;
+  /// Mark the caller blocked, release mu(), run other ranks until one wakes
+  /// the caller, then re-take mu() without a hand-off (\p lk owns it
+  /// throughout).
+  void block(std::unique_lock<SimMutex>& lk);
+  /// The next rank to run (-1 if none is runnable): the smallest key among
+  /// the queued ranks and the yielded ranks whose peers have all had a turn
+  /// since. Declares a deadlock (waking every blocked rank) when only
+  /// blocked ranks remain.
+  int pick_next() noexcept;
+  /// Leave the current context (its state already set) for \p next, or
+  /// for the host context when \p next is -1; returns when the caller is
+  /// next scheduled.
+  void switch_to(int next);
+  /// Fiber entry and exit of rank \p r; never returns.
+  [[noreturn]] void fiber_main(int r);
+  static void fiber_entry(unsigned lo, unsigned hi);
+  /// Create the fibers, run them to completion on the calling host thread
+  /// and release their stacks.
+  void run_fibers(const std::function<void()>& rank_main);
+
+  /// Count the calling rank as waiting and publish its clock as the wait's
   /// entry time (deadline reference point). Caller must hold mu() and be a
-  /// rank thread.
-  WakeSlot& wait_enter_locked();
-  void wait_exit_locked(WakeSlot& slot) noexcept;
-  /// True when every live rank is blocked and none has a pending wake: a
-  /// certain deadlock. Caller must hold mu().
-  bool quiescent_locked() const noexcept;
+  /// rank.
+  Fiber& wait_enter_locked();
+  void wait_exit_locked(Fiber& f) noexcept;
   /// Wake the waiters whose virtual-time deadline latest_ns_ has passed and
   /// recompute next_deadline_ns_. Caller must hold mu().
   void wake_expired_locked() noexcept;
@@ -421,18 +502,24 @@ class SimCore {
   RmaChecker checker_;
   HbChecker hb_;
 
-  std::mutex mu_;
-  std::atomic<bool> aborted_{false};
+  SimMutex mu_{*this};
+  bool aborted_ = false;
   std::exception_ptr first_error_;
 
-  // Liveness accounting (all under mu_ except the atomic aborted_ above).
-  std::vector<WakeSlot> slots_;  ///< per rank
-  int running_ = 0;            ///< rank threads not yet exited
-  int blocked_ = 0;            ///< ranks currently inside wait()
-  bool deadlocked_ = false;    ///< sticky: quiescence was detected
+  // Scheduler state. The scheduler runs between critical sections (see
+  // runtime.cpp); inside one, wake_locked() only queues ranks.
+  std::vector<Fiber> fibers_;   ///< per rank
+  std::vector<Key> runq_;       ///< min-heap of the runnable ranks' keys
+  std::vector<int> yielded_;    ///< ranks inside yield()
+  int current_ = -1;            ///< running rank; -1 = the host context
+  std::uint64_t switches_ = 0;  ///< switch-outs so far (Fiber::out_seq)
+  Fiber host_;                  ///< the host thread's own context
+  const std::function<void()>* rank_main_ = nullptr;
+
+  bool deadlocked_ = false;    ///< sticky: no rank was left runnable
   double latest_ns_ = 0.0;     ///< high-water published virtual time
   /// Earliest wait deadline (entry + Config::wait_deadline_ns) among the
-  /// blocked ranks not yet woken for it; +inf when deadlines are off.
+  /// waiting ranks not yet woken for it; +inf when deadlines are off.
   double next_deadline_ns_ = std::numeric_limits<double>::infinity();
   std::vector<std::uint8_t> dead_;  ///< per rank: declared dead? (survivable)
   std::vector<double> death_ns_;    ///< per rank: virtual death time
@@ -455,6 +542,12 @@ void run(const Config& cfg, const std::function<void()>& rank_main);
 
 /// Convenience overload.
 void run(int nranks, Platform platform, const std::function<void()>& rank_main);
+
+/// Let every other runnable rank run to its next handoff or block before
+/// the caller continues, whatever the clocks. A loop that spins on host
+/// state another rank sets must call this each iteration: ranks share one
+/// host thread, so a spin that never hands off never lets the setter run.
+void yield();
 
 /// Context of the calling simulated process (throws outside run()).
 RankContext& ctx();

@@ -64,8 +64,8 @@ struct WinStats {
   MPISIM_WIN_STATS(MPISIM_TABLE_U64_FIELD)
 };
 
-/// Per-rank trace sink. Owned by the rank's context and touched only from
-/// the rank's own thread, so no locking is needed (same rule as SimClock).
+/// Per-rank trace sink. Owned by the rank's context and touched only by
+/// the rank itself, so no locking is needed (same rule as SimClock).
 class Tracer {
  public:
   explicit Tracer(const SimClock& clock) : clock_(&clock) {}

@@ -292,24 +292,19 @@ using detail::WinImpl;
 // EpochPipeline
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Innermost pipeline scope of the calling rank (one rank == one thread).
-thread_local EpochPipeline* g_active_pipeline = nullptr;
-
-}  // namespace
-
-EpochPipeline::EpochPipeline() : prev_(g_active_pipeline) {
-  g_active_pipeline = this;
+EpochPipeline::EpochPipeline() : prev_(ctx().active_pipeline) {
+  ctx().active_pipeline = this;
 }
 
 EpochPipeline::~EpochPipeline() {
-  g_active_pipeline = prev_;
+  ctx().active_pipeline = prev_;
   const double ns = pending_ns();
   if (ns > 0.0) ctx().clock().advance(ns);
 }
 
-EpochPipeline* EpochPipeline::active() noexcept { return g_active_pipeline; }
+EpochPipeline* EpochPipeline::active() noexcept {
+  return in_simulation() ? ctx().active_pipeline : nullptr;
+}
 
 void EpochPipeline::defer_round_trip(std::uint64_t win_id, int target_rank,
                                      double ns) {

@@ -66,8 +66,7 @@ struct WinImpl;
 /// Used by the ARMCI nonblocking aggregation engine when one completion
 /// point drains queues bound for several targets (the GA layer's per-owner
 /// pipelining). Scopes nest; an inner scope charges its own maximum at its
-/// own exit. One rank is one simulator thread, so the active scope is
-/// thread-local.
+/// own exit. The active scope is per rank (RankContext::active_pipeline).
 class EpochPipeline {
  public:
   EpochPipeline();

@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/am/am.hpp"
@@ -350,7 +349,7 @@ TEST(AmHbRacePositiveTest, ReadOfHandlerWriteBeforeCompletionRaces) {
       // (a sim message from rank 1 would hand us the persona clock via the
       // owner's post-serve join and hide the race).
       while (!handler_ran.load(std::memory_order_acquire))
-        std::this_thread::yield();
+        mpisim::yield();
       char priv[kBytes] = {0};
       try {
         armci::get(bases[1], priv, kBytes, 1);

@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/armci/armci.hpp"
@@ -155,7 +154,7 @@ TEST_P(ArmciHbRacePositiveTest, UnprotectedReadOfMutexGuardedCounterRaces) {
       ready.store(true, std::memory_order_release);
     } else if (mpisim::rank() == 1) {
       while (!ready.load(std::memory_order_acquire))
-        std::this_thread::yield();
+        mpisim::yield();
       std::int64_t v = 0;
       try {
         get(counter, &v, sizeof v, host);  // no mutex: nothing orders us

@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "src/am/am.hpp"
@@ -193,7 +192,7 @@ TEST(AmDhtChaosTest, FloodingAStalledRankHitsTheCapCleanly) {
       // everything that was accepted is still served, and the high-water
       // gauge recorded the pressure.
       while (!capped.load(std::memory_order_acquire))
-        std::this_thread::yield();
+        mpisim::yield();
       {
         std::lock_guard lk(mpisim::ctx().core().mu());
         EXPECT_GE(mpisim::ctx()

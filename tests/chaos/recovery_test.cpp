@@ -17,7 +17,6 @@
 #include <memory>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/armci/armci.hpp"
@@ -69,7 +68,7 @@ void crash_self() {
 /// caller is not blocked in a simulator wait, so deadlock detection is
 /// unaffected; the victim's own death poke makes progress visible.
 void await_death(int victim) {
-  while (!is_failed(victim)) std::this_thread::yield();
+  while (!is_failed(victim)) mpisim::yield();
 }
 
 /// Run \p workload under a survivable one-victim crash schedule. The

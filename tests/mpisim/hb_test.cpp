@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/mpisim/error.hpp"
@@ -197,13 +196,43 @@ TEST(HbTest, PublishedPutWithoutAnEdgeRaces) {
       ready.store(true, std::memory_order_release);
     } else {
       while (!ready.load(std::memory_order_acquire))
-        std::this_thread::yield();
+        mpisim::yield();
       const std::string msg = expect_race(
           [&] { win.put(src, sizeof src, 0, sizeof(double)); });
       EXPECT_TRUE(contains(msg, "[ww]")) << msg;
       EXPECT_TRUE(contains(msg, "published at flush")) << msg;
       EXPECT_TRUE(contains(msg, "no synchronization")) << msg;
       EXPECT_EQ(my_races().ww, 1u);
+    }
+    win.unlock_all();
+    world().barrier();
+    win.free();
+  });
+}
+
+// A MuteScope mutes only the rank that opened it: every rank shares one
+// host thread, so a host-thread-wide mute would hide this race.
+TEST(HbTest, MuteScopeOnOneRankLeavesOthersRecording) {
+  std::atomic<bool> muted{false};
+  std::atomic<bool> raced{false};
+  run(race_cfg(2), [&] {
+    std::vector<double> mem(8, 0.0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(double), world());
+    const double src[2] = {1.0, 2.0};
+    win.lock_all();
+    if (rank() == 0) {
+      win.put(src, sizeof src, 0, 0);
+      win.flush(0);
+      HbChecker::MuteScope mute(ctx().core().hb(), 0);
+      muted.store(true, std::memory_order_release);
+      while (!raced.load(std::memory_order_acquire)) mpisim::yield();
+    } else {
+      while (!muted.load(std::memory_order_acquire)) mpisim::yield();
+      const std::string msg = expect_race(
+          [&] { win.put(src, sizeof src, 0, sizeof(double)); });
+      EXPECT_TRUE(contains(msg, "[ww]")) << msg;
+      EXPECT_EQ(my_races().ww, 1u);
+      raced.store(true, std::memory_order_release);
     }
     win.unlock_all();
     world().barrier();
@@ -250,7 +279,7 @@ TEST(HbTest, ExclusiveLockHandoffOrdersEpochs) {
       ready.store(true, std::memory_order_release);
     } else {
       while (!ready.load(std::memory_order_acquire))
-        std::this_thread::yield();
+        mpisim::yield();
       win.lock(LockType::exclusive, 0);
       win.put(src, sizeof src, 0, 0);  // same bytes; ordered via the slot
       win.unlock(0);
@@ -280,7 +309,7 @@ TEST(HbTest, SerializedSharedEpochsWithoutAnEdgeRace) {
       ready.store(true, std::memory_order_release);
     } else {
       while (!ready.load(std::memory_order_acquire))
-        std::this_thread::yield();
+        mpisim::yield();
       win.lock(LockType::shared, 0);
       const std::string msg =
           expect_race([&] { win.put(src, sizeof src, 0, 0); });
@@ -309,7 +338,7 @@ TEST(HbTest, SharedUnlockToExclusiveGrantIsAnEdge) {
       ready.store(true, std::memory_order_release);
     } else {
       while (!ready.load(std::memory_order_acquire))
-        std::this_thread::yield();
+        mpisim::yield();
       win.lock(LockType::exclusive, 0);
       win.put(src, sizeof src, 0, 0);
       win.unlock(0);
@@ -363,7 +392,7 @@ TEST(HbTest, ShmDirectStoreAgainstPublishedPutRaces) {
       ready.store(true, std::memory_order_release);
     } else {
       while (!ready.load(std::memory_order_acquire))
-        std::this_thread::yield();
+        mpisim::yield();
       const std::string msg =
           expect_race([&] { win.shm_put(src, sizeof src, 1, 0); });
       EXPECT_TRUE(contains(msg, "[shm]")) << msg;
@@ -402,8 +431,8 @@ TEST(HbTest, DeadOriginRequiresARecoveryEdge) {
       world().barrier();
       std::abort();  // unreachable: the fault point must throw
     }
-    while (!wrote.load(std::memory_order_acquire)) std::this_thread::yield();
-    while (!ctx().core().is_failed(victim)) std::this_thread::yield();
+    while (!wrote.load(std::memory_order_acquire)) mpisim::yield();
+    while (!ctx().core().is_failed(victim)) mpisim::yield();
     if (rank() == 1) {
       const std::string msg =
           expect_race([&] { win.put(src, sizeof src, 2, 0); });
@@ -546,7 +575,7 @@ TEST(HbCheckerUnit, MuteScopeSuppressesRecording) {
   HbChecker hb(true, 2, 0);
   publish_put(hb, 0, 0, 8);
   {
-    HbChecker::MuteScope mute;
+    HbChecker::MuteScope mute(hb, 1);
     // Would race without the mute; sync-word accesses are exempt.
     EXPECT_NO_THROW(
         hb.record_op(7, 0, 1, 1, OpKind::put, Op::replace, 0, 8, nullptr));

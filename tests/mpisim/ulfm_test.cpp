@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "src/mpisim/comm.hpp"
@@ -45,7 +44,7 @@ Config survivable_cfg(int nranks, std::vector<RankCrashSpec> crashes) {
 /// Spin (host time) until the core has declared \p victim dead. The caller
 /// is not blocked in wait(), so quiescence detection is unaffected.
 void await_death(int victim) {
-  while (!ctx().core().is_failed(victim)) std::this_thread::yield();
+  while (!ctx().core().is_failed(victim)) mpisim::yield();
 }
 
 TEST(SurvivableTest, CrashMarksVictimDeadAndLiveRanksComplete) {
