@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "src/armci/accops.hpp"
 #include "src/armci/epoch_guard.hpp"
@@ -243,11 +242,9 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
 
   // Resolve every remote segment and group by GMR, preserving order.
   std::vector<GmrLoc> locs(n);
-  std::map<const Gmr*, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < n; ++i) {
     const void* remote = is_get ? giov.src[i] : giov.dst[i];
     locs[i] = st_->table.require(proc, remote, bytes);
-    groups[locs[i].gmr.get()].push_back(i);
   }
 
   const std::size_t limit = st_->opts.iov_batched_limit;
@@ -256,7 +253,7 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
     mpisim::raise(Errc::invalid_argument,
                   "IOV segment length not a multiple of the element size");
   const Datatype d = Datatype::basic(basic_type_of_acc(at));
-  for (const auto& [gmr_ptr, idxs] : groups) {
+  for (const auto& idxs : group_by_gmr(locs)) {
     const Gmr& gmr = *locs[idxs.front()].gmr;
     const int grank = locs[idxs.front()].target_rank;
     const LockType lt = epoch_lock(gmr, kind);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <vector>
 
 #include "src/armci/accops.hpp"
@@ -245,14 +244,12 @@ void Mpi3Backend::iov(OneSided kind, std::span<const Giov> vec, int proc,
 
     // Group segments by owning GMR.
     std::vector<GmrLoc> locs(g.src.size());
-    std::map<const Gmr*, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < g.src.size(); ++i) {
       const void* remote = is_get ? g.src[i] : g.dst[i];
       locs[i] = st_->table.require(proc, remote, g.bytes);
-      groups[locs[i].gmr.get()].push_back(i);
     }
 
-    for (const auto& [gmr_ptr, idxs] : groups) {
+    for (const auto& idxs : group_by_gmr(locs)) {
       if (direct_path(locs[idxs.front()])) {
         // Same-node IOV: each descriptor segment is a direct copy; the
         // per-segment GmrLoc already carries its displacement.

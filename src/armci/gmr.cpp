@@ -1,5 +1,7 @@
 #include "src/armci/gmr.hpp"
 
+#include <algorithm>
+
 #include "src/mpisim/error.hpp"
 #include "src/mpisim/runtime.hpp"
 
@@ -81,6 +83,22 @@ bool GmrTable::overlaps_global(int proc, const void* addr,
   const int grank = gmr->group.rank_of(proc);
   const std::size_t size = gmr->sizes[static_cast<std::size_t>(grank)];
   return it->first + size > a;
+}
+
+std::vector<std::vector<std::size_t>> group_by_gmr(
+    const std::vector<GmrLoc>& locs) {
+  std::vector<const Gmr*> keys;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < locs.size(); ++i) {
+    const auto it = std::find(keys.begin(), keys.end(), locs[i].gmr.get());
+    if (it == keys.end()) {
+      keys.push_back(locs[i].gmr.get());
+      groups.push_back({i});
+    } else {
+      groups[static_cast<std::size_t>(it - keys.begin())].push_back(i);
+    }
+  }
+  return groups;
 }
 
 std::vector<std::shared_ptr<Gmr>> GmrTable::all() const {

@@ -74,6 +74,12 @@ struct GmrLoc {
   Locality locality = Locality::remote;
 };
 
+/// Indices into \p locs grouped by GMR, the groups in order of first
+/// appearance. Never ordered by GMR address: that would tie the issue order
+/// to the heap layout.
+std::vector<std::vector<std::size_t>> group_by_gmr(
+    const std::vector<GmrLoc>& locs);
+
 /// Per-process translation table from (absolute proc, address) to GMR.
 class GmrTable {
  public:

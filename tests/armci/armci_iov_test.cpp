@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/armci/armci.hpp"
+#include "src/armci/gmr.hpp"
 #include "src/mpisim/runtime.hpp"
 
 namespace armci {
@@ -388,6 +389,24 @@ TEST(ArmciIovDirectTest, MultiGmrUnderDirectIsErroneous) {
                     barrier();
                   }),
       mpisim::MpiError);
+}
+
+// Batched IOV issues one epoch per GMR, in the order the GMRs first appear
+// in the descriptor, whatever their heap addresses: issue order fixes the
+// virtual timeline, so it must not follow the allocator's layout.
+TEST(ArmciIovGroupTest, GroupsFollowFirstAppearanceNotAddress) {
+  auto lo = std::make_shared<Gmr>();
+  auto hi = std::make_shared<Gmr>();
+  if (hi.get() < lo.get()) std::swap(lo, hi);
+  std::vector<GmrLoc> locs(4);
+  locs[0].gmr = hi;
+  locs[1].gmr = lo;
+  locs[2].gmr = hi;
+  locs[3].gmr = lo;
+  const std::vector<std::vector<std::size_t>> groups = group_by_gmr(locs);
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0], (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(groups[1], (std::vector<std::size_t>{1, 3}));
 }
 
 }  // namespace
