@@ -17,7 +17,7 @@
 /// Arguments and replies are POD byte strings with hard size bounds
 /// (kMaxArgBytes / kMaxReplyBytes): the layer copies them eagerly into the
 /// message, so handlers never see caller memory. Handlers execute on the
-/// receiver's thread under its *progress persona* identity for the
+/// receiving rank under its *progress persona* identity for the
 /// happens-before race detector (MPISIM_RMA_CHECK=race): memory a handler
 /// touches (declared via am::touch) is published with the persona's clock,
 /// the reply carries that clock to the origin, and the termination detector
@@ -56,7 +56,7 @@ inline constexpr std::size_t kMaxReplyBytes = 4096;
 /// Number of independent termination-detector counters (gce ids 0..3).
 inline constexpr int kNumGces = 4;
 
-/// A request handler. Runs on the target's thread; \p src is the
+/// A request handler. Runs on the target rank; \p src is the
 /// requester's world rank, [arg, arg+bytes) the argument bytes. Writes at
 /// most \p reply_capacity bytes into \p reply and returns the reply size
 /// (ignored for fire-and-forget delegates).

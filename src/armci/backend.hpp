@@ -24,8 +24,8 @@ struct ProcState;
 /// Kind of one-sided data transfer.
 enum class OneSided { put, get, acc };
 
-/// Per-process backend instance. All methods are called on the owning
-/// process's thread; collective methods are documented as such.
+/// Per-process backend instance. All methods are called by the owning
+/// rank; collective methods are documented as such.
 class CommBackend {
  public:
   virtual ~CommBackend() = default;

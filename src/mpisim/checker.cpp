@@ -240,9 +240,8 @@ void RmaChecker::flag(std::vector<Violation>& pending, RmaViolation cls,
                       int world_rank, std::string msg) {
   if (world_rank >= 0 &&
       world_rank < static_cast<int>(per_rank_.size()))
-    per_rank_[static_cast<std::size_t>(world_rank)]
-        .v[static_cast<int>(cls)]
-        .fetch_add(1, std::memory_order_relaxed);
+    ++per_rank_[static_cast<std::size_t>(world_rank)]
+          .v[static_cast<int>(cls)];
   pending.push_back({cls, std::move(msg)});
 }
 
@@ -497,9 +496,8 @@ void RmaChecker::access_end(std::uint64_t win, int target, int accessor,
 
 void RmaChecker::note_discipline(int world_rank) noexcept {
   if (world_rank >= 0 && world_rank < static_cast<int>(per_rank_.size()))
-    per_rank_[static_cast<std::size_t>(world_rank)]
-        .v[static_cast<int>(RmaViolation::discipline)]
-        .fetch_add(1, std::memory_order_relaxed);
+    ++per_rank_[static_cast<std::size_t>(world_rank)]
+          .v[static_cast<int>(RmaViolation::discipline)];
 }
 
 RmaCheckCounts RmaChecker::counts(int world_rank) const noexcept {
@@ -507,9 +505,7 @@ RmaCheckCounts RmaChecker::counts(int world_rank) const noexcept {
   if (world_rank < 0 || world_rank >= static_cast<int>(per_rank_.size()))
     return c;
   const PerRankCounts& p = per_rank_[static_cast<std::size_t>(world_rank)];
-#define MPISIM_LOAD(name)                                                    \
-  c.name = p.v[static_cast<int>(RmaViolation::name)].load(                   \
-      std::memory_order_relaxed);
+#define MPISIM_LOAD(name) c.name = p.v[static_cast<int>(RmaViolation::name)];
   MPISIM_RMA_VIOLATIONS(MPISIM_LOAD)
 #undef MPISIM_LOAD
   return c;

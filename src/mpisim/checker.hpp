@@ -44,14 +44,8 @@
 ///
 /// Epochs opened by lock_all() follow MPI-3 semantics (conflicting accesses
 /// have undefined *values* but are not erroneous) and are not tracked.
-///
-/// Thread-safety: every method except counts()/total_counts()/
-/// note_discipline() must be called with SimCore::mu() held (they mutate
-/// shared per-window state). Counters are atomics so the metrics exporters
-/// can read them from any rank without the lock.
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -200,10 +194,10 @@ class RmaChecker {
                   std::ptrdiff_t lo);
 
   /// Lock-discipline misuse detected by the window layer (which raises the
-  /// classified Errc itself); the checker only counts it. Lock-free.
+  /// classified Errc itself); the checker only counts it.
   void note_discipline(int world_rank) noexcept;
 
-  // ---- counters (lock-free reads) ----
+  // ---- counters ----
 
   RmaCheckCounts counts(int world_rank) const noexcept;
   RmaCheckCounts total_counts() const noexcept;
@@ -281,7 +275,7 @@ class RmaChecker {
   };
 
   struct PerRankCounts {
-    std::atomic<std::uint64_t> v[kRmaViolationCount] = {};
+    std::uint64_t v[kRmaViolationCount] = {};
   };
 
   /// What a conflict query matched: which set, and for accumulates which op.

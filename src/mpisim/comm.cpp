@@ -10,57 +10,6 @@ namespace mpisim {
 
 namespace {
 
-/// Communicator id reserved for runtime-internal rendezvous (leader
-/// handshakes of intercomm_create/merge); never handed to user code.
-constexpr std::uint64_t kSystemChannel = 0;
-
-/// Serialize a rank list (+ trailing extras) into a byte payload.
-std::vector<std::uint8_t> encode_ints(std::span<const std::int64_t> vals) {
-  std::vector<std::uint8_t> out(vals.size() * sizeof(std::int64_t));
-  std::memcpy(out.data(), vals.data(), out.size());
-  return out;
-}
-
-std::vector<std::int64_t> decode_ints(std::span<const std::uint8_t> bytes) {
-  std::vector<std::int64_t> out(bytes.size() / sizeof(std::int64_t));
-  std::memcpy(out.data(), bytes.data(), bytes.size());
-  return out;
-}
-
-/// Leader-to-leader message on the system channel, addressed by world rank.
-void system_send(SimCore& core, int dest_world, int tag,
-                 std::vector<std::uint8_t> payload) {
-  RankContext& me = ctx();
-  me.fault().fault_point(me.clock());
-  Message m;
-  m.comm_id = kSystemChannel;
-  m.src_comm_rank = me.rank();  // world rank on the system channel
-  m.tag = tag;
-  m.payload = std::move(payload);
-  m.send_ts_ns = me.clock().now_ns() + me.fault().draw_delivery_delay_ns();
-  me.clock().advance(core.model().p2p_ns(0));
-  std::unique_lock lk(core.mu());
-  core.note_time_locked(me.clock().now_ns());
-  if (core.hb().enabled()) m.vc = core.hb().send_snapshot(me.rank());
-  core.mailbox(dest_world).push(std::move(m));
-  core.wake_locked(dest_world);
-}
-
-std::vector<std::uint8_t> system_recv(SimCore& core, int src_world, int tag) {
-  RankContext& me = ctx();
-  me.fault().fault_point(me.clock());
-  std::unique_lock lk(core.mu());
-  Mailbox& mb = core.mailbox(me.rank());
-  core.wait(lk, [&] { return mb.has_match(kSystemChannel, src_world, tag); },
-            "comm.system_recv");
-  Message m = mb.pop_match(kSystemChannel, src_world, tag);
-  core.hb().recv_join(me.rank(), m.vc);
-  me.clock().advance_to(m.send_ts_ns + core.model().p2p_ns(m.payload.size(),
-                                                           src_world,
-                                                           me.rank()));
-  return std::move(m.payload);
-}
-
 /// Survivable mode: a collective round may complete once every member has
 /// either arrived or died -- the survivors must not block forever on a
 /// dead peer. Caller must hold the global lock.
@@ -134,10 +83,12 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
   core.check_target_alive_locked(dest_world, "comm.send");
   Mailbox& mb = core.mailbox(dest_world);
   // Eager-flow control: refuse to buffer without bound. A message that a
-  // posted receive consumes never queues and is exempt; the cap applies
-  // only to unexpected-queue growth at the destination.
+  // posted receive consumes never queues and is exempt, as is the system
+  // channel; the cap applies only to unexpected-queue growth at the
+  // destination.
   const std::size_t cap = core.config().mailbox_cap_bytes;
-  if (cap > 0 && !mb.has_posted_match(m.comm_id, m.src_comm_rank, m.tag) &&
+  if (cap > 0 && c.id != kSystemChannel &&
+      !mb.has_posted_match(m.comm_id, m.src_comm_rank, m.tag) &&
       mb.queued_bytes() + m.payload.size() > cap) {
     raise(Errc::resource_exhausted,
           "eager send of " + std::to_string(m.payload.size()) +
@@ -153,67 +104,9 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
 }
 
 Status Comm::recv(void* buf, std::size_t capacity, int src, int tag) const {
-  CommImpl& c = *impl_;
-  SimCore& core = *c.core;
-  RankContext& me = ctx();
-  me.fault().fault_point(me.clock());
-
-  std::unique_lock lk(core.mu());
-  if (c.revoked) throw_revoked("comm.recv");
-  Mailbox& mb = core.mailbox(me.rank());
-  // Failure-aware wait: wake not only on a match but also on revocation
-  // and on the death of the awaited sender (specific source), or -- for
-  // wildcard receives -- on any death not yet covered by failure_ack()
-  // (the sender we are waiting for might be the one that died). The
-  // predicate only flags; the throw happens after wait() returns so the
-  // core's blocked-rank accounting stays balanced.
-  int dead_src = -1;
-  bool was_revoked = false;
-  core.wait(lk,
-            [&] {
-              if (mb.has_match(c.id, src, tag)) return true;
-              if (c.revoked) {
-                was_revoked = true;
-                return true;
-              }
-              if (core.survivable()) {
-                if (src != kAnySource) {
-                  const Group& g = c.is_inter ? c.remote_group : c.group;
-                  const int w = g.world_rank(src);
-                  if (core.is_dead_locked(w)) {
-                    dead_src = w;
-                    return true;
-                  }
-                } else if (core.death_epoch_locked() >
-                           me.acked_death_epoch) {
-                  dead_src = core.latest_dead_locked();
-                  return true;
-                }
-              }
-              return false;
-            },
-            "comm.recv");
-  if (was_revoked) throw_revoked("comm.recv");
-  if (dead_src >= 0) core.observe_death_locked(dead_src, "comm.recv");
-  Message m = mb.pop_match(c.id, src, tag);
-  core.hb().recv_join(me.rank(), m.vc);
-  lk.unlock();
-
-  if (m.payload.size() > capacity)
-    raise(Errc::truncation, "message of " + std::to_string(m.payload.size()) +
-                                " bytes into " + std::to_string(capacity) +
-                                "-byte buffer");
-  std::memcpy(buf, m.payload.data(), m.payload.size());
-  const Group& sg = c.is_inter ? c.remote_group : c.group;
-  me.clock().advance_to(
-      m.send_ts_ns + core.model().p2p_ns(m.payload.size(),
-                                         sg.world_rank(m.src_comm_rank),
-                                         me.rank()));
-
+  Request r = irecv(buf, capacity, src, tag);
   Status st;
-  st.source = m.src_comm_rank;
-  st.tag = m.tag;
-  st.bytes = m.payload.size();
+  r.wait_at(&st, "comm.recv");
   return st;
 }
 
@@ -222,16 +115,12 @@ bool Comm::iprobe(int src, int tag, Status* st) const {
   SimCore& core = *c.core;
   RankContext& me = ctx();
   std::unique_lock lk(core.mu());
-  Mailbox& mb = core.mailbox(me.rank());
-  if (!mb.has_match(c.id, src, tag)) return false;
+  const Message* m = core.mailbox(me.rank()).find_match(c.id, src, tag);
+  if (m == nullptr) return false;
   if (st != nullptr) {
-    // Peek by popping and re-inserting would break FIFO; match manually.
-    Message m = mb.pop_match(c.id, src, tag);
-    st->source = m.src_comm_rank;
-    st->tag = m.tag;
-    st->bytes = m.payload.size();
-    mb.push(std::move(m));  // NOTE: reordered to the back; acceptable for
-                            // probe-then-recv-with-explicit-source patterns.
+    st->source = m->src_comm_rank;
+    st->tag = m->tag;
+    st->bytes = m->payload.size();
   }
   return true;
 }
@@ -294,32 +183,38 @@ int pending_death_locked(const SimCore& core, const CommImpl& c,
 
 }  // namespace
 
-/// Finish a matched receive on the poster's thread: happens-before join,
-/// truncation raise, clock advance to the node-aware delivery time, status
-/// publication. Expects the global lock held on entry; returns unlocked.
+void Comm::Request::consume_delivery_locked() const {
+  const CommImpl& c = *impl_;
+  RankContext& me = ctx();
+  const PostedRecv& p = *rec_;
+  c.core->hb().recv_join(me.rank(), p.vc);
+  const Group& sg = c.is_inter ? c.remote_group : c.group;
+  me.clock().advance_to(p.send_ts_ns +
+                        c.core->model().p2p_ns(p.msg_bytes,
+                                               sg.world_rank(p.st.source),
+                                               me.rank()));
+}
+
+/// Finish a matched receive on the posting rank: consume the delivery, then
+/// raise a truncation or publish the status. Expects the global lock held
+/// on entry; returns unlocked.
 void Comm::Request::complete_matched(std::unique_lock<SimMutex>& lk,
                                      Status* st) {
-  CommImpl& c = *impl_;
-  SimCore& core = *c.core;
-  RankContext& me = ctx();
-  PostedRecv& p = *rec_;
-  core.hb().recv_join(me.rank(), p.vc);
+  consume_delivery_locked();
   lk.unlock();
   completed_ = true;
+  const PostedRecv& p = *rec_;
   if (p.truncated)
     raise(Errc::truncation, "message of " + std::to_string(p.msg_bytes) +
                                 " bytes into " + std::to_string(p.capacity) +
                                 "-byte buffer");
-  const Group& sg = c.is_inter ? c.remote_group : c.group;
-  me.clock().advance_to(p.send_ts_ns +
-                        core.model().p2p_ns(p.msg_bytes,
-                                            sg.world_rank(p.st.source),
-                                            me.rank()));
   status_ = p.st;
   if (st != nullptr) *st = status_;
 }
 
-void Comm::Request::wait(Status* st) {
+void Comm::Request::wait(Status* st) { wait_at(st, "comm.irecv_wait"); }
+
+void Comm::Request::wait_at(Status* st, const char* site) {
   if (!is_recv_) {  // sends are eager and born complete; wait is a no-op
     if (st != nullptr) *st = status_;
     return;
@@ -334,10 +229,11 @@ void Comm::Request::wait(Status* st) {
 
   std::unique_lock lk(core.mu());
   PostedRecv& p = *rec_;
-  // Failure-aware wait, mirroring Comm::recv(): wake on delivery, but also
-  // on revocation and -- in survivable mode -- on the death of the awaited
-  // sender (specific source) or any unacked death (wildcard source), so a
-  // nonblocking receive's wait() cannot block forever on a dead peer.
+  // Failure-aware wait: wake on delivery, but also on revocation and -- in
+  // survivable mode -- on the death of the awaited sender (specific source)
+  // or any unacked death (wildcard source, since the sender we wait for
+  // might be the one that died), so a receive cannot block forever on a
+  // dead peer. The predicate only flags; the throw comes after wait().
   int dead_src = -1;
   bool was_revoked = false;
   core.wait(lk,
@@ -350,14 +246,14 @@ void Comm::Request::wait(Status* st) {
               dead_src = pending_death_locked(core, c, p);
               return dead_src >= 0;
             },
-            "comm.irecv_wait");
+            site);
   if (!p.matched) {
     // Error completion: deregister the posting so it cannot dangle, then
     // surface the failure exactly once through this handle.
     core.mailbox(me.rank()).cancel_posted(rec_);
     completed_ = true;
-    if (was_revoked) throw_revoked("comm.irecv_wait");
-    core.observe_death_locked(dead_src, "comm.irecv_wait");  // throws
+    if (was_revoked) throw_revoked(site);
+    core.observe_death_locked(dead_src, site);  // throws
   }
   complete_matched(lk, st);
 }
@@ -407,16 +303,9 @@ Comm::Request::~Request() {
     core.mailbox(me.rank()).cancel_posted(rec_);
     return;
   }
-  // Delivered but never completed: consume the message here -- join the
-  // sender's clock and advance past the delivery -- so dropping the handle
-  // cannot erase a communication the buffer already observed. Never throws.
-  CommImpl& c = *impl_;
-  core.hb().recv_join(me.rank(), rec_->vc);
-  const Group& sg = c.is_inter ? c.remote_group : c.group;
-  me.clock().advance_to(rec_->send_ts_ns +
-                        core.model().p2p_ns(rec_->msg_bytes,
-                                            sg.world_rank(rec_->st.source),
-                                            me.rank()));
+  // Delivered but never completed: consume the message here so dropping the
+  // handle cannot erase a communication the buffer already observed.
+  consume_delivery_locked();
 }
 
 void Comm::wait_all(std::span<Request> reqs) {
@@ -515,20 +404,15 @@ void Comm::barrier() const {
                    ctx().core().model().barrier_ns(size()), nullptr);
 }
 
-namespace {
-
-/// A rooted collective completed over the survivors but its dependency
-/// rank (bcast source / reduce destination) was dead: raise Errc::crashed
-/// on every surviving caller rather than returning stale buffers. The
-/// detection bound was already folded into the round's result clock, so
-/// the observation advances nothing; it stamps the latency gauge and the
-/// trace event before throwing.
-void raise_dead_root(CommImpl& c, int root, const char* site) {
-  std::lock_guard lk(c.core->mu());
-  c.core->observe_death_locked(c.group.world_rank(root), site);  // throws
+/// A rooted round completed over the survivors but its dependency rank
+/// (bcast source, reduce destination, object builder) was dead: raise
+/// Errc::crashed on every surviving caller rather than returning stale
+/// buffers. The observation advances nothing; it stamps the latency gauge
+/// and the trace event before throwing.
+void Comm::raise_dead_root(int root, const char* site) const {
+  std::lock_guard lk(impl_->core->mu());
+  impl_->core->observe_death_locked(impl_->group.world_rank(root), site);
 }
-
-}  // namespace
 
 void Comm::bcast(void* buf, std::size_t bytes, int root) const {
   const double cost = ctx().core().model().tree_collective_ns(bytes, size());
@@ -546,7 +430,7 @@ void Comm::bcast(void* buf, std::size_t bytes, int root) const {
           std::memcpy(dst, src, bytes);
         }
       });
-  if (root_dead) raise_dead_root(*impl_, root, "comm.bcast");
+  if (root_dead) raise_dead_root(root, "comm.bcast");
 }
 
 void Comm::reduce(const void* in, void* out, std::size_t count, BasicType t,
@@ -573,7 +457,7 @@ void Comm::reduce(const void* in, void* out, std::size_t count, BasicType t,
           }
         }
       });
-  if (root_dead) raise_dead_root(*impl_, root, "comm.reduce");
+  if (root_dead) raise_dead_root(root, "comm.reduce");
 }
 
 void Comm::allreduce(const void* in, void* out, std::size_t count, BasicType t,
@@ -702,8 +586,6 @@ void Comm::scan(const void* in, void* out, std::size_t count, BasicType t,
 // Communicator construction
 // ---------------------------------------------------------------------------
 
-namespace {
-
 std::shared_ptr<CommImpl> make_intracomm(SimCore& core, std::uint64_t id,
                                          Group group) {
   auto impl = std::make_shared<CommImpl>();
@@ -718,8 +600,6 @@ std::shared_ptr<CommImpl> make_intracomm(SimCore& core, std::uint64_t id,
   impl->shrink_calls.assign(n, 0);
   return impl;
 }
-
-}  // namespace
 
 Comm Comm::self() {
   RankContext& me = ctx();
@@ -737,13 +617,8 @@ Comm Comm::dup() const {
   std::shared_ptr<CommImpl> result;
   collective_round(nullptr, &result, 0, core.model().barrier_ns(size()),
                    [&core](CollCtx& cc, const Group& g) {
-                     auto impl = make_intracomm(
-                         core, core.alloc_comm_id_locked(), g);
-                     for (int r = 0; r < g.size(); ++r) {
-                       void* slot = cc.outbufs[static_cast<std::size_t>(r)];
-                       if (slot == nullptr) continue;  // dead member
-                       *static_cast<std::shared_ptr<CommImpl>*>(slot) = impl;
-                     }
+                     cc.hand_out(make_intracomm(
+                         core, core.alloc_comm_id_locked(), g));
                    });
   return Comm(std::move(result));
 }
@@ -840,8 +715,15 @@ Comm Comm::intercomm_create(int local_leader, int remote_leader_world,
     std::vector<std::int64_t> msg;
     msg.push_back(proposed);
     for (int wr : c.group.members()) msg.push_back(wr);
-    system_send(core, remote_leader_world, tag, encode_ints(msg));
-    auto reply = decode_ints(system_recv(core, remote_leader_world, tag));
+    const Comm sys(core.system_impl());
+    sys.send(msg.data(), msg.size() * sizeof(std::int64_t),
+             remote_leader_world, tag);
+    std::vector<std::int64_t> reply(
+        1 + static_cast<std::size_t>(core.nranks()));
+    const Status st = sys.recv(reply.data(),
+                               reply.size() * sizeof(std::int64_t),
+                               remote_leader_world, tag);
+    reply.resize(st.bytes / sizeof(std::int64_t));
     agreed_id = i_allocate ? proposed : reply[0];
     remote_members.assign(reply.begin() + 1, reply.end());
   }
@@ -897,9 +779,11 @@ Comm Comm::merge(bool high) const {
       std::unique_lock lk(core.mu());
       proposed = static_cast<std::int64_t>(core.alloc_comm_id_locked());
     }
-    std::vector<std::int64_t> msg{proposed, high ? 1 : 0};
-    system_send(core, remote_leader_world, tag, encode_ints(msg));
-    auto reply = decode_ints(system_recv(core, remote_leader_world, tag));
+    const std::int64_t msg[2] = {proposed, high ? 1 : 0};
+    std::int64_t reply[2] = {0, 0};
+    const Comm sys(core.system_impl());
+    sys.send(msg, sizeof msg, remote_leader_world, tag);
+    sys.recv(reply, sizeof reply, remote_leader_world, tag);
     merged_id = i_allocate ? proposed : reply[0];
     remote_high = reply[1];
   }

@@ -23,8 +23,15 @@
 
 namespace mpisim {
 
+class Pacer;
 class SimCore;
 class SimMutex;
+class Win;
+
+/// Communicator id of the runtime-internal system channel: a communicator
+/// over the world group that SimCore owns and never hands to user code.
+/// The leader handshakes of intercomm_create() and merge() run on it.
+inline constexpr std::uint64_t kSystemChannel = 0;
 
 /// Rendezvous state for in-progress collectives on one communicator.
 /// All fields are guarded by the simulator's global lock.
@@ -52,6 +59,14 @@ struct CollCtx {
   /// complete before every live member departed this one.
   std::vector<std::uint64_t> hb_acc;
   std::vector<std::uint64_t> hb_result;
+
+  /// Object-building rounds (Comm::dup, Win::create, Pacer::create): store
+  /// \p obj in every live member's output slot, each a std::shared_ptr<T>.
+  template <typename T>
+  void hand_out(const std::shared_ptr<T>& obj) const {
+    for (void* slot : outbufs)
+      if (slot != nullptr) *static_cast<std::shared_ptr<T>*>(slot) = obj;
+  }
 };
 
 /// Shared state of one communicator, identical on every member rank.
@@ -73,6 +88,11 @@ struct CommImpl {
 
   CollCtx coll;
 };
+
+/// Fresh shared state of an intracommunicator over \p group (simulator
+/// internals: the world and system channel, dup/split/create/merge/shrink).
+std::shared_ptr<CommImpl> make_intracomm(SimCore& core, std::uint64_t id,
+                                         Group group);
 
 /// Value handle to a communicator, bound to the calling rank. Cheap to copy.
 class Comm {
@@ -114,6 +134,9 @@ class Comm {
   void send(const void* buf, std::size_t bytes, int dest, int tag) const;
 
   /// Blocking receive; \p src / \p tag may be kAnySource / kAnyTag.
+  /// Exactly irecv() followed by the request's wait(), so receives match
+  /// in post order whether they block or not; diagnostics name the site
+  /// comm.recv.
   Status recv(void* buf, std::size_t capacity, int src, int tag) const;
 
   /// Nonblocking probe: true if a matching message is queued.
@@ -124,14 +147,13 @@ class Comm {
   /// Handle for isend()/irecv(). A receive is truly *posted*: the matching
   /// message -- even one arriving later -- is delivered straight into the
   /// buffer under the simulator lock, and wait()/test() complete it on the
-  /// posting thread (clock advance, happens-before join). Complete each
+  /// posting rank (clock advance, happens-before join). Complete each
   /// receive exactly once, via wait() or a successful test(); a second
   /// wait() raises Errc::invalid_argument. Destroying a never-completed
   /// receive deterministically cancels the posting (a message already
   /// delivered is consumed so its happens-before edge is not lost). Sends
   /// are eager and born complete; their wait() is an idempotent no-op.
-  /// Move-only: the handle owns the posting. A posted receive wins over a
-  /// concurrently blocked recv() on the same match pattern.
+  /// Move-only: the handle owns the posting.
   class Request {
    public:
     Request() = default;
@@ -142,10 +164,10 @@ class Comm {
     Request& operator=(const Request&) = delete;
 
     /// Block until the operation completes; fills \p st for receives.
-    /// Failure-aware like Comm::recv(): raises Errc::revoked on a revoked
-    /// communicator, and in survivable mode Errc::crashed when the awaited
-    /// specific sender is dead -- or, for wildcard-source receives, once
-    /// per death epoch not yet covered by failure_ack().
+    /// Failure-aware: raises Errc::revoked on a revoked communicator, and
+    /// in survivable mode Errc::crashed when the awaited specific sender
+    /// is dead -- or, for wildcard-source receives, once per death epoch
+    /// not yet covered by failure_ack().
     void wait(Status* st = nullptr);
 
     /// True once complete (receives: a matching message has been consumed
@@ -163,6 +185,11 @@ class Comm {
 
    private:
     friend class Comm;
+    /// wait(), naming \p site in diagnostics (Comm::recv passes comm.recv).
+    void wait_at(Status* st, const char* site);
+    /// Join the delivered message's happens-before clock and advance to its
+    /// delivery time. Caller holds the simulator lock.
+    void consume_delivery_locked() const;
     void complete_matched(std::unique_lock<SimMutex>& lk, Status* st);
     std::shared_ptr<CommImpl> impl_;
     std::shared_ptr<PostedRecv> rec_;
@@ -266,6 +293,10 @@ class Comm {
   const std::shared_ptr<CommImpl>& impl() const noexcept { return impl_; }
 
  private:
+  // Windows and pacers build their shared state in one collective round.
+  friend class Pacer;
+  friend class Win;
+
   /// Run one rendezvous collective round: every member contributes
   /// (in, out, count); the last arriver executes \p leader_fn while holding
   /// the global lock, then everyone's clock advances to the common result
@@ -275,6 +306,11 @@ class Comm {
   bool collective_round(
       const void* in, void* out, std::size_t count, double cost_ns,
       const std::function<void(CollCtx&, const Group&)>& leader_fn) const;
+
+  /// A rooted round reported its dependency rank \p root dead: raise
+  /// Errc::crashed at \p site (the detection bound is already folded into
+  /// the round's result clock).
+  [[noreturn]] void raise_dead_root(int root, const char* site) const;
 
   std::shared_ptr<CommImpl> impl_;
 };

@@ -104,7 +104,7 @@ struct FaultPlan {
 };
 
 /// Per-rank deterministic fault source. Owned by RankContext; all methods
-/// must be called from the owning rank's thread.
+/// must be called by the owning rank.
 class FaultInjector {
  public:
   FaultInjector() = default;

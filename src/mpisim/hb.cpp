@@ -601,7 +601,7 @@ void HbChecker::bound_memory(TargetRec& t, int world_origin) {
   while (intervals_ > max_intervals_ && !t.summaries.empty()) {
     intervals_ -= t.summaries.front().interval_count();
     t.summaries.pop_front();
-    overflow.fetch_add(1, std::memory_order_relaxed);
+    ++overflow;
   }
   // Other targets may hold the remaining weight; sweep them oldest-first.
   for (auto& [key, other] : spaces_) {
@@ -609,16 +609,14 @@ void HbChecker::bound_memory(TargetRec& t, int world_origin) {
     while (intervals_ > max_intervals_ && !other.summaries.empty()) {
       intervals_ -= other.summaries.front().interval_count();
       other.summaries.pop_front();
-      overflow.fetch_add(1, std::memory_order_relaxed);
+      ++overflow;
     }
     if (intervals_ <= max_intervals_) break;
   }
 }
 
 void HbChecker::report(HbRace cls, int world_rank, std::string msg) {
-  per_rank_[static_cast<std::size_t>(world_rank)]
-      .v[static_cast<int>(cls)]
-      .fetch_add(1, std::memory_order_relaxed);
+  ++per_rank_[static_cast<std::size_t>(world_rank)].v[static_cast<int>(cls)];
   if (in_simulation()) {
     Tracer& tr = ctx().tracer();
     if (tr.enabled()) {
@@ -639,12 +637,10 @@ HbRaceCounts HbChecker::counts(int world_rank) const noexcept {
   // persona acts on the rank's behalf, and callers index by world rank.
   for (const int row : {world_rank, nranks_ + world_rank}) {
     const PerRankCounts& c = per_rank_[static_cast<std::size_t>(row)];
-#define MPISIM_LOAD(name)                                                    \
-  out.name += c.v[static_cast<int>(HbRace::name)].load(                      \
-      std::memory_order_relaxed);
+#define MPISIM_LOAD(name) out.name += c.v[static_cast<int>(HbRace::name)];
     MPISIM_HB_RACES(MPISIM_LOAD)
 #undef MPISIM_LOAD
-    out.overflow += c.overflow.load(std::memory_order_relaxed);
+    out.overflow += c.overflow;
   }
   return out;
 }

@@ -48,12 +48,7 @@
 /// clocks (provably only false negatives, never false positives) and
 /// coalesced intervals; past the hard cap the oldest summaries drop and the
 /// overflow counter records the lost coverage.
-///
-/// Thread-safety: every method except counts()/total_counts() must be
-/// called with SimCore::mu() held. Counters are atomics so the metrics
-/// exporters can read them from any rank without the lock.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -256,7 +251,7 @@ class HbChecker {
   void access_end(std::uint64_t space, int target, int world_origin,
                   std::ptrdiff_t lo);
 
-  // ---- counters (lock-free reads) ----
+  // ---- counters ----
 
   HbRaceCounts counts(int world_rank) const noexcept;
   HbRaceCounts total_counts() const noexcept;
@@ -310,8 +305,8 @@ class HbChecker {
   using SpaceKey = std::pair<std::uint64_t, int>;  ///< <space id, target>
 
   struct PerRankCounts {
-    std::atomic<std::uint64_t> v[kHbRaceCount] = {};
-    std::atomic<std::uint64_t> overflow{0};
+    std::uint64_t v[kHbRaceCount] = {};
+    std::uint64_t overflow = 0;
   };
 
   void tick(int world_rank);

@@ -46,10 +46,11 @@ bool Mailbox::push(Message msg) {
   return false;
 }
 
-bool Mailbox::has_match(std::uint64_t comm_id, int src, int tag) const {
+const Message* Mailbox::find_match(std::uint64_t comm_id, int src,
+                                   int tag) const {
   for (const Message& m : queue_)
-    if (matches(m, comm_id, src, tag)) return true;
-  return false;
+    if (matches(m, comm_id, src, tag)) return &m;
+  return nullptr;
 }
 
 Message Mailbox::pop_match(std::uint64_t comm_id, int src, int tag) {

@@ -9,14 +9,13 @@
 /// structure. Matching follows MPI rules: (communicator, source, tag) with
 /// wildcard source/tag, FIFO per (source, tag) pair.
 ///
-/// Receives come in two flavors. A blocking recv() matches against the
-/// unexpected-message queue. A nonblocking irecv() *posts* a receive: the
-/// posting is registered here, and a later push() delivers the payload
-/// straight into the poster's buffer without ever queueing it (the MPI
-/// posted-receive fast path). Posted receives win over concurrently blocked
-/// recv() calls on the same match pattern, and messages consumed by a
-/// posting are invisible to iprobe() -- both consequences of posting being
-/// a real reservation rather than a lazy probe.
+/// Every receive is a *posted* receive (a blocking recv() is irecv() plus
+/// wait()). A posting first takes the oldest matching message from the
+/// unexpected-message queue; failing that it is registered here, and a
+/// later push() delivers the payload straight into the poster's buffer
+/// without ever queueing it (the MPI posted-receive fast path). A rank's
+/// receives therefore match in post order (MPI's non-overtaking rule), and
+/// a message consumed by a posting is invisible to iprobe().
 
 #include <cstddef>
 #include <cstdint>
@@ -55,7 +54,7 @@ struct Status {
 /// poster's Comm::Request and -- until matched or cancelled -- by the
 /// destination mailbox's posted list. All fields are guarded by the
 /// simulator's global lock. Delivery copies the payload into `buf` and
-/// fills the completion fields; the poster's thread finishes the receive
+/// fills the completion fields; the posting rank finishes the receive
 /// (clock advance, happens-before join, truncation raise) at wait()/test().
 struct PostedRecv {
   std::uint64_t comm_id = 0;
@@ -83,10 +82,16 @@ class Mailbox {
   /// posted receive consumed it.
   bool push(Message msg);
 
-  /// True if a queued message matches (comm, src, tag). \p src and \p tag
-  /// may be wildcards. Posted receives do not participate: a message they
-  /// consumed was never queued.
-  bool has_match(std::uint64_t comm_id, int src, int tag) const;
+  /// The first queued message matching (comm, src, tag), or null; \p src
+  /// and \p tag may be wildcards. A peek: the queue is left as it is.
+  /// Posted receives do not participate: a message they consumed was never
+  /// queued.
+  const Message* find_match(std::uint64_t comm_id, int src, int tag) const;
+
+  /// True if a queued message matches (comm, src, tag).
+  bool has_match(std::uint64_t comm_id, int src, int tag) const {
+    return find_match(comm_id, src, tag) != nullptr;
+  }
 
   /// Remove and return the first matching queued message. Requires
   /// has_match().

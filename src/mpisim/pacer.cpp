@@ -42,25 +42,26 @@ double min_active_clock(const PacerImpl& p) {
 Pacer::Pacer(std::shared_ptr<PacerImpl> impl) : impl_(std::move(impl)) {}
 
 Pacer Pacer::create(const Comm& comm) {
-  SimCore& core = ctx().core();
-  std::uint64_t key = 0;
-  if (comm.rank() == 0) {
-    auto mk = std::make_shared<PacerImpl>();
-    mk->comm = comm;
-    mk->clocks.assign(static_cast<std::size_t>(comm.size()), 0.0);
-    mk->active.assign(static_cast<std::size_t>(comm.size()), false);
-    std::lock_guard lk(core.mu());
-    key = SimCore::kPacerPublishTag | core.alloc_obj_key_locked();
-    // Core-owned rendezvous slot: survives an abort mid-create without
-    // leaking and without freeing under a peer still copying.
-    core.publish_obj_locked(key, std::move(mk));
-    core.wake_locked(comm.group().members());
-  }
-  comm.bcast(&key, sizeof key, 0);
-  std::shared_ptr<PacerImpl> impl =
-      std::static_pointer_cast<PacerImpl>(core.fetch_published_obj(key));
-  comm.barrier();
-  if (comm.rank() == 0) core.retire_published_obj(key);
+  const int n = comm.size();
+  const NetworkModel& nm = comm.impl()->core->model();
+  std::shared_ptr<PacerImpl> impl;
+  // One round, charged as the broadcast from rank 0 and the barrier it
+  // replaces; the last member to arrive builds the region descriptor.
+  const bool root_dead = comm.collective_round(
+      nullptr, &impl, 0,
+      nm.tree_collective_ns(sizeof(std::uint64_t), n) + nm.barrier_ns(n),
+      [&](CollCtx& cc, const Group&) {
+        if (cc.outbufs[0] == nullptr) {  // comm rank 0 is dead
+          cc.dep_dead = true;
+          return;
+        }
+        auto p = std::make_shared<PacerImpl>();
+        p->comm = comm;
+        p->clocks.assign(static_cast<std::size_t>(n), 0.0);
+        p->active.assign(static_cast<std::size_t>(n), false);
+        cc.hand_out(p);
+      });
+  if (root_dead) comm.raise_dead_root(0, "pacer.create");
   return Pacer(std::move(impl));
 }
 

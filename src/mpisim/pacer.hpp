@@ -14,8 +14,10 @@
 /// minimum never blocks, so progress is guaranteed; the result is a
 /// deterministic, virtually-balanced task assignment -- a lightweight
 /// conservative parallel-discrete-event scheme for the task loop. The rank
-/// scheduler (runtime.hpp) already runs ranks in virtual-clock order, so
-/// pacing is now redundant with it; retiring Pacer is open work.
+/// scheduler (runtime.hpp) runs ranks in virtual-clock order but sees only
+/// the runnable ones; Pacer also holds a claim back while a rank *blocked*
+/// at an earlier virtual time (waiting for a lock or a reply) is still in
+/// the region, which the scheduler alone would let pass.
 
 #include <memory>
 

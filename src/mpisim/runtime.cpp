@@ -49,21 +49,6 @@ RmaCheck effective_rma_check(const Config& cfg) {
   return cfg.rma_check;
 }
 
-std::shared_ptr<CommImpl> make_world_impl(SimCore& core, int nranks,
-                                          std::uint64_t id) {
-  auto impl = std::make_shared<CommImpl>();
-  impl->id = id;
-  impl->core = &core;
-  impl->group = Group::range(0, nranks);
-  const auto n = static_cast<std::size_t>(nranks);
-  impl->coll.inbufs.resize(n);
-  impl->coll.outbufs.resize(n);
-  impl->coll.incounts.resize(n);
-  impl->coll.present.assign(n, 0);
-  impl->shrink_calls.assign(n, 0);
-  return impl;
-}
-
 }  // namespace
 
 RankContext::RankContext(SimCore& core, int rank) : core_(&core), rank_(rank) {
@@ -89,8 +74,9 @@ SimCore::SimCore(const Config& cfg)
   ranks_.reserve(static_cast<std::size_t>(cfg.nranks));
   for (int r = 0; r < cfg.nranks; ++r)
     ranks_.push_back(std::make_unique<RankContext>(*this, r));
-  // Comm id 0 is the runtime-internal system channel; world gets id 1.
-  world_impl_ = make_world_impl(*this, cfg.nranks, next_comm_id_++);
+  const Group everyone = Group::range(0, cfg.nranks);
+  system_impl_ = make_intracomm(*this, kSystemChannel, everyone);
+  world_impl_ = make_intracomm(*this, next_comm_id_++, everyone);
 }
 
 SimCore::~SimCore() = default;
@@ -356,23 +342,6 @@ std::shared_ptr<CommImpl> SimCore::fetch_published_comm(std::uint64_t key) {
   std::unique_lock lk(mu_);
   wait(lk, [&] { return published_.contains(key); }, "comm.publish");
   return published_.at(key);
-}
-
-void SimCore::publish_obj_locked(std::uint64_t key, std::shared_ptr<void> obj) {
-  auto [it, inserted] = published_objs_.emplace(key, std::move(obj));
-  (void)it;
-  require_internal(inserted, "duplicate object publication key");
-}
-
-std::shared_ptr<void> SimCore::fetch_published_obj(std::uint64_t key) {
-  std::unique_lock lk(mu_);
-  wait(lk, [&] { return published_objs_.contains(key); }, "obj.publish");
-  return published_objs_.at(key);
-}
-
-void SimCore::retire_published_obj(std::uint64_t key) {
-  std::lock_guard lk(mu_);
-  published_objs_.erase(key);
 }
 
 void SimCore::fiber_entry(unsigned lo, unsigned hi) {

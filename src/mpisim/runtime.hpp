@@ -208,12 +208,11 @@ class SimCore {
   const PlatformProfile& profile() const noexcept { return prof_; }
   const NetworkModel& model() const noexcept { return model_; }
 
-  /// The RMA validity checker (checker.hpp). Stateful methods require mu();
-  /// counter reads and note_discipline() are lock-free.
+  /// The RMA validity checker (checker.hpp). Stateful methods require mu().
   RmaChecker& checker() noexcept { return checker_; }
 
   /// The happens-before race detector (hb.hpp), active at RmaCheck::race.
-  /// Stateful methods require mu(); counter reads are lock-free.
+  /// Stateful methods require mu().
   HbChecker& hb() noexcept { return hb_; }
 
   /// The global lock guarding all shared simulator state.
@@ -372,42 +371,29 @@ class SimCore {
   /// Fresh window id; caller must hold mu().
   std::uint64_t alloc_win_id_locked() noexcept { return next_win_id_++; }
 
-  /// Fresh object-publication key suffix; caller must hold mu().
-  std::uint64_t alloc_obj_key_locked() noexcept { return next_obj_key_++; }
-
   /// The world communicator's shared state.
   const std::shared_ptr<CommImpl>& world_impl() const noexcept {
     return world_impl_;
   }
 
-  /// Publish a communicator impl under \p key for peers to fetch (used by
-  /// intercomm construction, where one leader builds the shared state).
-  /// Caller must hold mu() and wake the fetching ranks afterwards.
+  /// The system channel's shared state (comm id kSystemChannel, world
+  /// group): runtime-internal leader handshakes, exempt from
+  /// Config::mailbox_cap_bytes.
+  const std::shared_ptr<CommImpl>& system_impl() const noexcept {
+    return system_impl_;
+  }
+
+  /// Publish a communicator impl under \p key for peers to fetch. Only for
+  /// the constructions a collective round on one communicator cannot
+  /// serve: merge() shares one impl across the two groups of an
+  /// intercommunicator, and shrink() must work on a revoked communicator.
+  /// (Comm::dup/split/create, Win and Pacer hand their shared state out
+  /// through the round itself.) Caller must hold mu() and wake the fetching
+  /// ranks afterwards.
   void publish_comm_locked(std::uint64_t key, std::shared_ptr<CommImpl> impl);
 
   /// Block until a peer publishes \p key, then return the shared impl.
   std::shared_ptr<CommImpl> fetch_published_comm(std::uint64_t key);
-
-  /// Key namespaces for publish_obj_locked: window and pacer ids come from
-  /// independent counters, so tag the high bits to keep keys unique.
-  static constexpr std::uint64_t kWinPublishTag = 1ull << 62;
-  static constexpr std::uint64_t kPacerPublishTag = 2ull << 62;
-
-  /// Publish an arbitrary shared object under \p key for peers to fetch
-  /// (windows, pacers: one leader builds the shared state, peers copy it).
-  /// The core holds a strong reference until retire_published_obj(), so an
-  /// abort mid-rendezvous can neither leak the object nor free it under a
-  /// peer still copying. Caller must hold mu() and wake the fetching ranks
-  /// afterwards.
-  void publish_obj_locked(std::uint64_t key, std::shared_ptr<void> obj);
-
-  /// Block until a peer publishes \p key, then return the shared object.
-  std::shared_ptr<void> fetch_published_obj(std::uint64_t key);
-
-  /// Drop the core's reference to a published object (after every peer has
-  /// copied it). Skipping this on an error path is safe: the entry is
-  /// released when the core is destroyed.
-  void retire_published_obj(std::uint64_t key);
 
  private:
   friend void run(const Config&, const std::function<void()>&);
@@ -530,10 +516,9 @@ class SimCore {
   std::vector<Mailbox> mailboxes_;
   std::uint64_t next_comm_id_ = 1;
   std::uint64_t next_win_id_ = 1;
-  std::uint64_t next_obj_key_ = 1;
+  std::shared_ptr<CommImpl> system_impl_;
   std::shared_ptr<CommImpl> world_impl_;
   std::map<std::uint64_t, std::shared_ptr<CommImpl>> published_;
-  std::map<std::uint64_t, std::shared_ptr<void>> published_objs_;
 };
 
 /// Run \p rank_main on cfg.nranks simulated processes. Blocks until all

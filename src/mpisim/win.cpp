@@ -379,47 +379,57 @@ void fetch_op(WinImpl& w, RankContext& me, int myrank, int target_rank,
 
 Win::Win(std::shared_ptr<WinImpl> impl) : impl_(std::move(impl)) {}
 
+std::shared_ptr<WinImpl> Win::build(
+    const Comm& comm, const void* info, std::size_t info_bytes,
+    const std::function<void(WinImpl&, const CollCtx&)>& fill) {
+  SimCore& core = *comm.impl()->core;
+  const int n = comm.size();
+  const auto un = static_cast<std::size_t>(n);
+  const NetworkModel& nm = core.model();
+  // Charged as the allgather of the inputs, the broadcast of the window id
+  // and the barrier that the round replaces.
+  const double cost = nm.tree_collective_ns(info_bytes * un, n) +
+                      nm.tree_collective_ns(sizeof(std::uint64_t), n) +
+                      nm.barrier_ns(n);
+  std::shared_ptr<WinImpl> out;
+  const bool root_dead = comm.collective_round(
+      info, &out, 0, cost, [&](CollCtx& cc, const Group&) {
+        if (cc.outbufs[0] == nullptr) {  // comm rank 0 is dead
+          cc.dep_dead = true;
+          return;
+        }
+        auto w = std::make_shared<WinImpl>();
+        w->comm = comm;
+        w->id = core.alloc_win_id_locked();
+        w->bases.assign(un, nullptr);
+        w->sizes.assign(un, 0);
+        w->targets.resize(un);
+        w->locked_target.assign(un, -1);
+        fill(*w, cc);
+        cc.hand_out(w);
+      });
+  if (root_dead) comm.raise_dead_root(0, "win.create");
+  return out;
+}
+
 Win Win::create(void* base, std::size_t bytes, const Comm& comm) {
   if (base == nullptr && bytes != 0)
     raise(Errc::invalid_argument, "null window base with nonzero size");
 
   struct Info {
-    std::uintptr_t base;
+    void* base;
     std::size_t size;
   };
-  const int n = comm.size();
-  Info mine{reinterpret_cast<std::uintptr_t>(base), bytes};
-  std::vector<Info> all(static_cast<std::size_t>(n));
-  comm.allgather(&mine, all.data(), sizeof(Info));
-
-  SimCore& core = ctx().core();
-  std::uint64_t id = 0;
-  if (comm.rank() == 0) {
-    auto mk = std::make_shared<WinImpl>();
-    mk->comm = comm;
-    mk->bases.reserve(static_cast<std::size_t>(n));
-    mk->sizes.reserve(static_cast<std::size_t>(n));
-    for (const Info& i : all) {
-      mk->bases.push_back(reinterpret_cast<void*>(i.base));
-      mk->sizes.push_back(i.size);
-    }
-    mk->targets.resize(static_cast<std::size_t>(n));
-    mk->locked_target.assign(static_cast<std::size_t>(n), -1);
-    {
-      std::lock_guard lk(core.mu());
-      mk->id = core.alloc_win_id_locked();
-      id = mk->id;
-      // Core-owned rendezvous slot: survives an abort mid-create without
-      // leaking and without freeing under a peer still copying.
-      core.publish_obj_locked(SimCore::kWinPublishTag | id, std::move(mk));
-      core.wake_locked(comm.group().members());
-    }
-  }
-  comm.bcast(&id, sizeof id, 0);
-  std::shared_ptr<WinImpl> impl = std::static_pointer_cast<WinImpl>(
-      core.fetch_published_obj(SimCore::kWinPublishTag | id));
-  comm.barrier();
-  if (comm.rank() == 0) core.retire_published_obj(SimCore::kWinPublishTag | id);
+  const Info mine{base, bytes};
+  std::shared_ptr<WinImpl> impl =
+      build(comm, &mine, sizeof mine, [](WinImpl& w, const CollCtx& cc) {
+        for (std::size_t r = 0; r < w.sizes.size(); ++r) {
+          const auto* in = static_cast<const Info*>(cc.inbufs[r]);
+          if (in == nullptr) continue;  // dead member: null base, size 0
+          w.bases[r] = in->base;
+          w.sizes[r] = in->size;
+        }
+      });
 
   // Window memory is registered at creation time (MPI_Alloc_mem-style);
   // Figure 5's on-demand costs concern *local* buffers used as RMA origins.
@@ -428,59 +438,37 @@ Win Win::create(void* base, std::size_t bytes, const Comm& comm) {
 }
 
 Win Win::allocate_shared(std::size_t bytes, const Comm& comm) {
-  const int n = comm.size();
-  std::size_t mine = bytes;
-  std::vector<std::size_t> sizes(static_cast<std::size_t>(n));
-  comm.allgather(&mine, sizes.data(), sizeof(std::size_t));
-
-  SimCore& core = ctx().core();
-  std::uint64_t id = 0;
-  if (comm.rank() == 0) {
-    auto mk = std::make_shared<WinImpl>();
-    mk->comm = comm;
-    mk->shared = true;
-    mk->sizes = sizes;
-    mk->bases.assign(static_cast<std::size_t>(n), nullptr);
-    // One allocation per node: group the comm's ranks by the node their
-    // world rank lives on and carve each rank's segment, in comm-rank
-    // order, out of its node's block. Co-located ranks therefore share one
-    // contiguous mapping, which is what makes direct load/store meaningful.
-    const NetworkModel& nm = core.model();
-    std::vector<int> node(static_cast<std::size_t>(n));
-    std::map<int, std::size_t> node_bytes;
-    for (int r = 0; r < n; ++r) {
-      node[static_cast<std::size_t>(r)] =
-          nm.node_of(comm.group().world_rank(r));
-      node_bytes[node[static_cast<std::size_t>(r)]] +=
-          sizes[static_cast<std::size_t>(r)];
-    }
-    std::map<int, std::uint8_t*> cursor;
-    for (const auto& [nid, total] : node_bytes) {
-      mk->node_blocks.push_back(
-          std::make_unique<std::uint8_t[]>(total > 0 ? total : 1));
-      cursor[nid] = mk->node_blocks.back().get();
-    }
-    for (int r = 0; r < n; ++r) {
-      const std::size_t sz = sizes[static_cast<std::size_t>(r)];
-      std::uint8_t*& cur = cursor[node[static_cast<std::size_t>(r)]];
-      mk->bases[static_cast<std::size_t>(r)] = sz > 0 ? cur : nullptr;
-      cur += sz;
-    }
-    mk->targets.resize(static_cast<std::size_t>(n));
-    mk->locked_target.assign(static_cast<std::size_t>(n), -1);
-    {
-      std::lock_guard lk(core.mu());
-      mk->id = core.alloc_win_id_locked();
-      id = mk->id;
-      core.publish_obj_locked(SimCore::kWinPublishTag | id, std::move(mk));
-      core.wake_locked(comm.group().members());
-    }
-  }
-  comm.bcast(&id, sizeof id, 0);
-  std::shared_ptr<WinImpl> impl = std::static_pointer_cast<WinImpl>(
-      core.fetch_published_obj(SimCore::kWinPublishTag | id));
-  comm.barrier();
-  if (comm.rank() == 0) core.retire_published_obj(SimCore::kWinPublishTag | id);
+  const NetworkModel& nm = ctx().core().model();
+  std::shared_ptr<WinImpl> impl = build(
+      comm, &bytes, sizeof bytes, [&](WinImpl& w, const CollCtx& cc) {
+        w.shared = true;
+        const std::size_t n = w.sizes.size();
+        for (std::size_t r = 0; r < n; ++r)
+          if (cc.inbufs[r] != nullptr)  // dead member: size 0
+            w.sizes[r] = *static_cast<const std::size_t*>(cc.inbufs[r]);
+        // One allocation per node: group the comm's ranks by the node their
+        // world rank lives on and carve each rank's segment, in comm-rank
+        // order, out of its node's block. Co-located ranks therefore share
+        // one contiguous mapping, which is what makes direct load/store
+        // meaningful.
+        std::vector<int> node(n);
+        std::map<int, std::size_t> node_bytes;
+        for (std::size_t r = 0; r < n; ++r) {
+          node[r] = nm.node_of(comm.group().world_rank(static_cast<int>(r)));
+          node_bytes[node[r]] += w.sizes[r];
+        }
+        std::map<int, std::uint8_t*> cursor;
+        for (const auto& [nid, total] : node_bytes) {
+          w.node_blocks.push_back(
+              std::make_unique<std::uint8_t[]>(total > 0 ? total : 1));
+          cursor[nid] = w.node_blocks.back().get();
+        }
+        for (std::size_t r = 0; r < n; ++r) {
+          std::uint8_t*& cur = cursor[node[r]];
+          if (w.sizes[r] > 0) w.bases[r] = cur;
+          cur += w.sizes[r];
+        }
+      });
 
   // Shared mappings behave like MPI_Win_allocate memory: pre-pinned.
   ctx().mpi_reg().register_prepinned(

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -263,6 +264,15 @@ class Win {
 
  private:
   explicit Win(std::shared_ptr<detail::WinImpl> impl);
+
+  /// The shared window state, built in one collective round over \p comm:
+  /// the last member to arrive runs \p fill over every member's
+  /// \p info_bytes input slot (null for a dead member) and hands the
+  /// window to each live member. Raises Errc::crashed when comm rank 0 is
+  /// dead, as the broadcast from rank 0 this round replaces did.
+  static std::shared_ptr<detail::WinImpl> build(
+      const Comm& comm, const void* info, std::size_t info_bytes,
+      const std::function<void(detail::WinImpl&, const CollCtx&)>& fill);
 
   void rma_op(RmaKind kind, const void* origin, std::size_t origin_count,
               const Datatype& origin_type, int target_rank,

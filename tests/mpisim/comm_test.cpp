@@ -636,5 +636,67 @@ TEST(MailboxCapTest, PostedReceiveIsExemptAndHighWaterTracks) {
   });
 }
 
+// iprobe() with a status is a peek: it must not move the probed message
+// behind later ones (non-overtaking).
+TEST(CommP2pTest, IprobeWithStatusKeepsArrivalOrder) {
+  run(2, Platform::ideal, [] {
+    Comm w = world();
+    if (rank() == 1) {
+      const char a = 'a', b = 'b';
+      w.send(&a, 1, 0, 3);
+      w.send(&b, 1, 0, 3);
+      w.barrier();
+    } else {
+      w.barrier();  // both messages are queued
+      Status st;
+      EXPECT_TRUE(w.iprobe(1, 3, &st));
+      EXPECT_EQ(st.source, 1);
+      EXPECT_EQ(st.bytes, 1u);
+      char first = 0, second = 0;
+      w.recv(&first, 1, 1, 3);
+      w.recv(&second, 1, 1, 3);
+      EXPECT_EQ(first, 'a');
+      EXPECT_EQ(second, 'b');
+    }
+  });
+}
+
+// A blocking recv() is a posted receive too: an earlier irecv() on the same
+// pattern gets the first message, the later recv() the second.
+TEST(CommP2pTest, IrecvThenBlockingRecvMatchInPostOrder) {
+  run(2, Platform::ideal, [] {
+    Comm w = world();
+    if (rank() == 0) {
+      int first = -1, second = -1;
+      Comm::Request r = w.irecv(&first, sizeof first, kAnySource, 5);
+      w.barrier();  // posted before either message is sent
+      w.recv(&second, sizeof second, kAnySource, 5);
+      r.wait();
+      EXPECT_EQ(first, 1);
+      EXPECT_EQ(second, 2);
+    } else {
+      w.barrier();
+      for (const int v : {1, 2}) w.send(&v, sizeof v, 0, 5);
+    }
+  });
+}
+
+// The leader handshakes of intercomm_create() and merge() run on the
+// system channel, which the mailbox cap does not cover.
+TEST(MailboxCapTest, IntercommCreateAndMergeIgnoreTheCap) {
+  Config cfg;
+  cfg.nranks = 4;
+  cfg.platform = Platform::ideal;
+  cfg.mailbox_cap_bytes = 1;
+  run(cfg, [] {
+    Comm local = world().split(rank() < 2 ? 0 : 1, rank());
+    Comm inter = local.intercomm_create(0, rank() < 2 ? 2 : 0, 11);
+    EXPECT_EQ(inter.remote_size(), 2);
+    Comm merged = inter.merge(/*high=*/rank() >= 2);
+    EXPECT_EQ(merged.size(), 4);
+    EXPECT_EQ(merged.rank(), rank());
+  });
+}
+
 }  // namespace
 }  // namespace mpisim

@@ -13,8 +13,10 @@
 
 #include "src/mpisim/comm.hpp"
 #include "src/mpisim/error.hpp"
+#include "src/mpisim/pacer.hpp"
 #include "src/mpisim/runtime.hpp"
 #include "src/mpisim/trace.hpp"
+#include "src/mpisim/win.hpp"
 
 namespace mpisim {
 namespace {
@@ -366,6 +368,72 @@ TEST(SurvivableTest, SpecificSourceIrecvWaitOnDeadPeerRaisesCrashed) {
     }
     world().barrier();
   });
+}
+
+// Window and pacer construction is one rooted round: with comm rank 0 dead
+// every survivor gets Errc::crashed, as from a broadcast whose root died.
+TEST(SurvivableTest, CollectiveCreationWithDeadRootRaisesCrashed) {
+  enum class Ctor { create, allocate_shared, pacer };
+  for (const Ctor which : {Ctor::create, Ctor::allocate_shared, Ctor::pacer}) {
+    int raised = 0;
+    run(survivable_cfg(3, {{0, kCrashAt}}), [&] {
+      if (rank() == 0) crash_now();
+      await_death(0);
+      std::vector<char> mem(64);
+      try {
+        switch (which) {
+          case Ctor::create:
+            Win::create(mem.data(), mem.size(), world());
+            break;
+          case Ctor::allocate_shared:
+            Win::allocate_shared(mem.size(), world());
+            break;
+          case Ctor::pacer:
+            Pacer::create(world());
+            break;
+        }
+        ADD_FAILURE() << "construction completed without comm rank 0";
+      } catch (const MpiError& e) {
+        EXPECT_EQ(e.code(), Errc::crashed) << e.what();
+        std::lock_guard lk(ctx().core().mu());
+        ++raised;
+      }
+    });
+    EXPECT_EQ(raised, 2);
+  }
+}
+
+// A dead non-root member contributes a null base and size 0; the survivors
+// get a working window.
+TEST(SurvivableTest, WindowOverSurvivorsOfADeadMember) {
+  for (const bool shared : {false, true}) {
+    int checked = 0;
+    run(survivable_cfg(3, {{2, kCrashAt}}), [&] {
+      if (rank() == 2) crash_now();
+      await_death(2);
+      std::vector<std::int64_t> mem(4, 0);
+      const std::size_t bytes = mem.size() * sizeof(std::int64_t);
+      Win w = shared ? Win::allocate_shared(bytes, world())
+                     : Win::create(mem.data(), bytes, world());
+      EXPECT_EQ(w.base(2), nullptr);
+      EXPECT_EQ(w.size(2), 0u);
+      EXPECT_EQ(w.size(1 - rank()), bytes);
+      const int peer = 1 - rank();
+      const std::int64_t v = 100 + rank();
+      w.lock(LockType::exclusive, peer);
+      w.put(&v, sizeof v, peer, 0);
+      w.unlock(peer);
+      world().barrier();
+      std::int64_t got = 0;
+      w.lock(LockType::shared, peer);
+      w.get(&got, sizeof got, peer, 0);
+      w.unlock(peer);
+      EXPECT_EQ(got, v);  // our own put, read back from the peer
+      std::lock_guard lk(ctx().core().mu());
+      ++checked;
+    });
+    EXPECT_EQ(checked, 2);
+  }
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
+#include "src/mpisim/pacer.hpp"
 #include "src/mpisim/runtime.hpp"
 
 namespace mpisim {
@@ -478,6 +480,36 @@ TEST(WinTest, WindowOnSubcommunicator) {
     sub.barrier();
     win.free();
   });
+}
+
+// A rank that fails before a collective construction while its peers wait
+// inside it: the run rethrows that rank's own error, and nothing was built
+// that could leak.
+TEST(WinTest, FailureBeforeCollectiveCreationRethrowsThatError) {
+  enum class Ctor { create, allocate_shared, pacer };
+  for (const Ctor which : {Ctor::create, Ctor::allocate_shared, Ctor::pacer}) {
+    try {
+      run(3, Platform::ideal, [which] {
+        if (rank() == 1) throw std::runtime_error("rank 1 failed first");
+        std::vector<char> mem(64);
+        switch (which) {
+          case Ctor::create:
+            Win::create(mem.data(), mem.size(), world());
+            break;
+          case Ctor::allocate_shared:
+            Win::allocate_shared(mem.size(), world());
+            break;
+          case Ctor::pacer:
+            Pacer::create(world());
+            break;
+        }
+        ADD_FAILURE() << "construction completed without rank 1";
+      });
+      ADD_FAILURE() << "run() returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "rank 1 failed first");
+    }
+  }
 }
 
 }  // namespace
