@@ -4,12 +4,14 @@
 #include <pthread.h>
 #include <sys/mman.h>
 #include <unistd.h>
+#include <xmmintrin.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <new>
 #include <thread>
 
 #include "src/mpisim/comm.hpp"
@@ -21,9 +23,39 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#ifndef __x86_64__
+#error "mpisim fibers switch stacks with an x86-64 routine (fiber_switch.S) only"
+#endif
+
+extern "C" {
+/// Save the caller's callee-saved registers and FP control state on its
+/// stack, store that stack pointer in *save_sp and resume the fiber saved
+/// at \p to_sp (fiber_switch.S).
+void mpisim_fiber_switch(void** save_sp, void* to_sp);
+/// A new fiber's first resume point: calls r12(rbx) (fiber_switch.S).
+void mpisim_fiber_entry();
+}
+
 namespace mpisim {
 
 namespace {
+
+/// mpisim_fiber_switch's saved frame, lowest address first.
+struct SwitchFrame {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87_cw = 0;
+  std::uint16_t pad = 0;
+  void* r15 = nullptr;
+  void* r14 = nullptr;
+  void* r13 = nullptr;
+  void* r12 = nullptr;
+  void* rbx = nullptr;
+  void* rbp = nullptr;
+  void* ret = nullptr;
+};
+static_assert(sizeof(SwitchFrame) == 8 * sizeof(void*),
+              "six pushed registers and the return address over one "
+              "8-byte FP-control slot");
 
 /// The running rank's context: the scheduler's current-rank pointer, set on
 /// every switch (null in the host context and outside run()).
@@ -220,7 +252,7 @@ void SimCore::switch_to(int next) {
 #ifdef __SANITIZE_THREAD__
   __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
-  swapcontext(&from.uc, &to.uc);
+  mpisim_fiber_switch(&from.sp, to.sp);
 #ifdef __SANITIZE_ADDRESS__
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -344,16 +376,17 @@ std::shared_ptr<CommImpl> SimCore::fetch_published_comm(std::uint64_t key) {
   return published_.at(key);
 }
 
-void SimCore::fiber_entry(unsigned lo, unsigned hi) {
-  auto* core = reinterpret_cast<SimCore*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | std::uintptr_t{lo});
+void SimCore::fiber_start(void* self) {
+  // Before any [[noreturn]] call: ASan's no-return handling reads the stack
+  // bounds this switch has not yet published.
+#ifdef __SANITIZE_ADDRESS__
+  __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
+#endif
+  auto* core = static_cast<SimCore*>(self);
   core->fiber_main(core->current_);
 }
 
 void SimCore::fiber_main(int r) {
-#ifdef __SANITIZE_ADDRESS__
-  __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
-#endif
   RankContext& me = *ranks_[static_cast<std::size_t>(r)];
   // No exception may leave the fiber: it has nowhere to unwind to.
   try {
@@ -406,7 +439,10 @@ void SimCore::run_fibers(const std::function<void()>& rank_main) {
 #ifdef __SANITIZE_THREAD__
   host_.tsan_fiber = __tsan_get_current_fiber();
 #endif
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
+  // New fibers start with the host thread's FP control state.
+  std::uint16_t x87_cw = 0;
+  asm("fnstcw %0" : "=m"(x87_cw));
+  const std::uint32_t mxcsr = _mm_getcsr();
   bool mapped = true;
   for (int r = 0; r < cfg_.nranks && mapped; ++r) {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
@@ -423,13 +459,22 @@ void SimCore::run_fibers(const std::function<void()>& rank_main) {
     mprotect(map, page, PROT_NONE);  // guard page: an overflow faults
     f.stack = static_cast<char*>(map) + page;
     f.stack_bytes = stack;
-    getcontext(&f.uc);
-    f.uc.uc_stack.ss_sp = f.stack;
-    f.uc.uc_stack.ss_size = stack;
-    f.uc.uc_link = nullptr;
-    makecontext(&f.uc, reinterpret_cast<void (*)()>(&SimCore::fiber_entry), 2,
-                static_cast<unsigned>(self & 0xffffffffu),
-                static_cast<unsigned>(self >> 32));
+#ifdef __SANITIZE_ADDRESS__
+    // A fiber never unwinds, so an earlier run's stack at this address may
+    // have left its redzones poisoned.
+    __asan_unpoison_memory_region(f.stack, stack);
+#endif
+    // The first switch to the fiber pops this frame and "returns" into
+    // mpisim_fiber_entry, which calls fiber_start(this). A null word above
+    // it ends backtraces.
+    f.sp = new (static_cast<char*>(f.stack) + stack - sizeof(void*) -
+                sizeof(SwitchFrame)) SwitchFrame{
+        .mxcsr = mxcsr,
+        .x87_cw = x87_cw,
+        .r12 = reinterpret_cast<void*>(&SimCore::fiber_start),
+        .rbx = this,
+        .ret = reinterpret_cast<void*>(&mpisim_fiber_entry),
+    };
 #ifdef __SANITIZE_THREAD__
     f.tsan_fiber = __tsan_create_fiber(0);
 #endif

@@ -5,11 +5,14 @@
 /// The simulator core: deterministic fiber-per-rank SPMD execution.
 ///
 /// mpisim::run(cfg, fn) runs \p fn as cfg.nranks "MPI processes". Each rank
-/// is a ucontext fiber, and all fibers share one host thread that run()
-/// spawns and joins (the caller's thread, and its CPU affinity, are left
-/// alone). All mpisim calls locate their rank's context through the
-/// scheduler's current-rank pointer, so user code reads like ordinary SPMD
-/// MPI code:
+/// is a fiber with its own stack, and all fibers share one host thread that
+/// run() spawns and joins (the caller's thread, and its CPU affinity, are
+/// left alone). A switch is a short x86-64 routine that saves only the
+/// callee-saved registers and the floating-point control state (rounding
+/// mode, exception masks), so each rank keeps its own FP control state but
+/// all ranks share the host thread's signal mask. All mpisim calls locate
+/// their rank's context through the scheduler's current-rank pointer, so
+/// user code reads like ordinary SPMD MPI code:
 ///
 ///     mpisim::run({.nranks = 4}, [] {
 ///       if (mpisim::rank() == 0) ...
@@ -31,8 +34,6 @@
 /// completion the communicator's members. Only abort, rank death, the
 /// survivable lock purge and the deadlock verdict wake every rank. A run is
 /// deadlocked when no rank is runnable while some are blocked.
-
-#include <ucontext.h>
 
 #include <cstdint>
 #include <exception>
@@ -408,7 +409,10 @@ class SimCore {
     unsigned int uncaught = 0;
   };
 
-  /// One rank's fiber and scheduling state.
+  /// One rank's fiber and scheduling state. Switching out saves the
+  /// callee-saved registers, MXCSR and x87 control word on the fiber's own
+  /// stack (fiber_switch.S) and keeps only the stack pointer here; the
+  /// signal mask is not part of a fiber.
   struct Fiber {
     enum class State : std::uint8_t {
       runnable,  ///< in the run queue
@@ -421,7 +425,7 @@ class SimCore {
     bool waiting = false;      ///< inside wait() (blocked or woken)
     double t0_ns = 0.0;        ///< entry time of the current wait
     std::uint64_t out_seq = 0; ///< switch count when it last switched out
-    ucontext_t uc{};
+    void* sp = nullptr;        ///< saved stack pointer while switched out
     void* stack = nullptr;     ///< lowest stack address (guard page below)
     std::size_t stack_bytes = 0;
     EhGlobals eh;
@@ -465,7 +469,9 @@ class SimCore {
   void switch_to(int next);
   /// Fiber entry and exit of rank \p r; never returns.
   [[noreturn]] void fiber_main(int r);
-  static void fiber_entry(unsigned lo, unsigned hi);
+  /// First code on a new fiber's stack (\p self is the SimCore): runs
+  /// fiber_main() for the current rank.
+  [[noreturn]] static void fiber_start(void* self);
   /// Create the fibers, run them to completion on the calling host thread
   /// and release their stacks.
   void run_fibers(const std::function<void()>& rank_main);

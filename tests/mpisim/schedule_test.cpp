@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -198,6 +199,40 @@ TEST(ScheduleTest, RethrowAfterBlockingInCatchGetsOwnException) {
   });
   EXPECT_EQ(got[0], "rank 0");
   EXPECT_EQ(got[1], "rank 1");
+}
+
+/// 1/3 in the current rounding mode, computed in SSE (MXCSR) at run time.
+double one_third() {
+  volatile double one = 1.0;
+  return one / 3.0;
+}
+
+TEST(ScheduleTest, FloatingPointControlIsPerRank) {
+  // fegetround() reads the x87 control word and one_third() follows MXCSR,
+  // so each check covers both halves of the FP control state. Rank 0 runs
+  // first and blocks in the barrier in upward mode; rank 1 then checks its
+  // own mode before and after the barrier, and rank 0 after it.
+  struct Seen {
+    int mode;
+    double third;
+  };
+  std::vector<Seen> before(2), after(2);
+  run(2, Platform::ideal, [&] {
+    const auto me = static_cast<std::size_t>(rank());
+    if (me == 0) std::fesetround(FE_UPWARD);
+    before[me] = {std::fegetround(), one_third()};
+    world().barrier();
+    after[me] = {std::fegetround(), one_third()};
+    std::fesetround(FE_TONEAREST);
+  });
+  for (const Seen& s : {before[0], after[0]}) {
+    EXPECT_EQ(s.mode, FE_UPWARD);
+    EXPECT_GT(s.third, 1.0 / 3.0);
+  }
+  for (const Seen& s : {before[1], after[1]}) {
+    EXPECT_EQ(s.mode, FE_TONEAREST);
+    EXPECT_EQ(s.third, 1.0 / 3.0);
+  }
 }
 
 TEST(ScheduleTest, ThousandRanksOnSmallStacks) {
