@@ -312,28 +312,79 @@ void free_local(void* ptr) {
 }
 
 // ---------------------------------------------------------------------------
-// Contiguous operations
+// Data movement: one blocking and one nonblocking entry per shape
 // ---------------------------------------------------------------------------
+//
+// Every public put/get/acc function forwards to the entry of its shape
+// (contiguous, strided, IOV). A blocking entry validates, opens the OpTimer
+// probe, counts the op, orders itself after queued nb ops
+// (flush_for_blocking) and calls the backend. A nonblocking entry asks the
+// nb engine (nb.hpp) to defer the op; ops the engine cannot defer (native
+// backend, aggregation disabled, self targets, staged local buffers, scaled
+// accumulates, fallback transfer methods) run eagerly through the blocking
+// entry -- itself a flush point -- and return an empty, born-complete
+// handle.
 
 namespace {
 
 const double kUnitScaleD = 1.0;
 
-void contig_op(OneSided kind, const void* remote, void* local,
-               std::size_t bytes, int proc, AccType at, const void* scale) {
-  if (bytes == 0) return;
-  ProcState& st = state();
-  // Location consistency: queued nb ops to this target (or touching this
-  // local buffer) must be issued before a blocking op runs.
-  st.nb.flush_for_blocking(st, proc, local, bytes,
-                           /*local_write=*/kind == OneSided::get);
-  GmrLoc loc = st.table.require(proc, remote, bytes);
-  switch (loc.locality) {
-    case GmrLoc::Locality::self: ++st.stats.ops_self; break;
-    case GmrLoc::Locality::same_node: ++st.stats.ops_same_node; break;
-    case GmrLoc::Locality::remote: ++st.stats.ops_remote; break;
+/// What a transfer does: its kind, and the accumulate element type and
+/// scale (put and get carry the float64 identity, which they ignore).
+struct Xfer {
+  OneSided kind;
+  AccType at = AccType::float64;
+  const void* scale = &kUnitScaleD;
+};
+
+/// OpTimer classes and span names of the blocking entries, indexed by
+/// OneSided.
+constexpr OpClass kContigClass[] = {OpClass::put, OpClass::get, OpClass::acc};
+constexpr const char* kContigProbe[] = {"armci.put", "armci.get", "armci.acc"};
+constexpr const char* kStridedProbe[] = {
+    "armci.put_strided", "armci.get_strided", "armci.acc_strided"};
+constexpr const char* kIovProbe[] = {"armci.put_iov", "armci.get_iov",
+                                     "armci.acc_iov"};
+
+std::size_t ix(OneSided kind) { return static_cast<std::size_t>(kind); }
+
+void check_scale(const Xfer& x) {
+  if (x.scale == nullptr)
+    mpisim::raise(Errc::invalid_argument, "accumulate scale is null");
+}
+
+void check_contig(const Xfer& x, std::size_t bytes) {
+  check_scale(x);
+  if (x.kind == OneSided::acc && bytes % acc_type_size(x.at) != 0)
+    mpisim::raise(Errc::invalid_argument,
+                  "accumulate length not a multiple of the element size");
+}
+
+void count_contig(Stats& s, OneSided kind, std::size_t bytes) {
+  switch (kind) {
+    case OneSided::put: ++s.puts; s.put_bytes += bytes; break;
+    case OneSided::get: ++s.gets; s.get_bytes += bytes; break;
+    case OneSided::acc: ++s.accs; s.acc_bytes += bytes; break;
   }
-  st.backend->contig(kind, loc, local, bytes, at, scale);
+}
+
+std::uint64_t count_strided(Stats& s, const StridedSpec& spec) {
+  ++s.strided_ops;
+  std::uint64_t bytes = 1;
+  for (std::size_t c : spec.count) bytes *= c;
+  s.strided_bytes += bytes;
+  return bytes;
+}
+
+std::uint64_t count_iov(Stats& s, std::span<const Giov> iov) {
+  ++s.iov_ops;
+  std::uint64_t bytes = 0;
+  for (const Giov& g : iov) {
+    s.iov_segments += g.src.size();
+    bytes += g.bytes * g.src.size();
+  }
+  s.iov_bytes += bytes;
+  return bytes;
 }
 
 /// Conservative local bounding box of one side of a strided transfer:
@@ -351,16 +402,6 @@ std::size_t strided_extent(const StridedSpec& spec,
   for (std::size_t i = 0; i < sl; ++i)
     ext += (spec.count[i + 1] - 1) * strides[i];
   return ext;
-}
-
-/// flush_for_blocking ahead of a blocking strided op.
-void flush_for_strided(ProcState& st, OneSided kind, const void* src,
-                       void* dst, const StridedSpec& spec, int proc) {
-  const bool is_get = kind == OneSided::get;
-  const void* local = is_get ? dst : src;
-  const auto& lstrides = is_get ? spec.dst_strides : spec.src_strides;
-  st.nb.flush_for_blocking(st, proc, local, strided_extent(spec, lstrides),
-                           /*local_write=*/is_get);
 }
 
 /// flush_for_blocking ahead of a blocking IOV op: one bounding box over
@@ -390,291 +431,184 @@ void flush_for_iov(ProcState& st, OneSided kind, std::span<const Giov> vec,
   if (!flushed_any_range) st.nb.flush_proc(st, proc);
 }
 
+void contig_op(const Xfer& x, const void* remote, void* local,
+               std::size_t bytes, int proc) {
+  check_contig(x, bytes);
+  ProcState& st = state();
+  OpTimer probe(st, kContigClass[ix(x.kind)], kContigProbe[ix(x.kind)],
+                bytes);
+  count_contig(st.stats, x.kind, bytes);
+  if (bytes == 0) return;
+  // Location consistency: queued nb ops to this target (or touching this
+  // local buffer) must be issued before a blocking op runs.
+  st.nb.flush_for_blocking(st, proc, local, bytes,
+                           /*local_write=*/x.kind == OneSided::get);
+  GmrLoc loc = st.table.require(proc, remote, bytes);
+  count_locality(st.stats, loc);
+  st.backend->contig(x.kind, loc, local, bytes, x.at, x.scale);
+}
+
+void strided_op(const Xfer& x, const void* src, void* dst,
+                const StridedSpec& spec, int proc) {
+  check_scale(x);
+  ProcState& st = state();
+  OpTimer probe(st, OpClass::strided, kStridedProbe[ix(x.kind)],
+                count_strided(st.stats, spec));
+  const bool is_get = x.kind == OneSided::get;
+  st.nb.flush_for_blocking(
+      st, proc, is_get ? dst : src,
+      strided_extent(spec, is_get ? spec.dst_strides : spec.src_strides),
+      /*local_write=*/is_get);
+  st.backend->strided(x.kind, src, dst, spec, proc, x.at, x.scale);
+}
+
+void iov_op(const Xfer& x, std::span<const Giov> iov, int proc) {
+  check_scale(x);
+  ProcState& st = state();
+  OpTimer probe(st, OpClass::iov, kIovProbe[ix(x.kind)],
+                count_iov(st.stats, iov));
+  flush_for_iov(st, x.kind, iov, proc);
+  st.backend->iov(x.kind, iov, proc, x.at, x.scale);
+}
+
+/// The nb policy. \p defer asks the engine to queue the op; if it does, the
+/// op counts as deferred and \p count mirrors the blocking entry's counters
+/// so Stats totals do not depend on aggregation. Otherwise the op counts as
+/// eager and \p eager runs the blocking entry.
+template <class Defer, class Count, class Eager>
+Request defer_or_run(Defer&& defer, Count&& count, Eager&& eager) {
+  ProcState& st = state();
+  ++st.stats.nb_ops;
+  Request req;
+  if (defer(st, req)) {
+    ++st.stats.nb_deferred;
+    count(st.stats);
+  } else {
+    ++st.stats.nb_eager;
+    eager();
+  }
+  return req;
+}
+
+Request nb_contig_op(const Xfer& x, const void* remote, void* local,
+                     std::size_t bytes, int proc) {
+  check_contig(x, bytes);
+  return defer_or_run(
+      [&](ProcState& st, Request& req) {
+        return st.nb.try_defer_contig(st, x.kind, remote, local, bytes, proc,
+                                      x.at, x.scale, req);
+      },
+      [&](Stats& s) { count_contig(s, x.kind, bytes); },
+      [&] { contig_op(x, remote, local, bytes, proc); });
+}
+
+Request nb_strided_op(const Xfer& x, const void* src, void* dst,
+                      const StridedSpec& spec, int proc) {
+  check_scale(x);
+  return defer_or_run(
+      [&](ProcState& st, Request& req) {
+        return st.nb.try_defer_strided(st, x.kind, src, dst, spec, proc, x.at,
+                                       x.scale, req);
+      },
+      [&](Stats& s) { count_strided(s, spec); },
+      [&] { strided_op(x, src, dst, spec, proc); });
+}
+
+Request nb_iov_op(const Xfer& x, std::span<const Giov> iov, int proc) {
+  check_scale(x);
+  return defer_or_run(
+      [&](ProcState& st, Request& req) {
+        return st.nb.try_defer_iov(st, x.kind, iov, proc, x.at, x.scale, req);
+      },
+      [&](Stats& s) { count_iov(s, iov); },
+      [&] { iov_op(x, iov, proc); });
+}
+
 }  // namespace
 
 void put(const void* src, void* dst, std::size_t bytes, int proc) {
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::put, "armci.put", bytes);
-  ++st.stats.puts;
-  st.stats.put_bytes += bytes;
-  contig_op(OneSided::put, dst, const_cast<void*>(src), bytes, proc,
-            AccType::float64, &kUnitScaleD);
+  contig_op({OneSided::put}, dst, const_cast<void*>(src), bytes, proc);
 }
 
 void get(const void* src, void* dst, std::size_t bytes, int proc) {
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::get, "armci.get", bytes);
-  ++st.stats.gets;
-  st.stats.get_bytes += bytes;
-  contig_op(OneSided::get, src, dst, bytes, proc, AccType::float64,
-            &kUnitScaleD);
+  contig_op({OneSided::get}, src, dst, bytes, proc);
 }
 
 void acc(AccType type, const void* scale, const void* src, void* dst,
          std::size_t bytes, int proc) {
-  if (scale == nullptr)
-    mpisim::raise(Errc::invalid_argument, "accumulate scale is null");
-  if (bytes % acc_type_size(type) != 0)
-    mpisim::raise(Errc::invalid_argument,
-                  "accumulate length not a multiple of the element size");
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::acc, "armci.acc", bytes);
-  ++st.stats.accs;
-  st.stats.acc_bytes += bytes;
-  contig_op(OneSided::acc, dst, const_cast<void*>(src), bytes, proc, type,
-            scale);
+  contig_op({OneSided::acc, type, scale}, dst, const_cast<void*>(src), bytes,
+            proc);
 }
-
-// ---------------------------------------------------------------------------
-// Noncontiguous operations
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::uint64_t count_iov(std::span<const Giov> iov) {
-  Stats& st = state().stats;
-  ++st.iov_ops;
-  std::uint64_t bytes = 0;
-  for (const Giov& g : iov) {
-    st.iov_segments += g.src.size();
-    bytes += g.bytes * g.src.size();
-  }
-  st.iov_bytes += bytes;
-  return bytes;
-}
-
-}  // namespace
-
-void put_iov(std::span<const Giov> iov, int proc) {
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::iov, "armci.put_iov", count_iov(iov));
-  flush_for_iov(st, OneSided::put, iov, proc);
-  st.backend->iov(OneSided::put, iov, proc, AccType::float64, &kUnitScaleD);
-}
-
-void get_iov(std::span<const Giov> iov, int proc) {
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::iov, "armci.get_iov", count_iov(iov));
-  flush_for_iov(st, OneSided::get, iov, proc);
-  st.backend->iov(OneSided::get, iov, proc, AccType::float64, &kUnitScaleD);
-}
-
-void acc_iov(AccType type, const void* scale, std::span<const Giov> iov,
-             int proc) {
-  if (scale == nullptr)
-    mpisim::raise(Errc::invalid_argument, "accumulate scale is null");
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::iov, "armci.acc_iov", count_iov(iov));
-  flush_for_iov(st, OneSided::acc, iov, proc);
-  st.backend->iov(OneSided::acc, iov, proc, type, scale);
-}
-
-namespace {
-
-std::uint64_t count_strided(const StridedSpec& spec) {
-  Stats& st = state().stats;
-  ++st.strided_ops;
-  std::uint64_t bytes = 1;
-  for (std::size_t c : spec.count) bytes *= c;
-  st.strided_bytes += bytes;
-  return bytes;
-}
-
-}  // namespace
 
 void put_strided(const void* src, void* dst, const StridedSpec& spec,
                  int proc) {
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::strided, "armci.put_strided",
-                count_strided(spec));
-  flush_for_strided(st, OneSided::put, src, dst, spec, proc);
-  st.backend->strided(OneSided::put, src, dst, spec, proc, AccType::float64,
-                      &kUnitScaleD);
+  strided_op({OneSided::put}, src, dst, spec, proc);
 }
 
 void get_strided(const void* src, void* dst, const StridedSpec& spec,
                  int proc) {
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::strided, "armci.get_strided",
-                count_strided(spec));
-  flush_for_strided(st, OneSided::get, src, dst, spec, proc);
-  st.backend->strided(OneSided::get, src, dst, spec, proc, AccType::float64,
-                      &kUnitScaleD);
+  strided_op({OneSided::get}, src, dst, spec, proc);
 }
 
 void acc_strided(AccType type, const void* scale, const void* src, void* dst,
                  const StridedSpec& spec, int proc) {
-  if (scale == nullptr)
-    mpisim::raise(Errc::invalid_argument, "accumulate scale is null");
-  ProcState& st = state();
-  OpTimer probe(st, OpClass::strided, "armci.acc_strided",
-                count_strided(spec));
-  flush_for_strided(st, OneSided::acc, src, dst, spec, proc);
-  st.backend->strided(OneSided::acc, src, dst, spec, proc, type, scale);
+  strided_op({OneSided::acc, type, scale}, src, dst, spec, proc);
 }
 
-// ---------------------------------------------------------------------------
-// Nonblocking variants (deferred-op aggregation, nb.hpp)
-// ---------------------------------------------------------------------------
-//
-// Each nb_* op first tries to defer into its (GMR, target) queue; the queue
-// is coalesced into a single backend epoch at the next completion point.
-// Ops the engine cannot defer (native backend, aggregation disabled, self
-// targets, staged local buffers, scaled accumulates, fallback transfer
-// methods) run eagerly through the blocking entry point -- which is itself
-// a flush point -- and return an empty, born-complete handle. Deferred ops
-// mirror the blocking op/byte counters so Stats totals are mode-invariant.
+void put_iov(std::span<const Giov> iov, int proc) {
+  iov_op({OneSided::put}, iov, proc);
+}
+
+void get_iov(std::span<const Giov> iov, int proc) {
+  iov_op({OneSided::get}, iov, proc);
+}
+
+void acc_iov(AccType type, const void* scale, std::span<const Giov> iov,
+             int proc) {
+  iov_op({OneSided::acc, type, scale}, iov, proc);
+}
 
 Request nb_put(const void* src, void* dst, std::size_t bytes, int proc) {
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_contig(st, OneSided::put, dst, const_cast<void*>(src),
-                             bytes, proc, AccType::float64, &kUnitScaleD,
-                             req)) {
-    ++st.stats.nb_deferred;
-    ++st.stats.puts;
-    st.stats.put_bytes += bytes;
-    return req;
-  }
-  ++st.stats.nb_eager;
-  put(src, dst, bytes, proc);
-  return req;
+  return nb_contig_op({OneSided::put}, dst, const_cast<void*>(src), bytes,
+                      proc);
 }
 
 Request nb_get(const void* src, void* dst, std::size_t bytes, int proc) {
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_contig(st, OneSided::get, src, dst, bytes, proc,
-                             AccType::float64, &kUnitScaleD, req)) {
-    ++st.stats.nb_deferred;
-    ++st.stats.gets;
-    st.stats.get_bytes += bytes;
-    return req;
-  }
-  ++st.stats.nb_eager;
-  get(src, dst, bytes, proc);
-  return req;
+  return nb_contig_op({OneSided::get}, src, dst, bytes, proc);
 }
 
 Request nb_acc(AccType type, const void* scale, const void* src, void* dst,
                std::size_t bytes, int proc) {
-  if (scale == nullptr)
-    mpisim::raise(Errc::invalid_argument, "accumulate scale is null");
-  if (bytes % acc_type_size(type) != 0)
-    mpisim::raise(Errc::invalid_argument,
-                  "accumulate length not a multiple of the element size");
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_contig(st, OneSided::acc, dst, const_cast<void*>(src),
-                             bytes, proc, type, scale, req)) {
-    ++st.stats.nb_deferred;
-    ++st.stats.accs;
-    st.stats.acc_bytes += bytes;
-    return req;
-  }
-  ++st.stats.nb_eager;
-  acc(type, scale, src, dst, bytes, proc);
-  return req;
+  return nb_contig_op({OneSided::acc, type, scale}, dst,
+                      const_cast<void*>(src), bytes, proc);
 }
 
 Request nb_put_strided(const void* src, void* dst, const StridedSpec& spec,
                        int proc) {
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_strided(st, OneSided::put, src, dst, spec, proc,
-                              AccType::float64, &kUnitScaleD, req)) {
-    ++st.stats.nb_deferred;
-    count_strided(spec);
-    return req;
-  }
-  ++st.stats.nb_eager;
-  put_strided(src, dst, spec, proc);
-  return req;
+  return nb_strided_op({OneSided::put}, src, dst, spec, proc);
 }
 
 Request nb_get_strided(const void* src, void* dst, const StridedSpec& spec,
                        int proc) {
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_strided(st, OneSided::get, src, dst, spec, proc,
-                              AccType::float64, &kUnitScaleD, req)) {
-    ++st.stats.nb_deferred;
-    count_strided(spec);
-    return req;
-  }
-  ++st.stats.nb_eager;
-  get_strided(src, dst, spec, proc);
-  return req;
+  return nb_strided_op({OneSided::get}, src, dst, spec, proc);
 }
 
 Request nb_acc_strided(AccType type, const void* scale, const void* src,
                        void* dst, const StridedSpec& spec, int proc) {
-  if (scale == nullptr)
-    mpisim::raise(Errc::invalid_argument, "accumulate scale is null");
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_strided(st, OneSided::acc, src, dst, spec, proc, type,
-                              scale, req)) {
-    ++st.stats.nb_deferred;
-    count_strided(spec);
-    return req;
-  }
-  ++st.stats.nb_eager;
-  acc_strided(type, scale, src, dst, spec, proc);
-  return req;
+  return nb_strided_op({OneSided::acc, type, scale}, src, dst, spec, proc);
 }
 
 Request nb_put_iov(std::span<const Giov> iov, int proc) {
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_iov(st, OneSided::put, iov, proc, AccType::float64,
-                          &kUnitScaleD, req)) {
-    ++st.stats.nb_deferred;
-    count_iov(iov);
-    return req;
-  }
-  ++st.stats.nb_eager;
-  put_iov(iov, proc);
-  return req;
+  return nb_iov_op({OneSided::put}, iov, proc);
 }
 
 Request nb_get_iov(std::span<const Giov> iov, int proc) {
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_iov(st, OneSided::get, iov, proc, AccType::float64,
-                          &kUnitScaleD, req)) {
-    ++st.stats.nb_deferred;
-    count_iov(iov);
-    return req;
-  }
-  ++st.stats.nb_eager;
-  get_iov(iov, proc);
-  return req;
+  return nb_iov_op({OneSided::get}, iov, proc);
 }
 
 Request nb_acc_iov(AccType type, const void* scale, std::span<const Giov> iov,
                    int proc) {
-  if (scale == nullptr)
-    mpisim::raise(Errc::invalid_argument, "accumulate scale is null");
-  ProcState& st = state();
-  ++st.stats.nb_ops;
-  Request req;
-  if (st.nb.try_defer_iov(st, OneSided::acc, iov, proc, type, scale, req)) {
-    ++st.stats.nb_deferred;
-    count_iov(iov);
-    return req;
-  }
-  ++st.stats.nb_eager;
-  acc_iov(type, scale, iov, proc);
-  return req;
+  return nb_iov_op({OneSided::acc, type, scale}, iov, proc);
 }
 
 void wait(Request& req) {

@@ -98,24 +98,20 @@ class CommBackend {
   virtual void flush_queue(const Gmr& /*gmr*/, int /*target_rank*/,
                            std::span<const NbOp> /*ops*/) {}
 
-  /// True when flush_queue() can be split into an issue half and a
-  /// completion half so the progress engine can overlap the target-side
-  /// wait with application compute: issue_queue() starts the batch
-  /// (source-complete), complete_target() later finishes everything issued
-  /// (operation-complete). Backends whose flush_queue already completes
-  /// per-op (MPI-2 exclusive epochs) keep the default and complete in one
-  /// step at issue.
-  virtual bool split_completion() const { return false; }
-
-  /// Start one conflict-free batch without waiting for target completion.
-  /// Default: full flush_queue (issue == complete).
-  virtual void issue_queue(const Gmr& gmr, int target_rank,
+  /// Start one conflict-free batch for the progress engine. Returns true
+  /// when target completion is still pending, to be finished later by
+  /// complete_target() (the MPI-3 split: issuing is source completion, the
+  /// trailing flush is target completion, so the wait lands under
+  /// application compute). Default: a full flush_queue(), complete at
+  /// issue, hence false.
+  virtual bool issue_queue(const Gmr& gmr, int target_rank,
                            std::span<const NbOp> ops) {
     flush_queue(gmr, target_rank, ops);
+    return false;
   }
 
   /// Complete at the target everything previously started by issue_queue()
-  /// for <gmr, target_rank>. Only called when split_completion() is true.
+  /// for <gmr, target_rank>. Only called after issue_queue() returned true.
   virtual void complete_target(const Gmr& /*gmr*/, int /*target_rank*/) {}
 };
 

@@ -1,6 +1,5 @@
 #include "src/armci/backend_mpi.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/armci/accops.hpp"
@@ -23,10 +22,34 @@ using mpisim::TraceScope;
 
 namespace {
 
-/// Span view of the written-side pointer array for the overlap scan
-/// (puts/accs write remote dst; gets write local dst).
-std::span<const void* const> as_const_span(const std::vector<void*>& v) {
-  return {const_cast<const void* const*>(v.data()), v.size()};
+/// The one window call per op kind on the MPI-2 backend: put, get, or
+/// accumulate(SUM) of \p count \p ltype instances at \p origin against as
+/// many \p rtype instances at \p disp on \p target.
+void win_op(OneSided kind, const mpisim::Win& win, void* origin,
+            std::size_t count, const Datatype& ltype, int target,
+            std::size_t disp, const Datatype& rtype) {
+  switch (kind) {
+    case OneSided::put:
+      win.put(origin, count, ltype, target, disp, count, rtype);
+      return;
+    case OneSided::get:
+      win.get(origin, count, ltype, target, disp, count, rtype);
+      return;
+    case OneSided::acc:
+      win.accumulate(origin, count, ltype, target, disp, count, rtype,
+                     mpisim::Op::sum);
+      return;
+  }
+}
+
+/// Contiguous form: \p bytes bytes for put and get (what Win::put(origin,
+/// bytes, ...) issues), bytes / esz elements of the accumulate type for acc.
+void win_op(OneSided kind, const mpisim::Win& win, void* origin,
+            std::size_t bytes, AccType at, int target, std::size_t disp) {
+  const Datatype t = kind == OneSided::acc
+                         ? Datatype::basic(basic_type_of_acc(at))
+                         : mpisim::byte_type();
+  win_op(kind, win, origin, bytes / t.size(), t, target, disp, t);
 }
 
 }  // namespace
@@ -110,21 +133,7 @@ void MpiBackend::contig(OneSided kind, const GmrLoc& loc, void* local,
 
   with_retry(*st_, "mpi.contig", [&] {
     EpochGuard eg(gmr.win, lt, loc.target_rank);
-    switch (kind) {
-      case OneSided::put:
-        gmr.win.put(buf, bytes, loc.target_rank, loc.offset);
-        break;
-      case OneSided::get:
-        gmr.win.get(buf, bytes, loc.target_rank, loc.offset);
-        break;
-      case OneSided::acc: {
-        const std::size_t esz = acc_type_size(at);
-        const Datatype d = Datatype::basic(basic_type_of_acc(at));
-        gmr.win.accumulate(buf, bytes / esz, d, loc.target_rank, loc.offset,
-                           bytes / esz, d, mpisim::Op::sum);
-        break;
-      }
-    }
+    win_op(kind, gmr.win, buf, bytes, at, loc.target_rank, loc.offset);
     eg.release();
   });
 
@@ -151,12 +160,11 @@ void MpiBackend::iov_one(OneSided kind, const Giov& giov, int proc,
   if (method == IovMethod::auto_) {
     // §VI-B: the auto method scans the descriptor and falls back to the
     // conservative method when segments span multiple GMRs or overlap.
-    const bool is_get = kind == OneSided::get;
+    const auto remote = remote_segments(giov, kind == OneSided::get);
     bool same_gmr = true;
     const Gmr* first = nullptr;
-    for (std::size_t i = 0; i < giov.src.size() && same_gmr; ++i) {
-      const void* remote = is_get ? giov.src[i] : giov.dst[i];
-      GmrLoc l = st_->table.find(proc, remote, giov.bytes);
+    for (std::size_t i = 0; i < remote.size() && same_gmr; ++i) {
+      GmrLoc l = st_->table.find(proc, remote[i], giov.bytes);
       if (!l.gmr) {
         same_gmr = false;
       } else if (first == nullptr) {
@@ -193,11 +201,51 @@ void MpiBackend::iov_conservative(OneSided kind, const Giov& giov, int proc,
   TraceScope ts(mpisim::tracer(), TraceCat::backend, "mpi.iov_conservative",
                 giov.src.size());
   const bool is_get = kind == OneSided::get;
-  for (std::size_t i = 0; i < giov.src.size(); ++i) {
-    const void* remote = is_get ? giov.src[i] : giov.dst[i];
-    void* local = is_get ? giov.dst[i] : const_cast<void*>(giov.src[i]);
-    GmrLoc loc = st_->table.require(proc, remote, giov.bytes);
-    contig(kind, loc, local, giov.bytes, at, scale);
+  const auto remote = remote_segments(giov, is_get);
+  const auto local = local_segments(giov, is_get);
+  for (std::size_t i = 0; i < remote.size(); ++i) {
+    GmrLoc loc = st_->table.require(proc, remote[i], giov.bytes);
+    contig(kind, loc, const_cast<void*>(local[i]), giov.bytes, at, scale);
+  }
+}
+
+bool MpiBackend::stage_iov_in(OneSided kind, const Giov& giov, AccType at,
+                              const void* scale,
+                              std::vector<std::uint8_t>& temp) const {
+  const bool is_get = kind == OneSided::get;
+  const std::size_t n = giov.src.size();
+  const std::size_t bytes = giov.bytes;
+  const bool need_scale =
+      kind == OneSided::acc && !scale_is_identity(at, scale);
+  bool any_global = false;
+  for (const void* local : local_segments(giov, is_get))
+    any_global = any_global || local_is_global(local, bytes);
+  if (!any_global && !need_scale) return false;
+  temp.resize(n * bytes);
+  if (is_get) return true;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (local_is_global(giov.src[i], bytes))
+      staged_local_copy(temp.data() + i * bytes, giov.src[i], bytes,
+                        giov.src[i]);
+    else
+      std::memcpy(temp.data() + i * bytes, giov.src[i], bytes);
+  }
+  if (need_scale) {
+    scale_buffer(at, scale, temp.data(), temp.data(), n * bytes);
+    mpisim::clock().advance(mpisim::model().pack_ns(n * bytes));
+  }
+  return true;
+}
+
+void MpiBackend::unstage_iov_out(const Giov& giov,
+                                 const std::vector<std::uint8_t>& temp) const {
+  const std::size_t bytes = giov.bytes;
+  for (std::size_t i = 0; i < giov.dst.size(); ++i) {
+    if (local_is_global(giov.dst[i], bytes))
+      staged_local_copy(giov.dst[i], temp.data() + i * bytes, bytes,
+                        giov.dst[i]);
+    else
+      std::memcpy(giov.dst[i], temp.data() + i * bytes, bytes);
   }
 }
 
@@ -212,47 +260,19 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
   // Stage or scale the local side up front, so no window lock is ever held
   // while another is requested (§V-E1).
   std::vector<std::uint8_t> temp;
-  bool use_temp = false;
-  {
-    bool any_global = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const void* local = is_get ? giov.dst[i] : giov.src[i];
-      any_global = any_global || local_is_global(local, bytes);
-    }
-    const bool need_scale =
-        kind == OneSided::acc && !scale_is_identity(at, scale);
-    if (any_global || need_scale) {
-      temp.resize(n * bytes);
-      use_temp = true;
-      if (!is_get) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (local_is_global(giov.src[i], bytes))
-            staged_local_copy(temp.data() + i * bytes, giov.src[i], bytes,
-                              giov.src[i]);
-          else
-            std::memcpy(temp.data() + i * bytes, giov.src[i], bytes);
-        }
-        if (need_scale) {
-          scale_buffer(at, scale, temp.data(), temp.data(), n * bytes);
-          mpisim::clock().advance(mpisim::model().pack_ns(n * bytes));
-        }
-      }
-    }
-  }
+  const bool staged = stage_iov_in(kind, giov, at, scale, temp);
 
   // Resolve every remote segment and group by GMR, preserving order.
+  const auto remote = remote_segments(giov, is_get);
   std::vector<GmrLoc> locs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const void* remote = is_get ? giov.src[i] : giov.dst[i];
-    locs[i] = st_->table.require(proc, remote, bytes);
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    locs[i] = st_->table.require(proc, remote[i], bytes);
 
   const std::size_t limit = st_->opts.iov_batched_limit;
-  const std::size_t esz = acc_type_size(at);
-  if (kind == OneSided::acc && bytes % esz != 0)
+  if (kind == OneSided::acc && bytes % acc_type_size(at) != 0)
     mpisim::raise(Errc::invalid_argument,
                   "IOV segment length not a multiple of the element size");
-  const Datatype d = Datatype::basic(basic_type_of_acc(at));
+  const auto local = local_segments(giov, is_get);
   for (const auto& idxs : group_by_gmr(locs)) {
     const Gmr& gmr = *locs[idxs.front()].gmr;
     const int grank = locs[idxs.front()].target_rank;
@@ -265,37 +285,16 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
           eg.cycle();
           issued = 0;
         }
-        void* local = use_temp
-                          ? static_cast<void*>(temp.data() + i * bytes)
-                          : (is_get ? giov.dst[i]
-                                    : const_cast<void*>(giov.src[i]));
-        switch (kind) {
-          case OneSided::put:
-            gmr.win.put(local, bytes, grank, locs[i].offset);
-            break;
-          case OneSided::get:
-            gmr.win.get(local, bytes, grank, locs[i].offset);
-            break;
-          case OneSided::acc:
-            gmr.win.accumulate(local, bytes / esz, d, grank, locs[i].offset,
-                               bytes / esz, d, mpisim::Op::sum);
-            break;
-        }
+        void* origin = staged ? temp.data() + i * bytes
+                              : const_cast<void*>(local[i]);
+        win_op(kind, gmr.win, origin, bytes, at, grank, locs[i].offset);
         ++issued;
       }
       eg.release();
     });
   }
 
-  if (is_get && use_temp) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (local_is_global(giov.dst[i], bytes))
-        staged_local_copy(giov.dst[i], temp.data() + i * bytes, bytes,
-                          giov.dst[i]);
-      else
-        std::memcpy(giov.dst[i], temp.data() + i * bytes, bytes);
-    }
-  }
+  if (is_get && staged) unstage_iov_out(giov, temp);
 }
 
 void MpiBackend::iov_direct(OneSided kind, const Giov& giov, int proc,
@@ -305,21 +304,18 @@ void MpiBackend::iov_direct(OneSided kind, const Giov& giov, int proc,
   const bool is_get = kind == OneSided::get;
   const std::size_t n = giov.src.size();
   const std::size_t bytes = giov.bytes;
-  const bool is_acc = kind == OneSided::acc;
-  const mpisim::BasicType elem =
-      is_acc ? basic_type_of_acc(at) : mpisim::BasicType::byte_;
-  const std::size_t esz = mpisim::basic_type_size(elem);
-  if (bytes % esz != 0)
+  const mpisim::BasicType elem = direct_elem(kind, at);
+  if (bytes % mpisim::basic_type_size(elem) != 0)
     mpisim::raise(Errc::invalid_argument,
                   "IOV segment length not a multiple of the element size");
 
   // All remote segments must resolve into one GMR (§VI-A: required by the
   // direct method; the auto method guarantees it before choosing direct).
+  const auto remote = remote_segments(giov, is_get);
   std::vector<std::ptrdiff_t> rdispls(n);
   GmrLoc loc0;
   for (std::size_t i = 0; i < n; ++i) {
-    const void* remote = is_get ? giov.src[i] : giov.dst[i];
-    GmrLoc l = st_->table.require(proc, remote, bytes);
+    GmrLoc l = st_->table.require(proc, remote[i], bytes);
     if (i == 0) {
       loc0 = l;
     } else if (l.gmr.get() != loc0.gmr.get()) {
@@ -328,104 +324,26 @@ void MpiBackend::iov_direct(OneSided kind, const Giov& giov, int proc,
     }
     rdispls[i] = static_cast<std::ptrdiff_t>(l.offset);
   }
-  // Rebase displacements so the remote type is shape-only (cacheable across
-  // base offsets); the minimum becomes the target displacement instead.
-  const std::ptrdiff_t rmin = *std::min_element(rdispls.begin(), rdispls.end());
-  for (std::ptrdiff_t& d : rdispls) d -= rmin;
-  const auto rdisp = static_cast<std::size_t>(rmin);
-  const std::vector<std::size_t> blocklens(n, bytes / esz);
-  const Datatype rtype =
-      st_->dt_cache.hindexed_type(blocklens, rdispls, elem, st_->stats);
 
-  // Local side: one indexed datatype, or a staged/scaled contiguous buffer.
+  // Local side: one hindexed datatype, or a staged/scaled packed buffer.
   std::vector<std::uint8_t> temp;
-  bool use_temp = kind == OneSided::acc && !scale_is_identity(at, scale);
-  for (std::size_t i = 0; i < n && !use_temp; ++i) {
-    const void* local = is_get ? giov.dst[i] : giov.src[i];
-    use_temp = local_is_global(local, bytes);
-  }
+  const bool staged = stage_iov_in(kind, giov, at, scale, temp);
+  const IovPlan plan = st_->dt_cache.iov_plan(
+      std::move(rdispls),
+      staged ? std::span<const void* const>() : local_segments(giov, is_get),
+      bytes, elem, st_->stats);
+  void* origin = staged ? temp.data() : plan.origin;
 
   const Gmr& gmr = *loc0.gmr;
   const int grank = loc0.target_rank;
   const LockType lt = epoch_lock(gmr, kind);
-
-  if (use_temp) {
-    temp.resize(n * bytes);
-    if (!is_get) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (local_is_global(giov.src[i], bytes))
-          staged_local_copy(temp.data() + i * bytes, giov.src[i], bytes,
-                            giov.src[i]);
-        else
-          std::memcpy(temp.data() + i * bytes, giov.src[i], bytes);
-      }
-      if (is_acc && !scale_is_identity(at, scale)) {
-        scale_buffer(at, scale, temp.data(), temp.data(), n * bytes);
-        mpisim::clock().advance(mpisim::model().pack_ns(n * bytes));
-      }
-    }
-    const Datatype ltype =
-        Datatype::contiguous(n * bytes / esz, Datatype::basic(elem));
-    with_retry(*st_, "mpi.iov_direct", [&] {
-      EpochGuard eg(gmr.win, lt, grank);
-      switch (kind) {
-        case OneSided::put:
-          gmr.win.put(temp.data(), 1, ltype, grank, rdisp, 1, rtype);
-          break;
-        case OneSided::get:
-          gmr.win.get(temp.data(), 1, ltype, grank, rdisp, 1, rtype);
-          break;
-        case OneSided::acc:
-          gmr.win.accumulate(temp.data(), 1, ltype, grank, rdisp, 1, rtype,
-                             mpisim::Op::sum);
-          break;
-      }
-      eg.release();
-    });
-    if (is_get) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (local_is_global(giov.dst[i], bytes))
-          staged_local_copy(giov.dst[i], temp.data() + i * bytes, bytes,
-                            giov.dst[i]);
-        else
-          std::memcpy(giov.dst[i], temp.data() + i * bytes, bytes);
-      }
-    }
-    return;
-  }
-
-  // Unstaged: indexed datatype on the local side too.
-  const std::uint8_t* lbase = nullptr;
-  for (std::size_t i = 0; i < n; ++i) {
-    const void* local = is_get ? giov.dst[i] : giov.src[i];
-    const auto* p = static_cast<const std::uint8_t*>(local);
-    if (lbase == nullptr || p < lbase) lbase = p;
-  }
-  std::vector<std::ptrdiff_t> ldispls(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const void* local = is_get ? giov.dst[i] : giov.src[i];
-    ldispls[i] = static_cast<const std::uint8_t*>(local) - lbase;
-  }
-  const Datatype ltype =
-      st_->dt_cache.hindexed_type(blocklens, ldispls, elem, st_->stats);
-
-  auto* origin = const_cast<std::uint8_t*>(lbase);
   with_retry(*st_, "mpi.iov_direct", [&] {
     EpochGuard eg(gmr.win, lt, grank);
-    switch (kind) {
-      case OneSided::put:
-        gmr.win.put(origin, 1, ltype, grank, rdisp, 1, rtype);
-        break;
-      case OneSided::get:
-        gmr.win.get(origin, 1, ltype, grank, rdisp, 1, rtype);
-        break;
-      case OneSided::acc:
-        gmr.win.accumulate(origin, 1, ltype, grank, rdisp, 1, rtype,
-                           mpisim::Op::sum);
-        break;
-    }
+    win_op(kind, gmr.win, origin, 1, plan.ltype, grank, plan.disp,
+           plan.rtype);
     eg.release();
   });
+  if (is_get && staged) unstage_iov_out(giov, temp);
 }
 
 // ---------------------------------------------------------------------------
@@ -451,42 +369,12 @@ void MpiBackend::flush_queue(const Gmr& gmr, int target_rank,
   with_retry(*st_, "mpi.nb_flush", [&] {
     EpochGuard eg(gmr.win, lt, target_rank);
     for (const NbOp& op : ops) {
-      if (op.typed) {
-        switch (op.kind) {
-          case OneSided::put:
-            gmr.win.put(op.local, 1, op.ltype, target_rank, op.offset, 1,
-                        op.rtype);
-            break;
-          case OneSided::get:
-            gmr.win.get(op.local, 1, op.ltype, target_rank, op.offset, 1,
-                        op.rtype);
-            break;
-          case OneSided::acc:
-            gmr.win.accumulate(op.local, 1, op.ltype, target_rank, op.offset,
-                               1, op.rtype, mpisim::Op::sum);
-            break;
-        }
-        continue;
-      }
-      switch (op.kind) {
-        case OneSided::put:
-          gmr.win.put(op.local, op.bytes, target_rank, op.offset);
-          break;
-        case OneSided::get:
-          gmr.win.get(op.local, op.bytes, target_rank, op.offset);
-          break;
-        case OneSided::acc: {
-          const std::size_t esz = acc_type_size(op.at);
-          if (op.bytes % esz != 0)
-            mpisim::raise(Errc::invalid_argument,
-                          "accumulate length not a multiple of the element "
-                          "size");
-          const Datatype d = Datatype::basic(basic_type_of_acc(op.at));
-          gmr.win.accumulate(op.local, op.bytes / esz, d, target_rank,
-                             op.offset, op.bytes / esz, d, mpisim::Op::sum);
-          break;
-        }
-      }
+      if (op.typed)
+        win_op(op.kind, gmr.win, op.local, 1, op.ltype, target_rank,
+               op.offset, op.rtype);
+      else
+        win_op(op.kind, gmr.win, op.local, op.bytes, op.at, target_rank,
+               op.offset);
     }
     eg.release();
   });
@@ -515,44 +403,40 @@ void MpiBackend::strided(OneSided kind, const void* src, void* dst,
   }
 
   const bool is_get = kind == OneSided::get;
-  const bool is_acc = kind == OneSided::acc;
-  const mpisim::BasicType elem =
-      is_acc ? basic_type_of_acc(at) : mpisim::BasicType::byte_;
-  const void* remote = is_get ? src : dst;
-  void* local = is_get ? dst : const_cast<void*>(src);
-  const auto& rstrides = is_get ? spec.src_strides : spec.dst_strides;
-  const auto& lstrides = is_get ? spec.dst_strides : spec.src_strides;
-
-  const Datatype rtype =
-      st_->dt_cache.strided_type(rstrides, spec, elem, st_->stats);
-  const Datatype ltype =
-      st_->dt_cache.strided_type(lstrides, spec, elem, st_->stats);
+  const mpisim::BasicType elem = direct_elem(kind, at);
+  const StridedPlan p =
+      st_->dt_cache.strided_plan(kind, src, dst, spec, elem, st_->stats);
   const std::size_t total = strided_total_bytes(spec);
-  GmrLoc loc = st_->table.require(proc, remote,
-                                  static_cast<std::size_t>(rtype.extent()));
+  GmrLoc loc = st_->table.require(
+      proc, p.remote, static_cast<std::size_t>(p.rtype.extent()));
   const Gmr& gmr = *loc.gmr;
   const LockType lt = epoch_lock(gmr, kind);
 
-  const std::size_t lextent = static_cast<std::size_t>(ltype.extent());
-  const bool need_scale = is_acc && !scale_is_identity(at, scale);
-  const bool staged = local_is_global(local, lextent) || need_scale;
-
+  // Local side: the strided datatype, or a packed buffer when the patch is
+  // in global space (§V-E1) or must be scaled.
+  const auto lextent = static_cast<std::size_t>(p.ltype.extent());
+  const bool need_scale =
+      kind == OneSided::acc && !scale_is_identity(at, scale);
+  const bool local_global = local_is_global(p.local, lextent);
+  const bool staged = local_global || need_scale;
+  std::vector<std::uint8_t> temp;
+  void* origin = p.local;
+  Datatype otype = p.ltype;
   if (staged) {
-    std::vector<std::uint8_t> temp(total);
-    const bool local_global = local_is_global(local, lextent);
+    temp.resize(total);
     if (!is_get) {
       if (local_global) {
         ++st_->stats.staged_local_copies;
-        GmrLoc l = st_->table.require(mpisim::rank(), local, lextent);
+        GmrLoc l = st_->table.require(mpisim::rank(), p.local, lextent);
         with_retry(*st_, "mpi.strided_pack", [&] {
           EpochGuard eg(l.gmr->win, LockType::exclusive, l.target_rank);
-          LocalAccessGuard la(l.gmr->win, local, lextent, /*write=*/false);
-          ltype.pack(local, 1, temp.data());
+          LocalAccessGuard la(l.gmr->win, p.local, lextent, /*write=*/false);
+          p.ltype.pack(p.local, 1, temp.data());
           la.release();
           eg.release();
         });
       } else {
-        ltype.pack(local, 1, temp.data());
+        p.ltype.pack(p.local, 1, temp.data());
       }
       mpisim::clock().advance(mpisim::model().pack_ns(total));
       if (need_scale) {
@@ -560,62 +444,34 @@ void MpiBackend::strided(OneSided kind, const void* src, void* dst,
         mpisim::clock().advance(mpisim::model().pack_ns(total));
       }
     }
-    const std::size_t esz = mpisim::basic_type_size(elem);
-    const Datatype ctype =
-        Datatype::contiguous(total / esz, Datatype::basic(elem));
-    with_retry(*st_, "mpi.strided", [&] {
-      EpochGuard eg(gmr.win, lt, loc.target_rank);
-      switch (kind) {
-        case OneSided::put:
-          gmr.win.put(temp.data(), 1, ctype, loc.target_rank, loc.offset, 1,
-                      rtype);
-          break;
-        case OneSided::get:
-          gmr.win.get(temp.data(), 1, ctype, loc.target_rank, loc.offset, 1,
-                      rtype);
-          break;
-        case OneSided::acc:
-          gmr.win.accumulate(temp.data(), 1, ctype, loc.target_rank,
-                             loc.offset, 1, rtype, mpisim::Op::sum);
-          break;
-      }
-      eg.release();
-    });
-    if (is_get) {
-      if (local_global) {
-        ++st_->stats.staged_local_copies;
-        GmrLoc l = st_->table.require(mpisim::rank(), local, lextent);
-        with_retry(*st_, "mpi.strided_unpack", [&] {
-          EpochGuard eg(l.gmr->win, LockType::exclusive, l.target_rank);
-          LocalAccessGuard la(l.gmr->win, local, lextent, /*write=*/true);
-          ltype.unpack(temp.data(), local, 1);
-          la.release();
-          eg.release();
-        });
-      } else {
-        ltype.unpack(temp.data(), local, 1);
-      }
-      mpisim::clock().advance(mpisim::model().pack_ns(total));
-    }
-    return;
+    origin = temp.data();
+    otype = Datatype::contiguous(total / mpisim::basic_type_size(elem),
+                                 Datatype::basic(elem));
   }
 
   with_retry(*st_, "mpi.strided", [&] {
     EpochGuard eg(gmr.win, lt, loc.target_rank);
-    switch (kind) {
-      case OneSided::put:
-        gmr.win.put(local, 1, ltype, loc.target_rank, loc.offset, 1, rtype);
-        break;
-      case OneSided::get:
-        gmr.win.get(local, 1, ltype, loc.target_rank, loc.offset, 1, rtype);
-        break;
-      case OneSided::acc:
-        gmr.win.accumulate(local, 1, ltype, loc.target_rank, loc.offset, 1,
-                           rtype, mpisim::Op::sum);
-        break;
-    }
+    win_op(kind, gmr.win, origin, 1, otype, loc.target_rank, loc.offset,
+           p.rtype);
     eg.release();
   });
+
+  if (is_get && staged) {
+    if (local_global) {
+      ++st_->stats.staged_local_copies;
+      GmrLoc l = st_->table.require(mpisim::rank(), p.local, lextent);
+      with_retry(*st_, "mpi.strided_unpack", [&] {
+        EpochGuard eg(l.gmr->win, LockType::exclusive, l.target_rank);
+        LocalAccessGuard la(l.gmr->win, p.local, lextent, /*write=*/true);
+        p.ltype.unpack(temp.data(), p.local, 1);
+        la.release();
+        eg.release();
+      });
+    } else {
+      p.ltype.unpack(temp.data(), p.local, 1);
+    }
+    mpisim::clock().advance(mpisim::model().pack_ns(total));
+  }
 }
 
 // ---------------------------------------------------------------------------

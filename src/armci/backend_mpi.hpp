@@ -16,7 +16,9 @@
 ///  - RMW through the per-GMR queueing mutex in two epochs (§V-D);
 ///  - access-mode hints downgrade exclusive to shared epochs (§VIII-A).
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/armci/backend.hpp"
 #include "src/armci/mutex.hpp"
@@ -71,6 +73,18 @@ class MpiBackend final : public CommBackend {
   /// exclusive self-epoch on the containing window.
   void staged_local_copy(void* dst, const void* src, std::size_t bytes,
                          const void* global_side) const;
+
+  /// §V-E1 for an IOV descriptor: when a local segment is in global space
+  /// or an accumulate needs scaling, size \p temp to hold every segment
+  /// packed, gather the put/acc sources into it (scaled) and return true.
+  /// Returns false, leaving \p temp empty, when the descriptor needs no
+  /// staging.
+  bool stage_iov_in(OneSided kind, const Giov& giov, AccType at,
+                    const void* scale, std::vector<std::uint8_t>& temp) const;
+
+  /// Scatter a staged get's packed segments back to giov.dst.
+  void unstage_iov_out(const Giov& giov,
+                       const std::vector<std::uint8_t>& temp) const;
 
   /// One IOV descriptor with a forced method (strided ops delegate here).
   void iov_one(OneSided kind, const Giov& giov, int proc, AccType at,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/armci/accops.hpp"
+#include "src/armci/iov.hpp"
 #include "src/armci/retry.hpp"
 #include "src/armci/state.hpp"
 #include "src/armci/strided.hpp"
@@ -18,6 +19,49 @@ using mpisim::Datatype;
 using mpisim::Errc;
 using mpisim::TraceCat;
 using mpisim::TraceScope;
+
+namespace {
+
+/// The one window call per op kind under the standing lock_all epoch, one
+/// \p ltype instance at \p origin against one \p rtype instance at \p disp:
+/// put as accumulate(REPLACE) -- element-atomic, so concurrent updates are
+/// defined (§VIII-B item 1) --, get, or accumulate(SUM).
+void win_op(OneSided kind, const mpisim::Win& win, void* origin,
+            const Datatype& ltype, int target, std::size_t disp,
+            const Datatype& rtype) {
+  switch (kind) {
+    case OneSided::put:
+      win.accumulate(origin, 1, ltype, target, disp, 1, rtype,
+                     mpisim::Op::replace);
+      return;
+    case OneSided::get:
+      win.get(origin, 1, ltype, target, disp, 1, rtype);
+      return;
+    case OneSided::acc:
+      win.accumulate(origin, 1, ltype, target, disp, 1, rtype,
+                     mpisim::Op::sum);
+      return;
+  }
+}
+
+/// True when a batch needs the completing flush: gets fill their
+/// destinations only at target completion.
+bool has_get(std::span<const NbOp> ops) {
+  return std::any_of(ops.begin(), ops.end(), [](const NbOp& op) {
+    return op.kind == OneSided::get;
+  });
+}
+
+/// \p bytes contiguous bytes as one datatype instance: bytes for put and
+/// get, elements of the accumulate type for acc.
+Datatype contig_type(OneSided kind, std::size_t bytes, AccType at) {
+  if (kind == OneSided::acc)
+    return Datatype::contiguous(bytes / acc_type_size(at),
+                                Datatype::basic(basic_type_of_acc(at)));
+  return Datatype::contiguous(bytes, mpisim::byte_type());
+}
+
+}  // namespace
 
 void Mpi3Backend::gmr_created(Gmr& gmr) {
   const int me = gmr.group.rank();
@@ -44,43 +88,25 @@ void Mpi3Backend::gmr_freeing(Gmr& gmr) {
 }
 
 void Mpi3Backend::issue(OneSided kind, const Gmr& gmr, int grank,
-                        std::size_t disp, void* local, std::size_t count,
-                        const Datatype& ltype, const Datatype& rtype,
-                        AccType at, const void* scale) const {
+                        std::size_t disp, void* local, const Datatype& ltype,
+                        const Datatype& rtype, AccType at,
+                        const void* scale) const {
   // The standing lock_all epoch survives a transient fault, so a retry
   // simply reissues the operation (the injector fires before anything is
   // applied; see retry.hpp).
   with_retry(*st_, "mpi3.issue", [&] {
-    switch (kind) {
-      case OneSided::put:
-        // Put as accumulate(REPLACE): element-atomic, so concurrent updates
-        // under the shared lock_all epoch are defined (§VIII-B item 1).
-        gmr.win.accumulate(local, count, ltype, grank, disp, count, rtype,
-                           mpisim::Op::replace);
-        return;
-      case OneSided::get:
-        gmr.win.get(local, count, ltype, grank, disp, count, rtype);
-        gmr.win.flush(grank);  // blocking-get semantics
-        return;
-      case OneSided::acc: {
-        if (!scale_is_identity(at, scale)) {
-          const std::size_t bytes = count * ltype.size();
-          std::vector<std::uint8_t> temp(bytes);
-          ltype.pack(local, count, temp.data());
-          scale_buffer(at, scale, temp.data(), temp.data(), bytes);
-          mpisim::clock().advance(2.0 * mpisim::model().pack_ns(bytes));
-          const std::size_t esz = acc_type_size(at);
-          const Datatype ct = Datatype::contiguous(
-              bytes / esz, Datatype::basic(basic_type_of_acc(at)));
-          gmr.win.accumulate(temp.data(), 1, ct, grank, disp, count, rtype,
-                             mpisim::Op::sum);
-          return;
-        }
-        gmr.win.accumulate(local, count, ltype, grank, disp, count, rtype,
-                           mpisim::Op::sum);
-        return;
-      }
+    if (kind == OneSided::acc && !scale_is_identity(at, scale)) {
+      const std::size_t bytes = ltype.size();
+      std::vector<std::uint8_t> temp(bytes);
+      ltype.pack(local, 1, temp.data());
+      scale_buffer(at, scale, temp.data(), temp.data(), bytes);
+      mpisim::clock().advance(2.0 * mpisim::model().pack_ns(bytes));
+      gmr.win.accumulate(temp.data(), 1, contig_type(kind, bytes, at), grank,
+                         disp, 1, rtype, mpisim::Op::sum);
+      return;
     }
+    win_op(kind, gmr.win, local, ltype, grank, disp, rtype);
+    if (kind == OneSided::get) gmr.win.flush(grank);  // blocking-get semantics
   });
 }
 
@@ -91,18 +117,18 @@ void Mpi3Backend::flush_queue(const Gmr& gmr, int target_rank,
   // blocking path is deferring the get-side flush so the whole queue
   // pipelines into a single flush (§VIII-B item 3). Put/acc need none:
   // their blocking counterparts defer remote completion to fence too.
-  bool have_get = false;
-  for (const NbOp& op : ops) have_get = have_get || op.kind == OneSided::get;
-  issue_ops(gmr, target_rank, ops, have_get);
+  issue_ops(gmr, target_rank, ops, has_get(ops));
 }
 
-void Mpi3Backend::issue_queue(const Gmr& gmr, int target_rank,
+bool Mpi3Backend::issue_queue(const Gmr& gmr, int target_rank,
                               std::span<const NbOp> ops) {
-  if (ops.empty()) return;
+  if (ops.empty()) return false;
   // Progress-engine issue half: start everything (gets included) and leave
   // the single completing flush to complete_target(), so the target-side
   // wait lands under application compute instead of inside this call.
+  // Put/acc-only batches need no flush (as in flush_queue).
   issue_ops(gmr, target_rank, ops, false);
+  return has_get(ops);
 }
 
 void Mpi3Backend::complete_target(const Gmr& gmr, int target_rank) {
@@ -128,33 +154,12 @@ void Mpi3Backend::issue_ops(const Gmr& gmr, int target_rank,
       // is exactly the schedule the resume index exists for.
       me.fault().maybe_transient(me.clock(), "mpi3.nb_flush.op");
       const NbOp& op = ops[i];
-      Datatype lt = op.ltype;
-      Datatype rt = op.rtype;
-      if (!op.typed) {
-        if (op.kind == OneSided::acc) {
-          const std::size_t esz = acc_type_size(op.at);
-          if (op.bytes % esz != 0)
-            mpisim::raise(Errc::invalid_argument,
-                          "accumulate length not a multiple of the element "
-                          "size");
-          lt = rt = Datatype::contiguous(
-              op.bytes / esz, Datatype::basic(basic_type_of_acc(op.at)));
-        } else {
-          lt = rt = Datatype::contiguous(op.bytes, mpisim::byte_type());
-        }
-      }
-      switch (op.kind) {
-        case OneSided::put:
-          gmr.win.accumulate(op.local, 1, lt, target_rank, op.offset, 1, rt,
-                             mpisim::Op::replace);
-          break;
-        case OneSided::get:
-          gmr.win.get(op.local, 1, lt, target_rank, op.offset, 1, rt);
-          break;
-        case OneSided::acc:
-          gmr.win.accumulate(op.local, 1, lt, target_rank, op.offset, 1, rt,
-                             mpisim::Op::sum);
-          break;
+      if (op.typed) {
+        win_op(op.kind, gmr.win, op.local, op.ltype, target_rank, op.offset,
+               op.rtype);
+      } else {
+        const Datatype t = contig_type(op.kind, op.bytes, op.at);
+        win_op(op.kind, gmr.win, op.local, t, target_rank, op.offset, t);
       }
       next = i + 1;
     }
@@ -208,18 +213,8 @@ void Mpi3Backend::contig(OneSided kind, const GmrLoc& loc, void* local,
     return;
   }
   TraceScope ts(mpisim::tracer(), TraceCat::backend, "mpi3.contig", bytes);
-  const Gmr& gmr = *loc.gmr;
-  if (kind == OneSided::acc) {
-    const std::size_t esz = acc_type_size(at);
-    const Datatype d = Datatype::basic(basic_type_of_acc(at));
-    const Datatype ct = Datatype::contiguous(bytes / esz, d);
-    issue(kind, gmr, loc.target_rank, loc.offset, local, 1, ct, ct, at,
-          scale);
-  } else {
-    const Datatype bt = Datatype::contiguous(bytes, mpisim::byte_type());
-    issue(kind, gmr, loc.target_rank, loc.offset, local, 1, bt, bt, at,
-          scale);
-  }
+  const Datatype t = contig_type(kind, bytes, at);
+  issue(kind, *loc.gmr, loc.target_rank, loc.offset, local, t, t, at, scale);
 }
 
 void Mpi3Backend::iov(OneSided kind, std::span<const Giov> vec, int proc,
@@ -229,64 +224,42 @@ void Mpi3Backend::iov(OneSided kind, std::span<const Giov> vec, int proc,
   // defined (same-op) or merely undefined (MPI-3), never fatal.
   TraceScope ts(mpisim::tracer(), TraceCat::backend, "mpi3.iov", vec.size());
   const bool is_get = kind == OneSided::get;
+  const mpisim::BasicType elem = direct_elem(kind, at);
   for (const Giov& g : vec) {
     if (g.src.size() != g.dst.size())
       mpisim::raise(Errc::invalid_argument, "IOV src/dst length mismatch");
     if (g.src.empty() || g.bytes == 0) continue;
-
-    const mpisim::BasicType elem = kind == OneSided::acc
-                                       ? basic_type_of_acc(at)
-                                       : mpisim::BasicType::byte_;
-    const std::size_t esz = mpisim::basic_type_size(elem);
-    if (g.bytes % esz != 0)
+    if (g.bytes % mpisim::basic_type_size(elem) != 0)
       mpisim::raise(Errc::invalid_argument,
                     "IOV segment length not a multiple of the element size");
 
     // Group segments by owning GMR.
+    const auto remote = remote_segments(g, is_get);
+    const auto local = local_segments(g, is_get);
     std::vector<GmrLoc> locs(g.src.size());
-    for (std::size_t i = 0; i < g.src.size(); ++i) {
-      const void* remote = is_get ? g.src[i] : g.dst[i];
-      locs[i] = st_->table.require(proc, remote, g.bytes);
-    }
+    for (std::size_t i = 0; i < g.src.size(); ++i)
+      locs[i] = st_->table.require(proc, remote[i], g.bytes);
 
     for (const auto& idxs : group_by_gmr(locs)) {
       if (direct_path(locs[idxs.front()])) {
         // Same-node IOV: each descriptor segment is a direct copy; the
         // per-segment GmrLoc already carries its displacement.
-        for (std::size_t i : idxs) {
-          const void* lseg = is_get ? g.dst[i] : g.src[i];
-          shm_contig(kind, locs[i], const_cast<void*>(lseg), g.bytes, at,
+        for (std::size_t i : idxs)
+          shm_contig(kind, locs[i], const_cast<void*>(local[i]), g.bytes, at,
                      scale);
-        }
         continue;
       }
-      const Gmr& gmr = *locs[idxs.front()].gmr;
-      const int grank = locs[idxs.front()].target_rank;
-      const std::vector<std::size_t> blocklens(idxs.size(), g.bytes / esz);
       std::vector<std::ptrdiff_t> rdispls(idxs.size());
-      const std::uint8_t* lbase = nullptr;
+      std::vector<const void*> lsegs(idxs.size());
       for (std::size_t k = 0; k < idxs.size(); ++k) {
         rdispls[k] = static_cast<std::ptrdiff_t>(locs[idxs[k]].offset);
-        const void* local = is_get ? g.dst[idxs[k]] : g.src[idxs[k]];
-        const auto* p = static_cast<const std::uint8_t*>(local);
-        if (lbase == nullptr || p < lbase) lbase = p;
+        lsegs[k] = local[idxs[k]];
       }
-      // Rebase so both types are shape-only and hence cacheable; the
-      // minimum remote displacement moves into the issue() disp.
-      const std::ptrdiff_t rmin =
-          *std::min_element(rdispls.begin(), rdispls.end());
-      for (std::ptrdiff_t& d : rdispls) d -= rmin;
-      std::vector<std::ptrdiff_t> ldispls(idxs.size());
-      for (std::size_t k = 0; k < idxs.size(); ++k) {
-        const void* local = is_get ? g.dst[idxs[k]] : g.src[idxs[k]];
-        ldispls[k] = static_cast<const std::uint8_t*>(local) - lbase;
-      }
-      const Datatype rtype =
-          st_->dt_cache.hindexed_type(blocklens, rdispls, elem, st_->stats);
-      const Datatype ltype =
-          st_->dt_cache.hindexed_type(blocklens, ldispls, elem, st_->stats);
-      issue(kind, gmr, grank, static_cast<std::size_t>(rmin),
-            const_cast<std::uint8_t*>(lbase), 1, ltype, rtype, at, scale);
+      const IovPlan plan = st_->dt_cache.iov_plan(std::move(rdispls), lsegs,
+                                                  g.bytes, elem, st_->stats);
+      const GmrLoc& l = locs[idxs.front()];
+      issue(kind, *l.gmr, l.target_rank, plan.disp, plan.origin, plan.ltype,
+            plan.rtype, at, scale);
     }
   }
 }
@@ -298,26 +271,16 @@ void Mpi3Backend::strided(OneSided kind, const void* src, void* dst,
                 static_cast<std::uint64_t>(spec.stride_levels));
   validate_spec(spec);
   const bool is_get = kind == OneSided::get;
-  const mpisim::BasicType elem = kind == OneSided::acc
-                                     ? basic_type_of_acc(at)
-                                     : mpisim::BasicType::byte_;
-  const void* remote = is_get ? src : dst;
-  void* local = is_get ? dst : const_cast<void*>(src);
-  const auto& rstrides = is_get ? spec.src_strides : spec.dst_strides;
-  const auto& lstrides = is_get ? spec.dst_strides : spec.src_strides;
-
-  const Datatype rtype =
-      st_->dt_cache.strided_type(rstrides, spec, elem, st_->stats);
-  const Datatype ltype =
-      st_->dt_cache.strided_type(lstrides, spec, elem, st_->stats);
-  GmrLoc loc = st_->table.require(proc, remote,
-                                  static_cast<std::size_t>(rtype.extent()));
+  const StridedPlan p = st_->dt_cache.strided_plan(
+      kind, src, dst, spec, direct_elem(kind, at), st_->stats);
+  GmrLoc loc = st_->table.require(proc, p.remote,
+                                  static_cast<std::size_t>(p.rtype.extent()));
   if (direct_path(loc)) {
     // Same-node strided access: walk Algorithm 1's segments as direct
     // shared-memory copies instead of opening a datatype epoch.
     StridedIter it(spec);
     std::size_t s_off = 0, d_off = 0;
-    auto* lbase = static_cast<std::uint8_t*>(local);
+    auto* lbase = static_cast<std::uint8_t*>(p.local);
     GmrLoc seg = loc;
     while (it.next(s_off, d_off)) {
       seg.offset = loc.offset + (is_get ? s_off : d_off);
@@ -326,8 +289,8 @@ void Mpi3Backend::strided(OneSided kind, const void* src, void* dst,
     }
     return;
   }
-  issue(kind, *loc.gmr, loc.target_rank, loc.offset, local, 1, ltype, rtype,
-        at, scale);
+  issue(kind, *loc.gmr, loc.target_rank, loc.offset, p.local, p.ltype,
+        p.rtype, at, scale);
 }
 
 void Mpi3Backend::fence(int proc) {

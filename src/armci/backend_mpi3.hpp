@@ -82,9 +82,9 @@ class Mpi3Backend final : public CommBackend {
 
   /// Under the standing lock_all epoch a batch splits cleanly: issuing the
   /// operations is source completion, the single trailing flush is target
-  /// completion -- exactly the halves the progress engine overlaps.
-  bool split_completion() const override { return true; }
-  void issue_queue(const Gmr& gmr, int target_rank,
+  /// completion -- exactly the halves the progress engine overlaps. Only a
+  /// batch with a get leaves target completion pending.
+  bool issue_queue(const Gmr& gmr, int target_rank,
                    std::span<const NbOp> ops) override;
   void complete_target(const Gmr& gmr, int target_rank) override;
 
@@ -95,9 +95,9 @@ class Mpi3Backend final : public CommBackend {
                  bool flush_after);
 
   /// One transfer against a resolved location under the standing lock_all
-  /// epoch, with datatypes describing both sides.
+  /// epoch, with one datatype instance describing each side.
   void issue(OneSided kind, const Gmr& gmr, int grank, std::size_t disp,
-             void* local, std::size_t count, const mpisim::Datatype& ltype,
+             void* local, const mpisim::Datatype& ltype,
              const mpisim::Datatype& rtype, AccType at,
              const void* scale) const;
 

@@ -1,7 +1,10 @@
 #include "src/armci/dtype_cache.hpp"
 
+#include <algorithm>
 #include <utility>
 
+#include "src/armci/accops.hpp"
+#include "src/armci/backend.hpp"
 #include "src/armci/strided.hpp"
 
 namespace armci {
@@ -11,7 +14,19 @@ namespace {
 constexpr std::uint64_t kTagStrided = 1;
 constexpr std::uint64_t kTagHindexed = 2;
 
+/// Subtract the lowest displacement from every one; returns it.
+std::ptrdiff_t rebase(std::vector<std::ptrdiff_t>& displs) {
+  const std::ptrdiff_t lo = *std::min_element(displs.begin(), displs.end());
+  for (std::ptrdiff_t& d : displs) d -= lo;
+  return lo;
+}
+
 }  // namespace
+
+mpisim::BasicType direct_elem(OneSided kind, AccType at) {
+  return kind == OneSided::acc ? basic_type_of_acc(at)
+                               : mpisim::BasicType::byte_;
+}
 
 std::size_t DatatypeCache::KeyHash::operator()(const Key& k) const noexcept {
   // FNV-1a over the shape words: cheap, and the keys are short.
@@ -80,6 +95,39 @@ mpisim::Datatype DatatypeCache::hindexed_type(
     return mpisim::Datatype::hindexed(blocklens, displs_bytes,
                                       mpisim::Datatype::basic(elem));
   });
+}
+
+StridedPlan DatatypeCache::strided_plan(OneSided kind, const void* src,
+                                        void* dst, const StridedSpec& spec,
+                                        mpisim::BasicType elem, Stats& stats) {
+  const bool is_get = kind == OneSided::get;
+  mpisim::Datatype rtype = strided_type(
+      is_get ? spec.src_strides : spec.dst_strides, spec, elem, stats);
+  mpisim::Datatype ltype = strided_type(
+      is_get ? spec.dst_strides : spec.src_strides, spec, elem, stats);
+  return {is_get ? src : dst, is_get ? dst : const_cast<void*>(src),
+          std::move(rtype), std::move(ltype)};
+}
+
+IovPlan DatatypeCache::iov_plan(std::vector<std::ptrdiff_t> rdispls,
+                                std::span<const void* const> locals,
+                                std::size_t seg_bytes, mpisim::BasicType elem,
+                                Stats& stats) {
+  const std::size_t n = rdispls.size();
+  const std::size_t seg_elems = seg_bytes / mpisim::basic_type_size(elem);
+  const std::vector<std::size_t> blocklens(n, seg_elems);
+  const auto disp = static_cast<std::size_t>(rebase(rdispls));
+  mpisim::Datatype rtype = hindexed_type(blocklens, rdispls, elem, stats);
+  if (locals.empty())
+    return {disp, std::move(rtype), nullptr,
+            mpisim::Datatype::contiguous(n * seg_elems,
+                                         mpisim::Datatype::basic(elem))};
+  std::vector<std::ptrdiff_t> ldispls(n);
+  for (std::size_t i = 0; i < n; ++i)
+    ldispls[i] = reinterpret_cast<std::intptr_t>(locals[i]);
+  void* origin = reinterpret_cast<void*>(rebase(ldispls));
+  return {disp, std::move(rtype), origin,
+          hindexed_type(blocklens, ldispls, elem, stats)};
 }
 
 }  // namespace armci

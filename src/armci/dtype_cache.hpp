@@ -32,6 +32,30 @@
 
 namespace armci {
 
+enum class OneSided;
+
+/// Element type of a direct-method datatype: the accumulate element type
+/// for acc, so the target reduction applies element-wise; bytes otherwise.
+mpisim::BasicType direct_elem(OneSided kind, AccType at);
+
+/// The direct (§VI-C) plan of a strided transfer: which side is remote, and
+/// one datatype per side.
+struct StridedPlan {
+  const void* remote;
+  void* local;
+  mpisim::Datatype rtype;
+  mpisim::Datatype ltype;
+};
+
+/// The direct (§VI-A) plan of IOV segments that all land in one GMR: one
+/// hindexed datatype per side, each rebased to its lowest segment.
+struct IovPlan {
+  std::size_t disp;        ///< lowest remote offset (the target disp)
+  mpisim::Datatype rtype;  ///< remote segments relative to disp
+  void* origin;            ///< lowest local address; null when packed
+  mpisim::Datatype ltype;  ///< local segments relative to origin
+};
+
 class DatatypeCache {
  public:
   /// Shrink-or-grow the entry budget; evicts LRU entries when shrinking.
@@ -52,6 +76,22 @@ class DatatypeCache {
   mpisim::Datatype hindexed_type(std::span<const std::size_t> blocklens,
                                  std::span<const std::ptrdiff_t> displs_bytes,
                                  mpisim::BasicType elem, Stats& stats);
+
+  /// Plan a direct strided transfer from \p src to \p dst: the remote side
+  /// is src for a get and dst otherwise. Looks up the remote type, then the
+  /// local type.
+  StridedPlan strided_plan(OneSided kind, const void* src, void* dst,
+                           const StridedSpec& spec, mpisim::BasicType elem,
+                           Stats& stats);
+
+  /// Plan a direct transfer of equal \p seg_bytes segments: \p rdispls
+  /// holds each segment's offset in the target slice and \p locals its
+  /// local address. Looks up the remote type, then the local type. An empty
+  /// \p locals means the local side is a packed staging buffer: ltype is
+  /// then a plain contiguous type and nothing more is looked up.
+  IovPlan iov_plan(std::vector<std::ptrdiff_t> rdispls,
+                   std::span<const void* const> locals, std::size_t seg_bytes,
+                   mpisim::BasicType elem, Stats& stats);
 
  private:
   /// Flattened shape key. `words` starts with the tag so strided and

@@ -10,8 +10,32 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
+
+#include "src/armci/types.hpp"
 
 namespace armci {
+
+/// Read-only view of a segment pointer array (Giov::dst), the shape of
+/// Giov::src.
+inline std::span<const void* const> as_const_span(
+    const std::vector<void*>& v) {
+  return {const_cast<const void* const*>(v.data()), v.size()};
+}
+
+/// Segment addresses on the local side of \p g: dst for a get, src for a
+/// put or accumulate.
+inline std::span<const void* const> local_segments(const Giov& g,
+                                                   bool is_get) {
+  return is_get ? as_const_span(g.dst) : std::span<const void* const>(g.src);
+}
+
+/// Segment addresses on the remote side of \p g: src for a get, dst for a
+/// put or accumulate.
+inline std::span<const void* const> remote_segments(const Giov& g,
+                                                    bool is_get) {
+  return local_segments(g, !is_get);
+}
 
 /// O(N log N) overlap detection over \p n segments of \p bytes bytes each,
 /// using the AVL conflict tree (paper §VI-B).

@@ -23,10 +23,6 @@ std::uintptr_t lo_of(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p);
 }
 
-std::span<const void* const> as_const_span(const std::vector<void*>& v) {
-  return {const_cast<const void* const*>(v.data()), v.size()};
-}
-
 /// Drop a queue's range bookkeeping after its ops reach operation
 /// completion (or park on an error).
 void clear_ranges(NbQueue& q) {
@@ -345,11 +341,7 @@ bool NbEngine::try_defer_contig(ProcState& st, OneSided kind,
   // would delay their effects past the direct access. Fall to the eager
   // path, which routes them through the backend's shm fast path.
   if (st.backend->direct_path(loc)) return false;
-  switch (loc.locality) {
-    case GmrLoc::Locality::self: ++st.stats.ops_self; break;
-    case GmrLoc::Locality::same_node: ++st.stats.ops_same_node; break;
-    case GmrLoc::Locality::remote: ++st.stats.ops_remote; break;
-  }
+  count_locality(st.stats, loc);
 
   NbOp op;
   op.kind = kind;
@@ -378,24 +370,14 @@ bool NbEngine::try_defer_strided(ProcState& st, OneSided kind,
   if (kind == OneSided::acc && !scale_is_identity(at, scale)) return false;
   validate_spec(spec);
 
-  const bool is_get = kind == OneSided::get;
-  const mpisim::BasicType elem = kind == OneSided::acc
-                                     ? basic_type_of_acc(at)
-                                     : mpisim::BasicType::byte_;
+  const mpisim::BasicType elem = direct_elem(kind, at);
   if (spec.count[0] % mpisim::basic_type_size(elem) != 0) return false;
-  const void* remote = is_get ? src : dst;
-  void* local = is_get ? dst : const_cast<void*>(src);
-  const auto& rstrides = is_get ? spec.src_strides : spec.dst_strides;
-  const auto& lstrides = is_get ? spec.dst_strides : spec.src_strides;
-
-  const mpisim::Datatype rtype =
-      st.dt_cache.strided_type(rstrides, spec, elem, st.stats);
-  const mpisim::Datatype ltype =
-      st.dt_cache.strided_type(lstrides, spec, elem, st.stats);
-  const auto lextent = static_cast<std::size_t>(ltype.extent());
-  if (local_needs_staging(st, local, lextent)) return false;
-  GmrLoc loc = st.table.require(proc, remote,
-                                static_cast<std::size_t>(rtype.extent()));
+  StridedPlan plan = st.dt_cache.strided_plan(kind, src, dst, spec, elem,
+                                              st.stats);
+  const auto lextent = static_cast<std::size_t>(plan.ltype.extent());
+  if (local_needs_staging(st, plan.local, lextent)) return false;
+  const auto rextent = static_cast<std::size_t>(plan.rtype.extent());
+  GmrLoc loc = st.table.require(proc, plan.remote, rextent);
   // Direct-path targets complete at memcpy speed with no epoch to batch;
   // the eager path walks their segments through the backend's shm copies.
   if (st.backend->direct_path(loc)) return false;
@@ -403,16 +385,16 @@ bool NbEngine::try_defer_strided(ProcState& st, OneSided kind,
   NbOp op;
   op.kind = kind;
   op.at = at;
-  op.local = local;
+  op.local = plan.local;
   op.bytes = strided_total_bytes(spec);
   op.offset = loc.offset;
   op.typed = true;
-  op.ltype = ltype;
-  op.rtype = rtype;
-  const std::uintptr_t l_lo = lo_of(local);
-  const std::uint64_t seq = enqueue(
-      st, loc.gmr, proc, loc.target_rank, std::move(op),
-      static_cast<std::size_t>(rtype.extent()), l_lo, l_lo + lextent - 1);
+  op.ltype = std::move(plan.ltype);
+  op.rtype = std::move(plan.rtype);
+  const std::uintptr_t l_lo = lo_of(op.local);
+  const std::uint64_t seq =
+      enqueue(st, loc.gmr, proc, loc.target_rank, std::move(op), rextent,
+              l_lo, l_lo + lextent - 1);
   RequestAccess::add_ticket(req, loc.gmr->id, proc, seq);
   return true;
 }
@@ -425,9 +407,7 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
   if (kind == OneSided::acc && !scale_is_identity(at, scale)) return false;
 
   const bool is_get = kind == OneSided::get;
-  const mpisim::BasicType elem = kind == OneSided::acc
-                                     ? basic_type_of_acc(at)
-                                     : mpisim::BasicType::byte_;
+  const mpisim::BasicType elem = direct_elem(kind, at);
   const std::size_t esz = mpisim::basic_type_size(elem);
 
   // Plan every descriptor first; defer all or none so one nb call never
@@ -455,9 +435,9 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
     const std::size_t n = g.src.size();
     std::vector<std::ptrdiff_t> rdispls(n);
     GmrLoc loc0;
+    const auto remote = remote_segments(g, is_get);
     for (std::size_t i = 0; i < n; ++i) {
-      const void* remote = is_get ? g.src[i] : g.dst[i];
-      GmrLoc l = st.table.find(proc, remote, g.bytes);
+      GmrLoc l = st.table.find(proc, remote[i], g.bytes);
       if (!l.gmr) return false;
       if (i == 0)
         loc0 = l;
@@ -468,39 +448,25 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
     // Direct-path targets (same GMR for every segment, so one check) go
     // eager: the backend copies each segment through shared memory.
     if (st.backend->direct_path(loc0)) return false;
-    // Rebase both displacement lists so the datatypes are shape-only (and
-    // therefore cacheable across base addresses).
-    const std::ptrdiff_t rmin =
-        *std::min_element(rdispls.begin(), rdispls.end());
-    for (auto& d : rdispls) d -= rmin;
-    const std::uint8_t* lbase = nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-      const void* local = is_get ? g.dst[i] : g.src[i];
-      const auto* p = static_cast<const std::uint8_t*>(local);
-      if (lbase == nullptr || p < lbase) lbase = p;
-    }
-    std::vector<std::ptrdiff_t> ldispls(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const void* local = is_get ? g.dst[i] : g.src[i];
-      ldispls[i] = static_cast<const std::uint8_t*>(local) - lbase;
-    }
-    const std::vector<std::size_t> blocklens(n, g.bytes / esz);
+    IovPlan iov = st.dt_cache.iov_plan(std::move(rdispls),
+                                       local_segments(g, is_get), g.bytes,
+                                       elem, st.stats);
+    const auto lextent = static_cast<std::size_t>(iov.ltype.extent());
+    if (local_needs_staging(st, iov.origin, lextent)) return false;
 
     Plan p;
     p.op.kind = kind;
     p.op.at = at;
-    p.op.local = const_cast<std::uint8_t*>(lbase);
+    p.op.local = iov.origin;
     p.op.bytes = n * g.bytes;
-    p.op.offset = static_cast<std::size_t>(rmin);
+    p.op.offset = iov.disp;
     p.op.typed = true;
-    p.op.rtype = st.dt_cache.hindexed_type(blocklens, rdispls, elem, st.stats);
-    p.op.ltype = st.dt_cache.hindexed_type(blocklens, ldispls, elem, st.stats);
-    const auto lextent = static_cast<std::size_t>(p.op.ltype.extent());
-    if (local_needs_staging(st, lbase, lextent)) return false;
+    p.op.rtype = std::move(iov.rtype);
+    p.op.ltype = std::move(iov.ltype);
     p.gmr = loc0.gmr;
     p.target_rank = loc0.target_rank;
     p.r_span = static_cast<std::size_t>(p.op.rtype.extent());
-    p.l_lo = lo_of(lbase);
+    p.l_lo = lo_of(iov.origin);
     p.l_hi = p.l_lo + lextent - 1;
     plans.push_back(std::move(p));
   }
@@ -618,30 +584,17 @@ void NbEngine::progress_tick(ProcState& st) {
         q.seq_issued = q.seq_enqueued;
         ++st.stats.flushed_queues;
         if (batch.size() >= 2) ++st.stats.coalesced_epochs;
-        if (st.backend->split_completion()) {
-          const bool need_target =
-              std::any_of(batch.begin(), batch.end(), [](const NbOp& o) {
-                return o.kind == OneSided::get;
-              });
-          st.backend->issue_queue(*q.gmr, q.target_rank, batch);
-          // put/acc sources are captured at issue; only get destinations
-          // stay covered until target completion.
-          q.l_reads.clear();
-          if (need_target) q.pending_flush = true;
-          if (!q.pending_flush) {
-            // put/acc-only batch under the standing epoch: issue is the
-            // whole completion (matching flush_queue's get-only flush).
-            q.seq_completed = q.seq_enqueued;
-            clear_ranges(q);
-            retire_queue(st, q);
-            note_retired(q);
-          }
-        } else {
-          // The backend completes per batch (MPI-2 exclusive epochs):
-          // issue and completion are one stage.
+        // put/acc sources are captured at issue; only get destinations
+        // stay covered until target completion. A batch the backend
+        // completes at issue (MPI-2 exclusive epochs, or put/acc-only under
+        // the standing MPI-3 epoch) is the whole completion; a pending flag
+        // left by an earlier tick stays until its completion stage.
+        if (st.backend->issue_queue(*q.gmr, q.target_rank, batch))
+          q.pending_flush = true;
+        q.l_reads.clear();
+        if (!q.pending_flush) {
           q.seq_completed = q.seq_enqueued;
           clear_ranges(q);
-          st.backend->flush_queue(*q.gmr, q.target_rank, batch);
           retire_queue(st, q);
           note_retired(q);
         }

@@ -92,6 +92,15 @@ struct ProcState {
   explicit ProcState(int world_size) : table(world_size) {}
 };
 
+/// Count one contiguous op in the Stats locality split of its target.
+inline void count_locality(Stats& s, const GmrLoc& loc) {
+  switch (loc.locality) {
+    case GmrLoc::Locality::self: ++s.ops_self; break;
+    case GmrLoc::Locality::same_node: ++s.ops_same_node; break;
+    case GmrLoc::Locality::remote: ++s.ops_remote; break;
+  }
+}
+
 /// State of the calling process; throws unless init() has been called.
 ProcState& state();
 

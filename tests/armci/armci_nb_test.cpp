@@ -376,6 +376,126 @@ TEST(ArmciNbTest, AggregationOptionOffGoesEager) {
   });
 }
 
+/// What one run of all nine nb_* calls leaves behind: the issuing rank's
+/// counters, the target's slice, and the three get destinations.
+struct NbRunResult {
+  Stats stats;
+  std::vector<std::uint8_t> image;
+  std::vector<std::uint8_t> got;
+};
+
+/// Rank 0 issues every nb_* variant once to rank 1 on infiniband, then
+/// wait_all(). Puts and accumulates write disjoint regions of rank 1's
+/// slice; each get reads back the region its kind of put wrote.
+NbRunResult run_every_nb_call(bool aggregation) {
+  NbRunResult out;
+  mpisim::run(2, Platform::infiniband, [&] {
+    Options o;
+    o.nb_aggregation = aggregation;
+    init(o);
+    constexpr std::size_t kRegion = 128, kSlice = 6 * kRegion;
+    std::vector<void*> bases = malloc_world(kSlice);
+    // malloc_world memory is uninitialized: zero it so images compare.
+    void* mine = bases[static_cast<std::size_t>(mpisim::rank())];
+    access_begin(mine);
+    std::memset(mine, 0, kSlice);
+    access_end(mine);
+    barrier();
+    if (mpisim::rank() == 0) {
+      reset_stats();
+      std::vector<double> src(kRegion / sizeof(double));
+      for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = 1.0 + static_cast<double>(i);
+      std::vector<std::uint8_t> got(3 * kRegion, 0);
+      const double one = 1.0;
+      constexpr std::size_t kSeg = 16, kN = 4;  // 4 segments, pitch 32
+
+      nb_put(src.data(), slice(bases, 1, 0), kRegion, 1);
+      nb_acc(AccType::float64, &one, src.data(), slice(bases, 1, kRegion),
+             kRegion, 1);
+      nb_get(slice(bases, 1, 0), got.data(), kRegion, 1);
+
+      StridedSpec spec;
+      spec.stride_levels = 1;
+      spec.count = {kSeg, kN};
+      spec.src_strides = {kSeg};
+      spec.dst_strides = {2 * kSeg};
+      nb_put_strided(src.data(), slice(bases, 1, 2 * kRegion), spec, 1);
+      nb_acc_strided(AccType::float64, &one, src.data(),
+                     slice(bases, 1, 3 * kRegion), spec, 1);
+      StridedSpec back = spec;
+      back.src_strides = {2 * kSeg};
+      back.dst_strides = {kSeg};
+      nb_get_strided(slice(bases, 1, 2 * kRegion), got.data() + kRegion,
+                     back, 1);
+
+      const auto iov_to = [&](std::size_t off) {
+        Giov g;
+        g.bytes = kSeg;
+        for (std::size_t i = 0; i < kN; ++i) {
+          g.src.push_back(reinterpret_cast<const char*>(src.data()) +
+                          i * kSeg);
+          g.dst.push_back(slice(bases, 1, off + i * 2 * kSeg));
+        }
+        return g;
+      };
+      const Giov put_v = iov_to(4 * kRegion);
+      const Giov acc_v = iov_to(5 * kRegion);
+      Giov get_v;
+      get_v.bytes = kSeg;
+      for (std::size_t i = 0; i < kN; ++i) {
+        get_v.src.push_back(put_v.dst[i]);
+        get_v.dst.push_back(got.data() + 2 * kRegion + i * kSeg);
+      }
+      nb_put_iov({&put_v, 1}, 1);
+      nb_acc_iov(AccType::float64, &one, {&acc_v, 1}, 1);
+      nb_get_iov({&get_v, 1}, 1);
+      wait_all();
+      out.stats = stats();
+      out.got = got;
+    }
+    barrier();
+    if (mpisim::rank() == 1) {
+      access_begin(mine);
+      const auto* p = static_cast<const std::uint8_t*>(mine);
+      out.image.assign(p, p + kSlice);
+      access_end(mine);
+    }
+    barrier();
+    free_mine(bases);
+    finalize();
+  });
+  return out;
+}
+
+TEST(ArmciNbTest, CountersMatchAcrossAggregationModes) {
+  // Deferred ops mirror the blocking entries' counters, so every op, byte
+  // and locality counter -- and the data -- must not depend on whether the
+  // engine deferred the op or ran it eagerly.
+  const NbRunResult on = run_every_nb_call(/*aggregation=*/true);
+  const NbRunResult off = run_every_nb_call(/*aggregation=*/false);
+  EXPECT_GT(on.stats.nb_deferred, 0u);
+  EXPECT_EQ(off.stats.nb_deferred, 0u);
+  EXPECT_EQ(on.stats.nb_ops, 9u);
+  EXPECT_EQ(on.stats.nb_ops, off.stats.nb_ops);
+  EXPECT_EQ(on.stats.puts, off.stats.puts);
+  EXPECT_EQ(on.stats.gets, off.stats.gets);
+  EXPECT_EQ(on.stats.accs, off.stats.accs);
+  EXPECT_EQ(on.stats.put_bytes, off.stats.put_bytes);
+  EXPECT_EQ(on.stats.get_bytes, off.stats.get_bytes);
+  EXPECT_EQ(on.stats.acc_bytes, off.stats.acc_bytes);
+  EXPECT_EQ(on.stats.strided_ops, off.stats.strided_ops);
+  EXPECT_EQ(on.stats.strided_bytes, off.stats.strided_bytes);
+  EXPECT_EQ(on.stats.iov_ops, off.stats.iov_ops);
+  EXPECT_EQ(on.stats.iov_segments, off.stats.iov_segments);
+  EXPECT_EQ(on.stats.iov_bytes, off.stats.iov_bytes);
+  EXPECT_EQ(on.stats.ops_self, off.stats.ops_self);
+  EXPECT_EQ(on.stats.ops_same_node, off.stats.ops_same_node);
+  EXPECT_EQ(on.stats.ops_remote, off.stats.ops_remote);
+  EXPECT_EQ(on.image, off.image);
+  EXPECT_EQ(on.got, off.got);
+}
+
 // ---------------------------------------------------------------------------
 // Strided and IOV deferral
 // ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/armci/armci.hpp"
@@ -173,6 +175,197 @@ TEST(RetryDeadlineTest, JitteredRetriesRecoverAndStayBounded) {
     finalize();
   });
 }
+
+// ---------------------------------------------------------------------------
+// Every data-path retry site absorbs one burst
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kPayload = 64, kSeg = 16, kSegs = 4, kPitch = 32;
+
+/// What a site case sees on rank 0: the allocation's bases, this rank's own
+/// slice (a global local buffer, which forces §V-E1 staging) and the
+/// payload to move.
+struct SiteCtx {
+  std::vector<void*> bases;
+  char* mine = nullptr;
+  char* remote = nullptr;  ///< rank 1's slice
+  std::vector<std::uint8_t> payload;
+
+  void fill_mine() {
+    access_begin(mine);
+    std::memcpy(mine, payload.data(), kPayload);
+    access_end(mine);
+  }
+  std::vector<std::uint8_t> read_mine() {
+    access_begin(mine);
+    std::vector<std::uint8_t> out(mine, mine + kPayload);
+    access_end(mine);
+    return out;
+  }
+  std::vector<std::uint8_t> read_remote(std::size_t bytes) {
+    std::vector<std::uint8_t> out(bytes);
+    get(remote, out.data(), bytes, 1);
+    return out;
+  }
+  /// The payload as kSegs segments of kSeg bytes at pitch kPitch.
+  std::vector<std::uint8_t> spread() const {
+    std::vector<std::uint8_t> out(kSegs * kPitch, 0);
+    for (std::size_t i = 0; i < kSegs; ++i)
+      std::memcpy(out.data() + i * kPitch, payload.data() + i * kSeg, kSeg);
+    return out;
+  }
+  /// Packed payload -> remote segments at pitch kPitch.
+  static StridedSpec spread_spec() {
+    StridedSpec s;
+    s.stride_levels = 1;
+    s.count = {kSeg, kSegs};
+    s.src_strides = {kSeg};
+    s.dst_strides = {kPitch};
+    return s;
+  }
+  Giov spread_iov(const void* from) const {
+    Giov g;
+    g.bytes = kSeg;
+    for (std::size_t i = 0; i < kSegs; ++i) {
+      g.src.push_back(static_cast<const char*>(from) + i * kSeg);
+      g.dst.push_back(remote + i * kPitch);
+    }
+    return g;
+  }
+};
+
+struct SiteCase {
+  const char* site;
+  Backend backend = Backend::mpi;
+  IovMethod iov_method = IovMethod::auto_;
+  bool progress = false;
+  void (*op)(SiteCtx&);  ///< reaches the site once, then checks the data
+};
+
+void put_contig(SiteCtx& c) {
+  put(c.payload.data(), c.remote, kPayload, 1);
+  EXPECT_EQ(c.read_remote(kPayload), c.payload);
+}
+
+void put_from_global(SiteCtx& c) {
+  c.fill_mine();
+  put(c.mine, c.remote, kPayload, 1);
+  EXPECT_EQ(c.read_remote(kPayload), c.payload);
+}
+
+void put_strided_private(SiteCtx& c) {
+  put_strided(c.payload.data(), c.remote, SiteCtx::spread_spec(), 1);
+  EXPECT_EQ(c.read_remote(kSegs * kPitch), c.spread());
+}
+
+void put_strided_from_global(SiteCtx& c) {
+  c.fill_mine();
+  put_strided(c.mine, c.remote, SiteCtx::spread_spec(), 1);
+  EXPECT_EQ(c.read_remote(kSegs * kPitch), c.spread());
+}
+
+void get_strided_into_global(SiteCtx& c) {
+  put_strided(c.payload.data(), c.remote, SiteCtx::spread_spec(), 1);
+  StridedSpec back = SiteCtx::spread_spec();
+  back.src_strides = {kPitch};
+  back.dst_strides = {kSeg};
+  get_strided(c.remote, c.mine, back, 1);
+  EXPECT_EQ(c.read_mine(), c.payload);
+}
+
+void put_iov_private(SiteCtx& c) {
+  const Giov g = c.spread_iov(c.payload.data());
+  put_iov({&g, 1}, 1);
+  EXPECT_EQ(c.read_remote(kSegs * kPitch), c.spread());
+}
+
+void nb_put_then_wait(SiteCtx& c) {
+  Request r = nb_put(c.payload.data(), c.remote, kPayload, 1);
+  wait(r);
+  EXPECT_EQ(c.read_remote(kPayload), c.payload);
+}
+
+void nb_get_progress_then_wait(SiteCtx& c) {
+  put(c.payload.data(), c.remote, kPayload, 1);
+  std::vector<std::uint8_t> back(kPayload, 0);
+  Request r = nb_get(c.remote, back.data(), kPayload, 1);
+  progress();  // issues the get; its target completion stays pending
+  wait(r);
+  EXPECT_EQ(back, c.payload);
+}
+
+class RetrySiteTest : public ::testing::TestWithParam<SiteCase> {};
+
+TEST_P(RetrySiteTest, AbsorbsOneBurst) {
+  const SiteCase sc = GetParam();
+  mpisim::Config cfg;
+  cfg.nranks = 2;
+  cfg.platform = Platform::infiniband;
+  cfg.ranks_per_node = 1;  // the target is remote: no same-node shortcut
+  cfg.fault.seed = 11;
+  cfg.fault.transient.rate = 1.0;
+  cfg.fault.transient.fail_count = 1;
+  cfg.fault.transient.site = sc.site;
+  cfg.fault.transient.max_bursts = 1;
+  mpisim::run(cfg, [&] {
+    Options o;
+    o.backend = sc.backend;
+    o.iov_method = sc.iov_method;
+    o.progress = sc.progress;
+    init(o);
+    SiteCtx c;
+    c.bases = malloc_world(kSegs * kPitch);
+    const int me = mpisim::rank();
+    c.mine = static_cast<char*>(c.bases[static_cast<std::size_t>(me)]);
+    c.remote = static_cast<char*>(c.bases[1]);
+    access_begin(c.mine);
+    std::memset(c.mine, 0, kSegs * kPitch);
+    access_end(c.mine);
+    barrier();
+    if (me == 0) {
+      for (std::size_t i = 0; i < kPayload; ++i)
+        c.payload.push_back(static_cast<std::uint8_t>(i * 7 + 3));
+      sc.op(c);
+      EXPECT_EQ(stats().transient_faults, 1u) << sc.site;
+      EXPECT_EQ(stats().retries, 1u) << sc.site;
+      EXPECT_EQ(stats().retry_exhausted, 0u) << sc.site;
+    }
+    barrier();
+    free(c.mine);
+    finalize();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sites, RetrySiteTest,
+    ::testing::Values(
+        SiteCase{"mpi.contig", Backend::mpi, IovMethod::auto_, false,
+                 put_contig},
+        SiteCase{"mpi.staged_copy", Backend::mpi, IovMethod::auto_, false,
+                 put_from_global},
+        SiteCase{"mpi.strided", Backend::mpi, IovMethod::auto_, false,
+                 put_strided_private},
+        SiteCase{"mpi.strided_pack", Backend::mpi, IovMethod::auto_, false,
+                 put_strided_from_global},
+        SiteCase{"mpi.strided_unpack", Backend::mpi, IovMethod::auto_, false,
+                 get_strided_into_global},
+        SiteCase{"mpi.iov_batched", Backend::mpi, IovMethod::batched, false,
+                 put_iov_private},
+        SiteCase{"mpi.iov_direct", Backend::mpi, IovMethod::direct, false,
+                 put_iov_private},
+        SiteCase{"mpi.nb_flush", Backend::mpi, IovMethod::auto_, false,
+                 nb_put_then_wait},
+        SiteCase{"mpi3.issue", Backend::mpi3, IovMethod::auto_, false,
+                 put_contig},
+        SiteCase{"mpi3.nb_flush", Backend::mpi3, IovMethod::auto_, false,
+                 nb_put_then_wait},
+        SiteCase{"mpi3.nb_complete", Backend::mpi3, IovMethod::auto_, true,
+                 nb_get_progress_then_wait}),
+    [](const ::testing::TestParamInfo<SiteCase>& info) {
+      std::string name = info.param.site;
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace armci
