@@ -12,7 +12,6 @@
 
 #include "src/armci/armci.hpp"
 #include "src/ga/ga.hpp"
-#include "src/mpisim/pacer.hpp"
 #include "src/mpisim/runtime.hpp"
 
 int main() {
@@ -27,21 +26,18 @@ int main() {
     armci::create_mutexes(1);
     armci::barrier();
 
-    // Tasks are claimed in virtual-clock order (mpisim::Pacer) so the
+    // Tasks are claimed in virtual-clock order (mpisim::pace()) so the
     // modeled balance -- not host-thread scheduling -- decides who gets
     // what: processes whose previous task was short claim again sooner.
-    mpisim::Pacer pacer = mpisim::Pacer::create(mpisim::world());
     const std::int64_t ntasks = 64;
     std::int64_t my_tasks = 0;
     double my_sum = 0.0;
-    pacer.enter();
-    for (std::int64_t t = 0; (pacer.pace(), t = counter.next()) < ntasks;) {
+    for (std::int64_t t = 0; (mpisim::pace(), t = counter.next()) < ntasks;) {
       // Task t: "work" proportional to t (simulated via the virtual clock).
       mpisim::clock().advance(1000.0 * static_cast<double>(t + 1));  // ns
       my_sum += static_cast<double>(t * t);
       ++my_tasks;
     }
-    pacer.leave();
 
     // Fold the partial result into the global accumulator under the mutex
     // (get-modify-put is not atomic by itself).

@@ -86,27 +86,21 @@ class CommBackend {
     return false;
   }
 
-  /// True if this backend accepts deferred nb_* batches via flush_queue().
+  /// True if this backend accepts deferred nb_* batches via issue_queue().
   /// False (the default) makes every nb_* op execute eagerly through the
   /// blocking entry points above -- correct for backends whose per-op
   /// synchronization is already cheap (native).
   virtual bool nb_defers() const { return false; }
 
   /// Issue one conflict-free batch of deferred ops bound for a target rank
-  /// of a GMR, completing them locally before returning (nb.hpp). Only
-  /// called when nb_defers() is true, hence the no-op default.
-  virtual void flush_queue(const Gmr& /*gmr*/, int /*target_rank*/,
-                           std::span<const NbOp> /*ops*/) {}
-
-  /// Start one conflict-free batch for the progress engine. Returns true
-  /// when target completion is still pending, to be finished later by
+  /// of a GMR, completing them locally before returning (nb.hpp). Returns
+  /// true when target completion is still pending, to be finished by
   /// complete_target() (the MPI-3 split: issuing is source completion, the
-  /// trailing flush is target completion, so the wait lands under
-  /// application compute). Default: a full flush_queue(), complete at
-  /// issue, hence false.
-  virtual bool issue_queue(const Gmr& gmr, int target_rank,
-                           std::span<const NbOp> ops) {
-    flush_queue(gmr, target_rank, ops);
+  /// trailing flush is target completion, so the progress engine can land
+  /// the wait under application compute). Only called when nb_defers() is
+  /// true, hence the no-op default.
+  virtual bool issue_queue(const Gmr& /*gmr*/, int /*target_rank*/,
+                           std::span<const NbOp> /*ops*/) {
     return false;
   }
 

@@ -350,9 +350,9 @@ void MpiBackend::iov_direct(OneSided kind, const Giov& giov, int proc,
 // Deferred nonblocking batches (nb.hpp)
 // ---------------------------------------------------------------------------
 
-void MpiBackend::flush_queue(const Gmr& gmr, int target_rank,
+bool MpiBackend::issue_queue(const Gmr& gmr, int target_rank,
                              std::span<const NbOp> ops) {
-  if (ops.empty()) return;
+  if (ops.empty()) return false;
   TraceScope ts(mpisim::tracer(), TraceCat::backend, "mpi.nb_flush",
                 ops.size());
   // A uniform-kind batch still qualifies for the §VIII-A shared-lock
@@ -378,6 +378,7 @@ void MpiBackend::flush_queue(const Gmr& gmr, int target_rank,
     }
     eg.release();
   });
+  return false;
 }
 
 // ---------------------------------------------------------------------------

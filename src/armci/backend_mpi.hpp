@@ -57,7 +57,8 @@ class MpiBackend final : public CommBackend {
   /// Per-op exclusive epochs dominate small-op streams here, so deferred
   /// batches pay off: N ops in one epoch instead of N (§V-C amortized).
   bool nb_defers() const override { return true; }
-  void flush_queue(const Gmr& gmr, int target_rank,
+  /// The whole batch in one epoch: complete at issue, hence false.
+  bool issue_queue(const Gmr& gmr, int target_rank,
                    std::span<const NbOp> ops) override;
 
  private:

@@ -110,33 +110,16 @@ void Mpi3Backend::issue(OneSided kind, const Gmr& gmr, int grank,
   });
 }
 
-void Mpi3Backend::flush_queue(const Gmr& gmr, int target_rank,
-                              std::span<const NbOp> ops) {
-  if (ops.empty()) return;
-  // No per-batch lock under the standing lock_all epoch; the win over the
-  // blocking path is deferring the get-side flush so the whole queue
-  // pipelines into a single flush (§VIII-B item 3). Put/acc need none:
-  // their blocking counterparts defer remote completion to fence too.
-  issue_ops(gmr, target_rank, ops, has_get(ops));
+void Mpi3Backend::complete_target(const Gmr& gmr, int target_rank) {
+  with_retry(*st_, "mpi3.nb_complete", [&] { gmr.win.flush(target_rank); });
 }
 
 bool Mpi3Backend::issue_queue(const Gmr& gmr, int target_rank,
                               std::span<const NbOp> ops) {
   if (ops.empty()) return false;
-  // Progress-engine issue half: start everything (gets included) and leave
-  // the single completing flush to complete_target(), so the target-side
-  // wait lands under application compute instead of inside this call.
-  // Put/acc-only batches need no flush (as in flush_queue).
-  issue_ops(gmr, target_rank, ops, false);
-  return has_get(ops);
-}
-
-void Mpi3Backend::complete_target(const Gmr& gmr, int target_rank) {
-  with_retry(*st_, "mpi3.nb_complete", [&] { gmr.win.flush(target_rank); });
-}
-
-void Mpi3Backend::issue_ops(const Gmr& gmr, int target_rank,
-                            std::span<const NbOp> ops, bool flush_after) {
+  // No per-batch lock under the standing lock_all epoch; the win over the
+  // blocking path is deferring the get-side flush so the whole queue
+  // pipelines into the single complete_target() flush (§VIII-B item 3).
   TraceScope ts(mpisim::tracer(), TraceCat::backend, "mpi3.nb_flush",
                 ops.size());
   // Exactly-once issuance under retry: with_retry replays its whole body
@@ -163,8 +146,8 @@ void Mpi3Backend::issue_ops(const Gmr& gmr, int target_rank,
       }
       next = i + 1;
     }
-    if (flush_after) gmr.win.flush(target_rank);
   });
+  return has_get(ops);
 }
 
 void Mpi3Backend::shm_contig(OneSided kind, const GmrLoc& loc, void* local,

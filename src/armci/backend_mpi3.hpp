@@ -77,23 +77,18 @@ class Mpi3Backend final : public CommBackend {
   /// pays off by batching the get-side flush: one flush per queue instead
   /// of one per blocking get (§VIII-B item 3).
   bool nb_defers() const override { return true; }
-  void flush_queue(const Gmr& gmr, int target_rank,
-                   std::span<const NbOp> ops) override;
 
   /// Under the standing lock_all epoch a batch splits cleanly: issuing the
   /// operations is source completion, the single trailing flush is target
   /// completion -- exactly the halves the progress engine overlaps. Only a
-  /// batch with a get leaves target completion pending.
+  /// batch with a get leaves target completion pending: put/acc need no
+  /// flush, as their blocking counterparts defer remote completion to
+  /// fence too.
   bool issue_queue(const Gmr& gmr, int target_rank,
                    std::span<const NbOp> ops) override;
   void complete_target(const Gmr& gmr, int target_rank) override;
 
  private:
-  /// Shared body of flush_queue/issue_queue: issue the batch exactly once
-  /// under retry, optionally ending with the completing flush.
-  void issue_ops(const Gmr& gmr, int target_rank, std::span<const NbOp> ops,
-                 bool flush_after);
-
   /// One transfer against a resolved location under the standing lock_all
   /// epoch, with one datatype instance describing each side.
   void issue(OneSided kind, const Gmr& gmr, int grank, std::size_t disp,

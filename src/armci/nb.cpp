@@ -97,8 +97,8 @@ void NbEngine::flush(ProcState& st, NbQueue& q) {
     q.parked = nullptr;
     std::rethrow_exception(e);
   }
-  const bool had_pending = q.pending_flush;
-  if (q.ops.empty() && !had_pending) return;
+  bool pending = q.pending_flush;
+  if (q.ops.empty() && !pending) return;
   std::vector<NbOp> batch = std::move(q.ops);
   q.ops.clear();
   clear_ranges(q);
@@ -112,9 +112,12 @@ void NbEngine::flush(ProcState& st, NbQueue& q) {
     if (!batch.empty()) {
       ++st.stats.flushed_queues;
       if (batch.size() >= 2) ++st.stats.coalesced_epochs;
-      st.backend->flush_queue(*q.gmr, q.target_rank, batch);
+      pending = st.backend->issue_queue(*q.gmr, q.target_rank, batch) ||
+                pending;
     }
-    if (had_pending) st.backend->complete_target(*q.gmr, q.target_rank);
+    // One target completion covers this batch and any an earlier progress
+    // tick left pending.
+    if (pending) st.backend->complete_target(*q.gmr, q.target_rank);
   } catch (...) {
     abandon_contract(q);
     throw;
@@ -372,15 +375,20 @@ bool NbEngine::try_defer_strided(ProcState& st, OneSided kind,
 
   const mpisim::BasicType elem = direct_elem(kind, at);
   if (spec.count[0] % mpisim::basic_type_size(elem) != 0) return false;
-  StridedPlan plan = st.dt_cache.strided_plan(kind, src, dst, spec, elem,
-                                              st.stats);
-  const auto lextent = static_cast<std::size_t>(plan.ltype.extent());
-  if (local_needs_staging(st, plan.local, lextent)) return false;
-  const auto rextent = static_cast<std::size_t>(plan.rtype.extent());
-  GmrLoc loc = st.table.require(proc, plan.remote, rextent);
+  // Decide from the byte spans before building any datatype, so an op
+  // that goes eager leaves the cache as its blocking call would.
+  const bool is_get = kind == OneSided::get;
+  const std::size_t lextent =
+      strided_span(is_get ? spec.dst_strides : spec.src_strides, spec);
+  if (local_needs_staging(st, is_get ? dst : src, lextent)) return false;
+  const std::size_t rextent =
+      strided_span(is_get ? spec.src_strides : spec.dst_strides, spec);
+  GmrLoc loc = st.table.require(proc, is_get ? src : dst, rextent);
   // Direct-path targets complete at memcpy speed with no epoch to batch;
   // the eager path walks their segments through the backend's shm copies.
   if (st.backend->direct_path(loc)) return false;
+  StridedPlan plan = st.dt_cache.strided_plan(kind, src, dst, spec, elem,
+                                              st.stats);
 
   NbOp op;
   op.kind = kind;
@@ -410,13 +418,14 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
   const mpisim::BasicType elem = direct_elem(kind, at);
   const std::size_t esz = mpisim::basic_type_size(elem);
 
-  // Plan every descriptor first; defer all or none so one nb call never
-  // splits between deferred and eager halves.
+  // Resolve every descriptor first; defer all or none so one nb call never
+  // splits between deferred and eager halves. Nothing is looked up in the
+  // datatype cache until all of them qualify, so an op that goes eager
+  // leaves the cache as its blocking call would.
   struct Plan {
-    std::shared_ptr<Gmr> gmr;
-    int target_rank = -1;
-    NbOp op;
-    std::size_t r_span = 0;
+    const Giov* g;
+    GmrLoc loc;
+    std::vector<std::ptrdiff_t> rdispls;
     std::uintptr_t l_lo = 0, l_hi = 0;
   };
   std::vector<Plan> plans;
@@ -448,35 +457,35 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
     // Direct-path targets (same GMR for every segment, so one check) go
     // eager: the backend copies each segment through shared memory.
     if (st.backend->direct_path(loc0)) return false;
-    IovPlan iov = st.dt_cache.iov_plan(std::move(rdispls),
-                                       local_segments(g, is_get), g.bytes,
-                                       elem, st.stats);
-    const auto lextent = static_cast<std::size_t>(iov.ltype.extent());
-    if (local_needs_staging(st, iov.origin, lextent)) return false;
-
-    Plan p;
-    p.op.kind = kind;
-    p.op.at = at;
-    p.op.local = iov.origin;
-    p.op.bytes = n * g.bytes;
-    p.op.offset = iov.disp;
-    p.op.typed = true;
-    p.op.rtype = std::move(iov.rtype);
-    p.op.ltype = std::move(iov.ltype);
-    p.gmr = loc0.gmr;
-    p.target_rank = loc0.target_rank;
-    p.r_span = static_cast<std::size_t>(p.op.rtype.extent());
-    p.l_lo = lo_of(iov.origin);
-    p.l_hi = p.l_lo + lextent - 1;
-    plans.push_back(std::move(p));
+    const auto local = local_segments(g, is_get);
+    const auto [lo, hi] = std::minmax_element(
+        local.begin(), local.end(), [](const void* a, const void* b) {
+          return lo_of(a) < lo_of(b);
+        });
+    const std::uintptr_t l_lo = lo_of(*lo);
+    const std::uintptr_t l_hi = lo_of(*hi) + g.bytes - 1;
+    if (local_needs_staging(st, *lo, l_hi - l_lo + 1)) return false;
+    plans.push_back({&g, std::move(loc0), std::move(rdispls), l_lo, l_hi});
   }
 
   for (Plan& p : plans) {
-    const std::uint64_t gmr_id = p.gmr->id;
+    IovPlan iov = st.dt_cache.iov_plan(std::move(p.rdispls),
+                                       local_segments(*p.g, is_get),
+                                       p.g->bytes, elem, st.stats);
+    NbOp op;
+    op.kind = kind;
+    op.at = at;
+    op.local = iov.origin;
+    op.bytes = p.g->src.size() * p.g->bytes;
+    op.offset = iov.disp;
+    op.typed = true;
+    op.rtype = std::move(iov.rtype);
+    op.ltype = std::move(iov.ltype);
+    const auto r_span = static_cast<std::size_t>(op.rtype.extent());
     const std::uint64_t seq =
-        enqueue(st, p.gmr, proc, p.target_rank, std::move(p.op), p.r_span,
+        enqueue(st, p.loc.gmr, proc, p.loc.target_rank, std::move(op), r_span,
                 p.l_lo, p.l_hi);
-    RequestAccess::add_ticket(req, gmr_id, proc, seq);
+    RequestAccess::add_ticket(req, p.loc.gmr->id, proc, seq);
   }
   return true;
 }

@@ -45,6 +45,14 @@ std::size_t strided_segments(const StridedSpec& spec) {
   return n;
 }
 
+std::size_t strided_span(std::span<const std::size_t> strides,
+                         const StridedSpec& spec) {
+  std::size_t span = spec.count[0];
+  for (std::size_t i = 0; i < strides.size(); ++i)
+    span += (spec.count[i + 1] - 1) * strides[i];
+  return span;
+}
+
 StridedIter::StridedIter(const StridedSpec& spec)
     : spec_(&spec),
       idx_(static_cast<std::size_t>(spec.stride_levels), 0) {}

@@ -35,6 +35,11 @@ std::size_t strided_total_bytes(const StridedSpec& spec);
 /// Number of contiguous segments (product of count[1..sl]).
 std::size_t strided_segments(const StridedSpec& spec);
 
+/// Bytes from the first to the last byte touched on the side with
+/// \p strides: the extent of make_strided_type() for that side.
+std::size_t strided_span(std::span<const std::size_t> strides,
+                         const StridedSpec& spec);
+
 /// Algorithm 1 as a constant-space iterator: yields the source and
 /// destination byte displacement of each count[0]-byte segment, innermost
 /// dimension fastest.

@@ -23,7 +23,6 @@
 
 namespace mpisim {
 
-class Pacer;
 class SimCore;
 class SimMutex;
 class Win;
@@ -60,8 +59,8 @@ struct CollCtx {
   std::vector<std::uint64_t> hb_acc;
   std::vector<std::uint64_t> hb_result;
 
-  /// Object-building rounds (Comm::dup, Win::create, Pacer::create): store
-  /// \p obj in every live member's output slot, each a std::shared_ptr<T>.
+  /// Object-building rounds (Comm::dup, Win::create): store \p obj in
+  /// every live member's output slot, each a std::shared_ptr<T>.
   template <typename T>
   void hand_out(const std::shared_ptr<T>& obj) const {
     for (void* slot : outbufs)
@@ -293,8 +292,7 @@ class Comm {
   const std::shared_ptr<CommImpl>& impl() const noexcept { return impl_; }
 
  private:
-  // Windows and pacers build their shared state in one collective round.
-  friend class Pacer;
+  // Windows build their shared state in one collective round.
   friend class Win;
 
   /// Run one rendezvous collective round: every member contributes

@@ -101,6 +101,7 @@ SimCore::SimCore(const Config& cfg)
   if (cfg.nranks < 1) raise(Errc::invalid_argument, "nranks < 1");
   runq_.reserve(static_cast<std::size_t>(cfg.nranks));
   yielded_.reserve(static_cast<std::size_t>(cfg.nranks));
+  held_.reserve(static_cast<std::size_t>(cfg.nranks));
   dead_.assign(static_cast<std::size_t>(cfg.nranks), 0);
   death_ns_.assign(static_cast<std::size_t>(cfg.nranks), 0.0);
   ranks_.reserve(static_cast<std::size_t>(cfg.nranks));
@@ -180,8 +181,24 @@ void SimCore::yield() {
   require_internal(current_ >= 0 && !mu_.held_,
                    "yield() outside a rank or under SimCore::mu()");
   if (aborted_) throw_aborted();
-  if (runq_.empty() && yielded_.empty()) return;  // nobody else can run
+  if (runq_.empty() && yielded_.empty() && held_.empty())
+    return;  // nobody else can run
   reschedule(Fiber::State::yielded);
+}
+
+void SimCore::pace() {
+  require_internal(current_ >= 0 && !mu_.held_,
+                   "pace() outside a rank or under SimCore::mu()");
+  {
+    std::lock_guard lk(mu_);
+    if (aborted_) throw_aborted();
+    Fiber& me = fibers_[static_cast<std::size_t>(current_)];
+    me.paced_ns = t_ctx->clock().now_ns();
+    note_time_locked(me.paced_ns);
+    if (me.paced_ns <= release_paced()) return;
+  }
+  reschedule(Fiber::State::held);
+  if (aborted_) throw_aborted();
 }
 
 void SimCore::reschedule(Fiber::State s) {
@@ -194,6 +211,7 @@ void SimCore::reschedule(Fiber::State s) {
   } else {
     f.state = s;
     if (s == Fiber::State::yielded) yielded_.push_back(me);
+    if (s == Fiber::State::held) held_.push_back(me);
   }
   const int next = pick_next();
   if (next == me) {
@@ -212,7 +230,37 @@ void SimCore::release_yielded() noexcept {
   make_runnable(y);
 }
 
+double SimCore::release_paced() noexcept {
+  double floor = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < cfg_.nranks; ++r) {
+    const Fiber& f = fibers_[static_cast<std::size_t>(r)];
+    if (f.state != Fiber::State::done && !is_dead_locked(r))
+      floor = std::min(floor, f.paced_ns);
+  }
+  std::size_t kept = 0;
+  for (const int r : held_) {
+    if (fibers_[static_cast<std::size_t>(r)].paced_ns <= floor)
+      make_runnable(r);
+    else
+      held_[kept++] = r;
+  }
+  held_.resize(kept);
+  return floor;
+}
+
 int SimCore::pick_next() noexcept {
+  // A held rank can wait on a rank that has left its paced loop and
+  // blocked, or has not reached the loop yet: with nothing else to run,
+  // the earliest held rank goes. This comes before the yielded release, or
+  // a rank yielding in a spin on a held rank's progress would be requeued
+  // forever.
+  if (runq_.empty() && !held_.empty()) {
+    const auto first = std::min_element(
+        held_.begin(), held_.end(),
+        [&](int a, int b) { return key(a) < key(b); });
+    make_runnable(*first);
+    held_.erase(first);
+  }
   if (!yielded_.empty()) release_yielded();
   if (runq_.empty()) {
     // Only blocked (or finished) ranks remain. If any is blocked, no
@@ -420,6 +468,8 @@ void SimCore::fiber_main(int r) {
     if (cleanup_err) abort(cleanup_err);
   }
   fibers_[static_cast<std::size_t>(r)].state = Fiber::State::done;
+  // This rank's pace time no longer holds anyone back.
+  if (!held_.empty()) release_paced();
   switch_to(pick_next());
   std::abort();  // unreachable: a finished fiber is never resumed
 }
@@ -518,6 +568,8 @@ RankContext& ctx() {
 bool in_simulation() noexcept { return t_ctx != nullptr; }
 
 void yield() { ctx().core().yield(); }
+
+void pace() { ctx().core().pace(); }
 
 int rank() { return ctx().rank(); }
 

@@ -34,6 +34,12 @@
 /// completion the communicator's members. Only abort, rank death, the
 /// survivable lock purge and the deadlock verdict wake every rank. A run is
 /// deadlocked when no rank is runnable while some are blocked.
+///
+/// mpisim::pace() adds one rule for dynamically load-balanced loops: a
+/// rank that paces at a later virtual time than another live rank's latest
+/// pace is held until that rank paces again, finishes, or nothing else can
+/// run. Task claims then follow the modeled clocks even while the earlier
+/// rank is blocked, which the (clock, rank) order alone would let pass.
 
 #include <cstdint>
 #include <exception>
@@ -279,6 +285,12 @@ class SimCore {
   /// must be a rank and must not hold mu().
   void yield();
 
+  /// Publish the calling rank's clock as its pace time and hold the rank
+  /// while another live rank's pace time is smaller (see mpisim::pace()).
+  /// Raises Errc::aborted once a peer failed. Caller must be a rank and
+  /// must not hold mu().
+  void pace();
+
   /// Record the first failure and wake all blocked ranks.
   void abort(std::exception_ptr err) noexcept;
 
@@ -388,8 +400,8 @@ class SimCore {
   /// the constructions a collective round on one communicator cannot
   /// serve: merge() shares one impl across the two groups of an
   /// intercommunicator, and shrink() must work on a revoked communicator.
-  /// (Comm::dup/split/create, Win and Pacer hand their shared state out
-  /// through the round itself.) Caller must hold mu() and wake the fetching
+  /// (Comm::dup/split/create and Win hand their shared state out through
+  /// the round itself.) Caller must hold mu() and wake the fetching
   /// ranks afterwards.
   void publish_comm_locked(std::uint64_t key, std::shared_ptr<CommImpl> impl);
 
@@ -419,11 +431,13 @@ class SimCore {
       running,   ///< the current rank
       blocked,   ///< inside wait(), not yet woken
       yielded,   ///< inside yield(), waiting for its peers' turns
+      held,      ///< inside pace(), behind a smaller pace time
       done,      ///< returned from the rank body
     };
     State state = State::runnable;
     bool waiting = false;      ///< inside wait() (blocked or woken)
     double t0_ns = 0.0;        ///< entry time of the current wait
+    double paced_ns = 0.0;     ///< clock at the latest pace()
     std::uint64_t out_seq = 0; ///< switch count when it last switched out
     void* sp = nullptr;        ///< saved stack pointer while switched out
     void* stack = nullptr;     ///< lowest stack address (guard page below)
@@ -454,13 +468,17 @@ class SimCore {
   /// Make the oldest yielded rank runnable once every queued rank has
   /// switched out since it yielded.
   void release_yielded() noexcept;
+  /// Make every held rank runnable whose pace time no live, unfinished
+  /// rank undercuts; returns the smallest such rank's pace time.
+  double release_paced() noexcept;
   /// Mark the caller blocked, release mu(), run other ranks until one wakes
   /// the caller, then re-take mu() without a hand-off (\p lk owns it
   /// throughout).
   void block(std::unique_lock<SimMutex>& lk);
   /// The next rank to run (-1 if none is runnable): the smallest key among
   /// the queued ranks and the yielded ranks whose peers have all had a turn
-  /// since. Declares a deadlock (waking every blocked rank) when only
+  /// since. When no rank is queued, the held rank with the smallest key
+  /// runs first. Declares a deadlock (waking every blocked rank) when only
   /// blocked ranks remain.
   int pick_next() noexcept;
   /// Leave the current context (its state already set) for \p next, or
@@ -503,6 +521,7 @@ class SimCore {
   std::vector<Fiber> fibers_;   ///< per rank
   std::vector<Key> runq_;       ///< min-heap of the runnable ranks' keys
   std::vector<int> yielded_;    ///< ranks inside yield()
+  std::vector<int> held_;       ///< ranks inside pace()
   int current_ = -1;            ///< running rank; -1 = the host context
   std::uint64_t switches_ = 0;  ///< switch-outs so far (Fiber::out_seq)
   Fiber host_;                  ///< the host thread's own context
@@ -539,6 +558,18 @@ void run(int nranks, Platform platform, const std::function<void()>& rank_main);
 /// state another rank sets must call this each iteration: ranks share one
 /// host thread, so a spin that never hands off never lets the setter run.
 void yield();
+
+/// Call before each task claim of a dynamically load-balanced loop, so the
+/// claims follow the modeled clocks. The caller is held while another live
+/// rank's latest pace() was at a smaller virtual time (equal times pass):
+/// a rank whose clock is ahead is, in the modeled run, still busy with its
+/// current task and must not claim early. A held rank goes once those
+/// ranks pace again or finish, or, when no rank is left to run, in
+/// (clock, rank) order; so the first pace() of a loop waits until every
+/// live rank has paced or blocked. Meant for loops that every live rank
+/// runs: a rank that skips the loop or leaves it early holds the others'
+/// pace() calls until it blocks or finishes.
+void pace();
 
 /// Context of the calling simulated process (throws outside run()).
 RankContext& ctx();

@@ -7,7 +7,6 @@
 
 #include "src/armci/armci.hpp"
 #include "src/mpisim/comm.hpp"
-#include "src/mpisim/pacer.hpp"
 #include "src/mpisim/runtime.hpp"
 
 namespace nwproxy {
@@ -117,7 +116,7 @@ void run_ccsd_task(const CcsdParams& p, const Amplitudes& t2,
 }
 
 /// Phase time metric: job time is the slowest rank's virtual time. Task
-/// claiming is paced by mpisim::Pacer, so the assignment is decided by the
+/// claiming is paced by mpisim::pace(), so the assignment is decided by the
 /// modeled clocks (not host scheduling) and the maximum is stable; the
 /// mean is reported too for imbalance diagnostics.
 std::pair<double, double> elapsed_seconds(double t0_ns) {
@@ -137,7 +136,6 @@ PhaseResult run_ccsd(const CcsdParams& p, Amplitudes& t2) {
   Amplitudes t2new = Amplitudes::create(p, "t2new");
   t2.init_reference();
   ga::AtomicCounter counter = ga::AtomicCounter::create();
-  mpisim::Pacer pacer = mpisim::Pacer::create(mpisim::world());
   armci::barrier();
 
   PhaseResult res;
@@ -151,9 +149,8 @@ PhaseResult run_ccsd(const CcsdParams& p, Amplitudes& t2) {
 
     // nxtval-style dynamic load balancing (paper §IV-A / §VII-D), claimed
     // in virtual-clock order so the modeled balance is deterministic.
-    pacer.enter();
     std::int64_t start = 0;
-    while ((pacer.pace(), start = counter.next(p.chunk_tasks)) <
+    while ((mpisim::pace(), start = counter.next(p.chunk_tasks)) <
            res.total_tasks) {
       const std::int64_t end =
           std::min(start + p.chunk_tasks, res.total_tasks);
@@ -168,7 +165,6 @@ PhaseResult run_ccsd(const CcsdParams& p, Amplitudes& t2) {
         ++res.my_tasks;
       }
     }
-    pacer.leave();
     armci::barrier();
 
     // Damped Jacobi-style amplitude update, then the iteration "energy".
@@ -187,7 +183,6 @@ PhaseResult run_ccsd(const CcsdParams& p, Amplitudes& t2) {
 
 PhaseResult run_triples(const CcsdParams& p, const Amplitudes& t2) {
   ga::AtomicCounter counter = ga::AtomicCounter::create();
-  mpisim::Pacer pacer = mpisim::Pacer::create(mpisim::world());
   armci::barrier();
 
   PhaseResult res;
@@ -200,9 +195,8 @@ PhaseResult run_triples(const CcsdParams& p, const Amplitudes& t2) {
   std::vector<double> b3(static_cast<std::size_t>(cols));
   double local_e = 0.0;
 
-  pacer.enter();
   std::int64_t start = 0;
-  while ((pacer.pace(), start = counter.next(p.chunk_tasks)) <
+  while ((mpisim::pace(), start = counter.next(p.chunk_tasks)) <
          res.total_tasks) {
     const std::int64_t end = std::min(start + p.chunk_tasks, res.total_tasks);
     for (std::int64_t task = start; task < end; ++task) {
@@ -235,7 +229,6 @@ PhaseResult run_triples(const CcsdParams& p, const Amplitudes& t2) {
       ++res.my_tasks;
     }
   }
-  pacer.leave();
   armci::barrier();
 
   mpisim::world().allreduce(&local_e, &res.energy, 1,

@@ -728,6 +728,60 @@ TEST(ArmciNbTest, DatatypeCacheEvictsAtCapacityOne) {
   });
 }
 
+/// Datatype-cache hits and misses of one put on a cold cache, from rank 0's
+/// own slice (global space, so the local side is staged) to rank 1's:
+/// strided or IOV, blocking or nonblocking.
+std::pair<std::uint64_t, std::uint64_t> global_source_put_lookups(bool iov,
+                                                                  bool nb) {
+  std::pair<std::uint64_t, std::uint64_t> out;
+  mpisim::run(2, Platform::ideal, [&] {
+    init();
+    constexpr std::size_t kSeg = 32, kN = 4, kPitch = 64;
+    std::vector<void*> bases = malloc_world(kPitch * kN);
+    barrier();
+    if (mpisim::rank() == 0) {
+      reset_stats();
+      StridedSpec spec;
+      spec.stride_levels = 1;
+      spec.count = {kSeg, kN};
+      spec.src_strides = {kPitch};
+      spec.dst_strides = {kPitch};
+      Giov g;
+      g.bytes = kSeg;
+      for (std::size_t i = 0; i < kN; ++i) {
+        g.src.push_back(slice(bases, 0, i * kPitch));
+        g.dst.push_back(slice(bases, 1, i * kPitch));
+      }
+      const std::span<const Giov> vec(&g, 1);
+      Request req;
+      if (iov && nb)
+        req = nb_put_iov(vec, 1);
+      else if (iov)
+        put_iov(vec, 1);
+      else if (nb)
+        req = nb_put_strided(bases[0], bases[1], spec, 1);
+      else
+        put_strided(bases[0], bases[1], spec, 1);
+      wait(req);
+      out = {stats().dt_cache_hits, stats().dt_cache_misses};
+    }
+    barrier();
+    free_mine(bases);
+    finalize();
+  });
+  return out;
+}
+
+// An nb op whose local buffer needs staging goes eager; deciding that must
+// not build datatypes the eager path then looks up again.
+TEST(ArmciNbTest, StagedNbPutLooksUpTheCacheLikeItsBlockingCall) {
+  for (const bool iov : {false, true}) {
+    EXPECT_EQ(global_source_put_lookups(iov, true),
+              global_source_put_lookups(iov, false))
+        << (iov ? "iov" : "strided");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Randomized location-consistency property test
 // ---------------------------------------------------------------------------

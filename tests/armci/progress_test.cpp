@@ -131,7 +131,7 @@ TEST(ArmciProgressTest, GetSplitsSourceAndOperationCompletionOnMpi3) {
   });
 }
 
-// Put-only batches need no target flush on mpi3 (flush_queue semantics:
+// Put-only batches need no target flush on mpi3 (issue_queue semantics:
 // only gets force one), so a single poke issues AND retires them.
 TEST(ArmciProgressTest, PutOnlyBatchRetiresAtIssueOnMpi3) {
   mpisim::run(remote_cfg(2), [] {
@@ -159,7 +159,42 @@ TEST(ArmciProgressTest, PutOnlyBatchRetiresAtIssueOnMpi3) {
   });
 }
 
-// The mpi (MPI-2) backend has no split completion: flush_queue runs the
+// A tick left the first get's target flush pending when a second get
+// joins the same queue: the wait issues the new batch and completes both
+// with one window flush.
+TEST(ArmciProgressTest, WaitAfterPendingTickFlushesOnceOnMpi3) {
+  mpisim::run(remote_cfg(2), [] {
+    Options o = engine_opts(Backend::mpi3);
+    o.trace = true;  // WinStats (flush counters) record only under tracing
+    init(o);
+    constexpr std::size_t kBytes = 256;
+    std::vector<void*> bases = malloc_world(2 * kBytes);
+    fill_mine(bases, 2 * kBytes, 17);
+    barrier();
+    if (mpisim::rank() == 0) {
+      const auto flushes = [] {
+        std::uint64_t n = 0;
+        for (const auto& [id, ws] : mpisim::tracer().win_stats())
+          n += ws.flushes;
+        return n;
+      };
+      std::vector<std::uint8_t> dst(2 * kBytes, 0);
+      nb_get(slice(bases, 1), dst.data(), kBytes, 1);
+      progress();  // issues the first get; its target flush stays pending
+      Request req =
+          nb_get(slice(bases, 1, kBytes), dst.data() + kBytes, kBytes, 1);
+      const std::uint64_t before = flushes();
+      wait(req);
+      EXPECT_EQ(flushes() - before, 1u);
+      expect_pattern(dst.data(), 2 * kBytes, 17);
+    }
+    barrier();
+    free(bases[static_cast<std::size_t>(mpisim::rank())]);
+    finalize();
+  });
+}
+
+// The mpi (MPI-2) backend has no split completion: issue_queue runs the
 // whole exclusive epoch, so one poke operation-completes even a get.
 TEST(ArmciProgressTest, MpiBackendCompletesGetInOnePoke) {
   mpisim::run(remote_cfg(2), [] {

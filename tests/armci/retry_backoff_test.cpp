@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,11 @@ struct SiteCase {
   bool progress = false;
   void (*op)(SiteCtx&);  ///< reaches the site once, then checks the data
 };
+
+// Print a case as its site label. gtest's default dumps the raw bytes,
+// which hold the addresses of `site` and `op` and so differ from run to
+// run under ASLR; the listed (and CTest-registered) name must not.
+void PrintTo(const SiteCase& sc, std::ostream* os) { *os << sc.site; }
 
 void put_contig(SiteCtx& c) {
   put(c.payload.data(), c.remote, kPayload, 1);

@@ -46,6 +46,27 @@ TEST(StridedSpecTest, TotalsAndSegments) {
   EXPECT_EQ(strided_segments(s), 15u);
 }
 
+// The nb engine sizes its staging and GMR checks with strided_span()
+// before any datatype exists; it must match the type built later.
+TEST(StridedSpecTest, SpanIsTheDatatypeExtent) {
+  StridedSpec flat;
+  flat.count = {40};
+  StridedSpec irregular;  // 100 is no multiple of 24: the hvector path
+  irregular.stride_levels = 2;
+  irregular.count = {8, 3, 2};
+  irregular.src_strides = {24, 100};
+  irregular.dst_strides = {16, 48};
+  for (const StridedSpec& s : {flat, spec_2d(16, 4, 32, 48), irregular}) {
+    for (const auto& strides : {s.src_strides, s.dst_strides}) {
+      const mpisim::Datatype t =
+          make_strided_type(strides, s, mpisim::BasicType::byte_);
+      EXPECT_EQ(strided_span(strides, s),
+                static_cast<std::size_t>(t.extent()));
+    }
+  }
+  EXPECT_EQ(strided_span(irregular.src_strides, irregular), 8u + 2 * 24 + 100);
+}
+
 TEST(StridedIterTest, ContiguousDegenerate) {
   StridedSpec s;
   s.stride_levels = 0;

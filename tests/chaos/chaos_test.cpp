@@ -505,7 +505,7 @@ TEST(ChaosTest, WaitNotifyHitsTheVirtualTimeDeadline) {
 }
 
 TEST(ChaosTest, Mpi3NbFlushMidBatchTransientAccumulatesExactlyOnce) {
-  // Regression for the MPI-3 flush_queue replay bug: a transient fault
+  // Regression for the MPI-3 nb batch replay bug: a transient fault
   // *inside* the batch (after some accumulates already issued) must resume
   // from the failed op, not replay the whole batch -- replaying would apply
   // the completed accumulates twice. The schedule is fully deterministic:

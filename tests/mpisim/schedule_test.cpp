@@ -80,7 +80,7 @@ TEST(ScheduleTest, ExclusiveLockGrantsFollowClockThenRank) {
 }
 
 /// Task claims of a fetch_and_op counter loop in which rank 0's tasks cost
-/// 9x the others'. No Pacer: the scheduler alone orders the claims.
+/// 9x the others'. No pace(): the scheduler alone orders the claims.
 std::vector<int> claim_order() {
   constexpr std::int64_t kTasks = 57;
   std::vector<int> claims;
@@ -109,11 +109,189 @@ TEST(ScheduleTest, FetchAndOpClaimsFollowVirtualClock) {
   const std::vector<int> claims = claim_order();
   std::vector<int> counts(3, 0);
   for (int r : claims) ++counts[static_cast<std::size_t>(r)];
-  // As PacerTest.UnevenCostsShiftClaims expects with a Pacer.
+  // As ScheduleTest.PacedUnevenCostsShiftClaims expects with pace().
   EXPECT_LT(counts[0], counts[1] / 2);
   EXPECT_NEAR(counts[1], counts[2], 3);
   EXPECT_EQ(counts[0] + counts[1] + counts[2], 57);
   for (int i = 0; i < 2; ++i) EXPECT_EQ(claim_order(), claims);
+}
+
+/// One task claim of a paced loop: the claimer's clock and rank.
+struct Claim {
+  double ns;
+  int rank;
+};
+
+/// Claim tasks from the host counter \p next until it reaches \p ntasks,
+/// calling pace() before each claim; each task costs \p cost_ns. A host
+/// counter is no scheduling point, so only pace() orders the claims.
+void paced_loop(std::int64_t& next, std::int64_t ntasks, double cost_ns,
+                std::vector<Claim>& log) {
+  for (;;) {
+    pace();
+    if (next >= ntasks) return;
+    ++next;
+    log.push_back({clock().now_ns(), rank()});
+    clock().advance(cost_ns);
+  }
+}
+
+std::vector<int> claims_per_rank(const std::vector<Claim>& log, int nranks) {
+  std::vector<int> counts(static_cast<std::size_t>(nranks), 0);
+  for (const Claim& c : log) ++counts[static_cast<std::size_t>(c.rank)];
+  return counts;
+}
+
+bool in_clock_order(const std::vector<Claim>& log) {
+  return std::is_sorted(log.begin(), log.end(),
+                        [](const Claim& a, const Claim& b) {
+                          return a.ns < b.ns;
+                        });
+}
+
+TEST(ScheduleTest, PacedUniformCostsSplitEvenly) {
+  std::int64_t next = 0;
+  std::vector<Claim> log;
+  run(4, Platform::ideal, [&] { paced_loop(next, 40, 1000.0, log); });
+  EXPECT_EQ(claims_per_rank(log, 4), (std::vector<int>{10, 10, 10, 10}));
+  EXPECT_TRUE(in_clock_order(log));
+}
+
+TEST(ScheduleTest, PacedUnevenCostsShiftClaims) {
+  std::int64_t next = 0;
+  std::vector<Claim> log;
+  run(3, Platform::ideal, [&] {
+    paced_loop(next, 57, rank() == 0 ? 9000.0 : 1000.0, log);
+  });
+  const std::vector<int> counts = claims_per_rank(log, 3);
+  EXPECT_LT(counts[0], counts[1] / 2);
+  EXPECT_NEAR(counts[1], counts[2], 3);
+  EXPECT_EQ(counts[0] + counts[1] + counts[2], 57);
+  EXPECT_TRUE(in_clock_order(log));
+}
+
+// Rank 0 never enters the loop: its pace time (0) holds the others until
+// it blocks in the barrier, then the held ranks run in (clock, rank) order.
+TEST(ScheduleTest, PacedLoopSurvivesAStragglerInABarrier) {
+  std::int64_t next = 0;
+  std::vector<Claim> log;
+  run(4, Platform::ideal, [&] {
+    if (rank() != 0) {
+      clock().advance(1000.0);
+      paced_loop(next, 30, 1000.0, log);
+    }
+    world().barrier();
+  });
+  EXPECT_EQ(claims_per_rank(log, 4), (std::vector<int>{0, 10, 10, 10}));
+  EXPECT_TRUE(in_clock_order(log));
+}
+
+// Each phase's first pace() meets the others' pace times from the phase
+// before; the claims of every phase still follow the clocks.
+TEST(ScheduleTest, PacedPhasesBetweenBarriers) {
+  constexpr int kPhases = 3;
+  std::vector<std::int64_t> next(kPhases, 0);
+  std::vector<std::vector<Claim>> logs(kPhases);
+  run(4, Platform::ideal, [&] {
+    for (int ph = 0; ph < kPhases; ++ph) {
+      world().barrier();
+      const auto u = static_cast<std::size_t>(ph);
+      paced_loop(next[u], 20, 100.0 * (1 + (rank() + ph) % 4), logs[u]);
+    }
+    world().barrier();
+  });
+  for (int ph = 0; ph < kPhases; ++ph) {
+    const std::vector<Claim>& log = logs[static_cast<std::size_t>(ph)];
+    EXPECT_EQ(log.size(), 20u);
+    EXPECT_TRUE(in_clock_order(log)) << "phase " << ph;
+    // The rank with the cheapest tasks this phase claims the most.
+    const std::vector<int> counts = claims_per_rank(log, 4);
+    const int cheapest = (4 - ph) % 4;
+    EXPECT_EQ(std::max_element(counts.begin(), counts.end()) - counts.begin(),
+              cheapest)
+        << "phase " << ph;
+  }
+}
+
+// Rank 0 spins in yield() on a flag that held rank 1 sets. With nothing
+// else to run, the held rank must go before the spinner is requeued, or
+// the run livelocks.
+TEST(ScheduleTest, YieldSpinnerLetsAHeldRankRun) {
+  bool flag = false;
+  run(2, Platform::ideal, [&] {
+    if (rank() == 0) {
+      while (!flag) yield();
+    } else {
+      clock().advance(1000.0);
+      pace();
+      flag = true;
+    }
+  });
+  EXPECT_TRUE(flag);
+}
+
+TEST(ScheduleTest, HeldRankSeesPeerFailure) {
+  Errc seen = Errc::internal;
+  try {
+    run(2, Platform::ideal, [&] {
+      if (rank() == 0) {
+        // Let rank 1 pace ahead of this rank's pace time and be held.
+        clock().advance(5000.0);
+        yield();
+        throw std::runtime_error("rank 0 failed");
+      }
+      clock().advance(1000.0);
+      try {
+        pace();
+      } catch (const MpiError& e) {
+        seen = e.code();
+        throw;
+      }
+      ADD_FAILURE() << "pace() returned after the peer failed";
+    });
+    ADD_FAILURE() << "run() returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 0 failed");
+  }
+  EXPECT_EQ(seen, Errc::aborted);
+}
+
+// Rank 0 never paces. Ranks 1 and 2 pace behind its pace time (0); once
+// rank 0 blocks, the earliest held rank (1) runs, wakes rank 0 and goes
+// far ahead in virtual time. Rank 0's death must release rank 2 at once,
+// not when rank 1 next paces or finishes.
+TEST(ScheduleTest, SurvivableDeathReleasesHeldRanks) {
+  constexpr double kCrashAt = 1e6;
+  Config cfg;
+  cfg.nranks = 3;
+  cfg.platform = Platform::ideal;
+  cfg.fault.survivable = true;
+  cfg.fault.crashes = {{0, kCrashAt}};
+  bool rank1_back = false;
+  bool seen_by_rank2 = true;
+  run(cfg, [&] {
+    Comm w = world();
+    char token = 0;
+    if (rank() == 0) {
+      w.recv(&token, 1, 1, 0);
+      clock().advance(2 * kCrashAt);
+      w.barrier();  // the fault point kills this rank
+      ADD_FAILURE() << "rank 0 outlived its crash";
+      return;
+    }
+    clock().advance(1000.0);
+    pace();
+    if (rank() == 1) {
+      w.send(&token, 1, 0, 0);
+      clock().advance(1e7);
+      // A scheduling point: rank 0, now behind, runs and dies.
+      (void)ctx().core().is_failed(0);
+      rank1_back = true;
+    } else {
+      seen_by_rank2 = rank1_back;
+    }
+  });
+  EXPECT_FALSE(seen_by_rank2);
 }
 
 /// Per-rank outcome of an rpc storm: final clock, am_sent, am_served.

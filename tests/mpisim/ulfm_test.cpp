@@ -13,7 +13,6 @@
 
 #include "src/mpisim/comm.hpp"
 #include "src/mpisim/error.hpp"
-#include "src/mpisim/pacer.hpp"
 #include "src/mpisim/runtime.hpp"
 #include "src/mpisim/trace.hpp"
 #include "src/mpisim/win.hpp"
@@ -370,11 +369,11 @@ TEST(SurvivableTest, SpecificSourceIrecvWaitOnDeadPeerRaisesCrashed) {
   });
 }
 
-// Window and pacer construction is one rooted round: with comm rank 0 dead
-// every survivor gets Errc::crashed, as from a broadcast whose root died.
+// Window construction is one rooted round: with comm rank 0 dead every
+// survivor gets Errc::crashed, as from a broadcast whose root died.
 TEST(SurvivableTest, CollectiveCreationWithDeadRootRaisesCrashed) {
-  enum class Ctor { create, allocate_shared, pacer };
-  for (const Ctor which : {Ctor::create, Ctor::allocate_shared, Ctor::pacer}) {
+  enum class Ctor { create, allocate_shared };
+  for (const Ctor which : {Ctor::create, Ctor::allocate_shared}) {
     int raised = 0;
     run(survivable_cfg(3, {{0, kCrashAt}}), [&] {
       if (rank() == 0) crash_now();
@@ -387,9 +386,6 @@ TEST(SurvivableTest, CollectiveCreationWithDeadRootRaisesCrashed) {
             break;
           case Ctor::allocate_shared:
             Win::allocate_shared(mem.size(), world());
-            break;
-          case Ctor::pacer:
-            Pacer::create(world());
             break;
         }
         ADD_FAILURE() << "construction completed without comm rank 0";

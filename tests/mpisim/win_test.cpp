@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/mpisim/pacer.hpp"
 #include "src/mpisim/runtime.hpp"
 
 namespace mpisim {
@@ -486,8 +485,8 @@ TEST(WinTest, WindowOnSubcommunicator) {
 // inside it: the run rethrows that rank's own error, and nothing was built
 // that could leak.
 TEST(WinTest, FailureBeforeCollectiveCreationRethrowsThatError) {
-  enum class Ctor { create, allocate_shared, pacer };
-  for (const Ctor which : {Ctor::create, Ctor::allocate_shared, Ctor::pacer}) {
+  enum class Ctor { create, allocate_shared };
+  for (const Ctor which : {Ctor::create, Ctor::allocate_shared}) {
     try {
       run(3, Platform::ideal, [which] {
         if (rank() == 1) throw std::runtime_error("rank 1 failed first");
@@ -498,9 +497,6 @@ TEST(WinTest, FailureBeforeCollectiveCreationRethrowsThatError) {
             break;
           case Ctor::allocate_shared:
             Win::allocate_shared(mem.size(), world());
-            break;
-          case Ctor::pacer:
-            Pacer::create(world());
             break;
         }
         ADD_FAILURE() << "construction completed without rank 1";
