@@ -2,7 +2,7 @@
 // (src/am): every rank is simultaneously a shard server and a client
 // streaming millions of simulated ops -- puts, gets, and fused
 // fetch-modify chains -- at the key's owner. Writes are client-driven
-// replicated onto the owner's buddy (rank owner+1), so a seeded
+// replicated onto the owner's buddy (rank owner+1), so a
 // survivable-mode crash of one server mid-stream loses nothing that was
 // acknowledged: clients observe Errc::crashed through their delegate
 // handles exactly once, fail over to the buddy replica, and the final
@@ -28,11 +28,6 @@
 namespace {
 
 using mpisim::Errc;
-
-// Scheduled crash time: far beyond natural virtual time, so only the
-// victim's deliberate clock jump can trigger it (deterministic placement
-// at the middle of the victim's client stream).
-constexpr double kCrashAt = 1e15;
 
 constexpr std::uint64_t kRoleReplica = 1;  // arg.role: primary otherwise
 
@@ -86,10 +81,7 @@ int main(int argc, char** argv) {
   cfg.nranks = nranks;
   cfg.platform = mpisim::Platform::infiniband;
   cfg.fault.seed = 7;
-  if (crash) {
-    cfg.fault.survivable = true;
-    cfg.fault.crashes = {{victim, kCrashAt}};
-  }
+  cfg.fault.survivable = crash;
 
   const Topology topo{nranks};
   // Key spaces: even keys are put/get slots, odd keys are fma counters
@@ -234,9 +226,9 @@ int main(int argc, char** argv) {
     };
     for (long i = 0; i < ops_per_client; ++i) {
       if (crash && me == victim && i == ops_per_client / 2) {
-        // Deterministic mid-stream death: jump past the scheduled crash
-        // time; the next leg's fault point kills this rank.
-        mpisim::clock().advance(2 * kCrashAt);
+        // Deterministic mid-stream death: the next leg's fault point
+        // kills this rank.
+        mpisim::ctx().fault().arm_crash();
       }
       const std::uint64_t r = next();
       const int kind = static_cast<int>(r % 4);  // 50% get, 25% put, 25% fma

@@ -170,9 +170,8 @@ bool RmaChecker::conflict_with(const Sets& s, OpKind kind, Op op,
   std::uintptr_t ohi = 0;
   // MPI-2 access rules: get conflicts with writes and accumulates; put with
   // everything; accumulates conflict with reads, writes, and accumulates
-  // using a *different* operator (same-op overlap is the one concurrency the
-  // model blesses). get_accumulate follows MPI's same_op_no_op rule: no_op
-  // mixes with any accumulate operator.
+  // whose operator is not compatible (acc_ops_compatible: same operator, or
+  // no_op on either side).
   if (kind != OpKind::get && s.reads.overlapping(lo, hi, &olo, &ohi)) {
     *hit = Hit{Hit::Kind::read, Op::sum, olo, ohi};
     return true;
@@ -185,19 +184,8 @@ bool RmaChecker::conflict_with(const Sets& s, OpKind kind, Op op,
     const IntervalSet& set = s.accs[i];
     if (set.empty()) continue;
     const auto o = static_cast<Op>(i);
-    bool mixes = false;
-    switch (kind) {
-      case OpKind::put:
-      case OpKind::get:
-        mixes = true;
-        break;
-      case OpKind::acc:
-        mixes = o != op;
-        break;
-      case OpKind::get_acc:
-        mixes = o != op && o != Op::no_op && op != Op::no_op;
-        break;
-    }
+    const bool mixes = kind == OpKind::put || kind == OpKind::get ||
+                       !acc_ops_compatible(o, op);
     if (mixes && set.overlapping(lo, hi, &olo, &ohi)) {
       *hit = Hit{Hit::Kind::acc, o, olo, ohi};
       return true;
@@ -372,10 +360,9 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
       if (!lrec.write && !writes_target) continue;
       // The shm accumulate path is element-atomic with RMA accumulates (both
       // apply under the runtime's accumulate atomicity), so only the MPI
-      // acc-mixing rules make it a conflict: a different operator, or a
-      // non-accumulate access (no_op mixes with any operator).
-      if (lrec.acc && acc_class && (op == lrec.op || op == Op::no_op))
-        continue;
+      // acc-mixing rule makes it a conflict: an incompatible operator, or a
+      // non-accumulate access.
+      if (lrec.acc && acc_class && acc_ops_compatible(op, lrec.op)) continue;
       flag(ep.pending, RmaViolation::local, world_origin,
            what() + " conflicts with a " + describe_direct(lrec) +
                (lrec.shm ? " by rank " + std::to_string(lrec.accessor) : "") +

@@ -60,7 +60,8 @@ double FaultInjector::next_unit() noexcept {
 
 void FaultInjector::fault_point_slow(const SimClock& clock) {
   if (crash_at_ns_ < 0.0 || clock.now_ns() < crash_at_ns_) return;
-  const double at = crash_at_ns_;
+  const std::string when =
+      armed_ ? "armed" : "scheduled at " + std::to_string(crash_at_ns_) + " ns";
   crash_at_ns_ = -1.0;  // crash exactly once
   if (tracer_ != nullptr) {
     tracer_->begin(TraceCat::fault, "fault.crash",
@@ -75,8 +76,7 @@ void FaultInjector::fault_point_slow(const SimClock& clock) {
     core_->rank_crashed(rank_, clock.now_ns());
   throw MpiError(Errc::crashed,
                  "rank " + std::to_string(rank_) +
-                     " crashed by fault plan (scheduled at " +
-                     std::to_string(at) + " ns, fired at " +
+                     " crashed by fault plan (" + when + ", fired at " +
                      std::to_string(clock.now_ns()) + " ns)");
 }
 

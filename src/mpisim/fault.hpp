@@ -14,9 +14,11 @@
 ///
 /// Fault sites are the runtime's communication entry points (send, recv,
 /// collectives, window lock/unlock, RMA issue). A scheduled crash fires at
-/// the first fault point at or after its virtual time and raises
-/// Errc::crashed on the victim; the runtime's abort propagation then wakes
-/// every blocked peer with Errc::aborted. Transient faults raise
+/// the first fault point at or after its virtual time; a crash armed by the
+/// victim's own code (FaultInjector::arm_crash) fires at its next fault
+/// point. Either raises Errc::crashed on the victim, with the victim's clock
+/// as the death time; the runtime's abort propagation then wakes every
+/// blocked peer with Errc::aborted. Transient faults raise
 /// Errc::transient, which the ARMCI layer absorbs with bounded
 /// retry-with-backoff (retry.hpp).
 
@@ -80,9 +82,9 @@ struct FaultPlan {
   double lock_stall_rate = 0.0;
   double lock_stall_ns = 0.0;
 
-  /// Survivable-failure mode: a scheduled crash marks the victim dead in
-  /// the core instead of tearing down the whole run. Blocked peers that
-  /// depend on the dead rank observe Errc::crashed (after the detection
+  /// Survivable-failure mode: a crash, scheduled or armed, marks the victim
+  /// dead in the core instead of tearing down the whole run. Blocked peers
+  /// that depend on the dead rank observe Errc::crashed (after the detection
   /// period below) rather than the blanket Errc::aborted, collectives
   /// complete over the live members, and the layers above may recover
   /// (ULFM-style shrink/agree, ARMCI mutex reclaim, GA replica failover).
@@ -124,6 +126,15 @@ class FaultInjector {
     fault_point_slow(clock);
   }
 
+  /// Crash this rank at its next fault point, whatever its clock reads
+  /// there (the death time). Places a crash at a program point rather than
+  /// a virtual time; works under any plan, a disabled one included.
+  void arm_crash() noexcept {
+    enabled_ = true;
+    armed_ = true;
+    crash_at_ns_ = 0.0;  // due at any clock: fires at the next fault point
+  }
+
   /// Transient fault point: with plan probability, raises Errc::transient
   /// (charging the configured stall to \p clock) fail_count times in a row
   /// before letting the operation through. Named \p site for diagnostics.
@@ -161,6 +172,7 @@ class FaultInjector {
   SimCore* core_ = nullptr;    ///< death sink for survivable crashes
   Tracer* tracer_ = nullptr;   ///< fault-event trace sink
   bool survivable_ = false;
+  bool armed_ = false;  ///< the pending crash came from arm_crash()
 
   double crash_at_ns_ = -1.0;  ///< < 0: no crash scheduled for this rank
 

@@ -34,19 +34,12 @@ bool is_acc_class(HbChecker::OpKind k) noexcept {
   return k == HbChecker::OpKind::acc || k == HbChecker::OpKind::get_acc;
 }
 
-/// Pairwise MPI conflict rule (mirrors RmaChecker::conflict_with): only
-/// read/read and same-operator accumulate/accumulate overlap is blessed;
-/// get_accumulate's no_op mixes with any operator.
+/// Pairwise MPI conflict rule (as RmaChecker::conflict_with): only
+/// read/read and compatible accumulate/accumulate overlap is blessed.
 bool ops_conflict(HbChecker::OpKind k1, Op o1, HbChecker::OpKind k2, Op o2) {
   using OpKind = HbChecker::OpKind;
   if (k1 == OpKind::get && k2 == OpKind::get) return false;
-  if (is_acc_class(k1) && is_acc_class(k2)) {
-    if (o1 == o2) return false;
-    if ((k1 == OpKind::get_acc || k2 == OpKind::get_acc) &&
-        (o1 == Op::no_op || o2 == Op::no_op))
-      return false;
-    return true;
-  }
+  if (is_acc_class(k1) && is_acc_class(k2)) return !acc_ops_compatible(o1, o2);
   return true;
 }
 

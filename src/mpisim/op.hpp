@@ -51,6 +51,13 @@ inline constexpr std::size_t kOpCount = static_cast<std::size_t>(Op::bor) + 1;
 /// Printable name of an operator.
 const char* op_name(Op op) noexcept;
 
+/// MPI-3 same_op_no_op: two accumulate-class operations (accumulate,
+/// get_accumulate, fetch_and_op) may touch the same bytes concurrently when
+/// their operators are equal or either one is no_op. Symmetric.
+constexpr bool acc_ops_compatible(Op a, Op b) noexcept {
+  return a == b || a == Op::no_op || b == Op::no_op;
+}
+
 /// Apply \p op element-wise: dst[i] = dst[i] OP src[i] for count elements
 /// of type \p t. Throws Errc::invalid_argument for undefined combinations
 /// (e.g. bitwise ops on floating types).

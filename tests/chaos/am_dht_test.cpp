@@ -1,5 +1,5 @@
 // Chaos: the sharded-DHT delegate workload (examples/dht walkthrough)
-// under a seeded survivable-mode crash, shrunk to test scale. A shard
+// under a survivable-mode crash, shrunk to test scale. A shard
 // owner dies mid-request-stream; every in-flight rpc at the dead owner
 // surfaces Errc::crashed through its handle exactly once, subsequent gets
 // fail over to the buddy replica bit-exact, and no acknowledged write is
@@ -25,16 +25,12 @@ namespace {
 using mpisim::Errc;
 using mpisim::MpiError;
 
-constexpr double kCrashAt = 1e15;  // reachable only by a deliberate jump
-
-mpisim::Config survivable_cfg(int nranks,
-                              std::vector<mpisim::RankCrashSpec> crashes) {
+mpisim::Config survivable_cfg(int nranks) {
   mpisim::Config cfg;
   cfg.nranks = nranks;
   cfg.platform = mpisim::Platform::infiniband;
   cfg.fault.seed = 7;
   cfg.fault.survivable = true;
-  cfg.fault.crashes = std::move(crashes);
   return cfg;
 }
 
@@ -55,7 +51,7 @@ TEST(AmDhtChaosTest, ShardOwnerCrashMidStreamFailsOverBitExact) {
   const int victim = n - 1;
   const int buddy = 0;  // replica of the victim's shard lives on owner+1
   constexpr std::uint64_t kSlots = 64;
-  mpisim::run(survivable_cfg(n, {{victim, kCrashAt}}), [&] {
+  mpisim::run(survivable_cfg(n), [&] {
     const int me = mpisim::rank();
     armci::init();
     am::init();
@@ -84,14 +80,14 @@ TEST(AmDhtChaosTest, ShardOwnerCrashMidStreamFailsOverBitExact) {
     armci::barrier();
 
     if (me == victim) {
-      // Serve the fill phase, then jump past the scheduled crash time and
-      // die at the next fault point (the exception unwinds the rank).
+      // Serve the fill phase, then die at the next fault point (the
+      // exception unwinds the rank).
       am::poll_wait([&] {
         std::uint64_t full = 0;
         for (const Slot& s : primary) full += s.ver != 0 ? 1 : 0;
         return full == kSlots;
       });
-      mpisim::clock().advance(2 * kCrashAt);
+      mpisim::ctx().fault().arm_crash();
       mpisim::world().barrier();
       std::abort();  // unreachable: the fault point must throw
     }

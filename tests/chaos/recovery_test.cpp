@@ -1,5 +1,5 @@
 // Kill-and-recover scenarios for the survivable runtime
-// (mpisim::FaultPlan::survivable): a scheduled crash marks the victim dead,
+// (mpisim::FaultPlan::survivable): an armed crash marks the victim dead,
 // survivors observe Errc::crashed at the operations that depend on it, and
 // the layers above recover -- replicated Global Arrays fail reads over to
 // buddy replicas bit-exactly, rebuild() redistributes onto the live process
@@ -49,19 +49,15 @@ struct RecoveryResult {
   std::string metrics;    // rank 0's metrics_json() (when Options::metrics)
 };
 
-/// Virtual time the victims advance past before entering their killing
-/// fault point; generous so every pre-crash phase completes first.
-constexpr double kCrashAt = 1e9;
-
-/// Die at the next fault point: push the clock past the scheduled crash
-/// time and enter armci::barrier(), whose collective entry consults the
-/// injector before joining the rendezvous (works on every backend,
-/// including native, which has no window fault sites). Never returns.
+/// Die at the next fault point: arm the crash and enter armci::barrier(),
+/// whose collective entry consults the injector before joining the
+/// rendezvous (works on every backend, including native, which has no
+/// window fault sites). Never returns.
 void crash_self() {
-  mpisim::clock().advance(2 * kCrashAt);
+  mpisim::ctx().fault().arm_crash();
   barrier();
   ADD_FAILURE() << "rank " << mpisim::rank()
-                << " survived its scheduled crash";
+                << " survived its armed crash";
 }
 
 /// Spin (host time) until the runtime has declared \p victim dead. The
@@ -71,10 +67,11 @@ void await_death(int victim) {
   while (!is_failed(victim)) mpisim::yield();
 }
 
-/// Run \p workload under a survivable one-victim crash schedule. The
-/// victim's Errc::crashed is recorded and rethrown (the runtime swallows
-/// it in survivable mode); every survivor is expected to finalize cleanly.
-RecoveryResult run_survivable(int nranks, int victim, const Options& opts,
+/// Run \p workload in survivable mode; its victim dies in crash_self().
+/// The victim's Errc::crashed is recorded and rethrown (the runtime
+/// swallows it in survivable mode); every survivor is expected to finalize
+/// cleanly.
+RecoveryResult run_survivable(int nranks, const Options& opts,
                               const std::function<void()>& workload) {
   mpisim::Config cfg;
   cfg.nranks = nranks;
@@ -82,7 +79,6 @@ RecoveryResult run_survivable(int nranks, int victim, const Options& opts,
   cfg.ranks_per_node = 1;  // all targets remote: no shared-memory shortcut
   cfg.fault.seed = chaos_seed();
   cfg.fault.survivable = true;
-  cfg.fault.crashes = {{victim, kCrashAt}};
 
   RecoveryResult res;
   res.ranks.assign(static_cast<std::size_t>(nranks), {});
@@ -139,7 +135,7 @@ TEST_P(RecoveryBackendTest, ReplicatedGaKillAndRecoverBitExact) {
   opts.backend = GetParam();
   opts.metrics = true;
 
-  const RecoveryResult res = run_survivable(kN, kVictim, opts, [] {
+  const RecoveryResult res = run_survivable(kN, opts, [] {
     const int me = mpisim::rank();
     const std::int64_t n = kN;
     const std::int64_t dims[] = {n, n};
@@ -215,16 +211,16 @@ TEST_P(RecoveryBackendTest, MutexHeldByCrashedRankReclaimedWithinBound) {
   // Regression (satellite): an armci::Mutex held by a crashed rank must be
   // granted to a surviving waiter within the failure-detection bound --
   // blocked waiters may not hang and may not observe a run-wide abort. The
-  // bound is checked in virtual time: the victim dies shortly after
-  // advancing to 2*kCrashAt, so acquisitions must land between that death
-  // and death + detect_period + a protocol allowance.
+  // bound is checked in virtual time: acquisitions must land between the
+  // victim's death and death + detect_period + a protocol allowance.
   constexpr int kN = 4;
   constexpr int kVictim = 2;
   Options opts;
   opts.backend = GetParam();
   auto observers = std::make_shared<std::atomic<int>>(0);
+  auto death_ns = std::make_shared<double>(-1.0);
 
-  const RecoveryResult res = run_survivable(kN, kVictim, opts, [observers] {
+  const RecoveryResult res = run_survivable(kN, opts, [observers, death_ns] {
     const int me = mpisim::rank();
     std::vector<void*> bases = malloc_world(sizeof(std::int64_t));
     if (me == 0) {
@@ -237,6 +233,7 @@ TEST_P(RecoveryBackendTest, MutexHeldByCrashedRankReclaimedWithinBound) {
     if (me == kVictim) lock(0, 0);
     barrier();  // every survivor sees the victim holding the mutex
     if (me == kVictim) {
+      *death_ns = mpisim::clock().now_ns();  // no later than the death
       crash_self();
       return;
     }
@@ -244,16 +241,16 @@ TEST_P(RecoveryBackendTest, MutexHeldByCrashedRankReclaimedWithinBound) {
     lock(0, 0);  // blocks on the dead holder until recovery hands over
     const double acquired_ns = mpisim::clock().now_ns();
     // The waiter that reclaimed the dead holder observed the death (gauge
-    // stamped): its acquisition sits between the death (>= the victim's
-    // 2*kCrashAt advance) and the detection bound -- death time (at most
-    // kCrashAt of pre-crash virtual time plus the advance) + detect_period
-    // (1e3) + an allowance for the handoff protocol and predecessors'
-    // critical sections. Later waiters take ordinary handoffs, which on
-    // the native backend do not propagate the releaser's virtual time.
+    // stamped): its acquisition sits between the death and the detection
+    // bound -- death time + detect_period (1e3) + an allowance for the
+    // handoff protocol and predecessors' critical sections. Later waiters
+    // take ordinary handoffs, which on the native backend do not propagate
+    // the releaser's virtual time.
     if (mpisim::ctx().last_detect_latency_ns >= 0.0) {
       observers->fetch_add(1);
-      EXPECT_GE(acquired_ns, 2 * kCrashAt);
-      EXPECT_LE(acquired_ns, 3 * kCrashAt + 1e3 + 1e6)
+      EXPECT_GE(*death_ns, 0.0) << "observed a death before the victim died";
+      EXPECT_GE(acquired_ns, *death_ns);
+      EXPECT_LE(acquired_ns, *death_ns + 1e3 + 1e6)
           << "rank " << me << " acquired far past the detection bound";
     }
 
@@ -291,7 +288,7 @@ TEST_P(RecoveryBackendTest, WaitersOnMutexHostedByCrashedRankRaiseCrashed) {
   opts.backend = GetParam();
   auto raised = std::make_shared<std::atomic<int>>(0);
 
-  const RecoveryResult res = run_survivable(kN, kVictim, opts, [raised] {
+  const RecoveryResult res = run_survivable(kN, opts, [raised] {
     const int me = mpisim::rank();
     create_mutexes(1);
     barrier();
@@ -341,7 +338,7 @@ TEST(RecoveryTest, CounterDrivenTasksCompleteAfterCrash) {
   Options opts;
   opts.metrics = true;
 
-  const RecoveryResult res = run_survivable(kN, kVictim, opts, [] {
+  const RecoveryResult res = run_survivable(kN, opts, [] {
     const int me = mpisim::rank();
     const std::int64_t dims[] = {kTasks, kN};
     const std::int64_t chunk[] = {kTasks, 1};  // one column tile per rank
@@ -402,7 +399,7 @@ TEST(RecoveryTest, NbFlushDrainsHealthyQueuesPastDeadOwner) {
   constexpr int kVictim = 1;
   Options opts;
 
-  const RecoveryResult res = run_survivable(3, kVictim, opts, [] {
+  const RecoveryResult res = run_survivable(3, opts, [] {
     const int me = mpisim::rank();
     std::vector<void*> bases = malloc_world(64);
     access_begin(bases[static_cast<std::size_t>(me)]);
@@ -446,7 +443,7 @@ TEST(RecoveryTest, ProgressPersonaParksDeadOwnerQueue) {
   Options opts;
   opts.progress = true;
 
-  const RecoveryResult res = run_survivable(3, kVictim, opts, [] {
+  const RecoveryResult res = run_survivable(3, opts, [] {
     const int me = mpisim::rank();
     std::vector<void*> bases = malloc_world(64);
     access_begin(bases[static_cast<std::size_t>(me)]);
@@ -510,7 +507,7 @@ TEST(RecoveryTest, PGroupShrinkBuildsLiveGroup) {
   constexpr int kVictim = 1;
   Options opts;
 
-  const RecoveryResult res = run_survivable(3, kVictim, opts, [] {
+  const RecoveryResult res = run_survivable(3, opts, [] {
     if (mpisim::rank() == kVictim) {
       crash_self();
       return;

@@ -176,6 +176,55 @@ TEST(CheckerTest, SameOpAccumulatesAreClean) {
   });
 }
 
+/// Ranks 1 and 2 each apply one accumulate-class operation to the same 8
+/// bytes of rank 0 in concurrent shared epochs: fetch_and_op(\p fop) and
+/// accumulate(\p aop), the fetch first when \p fetch_first. Returns the
+/// acc_mix conflicts counted over all ranks.
+std::uint64_t mixed_acc_conflicts(Op fop, Op aop, bool fetch_first) {
+  const ScopedRmaCheckEnv env("abort");  // the MPI-2 checker on every CI leg
+  std::uint64_t mixes = 0;
+  run(abort_cfg(3), [&] {
+    std::int64_t mem = 0;
+    Win win = Win::create(&mem, sizeof mem, world());
+    const std::int64_t one = 1;
+    std::int64_t old = 0;
+    win.lock(LockType::shared, 0);
+    for (int turn = 1; turn <= 2; ++turn) {
+      world().barrier();
+      if (rank() != turn) continue;
+      if ((turn == 1) == fetch_first)
+        win.fetch_and_op(&one, &old, BasicType::int64, 0, 0, fop);
+      else
+        win.accumulate(&one, 1, int64_type(), 0, 0, 1, int64_type(), aop);
+    }
+    world().barrier();
+    try {
+      win.unlock(0);
+    } catch (const MpiError& e) {
+      EXPECT_EQ(e.code(), Errc::rma_conflict) << e.what();
+      win.unlock(0);
+    }
+    world().barrier();
+    if (rank() == 0) mixes = ctx().core().checker().total_counts().acc_mix;
+    win.free();
+  });
+  return mixes;
+}
+
+// MPI-3 same_op_no_op: no_op mixes with any accumulate operator, whichever
+// of the two operations is recorded first.
+TEST(CheckerTest, NoOpMixesWithAnyAccumulateInEitherOrder) {
+  for (const bool fetch_first : {true, false})
+    EXPECT_EQ(mixed_acc_conflicts(Op::no_op, Op::sum, fetch_first), 0u)
+        << "fetch_and_op(no_op) first: " << fetch_first;
+}
+
+TEST(CheckerTest, DifferentOpAccumulatesConflictInEitherOrder) {
+  for (const bool fetch_first : {true, false})
+    EXPECT_EQ(mixed_acc_conflicts(Op::max, Op::sum, fetch_first), 1u)
+        << "fetch_and_op(max) first: " << fetch_first;
+}
+
 TEST(CheckerTest, SameOriginOverlappingPutsAbort) {
   run(abort_cfg(2), [] {
     std::vector<double> mem(8, 0.0);

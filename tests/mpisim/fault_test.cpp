@@ -91,6 +91,68 @@ TEST(FaultInjectorTest, TransientBurstFailsNTimesAndChargesStall) {
   EXPECT_DOUBLE_EQ(clock.now_ns(), 150.0);
 }
 
+TEST(FaultInjectorTest, ArmedCrashFiresOnceAtTheNextFaultPoint) {
+  FaultPlan plan;  // disabled: arming needs no scheduled crash
+  FaultInjector fi;
+  fi.configure(plan, 3);
+  SimClock clock;
+  clock.advance(250.0);
+  fi.arm_crash();
+  try {
+    fi.fault_point(clock);
+    FAIL() << "the armed crash did not fire";
+  } catch (const MpiError& e) {
+    EXPECT_EQ(e.code(), Errc::crashed);
+    EXPECT_TRUE(contains(e.what(), "rank 3 crashed")) << e.what();
+    EXPECT_TRUE(contains(e.what(), "armed, fired at 250")) << e.what();
+  }
+  EXPECT_NO_THROW(fi.fault_point(clock));  // exactly once
+  // Arming schedules nothing else.
+  EXPECT_NO_THROW(fi.maybe_transient(clock, "test"));
+  EXPECT_DOUBLE_EQ(fi.draw_delivery_delay_ns(), 0.0);
+  EXPECT_DOUBLE_EQ(fi.draw_lock_stall_ns(), 0.0);
+  EXPECT_DOUBLE_EQ(clock.now_ns(), 250.0);
+}
+
+// The victim arms, works locally (no fault point), then dies at its send:
+// the death time is its own clock there, so the survivor blocked in recv
+// is released exactly one detection period later.
+TEST(FaultRuntimeTest, ArmedCrashDiesAtTheVictimsClock) {
+  Config cfg;
+  cfg.nranks = 2;
+  cfg.platform = Platform::infiniband;
+  cfg.fault.survivable = true;
+  double died_at = -1.0;
+  int crashes = 0;
+  run(cfg, [&] {
+    char c = 0;
+    if (rank() == 1) {
+      ctx().fault().arm_crash();
+      clock().advance(5e4);  // local work between arming and the fault point
+      mpisim::yield();
+      died_at = clock().now_ns();
+      try {
+        world().send(&c, 1, 0, 0);
+      } catch (const MpiError& e) {
+        if (e.code() == Errc::crashed) ++crashes;
+        throw;
+      }
+      ADD_FAILURE() << "rank 1 outlived its armed crash";
+      return;
+    }
+    try {
+      world().recv(&c, 1, 1, 0);
+      ADD_FAILURE() << "recv from a dead rank completed";
+    } catch (const MpiError& e) {
+      EXPECT_EQ(e.code(), Errc::crashed) << e.what();
+    }
+    EXPECT_DOUBLE_EQ(ctx().last_detect_latency_ns, cfg.fault.detect_period_ns);
+    EXPECT_DOUBLE_EQ(clock().now_ns(), died_at + cfg.fault.detect_period_ns);
+  });
+  EXPECT_DOUBLE_EQ(died_at, 5e4);
+  EXPECT_EQ(crashes, 1);
+}
+
 TEST(FaultRuntimeTest, ScheduledCrashAbortsEveryBlockedSurvivor) {
   enum class Outcome { none, completed, crashed, aborted, other };
   std::vector<Outcome> out(3, Outcome::none);

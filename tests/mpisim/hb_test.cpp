@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -208,6 +209,61 @@ TEST(HbTest, PublishedPutWithoutAnEdgeRaces) {
     world().barrier();
     win.free();
   });
+}
+
+/// Ranks 1 and 2 each apply one accumulate-class operation to the same 8
+/// bytes of rank 0 under lock_all: fetch_and_op(\p fop) and
+/// accumulate(\p aop), the fetch first when \p fetch_first. The first is
+/// flushed (published) before the second issues, with no edge between
+/// them. Returns the second origin's acc_mix race count.
+std::uint64_t published_acc_mixes(Op fop, Op aop, bool fetch_first) {
+  std::atomic<bool> published{false};
+  std::uint64_t mixes = 0;
+  run(race_cfg(3), [&] {
+    std::int64_t mem = 0;
+    Win win = Win::create(&mem, sizeof mem, world());
+    const std::int64_t one = 1;
+    std::int64_t old = 0;
+    const auto issue = [&](bool fetch) {
+      if (fetch)
+        win.fetch_and_op(&one, &old, BasicType::int64, 0, 0, fop);
+      else
+        win.accumulate(&one, 1, int64_type(), 0, 0, 1, int64_type(), aop);
+      win.flush(0);
+    };
+    win.lock_all();
+    if (rank() == 1) {
+      issue(fetch_first);
+      published.store(true, std::memory_order_release);
+    } else if (rank() == 2) {
+      while (!published.load(std::memory_order_acquire)) mpisim::yield();
+      try {
+        issue(!fetch_first);
+      } catch (const MpiError& e) {
+        EXPECT_EQ(e.code(), Errc::rma_race) << e.what();
+        EXPECT_TRUE(contains(e.what(), "[acc_mix]")) << e.what();
+      }
+      mixes = my_races().acc_mix;
+    }
+    win.unlock_all();
+    world().barrier();
+    win.free();
+  });
+  return mixes;
+}
+
+// MPI-3 same_op_no_op, as in the MPI-2 checker: no_op mixes with any
+// accumulate operator, whichever operation was published first.
+TEST(HbTest, NoOpMixesWithAnyAccumulateInEitherOrder) {
+  for (const bool fetch_first : {true, false})
+    EXPECT_EQ(published_acc_mixes(Op::no_op, Op::sum, fetch_first), 0u)
+        << "fetch_and_op(no_op) first: " << fetch_first;
+}
+
+TEST(HbTest, DifferentOpAccumulatesRaceInEitherOrder) {
+  for (const bool fetch_first : {true, false})
+    EXPECT_EQ(published_acc_mixes(Op::max, Op::sum, fetch_first), 1u)
+        << "fetch_and_op(max) first: " << fetch_first;
 }
 
 // A MuteScope mutes only the rank that opened it: every rank shares one
@@ -410,14 +466,12 @@ TEST(HbTest, ShmDirectStoreAgainstPublishedPutRaces) {
 // those bytes before any recovery edge races (the publication clock died
 // with the victim), and the same access after failure_ack() is clean.
 TEST(HbTest, DeadOriginRequiresARecoveryEdge) {
-  constexpr double kCrashAt = 1e6;
   const int victim = 0;
   std::atomic<bool> wrote{false};
   Config cfg = race_cfg(3);
   cfg.platform = Platform::infiniband;
   cfg.fault.seed = 7;
   cfg.fault.survivable = true;
-  cfg.fault.crashes = {{victim, kCrashAt}};
   run(cfg, [&] {
     std::vector<double> mem(8, 0.0);
     Win win = Win::create(mem.data(), mem.size() * sizeof(double), world());
@@ -427,7 +481,7 @@ TEST(HbTest, DeadOriginRequiresARecoveryEdge) {
       win.put(src, sizeof src, 2, 0);
       win.flush(2);
       wrote.store(true, std::memory_order_release);
-      clock().advance(2 * kCrashAt);  // die at the next fault point
+      ctx().fault().arm_crash();  // die at the next fault point
       world().barrier();
       std::abort();  // unreachable: the fault point must throw
     }

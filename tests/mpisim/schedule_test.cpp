@@ -261,12 +261,10 @@ TEST(ScheduleTest, HeldRankSeesPeerFailure) {
 // far ahead in virtual time. Rank 0's death must release rank 2 at once,
 // not when rank 1 next paces or finishes.
 TEST(ScheduleTest, SurvivableDeathReleasesHeldRanks) {
-  constexpr double kCrashAt = 1e6;
   Config cfg;
   cfg.nranks = 3;
   cfg.platform = Platform::ideal;
   cfg.fault.survivable = true;
-  cfg.fault.crashes = {{0, kCrashAt}};
   bool rank1_back = false;
   bool seen_by_rank2 = true;
   run(cfg, [&] {
@@ -274,7 +272,7 @@ TEST(ScheduleTest, SurvivableDeathReleasesHeldRanks) {
     char token = 0;
     if (rank() == 0) {
       w.recv(&token, 1, 1, 0);
-      clock().advance(2 * kCrashAt);
+      ctx().fault().arm_crash();
       w.barrier();  // the fault point kills this rank
       ADD_FAILURE() << "rank 0 outlived its crash";
       return;

@@ -1,5 +1,5 @@
 // Survivable-failure mode and the ULFM-style recovery primitives: a
-// scheduled crash marks the victim dead instead of aborting the run, blocked
+// crash marks the victim dead instead of aborting the run, blocked
 // peers observe Errc::crashed after the detection period, collectives
 // complete over the live members, and the layers above recover through
 // revoke()/shrink()/agree()/failure_ack(). Fault and recovery actions are
@@ -20,24 +20,21 @@
 namespace mpisim {
 namespace {
 
-constexpr double kCrashAt = 1e6;  // victims advance past this, then die
-
-Config survivable_cfg(int nranks, std::vector<RankCrashSpec> crashes) {
+Config survivable_cfg(int nranks) {
   Config cfg;
   cfg.nranks = nranks;
   cfg.platform = Platform::infiniband;
   cfg.fault.seed = 7;
   cfg.fault.survivable = true;
-  cfg.fault.crashes = std::move(crashes);
   return cfg;
 }
 
-/// Die at the next fault point: push the clock past the scheduled crash
-/// time and enter a faultable operation (collective entry). The barrier's
-/// fault point fires before the rendezvous state is touched, so the round
-/// never sees a half-arrived victim.
+/// Die at the next fault point: arm the crash and enter a faultable
+/// operation (collective entry). The barrier's fault point fires before the
+/// rendezvous state is touched, so the round never sees a half-arrived
+/// victim.
 [[noreturn]] void crash_now() {
-  clock().advance(2 * kCrashAt);
+  ctx().fault().arm_crash();
   world().barrier();
   std::abort();  // unreachable: the fault point must throw
 }
@@ -51,7 +48,7 @@ void await_death(int victim) {
 TEST(SurvivableTest, CrashMarksVictimDeadAndLiveRanksComplete) {
   const int victim = 2;
   int completed = 0;
-  run(survivable_cfg(4, {{victim, kCrashAt}}), [&] {
+  run(survivable_cfg(4), [&] {
     if (rank() == victim) crash_now();
     await_death(victim);
     EXPECT_TRUE(ctx().core().is_failed(victim));
@@ -74,7 +71,7 @@ TEST(SurvivableTest, CrashMarksVictimDeadAndLiveRanksComplete) {
 
 TEST(SurvivableTest, SendAndRecvOnDeadPeerRaiseCrashed) {
   const int victim = 1;
-  run(survivable_cfg(3, {{victim, kCrashAt}}), [&] {
+  run(survivable_cfg(3), [&] {
     if (rank() == victim) crash_now();
     await_death(victim);
     if (rank() == 0) {
@@ -101,7 +98,7 @@ TEST(SurvivableTest, SendAndRecvOnDeadPeerRaiseCrashed) {
 
 TEST(SurvivableTest, AnySourceRecvRaisesOncePerEpochUntilAcked) {
   const int victim = 2;
-  run(survivable_cfg(3, {{victim, kCrashAt}}), [&] {
+  run(survivable_cfg(3), [&] {
     if (rank() == victim) crash_now();
     await_death(victim);
     // Rank 1 must not send until rank 0 has provably taken the
@@ -140,7 +137,7 @@ TEST(SurvivableTest, AnySourceRecvRaisesOncePerEpochUntilAcked) {
 
 TEST(SurvivableTest, RootedCollectiveWithDeadRootRaisesCrashed) {
   const int victim = 1;
-  run(survivable_cfg(3, {{victim, kCrashAt}}), [&] {
+  run(survivable_cfg(3), [&] {
     if (rank() == victim) crash_now();
     await_death(victim);
     // ULFM: a collective that depends on a failed process must fail on the
@@ -170,7 +167,7 @@ TEST(SurvivableTest, RootedCollectiveWithDeadRootRaisesCrashed) {
 }
 
 TEST(SurvivableTest, RevokeWakesBlockedReceiversAndIsSticky) {
-  Config cfg = survivable_cfg(2, {});
+  Config cfg = survivable_cfg(2);
   run(cfg, [] {
     Comm c = world().dup();
     if (rank() == 1) {
@@ -204,7 +201,7 @@ TEST(SurvivableTest, RevokeWakesBlockedReceiversAndIsSticky) {
 
 TEST(SurvivableTest, ShrinkBuildsLiveCommAndAgreeCompletes) {
   const int victim = 1;
-  run(survivable_cfg(4, {{victim, kCrashAt}}), [&] {
+  run(survivable_cfg(4), [&] {
     if (rank() == victim) crash_now();
     await_death(victim);
 
@@ -229,7 +226,7 @@ TEST(SurvivableTest, ShrinkBuildsLiveCommAndAgreeCompletes) {
 
 TEST(SurvivableTest, FaultEventsAreFirstClassTraceEvents) {
   const int victim = 2;
-  run(survivable_cfg(3, {{victim, kCrashAt}}), [&] {
+  run(survivable_cfg(3), [&] {
     tracer().enable(1024);
     world().barrier();  // everyone's tracer is live before the crash
     if (rank() == victim) crash_now();
@@ -278,12 +275,11 @@ TEST(SurvivableTest, OffByDefaultCrashStillAbortsTheRun) {
   cfg.nranks = 3;
   cfg.platform = Platform::infiniband;
   cfg.fault.seed = 7;
-  cfg.fault.crashes = {{1, kCrashAt}};
   int aborted = 0;
   try {
     run(cfg, [&] {
       if (rank() == 1) {
-        clock().advance(2 * kCrashAt);
+        ctx().fault().arm_crash();
         world().barrier();
       }
       try {
@@ -306,7 +302,7 @@ TEST(SurvivableTest, OffByDefaultCrashStillAbortsTheRun) {
 
 TEST(SurvivableTest, AnySourceIrecvWaitRaisesOncePerEpochUntilAcked) {
   const int victim = 2;
-  run(survivable_cfg(3, {{victim, kCrashAt}}), [&] {
+  run(survivable_cfg(3), [&] {
     if (rank() == victim) crash_now();
     await_death(victim);
     // Same go-message gating as the blocking-recv regression: rank 1 must
@@ -348,7 +344,7 @@ TEST(SurvivableTest, AnySourceIrecvWaitRaisesOncePerEpochUntilAcked) {
 
 TEST(SurvivableTest, SpecificSourceIrecvWaitOnDeadPeerRaisesCrashed) {
   const int victim = 1;
-  run(survivable_cfg(3, {{victim, kCrashAt}}), [&] {
+  run(survivable_cfg(3), [&] {
     if (rank() == victim) crash_now();
     await_death(victim);
     if (rank() == 0) {
@@ -375,7 +371,7 @@ TEST(SurvivableTest, CollectiveCreationWithDeadRootRaisesCrashed) {
   enum class Ctor { create, allocate_shared };
   for (const Ctor which : {Ctor::create, Ctor::allocate_shared}) {
     int raised = 0;
-    run(survivable_cfg(3, {{0, kCrashAt}}), [&] {
+    run(survivable_cfg(3), [&] {
       if (rank() == 0) crash_now();
       await_death(0);
       std::vector<char> mem(64);
@@ -404,7 +400,7 @@ TEST(SurvivableTest, CollectiveCreationWithDeadRootRaisesCrashed) {
 TEST(SurvivableTest, WindowOverSurvivorsOfADeadMember) {
   for (const bool shared : {false, true}) {
     int checked = 0;
-    run(survivable_cfg(3, {{2, kCrashAt}}), [&] {
+    run(survivable_cfg(3), [&] {
       if (rank() == 2) crash_now();
       await_death(2);
       std::vector<std::int64_t> mem(4, 0);
