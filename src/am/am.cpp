@@ -1,6 +1,7 @@
 #include "src/am/am.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 #include <unordered_map>
@@ -82,6 +83,17 @@ struct AmState {
   std::uint64_t barrier_gen = 0;
   std::unordered_map<std::uint64_t, int> barrier_tokens;  ///< root: per gen
   std::uint64_t barrier_releases = 0;  ///< non-root: releases received
+
+  /// Request staging (header + argument); Comm::send copies it out.
+  std::array<std::uint8_t, sizeof(WireHeader) + kMaxArgBytes> send_buf;
+  /// Reply staging (header + handler reply); serve_one is never re-entered
+  /// while it holds a reply here.
+  std::array<std::uint8_t, sizeof(WireReply) + kMaxReplyBytes> serve_buf;
+  /// One completed rpc state kept for reuse (see take_op). Only a
+  /// successful wait() puts an op here, after its reply receive was reset:
+  /// this slot is torn down under SimCore::mu(), where destroying a live
+  /// Comm::Request would take that lock again.
+  std::shared_ptr<OpState> spare;
 };
 
 AmState& require_am() {
@@ -101,10 +113,13 @@ int require_gce(int gce) {
 
 }  // namespace
 
-/// Shared completion state of one rpc(), owned by its Handle copies.
+/// Shared completion state of one rpc(), owned by its Handle copies and,
+/// once waited for, possibly by AmState::spare.
 struct OpState {
-  mpisim::Comm::Request rreq;  ///< posted reply receive
-  std::vector<std::uint8_t> rbuf;
+  mpisim::Comm::Request rreq;  ///< posted reply receive; reset at completion
+  /// Reply receive buffer. Created without zero-filling
+  /// (make_shared_for_overwrite): only delivered bytes are read.
+  std::array<std::uint8_t, sizeof(WireReply) + kMaxReplyBytes> rbuf;
   int target = -1;  ///< world rank
   std::uint64_t seq = 0;
   bool completed = false;
@@ -150,6 +165,7 @@ void finish_reply(OpState& op) {
     mpisim::raise(Errc::internal, "am reply sequence mismatch");
   op.reply_bytes = st.bytes - sizeof(WireReply);
   op.completed = true;
+  op.rreq = {};  // never leave a finished receive for the spare slot
   fire_callbacks(op, nullptr);
 }
 
@@ -226,7 +242,7 @@ bool serve_one(AmState& am, armci::ProcState& st) {
   if (sizeof(WireHeader) + h.arg_bytes != m.payload.size())
     mpisim::raise(Errc::internal, "am request argument size mismatch");
 
-  std::vector<std::uint8_t> reply(sizeof(WireReply) + kMaxReplyBytes);
+  std::uint8_t* const reply = am.serve_buf.data() + sizeof(WireReply);
   std::size_t reply_bytes = 0;
   {
     am.serving = true;
@@ -236,7 +252,7 @@ bool serve_one(AmState& am, armci::ProcState& st) {
     } unguard{&am.serving};
     reply_bytes = am.handlers[h.handler](
         m.src_comm_rank, m.payload.data() + sizeof(WireHeader), h.arg_bytes,
-        reply.data() + sizeof(WireReply), kMaxReplyBytes);
+        reply, kMaxReplyBytes);
   }
   if (reply_bytes > kMaxReplyBytes)
     mpisim::raise(Errc::invalid_argument,
@@ -252,10 +268,9 @@ bool serve_one(AmState& am, armci::ProcState& st) {
     r.comm_id = cid;
     r.src_comm_rank = me.rank();
     r.tag = reply_tag(h.seq);
-    r.payload.resize(sizeof rh + reply_bytes);
-    std::memcpy(r.payload.data(), &rh, sizeof rh);
-    std::memcpy(r.payload.data() + sizeof rh, reply.data() + sizeof rh,
-                reply_bytes);
+    std::memcpy(am.serve_buf.data(), &rh, sizeof rh);
+    r.payload.assign(am.serve_buf.data(),
+                     am.serve_buf.data() + sizeof rh + reply_bytes);
     const double send_cost_ns = core.model().p2p_ns(0);
     if (st.opts.progress) {
       am.persona_now_ns += send_cost_ns;
@@ -390,12 +405,11 @@ void send_request(AmState& am, armci::ProcState& st, int target, int handler,
   h.flags = flags;
   h.gce = static_cast<std::uint32_t>(gce);
   h.arg_bytes = static_cast<std::uint32_t>(bytes);
-  std::vector<std::uint8_t> payload(sizeof h + bytes);
-  std::memcpy(payload.data(), &h, sizeof h);
-  if (bytes > 0) std::memcpy(payload.data() + sizeof h, arg, bytes);
+  std::memcpy(am.send_buf.data(), &h, sizeof h);
+  if (bytes > 0) std::memcpy(am.send_buf.data() + sizeof h, arg, bytes);
   ++st.stats.am_sent;
   try {
-    am.comm.send(payload.data(), payload.size(), target, kReqTag);
+    am.comm.send(am.send_buf.data(), sizeof h + bytes, target, kReqTag);
   } catch (...) {
     // Park a transport failure (dead target) in the handle; the sender's
     // own scheduled death must keep unwinding the rank instead.
@@ -406,16 +420,27 @@ void send_request(AmState& am, armci::ProcState& st, int target, int handler,
   }
 }
 
+/// State for a new rpc: the spare when no Handle references it any more
+/// (moved out, so the slot never owns the op while its receive is live),
+/// else a fresh one.
+std::shared_ptr<OpState> take_op(AmState& am) {
+  if (am.spare == nullptr || am.spare.use_count() > 1)
+    return std::make_shared_for_overwrite<OpState>();
+  std::shared_ptr<OpState> op = std::move(am.spare);
+  op->completed = false;
+  op->reply_bytes = 0;
+  return op;
+}
+
 }  // namespace
 
 Handle rpc(int target, int handler, const void* arg, std::size_t bytes) {
   armci::ProcState& st = armci::state();
   AmState& am = require_am();
   validate_request(am, target, handler, arg, bytes);
-  auto op = std::make_shared<OpState>();
+  std::shared_ptr<OpState> op = take_op(am);
   op->target = target;
   op->seq = am.next_seq++;
-  op->rbuf.resize(sizeof(WireReply) + kMaxReplyBytes);
   // Post the reply receive *before* the request leaves: the reply can
   // never pile up in the unexpected queue (or trip the mailbox cap), and
   // the posted-receive fast path delivers it straight into the handle.
@@ -468,7 +493,10 @@ void Handle::wait() {
   mpisim::SimCore& core = me.core();
   const std::uint64_t cid = am.comm.id();
   for (;;) {
-    if (try_complete(op)) return;
+    if (try_complete(op)) {
+      if (op.error == nullptr) am.spare = op_;
+      return;
+    }
     if (poll() > 0) continue;  // serving may have unblocked our reply
     // Block until the reply is delivered, an inbound request arrives
     // (serve-while-waiting), or -- in survivable mode -- the target dies;

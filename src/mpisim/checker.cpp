@@ -447,12 +447,10 @@ void RmaChecker::local_begin(std::uint64_t win, int rank, int world_rank,
   tr.locals.insert_or_assign(LocalKey{rank, lo}, std::move(lrec));
 }
 
-void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
-                           int world_origin, OpKind kind, Op op,
-                           std::ptrdiff_t lo, std::ptrdiff_t hi,
-                           const char* scope) {
-  if (!enabled() || lo >= hi) return;
-  TargetRec& tr = wins_[win].targets[target];
+RmaChecker::LocalRec RmaChecker::check_shm(
+    std::uint64_t win, int target, TargetRec& tr, int origin,
+    int world_origin, OpKind kind, Op op, std::ptrdiff_t lo,
+    std::ptrdiff_t hi, const char* scope) {
   LocalRec lrec;
   lrec.lo = lo;
   lrec.hi = hi;
@@ -462,9 +460,32 @@ void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
   lrec.op = op;
   lrec.accessor = origin;
   lrec.scope = scope;
-  // The fast path takes no epoch, so the access is never "covered".
+  // A same-node access takes no epoch, so it is never "covered".
   check_direct(win, target, tr, lrec, kind, op, world_origin);
-  tr.locals.insert_or_assign(LocalKey{origin, lo}, std::move(lrec));
+  return lrec;
+}
+
+void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
+                           int world_origin, OpKind kind, Op op,
+                           std::ptrdiff_t lo, std::ptrdiff_t hi,
+                           const char* scope) {
+  if (!enabled() || lo >= hi) return;
+  TargetRec& tr = wins_[win].targets[target];
+  tr.locals.insert_or_assign(
+      LocalKey{origin, lo},
+      check_shm(win, target, tr, origin, world_origin, kind, op, lo, hi,
+                scope));
+}
+
+void RmaChecker::shm_op(std::uint64_t win, int target, int origin,
+                        int world_origin, OpKind kind, Op op,
+                        std::ptrdiff_t lo, std::ptrdiff_t hi,
+                        const char* scope) {
+  if (!enabled() || lo >= hi) return;
+  TargetRec& tr = wins_[win].targets[target];
+  LocalRec lrec = check_shm(win, target, tr, origin, world_origin, kind, op,
+                            lo, hi, scope);
+  report(lrec.pending);
 }
 
 void RmaChecker::access_end(std::uint64_t win, int target, int accessor,

@@ -172,20 +172,28 @@ class RmaChecker {
                    std::ptrdiff_t lo, std::ptrdiff_t hi, bool write,
                    bool covered, const char* scope);
 
-  /// A direct shared-memory access of [lo, hi) in \p target's slice of a
-  /// shared window by co-located \p origin (Win::shm_access_begin and the
-  /// shm_put/shm_get/shm_acc fast path). The fast path bypasses epochs
-  /// entirely, so this is the only record of the access; it is checked
-  /// against every epoch open on the target -- including MPI-3 lock_all
-  /// epochs, whose in-flight operations a concurrent direct load/store
-  /// genuinely races -- and in-flight RMA issued later is checked back
-  /// against it (record_op). \p kind put/get/acc mirrors RMA recording:
-  /// an OpKind::acc access is the CPU-atomic accumulate path, which is
-  /// element-atomic with accumulates of the same \p op and so conflicts
-  /// only under the acc-mixing rules.
+  /// A held-open direct shared-memory access of [lo, hi) in \p target's
+  /// slice of a shared window by co-located \p origin
+  /// (Win::shm_access_begin). It bypasses epochs entirely, so this is the
+  /// only record of the access; it is checked against every epoch open on
+  /// the target -- including MPI-3 lock_all epochs, whose in-flight
+  /// operations a concurrent direct load/store genuinely races -- and
+  /// in-flight RMA issued later is checked back against it (record_op).
   void shm_begin(std::uint64_t win, int target, int origin, int world_origin,
                  OpKind kind, Op op, std::ptrdiff_t lo, std::ptrdiff_t hi,
                  const char* scope);
+
+  /// One shm_put/shm_get/shm_acc fast-path operation, checked as
+  /// shm_begin checks. It completes atomically under the core lock, so
+  /// its violations are reported at once and nothing is recorded: a
+  /// held-open access by \p origin at the same offset stays in place.
+  /// \p kind put/get/acc mirrors RMA recording: an OpKind::acc access is
+  /// the CPU-atomic accumulate path, which is element-atomic with
+  /// accumulates of the same \p op and so conflicts only under the
+  /// acc-mixing rules.
+  void shm_op(std::uint64_t win, int target, int origin, int world_origin,
+              OpKind kind, Op op, std::ptrdiff_t lo, std::ptrdiff_t hi,
+              const char* scope);
 
   /// End of the direct access by \p accessor (local_begin's \p rank, or
   /// shm_begin's \p origin) that began at \p lo in \p target's slice:
@@ -298,6 +306,12 @@ class RmaChecker {
   /// were concurrent with; violations are deferred into lrec.pending.
   void check_direct(std::uint64_t win, int target, TargetRec& tr,
                     LocalRec& lrec, OpKind kind, Op op, int world_rank);
+
+  /// The record of a same-node direct access by \p origin, checked by
+  /// check_direct (shm_begin, shm_op).
+  LocalRec check_shm(std::uint64_t win, int target, TargetRec& tr,
+                     int origin, int world_origin, OpKind kind, Op op,
+                     std::ptrdiff_t lo, std::ptrdiff_t hi, const char* scope);
 
   /// Count, and defer the message into \p pending.
   void flag(std::vector<Violation>& pending, RmaViolation cls, int world_rank,

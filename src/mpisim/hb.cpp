@@ -410,9 +410,9 @@ void HbChecker::direct_op(std::uint64_t space, int target, int origin,
   TargetRec& t = spaces_[{space, target}];
   check(t, space, target, a);
   // The operation completes atomically under the global lock: publish it
-  // immediately with the origin's clock at this instant.
-  t.pending.push_back(a);
-  ++intervals_;
+  // immediately with the origin's clock at this instant. It never enters
+  // the pending set, so a held-open access by the same origin over the
+  // same bytes stays pending.
   publish_one(t, a, "direct access");
 }
 
@@ -442,10 +442,12 @@ void HbChecker::access_end(std::uint64_t space, int target, int world_origin,
   if (it == spaces_.end()) return;
   TargetRec& t = it->second;
   const auto ulo = static_cast<std::uintptr_t>(lo);
-  for (const Pending& p : t.pending) {
-    if (p.direct && p.world_origin == world_origin && p.lo == ulo) {
-      Pending copy = p;
-      publish_one(t, copy, "access-end");
+  for (auto pit = t.pending.begin(); pit != t.pending.end(); ++pit) {
+    if (pit->direct && pit->world_origin == world_origin && pit->lo == ulo) {
+      const Pending a = *pit;
+      t.pending.erase(pit);
+      --intervals_;
+      publish_one(t, a, "access-end");
       return;
     }
   }
@@ -514,15 +516,6 @@ void HbChecker::publish_one(TargetRec& t, const Pending& a,
     case OpKind::get_acc:
       s.accs[a.op].insert_coalesce(a.lo, a.hi);
       break;
-  }
-  // Drop the pending entry that produced this summary (if still queued).
-  for (auto pit = t.pending.begin(); pit != t.pending.end(); ++pit) {
-    if (pit->direct == a.direct && pit->world_origin == a.world_origin &&
-        pit->lo == a.lo && pit->hi == a.hi && pit->kind == a.kind) {
-      --intervals_;
-      t.pending.erase(pit);
-      break;
-    }
   }
   intervals_ += s.interval_count();
   t.summaries.push_back(std::move(s));

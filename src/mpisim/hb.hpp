@@ -322,8 +322,8 @@ class HbChecker {
   /// with its (ticked) clock, then enforce the memory bound.
   void publish(TargetRec& t, int world_origin, const char* how);
 
-  /// Publish a single access (atomic direct op, or a guard access ending)
-  /// as its own summary.
+  /// Publish a single access (atomic direct op, or a guard access ending
+  /// and already removed from the pending set) as its own summary.
   void publish_one(TargetRec& t, const Pending& a, const char* how);
 
   /// Prune acquired-everywhere summaries, merge same-origin summaries

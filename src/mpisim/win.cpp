@@ -165,21 +165,21 @@ void record_access_end(SimCore& core, const WinImpl& w, RankContext& me,
   core.hb().access_end(w.id, target, me.rank(), lo);
 }
 
-/// One shm fast-path operation: the only record of the access, as no epoch
-/// exists to attribute it to. The operation executes atomically under the
-/// core lock, so it begins and ends in one step: it only ever conflicts
-/// with RMA already in flight (recorded since its epoch's last flush), never
-/// with operations issued afterwards.
+/// One shm fast-path operation, with no epoch to attribute it to. It
+/// executes atomically under the core lock, so it begins and ends in one
+/// step: it only ever conflicts with RMA already in flight (recorded since
+/// its epoch's last flush), never with operations issued afterwards, and
+/// leaves no record behind. The race detector goes first, so an access
+/// both detectors flag raises Errc::rma_race, as RMA ops do.
 void record_shm_op(SimCore& core, const WinImpl& w, RankContext& me,
                    int target, int origin, RmaChecker::OpKind kind, Op op,
                    std::ptrdiff_t lo, std::ptrdiff_t hi) {
   if (!core.checker().enabled()) return;
   const char* scope = trace_scope(me);
-  core.checker().shm_begin(w.id, target, origin, me.rank(), kind, op, lo, hi,
-                           scope);
   core.hb().direct_op(w.id, target, origin, me.rank(), kind, op, lo, hi,
                       scope);
-  core.checker().access_end(w.id, target, origin, lo);
+  core.checker().shm_op(w.id, target, origin, me.rank(), kind, op, lo, hi,
+                        scope);
 }
 
 /// Survivor-side lock-state cleanup: a dead rank can neither complete the

@@ -1,8 +1,9 @@
 // Active-message layer (src/am): rpc round trips and completion levels,
-// fire-and-forget delegates under the termination detector, serve-while-
-// waiting (mutual rpc without deadlock), the serving barrier, registry and
-// argument bounds, metrics export, and the happens-before persona
-// semantics of handler memory effects (MPISIM_RMA_CHECK=race).
+// reply ownership when rpc state is reused, fire-and-forget delegates
+// under the termination detector, serve-while-waiting (mutual rpc without
+// deadlock), the serving barrier, registry and argument bounds, metrics
+// export, and the happens-before persona semantics of handler memory
+// effects (MPISIM_RMA_CHECK=race).
 
 #include <gtest/gtest.h>
 
@@ -289,6 +290,96 @@ TEST(AmTest, MetricsJsonExportsAmCounters) {
       poll_wait([&] { return armci::stats().am_served >= 1; });
       const std::string j = armci::metrics_json();
       EXPECT_NE(j.find("\"am_served\":1,"), std::string::npos) << j;
+    }
+    am::barrier();
+    am::finalize();
+    armci::finalize();
+  });
+}
+
+// Each rpc's reply stays with its own handle: A is still outstanding and B
+// is still referenced while C runs, so neither may lend C its reply state.
+TEST(AmTest, OutstandingHandleKeepsItsReply) {
+  mpisim::run(cfg2(2), [&] {
+    armci::init();
+    am::init();
+    std::uint64_t served = 0;
+    const int h_echo = am::register_handler(
+        [&](int, const void* a, std::size_t n, void* r, std::size_t) {
+          std::memcpy(r, a, n);
+          ++served;
+          return n;
+        });
+    armci::barrier();
+    if (mpisim::rank() == 0) {
+      const std::int64_t a = 11;
+      const Pair b{22, 23};
+      const std::int32_t c = 33;
+      Handle ha = rpc(1, h_echo, &a, sizeof a);
+      Handle hb = rpc(1, h_echo, &b, sizeof b);
+      hb.wait();
+      Handle hc = rpc(1, h_echo, &c, sizeof c);
+      hc.wait();
+      ha.wait();
+      EXPECT_EQ(ha.reply_as<std::int64_t>(), 11);
+      const Pair got = hb.reply_as<Pair>();
+      EXPECT_EQ(got.a, 22);
+      EXPECT_EQ(got.b, 23);
+      EXPECT_EQ(hc.reply_as<std::int32_t>(), 33);
+    } else {
+      poll_wait([&] { return served >= 3; });
+    }
+    am::barrier();
+    am::finalize();
+    armci::finalize();
+  });
+}
+
+// A full-size reply round-trips intact, and the next rpc -- on the state
+// the first one left behind -- reports only its own, 1-byte reply.
+TEST(AmTest, MaxSizeReplyThenShortReply) {
+  mpisim::run(cfg2(2), [&] {
+    armci::init();
+    am::init();
+    std::uint64_t served = 0;
+    const int h_fill = am::register_handler(
+        [&](int, const void* a, std::size_t, void* r, std::size_t cap) {
+          std::uint8_t big = 0;
+          std::memcpy(&big, a, 1);
+          auto* out = static_cast<std::uint8_t*>(r);
+          ++served;
+          if (big == 0) {
+            out[0] = 0x5a;
+            return std::size_t{1};
+          }
+          for (std::size_t i = 0; i < cap; ++i)
+            out[i] = static_cast<std::uint8_t>(i * 7 + 3);
+          return cap;
+        });
+    armci::barrier();
+    if (mpisim::rank() == 0) {
+      const std::uint8_t* first = nullptr;
+      {
+        const std::uint8_t big = 1;
+        Handle h = rpc(1, h_fill, &big, sizeof big);
+        h.wait();
+        const std::span<const std::uint8_t> r = h.reply();
+        EXPECT_EQ(r.size(), kMaxReplyBytes);
+        std::size_t wrong = 0;
+        for (std::size_t i = 0; i < r.size(); ++i)
+          wrong += r[i] != static_cast<std::uint8_t>(i * 7 + 3) ? 1 : 0;
+        EXPECT_EQ(wrong, 0u);
+        first = r.data();
+      }
+      const std::uint8_t small = 0;
+      Handle h = rpc(1, h_fill, &small, sizeof small);
+      h.wait();
+      EXPECT_EQ(h.reply().size(), 1u);
+      EXPECT_EQ(h.reply().front(), 0x5a);
+      EXPECT_EQ(h.reply().data(), first)
+          << "the second rpc should reuse the first one's released state";
+    } else {
+      poll_wait([&] { return served >= 2; });
     }
     am::barrier();
     am::finalize();

@@ -3,9 +3,10 @@
 // owner dies mid-request-stream; every in-flight rpc at the dead owner
 // surfaces Errc::crashed through its handle exactly once, subsequent gets
 // fail over to the buddy replica bit-exact, and no acknowledged write is
-// lost or duplicated. Also: flooding a stalled rank against a configured
-// mailbox cap surfaces Errc::resource_exhausted cleanly and the victimized
-// mailbox's high-water gauge records the pressure.
+// lost or duplicated. A victim that dies with an rpc in flight on reused
+// rpc state tears down cleanly. Also: flooding a stalled rank against a
+// configured mailbox cap surfaces Errc::resource_exhausted cleanly and the
+// victimized mailbox's high-water gauge records the pressure.
 
 #include <gtest/gtest.h>
 
@@ -148,6 +149,57 @@ TEST(AmDhtChaosTest, ShardOwnerCrashMidStreamFailsOverBitExact) {
     am::finalize();
     armci::finalize();
   });
+}
+
+// The victim's first rpc completes, so its state is kept for reuse; the
+// second rpc takes that state over and is still in flight when the victim
+// dies. Unwinding drops the in-flight handle and then tears the layer down
+// under the simulator lock: the kept state must not be the one holding the
+// live reply receive. The survivor's own request to the victim is never
+// served and surfaces Errc::crashed exactly once.
+TEST(AmDhtChaosTest, VictimDiesWithReusedRpcStateInFlight) {
+  const int survivor = 0;
+  const int victim = 1;
+  int crashed_raises = 0;
+  mpisim::run(survivable_cfg(2), [&] {
+    armci::init();
+    am::init();
+    std::uint64_t served = 0;
+    const int h_echo = am::register_handler(
+        [&](int, const void* a, std::size_t n, void* r, std::size_t) {
+          std::memcpy(r, a, n);
+          ++served;
+          return n;
+        });
+    armci::barrier();
+    const std::int64_t v = 7;
+    if (mpisim::rank() == victim) {
+      rpc(survivor, h_echo, &v, sizeof v).wait();
+      Handle second = rpc(survivor, h_echo, &v, sizeof v);
+      // Die at the next fault point -- the blocking receive -- while the
+      // second rpc is outstanding.
+      mpisim::ctx().fault().arm_crash();
+      std::int64_t never = 0;
+      mpisim::world().recv(&never, sizeof never, survivor, /*tag=*/99);
+      std::abort();  // unreachable: the fault point must throw
+    }
+    am::poll_wait([&] { return served >= 1; });
+    Handle h = rpc(victim, h_echo, &v, sizeof v);
+    try {
+      h.wait();
+      ADD_FAILURE() << "an rpc to a rank that never served it completed";
+    } catch (const MpiError& e) {
+      EXPECT_EQ(e.code(), Errc::crashed) << e.what();
+      ++crashed_raises;
+    }
+    EXPECT_TRUE(h.test());  // surfaced once: now reads complete
+    h.wait();
+    mpisim::world().failure_ack();
+    am::barrier();
+    am::finalize();
+    armci::finalize();
+  });
+  EXPECT_EQ(crashed_raises, 1);
 }
 
 TEST(AmDhtChaosTest, FloodingAStalledRankHitsTheCapCleanly) {

@@ -541,6 +541,44 @@ TEST(CheckerTest, RmaAgainstOpenShmAccessAborts) {
   });
 }
 
+// The same, after the declaring rank also ran a shm fast-path op on its
+// declared bytes: the momentary op is checked and gone, and the held-open
+// declaration stays until shm_access_end retires it.
+TEST(CheckerTest, ShmOpKeepsOwnOpenShmDeclaration) {
+  const ScopedRmaCheckEnv env("abort");  // the MPI-2 checker on every CI leg
+  Config cfg = abort_cfg(2);
+  cfg.ranks_per_node = 2;
+  run(cfg, [] {
+    Win win = Win::allocate_shared(8 * sizeof(double), world());
+    const double src[2] = {1.0, 2.0};
+    if (rank() == 1) {
+      win.shm_access_begin(1, 0, sizeof src, /*write=*/true);  // own segment
+      win.shm_put(src, sizeof src, 1, 0);  // same rank, same offset
+    }
+    world().barrier();
+    if (rank() == 0) {
+      win.lock(LockType::shared, 1);
+      win.put(src, sizeof src, 1, 0);  // lands on the open declaration
+      const std::string msg = expect_conflict([&] { win.unlock(1); });
+      EXPECT_NE(msg.find("direct"), std::string::npos) << msg;
+      EXPECT_EQ(my_counts().local, 1u);
+      win.unlock(1);  // record retired; releases the lock
+    }
+    world().barrier();
+    if (rank() == 1) win.shm_access_end(1, 0);
+    world().barrier();
+    if (rank() == 0) {
+      // Retired by shm_access_end: the same put is now clean.
+      win.lock(LockType::shared, 1);
+      win.put(src, sizeof src, 1, 0);
+      win.unlock(1);
+    }
+    world().barrier();
+    EXPECT_EQ(ctx().core().checker().total_counts().total(), 1u);
+    win.free();
+  });
+}
+
 TEST(CheckerTest, WarnModeCountsAndCompletes) {
   Config cfg = abort_cfg(2);
   cfg.rma_check = RmaCheck::warn;

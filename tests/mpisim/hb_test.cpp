@@ -462,6 +462,51 @@ TEST(HbTest, ShmDirectStoreAgainstPublishedPutRaces) {
   });
 }
 
+// A shm fast-path op by a rank holding an open shm declaration over the
+// same bytes publishes only itself: the declaration stays in flight, so
+// remote RMA landing on it races, and once shm_access_end published it a
+// barrier orders the same RMA after it.
+TEST(HbTest, ShmOpKeepsOwnOpenShmDeclaration) {
+  Config cfg = race_cfg(2);
+  cfg.ranks_per_node = 2;
+  run(cfg, [&] {
+    Win win = Win::allocate_shared(8 * sizeof(double), world());
+    const double src[2] = {1.0, 2.0};
+    if (rank() == 1) {
+      win.shm_access_begin(1, 0, sizeof src, /*write=*/true);  // own segment
+      win.shm_put(src, sizeof src, 1, 0);  // same rank, same bytes
+    }
+    world().barrier();
+    if (rank() == 0) {
+      win.lock(LockType::shared, 1);
+      const std::string msg =
+          expect_race([&] { win.put(src, sizeof src, 1, 0); });
+      EXPECT_TRUE(contains(msg, "in-flight")) << msg;
+      EXPECT_EQ(my_races().shm, 1u);
+      // Race mode keeps the epoch checker on: the unlock reports the same
+      // overlap as an epoch conflict, and the retry releases the lock.
+      try {
+        win.unlock(1);
+        ADD_FAILURE() << "expected Errc::rma_conflict";
+      } catch (const MpiError& e) {
+        EXPECT_EQ(e.code(), Errc::rma_conflict) << e.what();
+      }
+      win.unlock(1);
+    }
+    world().barrier();
+    if (rank() == 1) win.shm_access_end(1, 0);
+    world().barrier();
+    if (rank() == 0) {
+      win.lock(LockType::shared, 1);
+      win.put(src, sizeof src, 1, 0);  // ordered by the barrier: clean
+      win.unlock(1);
+    }
+    world().barrier();
+    EXPECT_EQ(ctx().core().hb().total_counts().total(), 1u);
+    win.free();
+  });
+}
+
 // Class dead_origin: a rank publishes a put and dies; a survivor touching
 // those bytes before any recovery edge races (the publication clock died
 // with the victim), and the same access after failure_ack() is clean.
