@@ -38,6 +38,24 @@ void QueueingMutexSet::destroy() {
   count_ = 0;
 }
 
+std::vector<std::uint8_t> QueueingMutexSet::swap_flag(int m, int host,
+                                                     std::uint8_t flag) {
+  const int n = comm_.size();
+  const int me = comm_.rank();
+  const std::size_t row =
+      static_cast<std::size_t>(m) * (static_cast<std::size_t>(n) + 1);
+  // The put and the gets touch disjoint bytes, so this is a legal epoch.
+  std::vector<std::uint8_t> others(static_cast<std::size_t>(n), 0);
+  EpochGuard eg(win_, LockType::exclusive, host);
+  win_.put(&flag, 1, host, row + static_cast<std::size_t>(me));
+  if (me > 0) win_.get(others.data(), static_cast<std::size_t>(me), host, row);
+  if (me < n - 1)
+    win_.get(others.data() + me + 1, static_cast<std::size_t>(n - 1 - me),
+             host, row + static_cast<std::size_t>(me) + 1);
+  eg.release();
+  return others;
+}
+
 void QueueingMutexSet::put_holder(int m, int host, std::uint8_t value) {
   const std::size_t stride = static_cast<std::size_t>(comm_.size()) + 1;
   const std::size_t hoff = static_cast<std::size_t>(m) * stride +
@@ -70,21 +88,8 @@ void QueueingMutexSet::lock(int m, int host) {
   const std::size_t stride = static_cast<std::size_t>(n) + 1;
   const std::size_t row = static_cast<std::size_t>(m) * stride;
 
-  // One exclusive epoch: set B[me] = 1 and fetch every other entry (plus,
-  // in survivable mode, the holder byte). The put and the gets touch
-  // disjoint bytes, so this is a legal epoch.
-  std::vector<std::uint8_t> others(static_cast<std::size_t>(n), 0);
-  const std::uint8_t one = 1;
-  {
-    EpochGuard eg(win_, LockType::exclusive, host);
-    win_.put(&one, 1, host, row + static_cast<std::size_t>(me));
-    if (me > 0)
-      win_.get(others.data(), static_cast<std::size_t>(me), host, row);
-    if (me < n - 1)
-      win_.get(others.data() + me + 1, static_cast<std::size_t>(n - 1 - me),
-               host, row + static_cast<std::size_t>(me) + 1);
-    eg.release();
-  }
+  // Request: set B[me] = 1 and fetch every other member's flag.
+  const std::vector<std::uint8_t> others = swap_flag(m, host, 1);
 
   bool contended = false;
   int dead_seen = -1;
@@ -179,21 +184,9 @@ void QueueingMutexSet::unlock(int m, int host) {
   const int n = comm_.size();
   const int me = comm_.rank();
   const bool surv = mpisim::ctx().core().survivable();
-  const std::size_t stride = static_cast<std::size_t>(n) + 1;
-  const std::size_t row = static_cast<std::size_t>(m) * stride;
 
-  std::vector<std::uint8_t> others(static_cast<std::size_t>(n), 0);
-  const std::uint8_t zero = 0;
-  {
-    EpochGuard eg(win_, LockType::exclusive, host);
-    win_.put(&zero, 1, host, row + static_cast<std::size_t>(me));
-    if (me > 0)
-      win_.get(others.data(), static_cast<std::size_t>(me), host, row);
-    if (me < n - 1)
-      win_.get(others.data() + me + 1, static_cast<std::size_t>(n - 1 - me),
-               host, row + static_cast<std::size_t>(me) + 1);
-    eg.release();
-  }
+  // Release: clear B[me] and fetch every other member's flag.
+  const std::vector<std::uint8_t> others = swap_flag(m, host, 0);
 
   // Fair handoff: scan circularly starting at me+1 and forward the lock to
   // the first enqueued requester, if any. Survivable mode skips dead

@@ -72,6 +72,11 @@ class QueueingMutexSet {
   void unlock(int m, int host);
 
  private:
+  /// One exclusive epoch on \p host: set this member's request flag of
+  /// mutex \p m to \p flag, then fetch the flags below it and those above
+  /// it. Returns every member's flag, with this member's own entry 0.
+  std::vector<std::uint8_t> swap_flag(int m, int host, std::uint8_t flag);
+
   /// Publish the holder byte of mutex \p m on \p host (survivable mode).
   void put_holder(int m, int host, std::uint8_t value);
 

@@ -23,6 +23,11 @@ std::uintptr_t lo_of(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p);
 }
 
+/// Bit of \p at in NbQueue::acc_types.
+std::uint8_t acc_bit(AccType at) {
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(at));
+}
+
 /// Drop a queue's range bookkeeping after its ops reach operation
 /// completion (or park on an error).
 void clear_ranges(NbQueue& q) {
@@ -31,7 +36,7 @@ void clear_ranges(NbQueue& q) {
   q.r_accs.clear();
   q.l_reads.clear();
   q.l_writes.clear();
-  q.has_acc = false;
+  q.acc_types = 0;
 }
 
 /// A queue died before its contract records could be published: drop the
@@ -294,7 +299,7 @@ std::uint64_t NbEngine::enqueue(ProcState& st, const std::shared_ptr<Gmr>& gmr,
         case OneSided::acc:
           hazard = q.r_reads.conflicts(r_lo, r_hi) ||
                    q.r_writes.conflicts(r_lo, r_hi) ||
-                   (q.has_acc && q.acc_type != op.at &&
+                   ((q.acc_types & ~acc_bit(op.at)) != 0 &&
                     q.r_accs.conflicts(r_lo, r_hi));
           break;
       }
@@ -322,8 +327,7 @@ std::uint64_t NbEngine::enqueue(ProcState& st, const std::shared_ptr<Gmr>& gmr,
       break;
     case OneSided::acc:
       q.r_accs.insert_merge(r_lo, r_hi);
-      q.has_acc = true;
-      q.acc_type = op.at;
+      q.acc_types |= acc_bit(op.at);
       break;
   }
   q.ops.push_back(std::move(op));

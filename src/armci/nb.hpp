@@ -89,8 +89,8 @@ struct NbQueue {
   // read (put/acc sources) and write (get destinations).
   mpisim::IntervalSet l_reads, l_writes;
 
-  bool has_acc = false;
-  AccType acc_type = AccType::float64;  ///< element type of queued accs
+  /// Element types of the queued accs, one bit per AccType.
+  std::uint8_t acc_types = 0;
 
   std::uint64_t seq_enqueued = 0;   ///< ticket of the newest queued op
   std::uint64_t seq_issued = 0;     ///< every ticket <= this is source-

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/armci/armci.hpp"
 #include "src/armci/state.hpp"
@@ -142,12 +143,39 @@ std::vector<OwnedPatch> GlobalArray::locate_region(const Patch& region) const {
 
 namespace detail {
 
-void count_multi_owner(int owners, std::uint64_t batches) {
-  if (owners < 2) return;
-  armci::Stats& s = armci::state().stats;
-  ++s.ga_multi_owner_ops;
-  s.ga_owner_fanout += static_cast<std::uint64_t>(owners);
-  s.ga_nb_batches += batches;
+const GaImpl& impl_of(const GlobalArray& g) { return *g.impl_; }
+
+Route route(const GaImpl& ga, int owner, std::size_t offset) {
+  Route r;
+  r.owner_proc = abs_proc(ga, owner);
+  r.primary = static_cast<std::uint8_t*>(
+                  ga.bases[static_cast<std::size_t>(r.owner_proc)]) +
+              offset;
+  if (!replicated(ga)) return r;
+  const int buddy = (owner + 1) % dist_nprocs(ga);
+  r.buddy_proc = abs_proc(ga, buddy);
+  if (auto* b = static_cast<std::uint8_t*>(
+          ga.bases[static_cast<std::size_t>(r.buddy_proc)]))
+    r.replica = b + ga.block_bytes[static_cast<std::size_t>(buddy)] + offset;
+  r.owner_dead = armci::is_failed(r.owner_proc);
+  r.buddy_dead = r.replica == nullptr || armci::is_failed(r.buddy_proc);
+  return r;
+}
+
+void note_death_observed(int proc) {
+  mpisim::SimCore& core = mpisim::ctx().core();
+  std::lock_guard lk(core.mu());
+  core.note_death_observed_locked(proc);
+}
+
+armci::Request OwnerOps::finish() {
+  if (owners >= 2) {
+    armci::Stats& s = armci::state().stats;
+    ++s.ga_multi_owner_ops;
+    s.ga_owner_fanout += static_cast<std::uint64_t>(owners);
+    s.ga_nb_batches += batches;
+  }
+  return std::move(req);
 }
 
 }  // namespace detail
@@ -188,19 +216,16 @@ armci::Request region_xfer_issue(GaImpl& ga, XferKind kind,
   const std::vector<std::size_t> buf_strides =
       detail::row_major_strides(buf_ext, esz);
 
-  armci::Request req;
-  int owners = 0;
-  std::uint64_t batches = 0;
-  const bool repl = detail::replicated(ga);
+  const armci::AccType at = detail::acc_type(ga);
+  detail::OwnerOps ops;
   for (const OwnedPatch& op : ga.dist.intersect(region)) {
-    const int owner_abs = detail::abs_proc(ga, op.proc);
     const Patch block = ga.dist.patch_of(op.proc);
     std::vector<std::int64_t> blk_ext(nd);
     for (std::size_t d = 0; d < nd; ++d) blk_ext[d] = block.extent(d);
     const std::vector<std::size_t> rem_strides =
         detail::row_major_strides(blk_ext, esz);
 
-    // Remote address of the sub-patch start within the owner's block.
+    // Offset of the sub-patch start within the owner's block.
     std::size_t rem_off = 0;
     std::size_t loc_off = 0;
     for (std::size_t d = 0; d < nd; ++d) {
@@ -209,21 +234,7 @@ armci::Request region_xfer_issue(GaImpl& ga, XferKind kind,
       loc_off += static_cast<std::size_t>(op.patch.lo[d] - region.lo[d]) *
                  buf_strides[d];
     }
-    auto* remote =
-        static_cast<std::uint8_t*>(
-            ga.bases[static_cast<std::size_t>(owner_abs)]) +
-        rem_off;
     auto* local = static_cast<std::uint8_t*>(buf) + loc_off;
-
-    // Buddy replica of this block (replicated arrays): same layout, stored
-    // on the ring successor after its own block.
-    const int buddy = repl ? detail::buddy_of(ga, op.proc) : -1;
-    const int buddy_abs = repl ? detail::abs_proc(ga, buddy) : -1;
-    std::uint8_t* replica = nullptr;
-    if (repl && ga.bases[static_cast<std::size_t>(buddy_abs)] != nullptr)
-      replica = static_cast<std::uint8_t*>(
-                    ga.bases[static_cast<std::size_t>(buddy_abs)]) +
-                ga.block_bytes[static_cast<std::size_t>(buddy)] + rem_off;
 
     // ARMCI strided notation: count[0] in bytes over the innermost
     // dimension; stride level i covers dimension nd-2-i.
@@ -248,59 +259,38 @@ armci::Request region_xfer_issue(GaImpl& ga, XferKind kind,
       }
     }
 
-    const armci::AccType at = ga.type == ElemType::dbl
-                                  ? armci::AccType::float64
-                                  : armci::AccType::int64;
-    const bool owner_dead = repl && armci::is_failed(owner_abs);
-    const bool buddy_dead =
-        repl && (replica == nullptr || armci::is_failed(buddy_abs));
-
+    const detail::Route rt = detail::route(ga, op.proc, rem_off);
+    ++ops.owners;
     if (kind == XferKind::get) {
-      armci::Request r;
-      if (owner_dead && !buddy_dead) {
-        // Transparent failover: serve the read from the buddy replica and
-        // record the detection latency of the owner's death.
-        r = armci::nb_get_strided(replica, local, spec, buddy_abs);
+      // Transparent failover: serve the read from the buddy replica when
+      // the owner died (else surface the error the way a non-replicated
+      // access would) and record the detection latency.
+      const bool fo = rt.fails_over();
+      const armci::Request r =
+          fo ? armci::nb_get_strided(rt.replica, local, spec, rt.buddy_proc)
+             : armci::nb_get_strided(rt.primary, local, spec, rt.owner_proc);
+      if (fo) {
         ++armci::state().stats.failovers;
-        mpisim::SimCore& core = mpisim::ctx().core();
-        std::lock_guard lk(core.mu());
-        core.note_death_observed_locked(owner_abs);
-      } else {
-        // Owner alive (or nothing to fail over to: surface the error the
-        // way a non-replicated access would).
-        r = armci::nb_get_strided(remote, local, spec, owner_abs);
+        detail::note_death_observed(rt.owner_proc);
       }
-      if (!r.test()) ++batches;
-      req.merge(r);
-      ++owners;
+      ops.add(r);
       continue;
     }
 
     // put/acc: primary write unless the owner is gone, plus the
     // write-through replica copy that keeps failover reads exact.
-    if (!owner_dead) {
-      armci::Request r;
-      if (kind == XferKind::put)
-        r = armci::nb_put_strided(local, remote, spec, owner_abs);
-      else
-        r = armci::nb_acc_strided(at, alpha, local, remote, spec, owner_abs);
-      if (!r.test()) ++batches;  // deferred, not eager: one per-owner batch
-      req.merge(r);
-    }
-    if (repl && !buddy_dead) {
-      armci::Request r;
-      if (kind == XferKind::put)
-        r = armci::nb_put_strided(local, replica, spec, buddy_abs);
-      else
-        r = armci::nb_acc_strided(at, alpha, local, replica, spec, buddy_abs);
-      if (!r.test()) ++batches;
-      req.merge(r);
+    const auto write = [&](std::uint8_t* dst, int proc) {
+      return kind == XferKind::put
+                 ? armci::nb_put_strided(local, dst, spec, proc)
+                 : armci::nb_acc_strided(at, alpha, local, dst, spec, proc);
+    };
+    if (!rt.owner_dead) ops.add(write(rt.primary, rt.owner_proc));
+    if (rt.writes_replica()) {
+      ops.add(write(rt.replica, rt.buddy_proc));
       ++armci::state().stats.replica_writes;
     }
-    ++owners;
   }
-  detail::count_multi_owner(owners, batches);
-  return req;
+  return ops.finish();
 }
 
 /// Blocking region access: issue through the engine, complete at one

@@ -53,9 +53,13 @@ enum class Resilience {
               ///< to it when the owner has died
 };
 
+class GlobalArray;
+
 namespace detail {
 struct GaImpl;
-}
+/// The shared state behind a handle (implementation files only).
+const GaImpl& impl_of(const GlobalArray& g);
+}  // namespace detail
 
 /// Handle to a distributed array. Copies are cheap and refer to the same
 /// array. All collective members must be called by every process.
@@ -225,6 +229,7 @@ class GlobalArray {
                     GlobalArray& c);
 
  private:
+  friend const detail::GaImpl& detail::impl_of(const GlobalArray& g);
   explicit GlobalArray(std::shared_ptr<detail::GaImpl> impl);
 
   std::shared_ptr<detail::GaImpl> impl_;

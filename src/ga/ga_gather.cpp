@@ -6,7 +6,6 @@
 // receives one IOV descriptor whose segments are single elements -- the
 // many-small-segments regime the paper's IOV methods (§VI-A) exist for.
 
-#include <cstring>
 #include <limits>
 #include <map>
 
@@ -38,43 +37,23 @@ void element_xfer(detail::GaImpl& ga, ElemXfer kind, void* values,
     mpisim::raise(Errc::invalid_argument,
                   "subscript array must hold n * ndim entries");
 
-  // Resolve every element's owner and remote address up front. scatter
-  // needs the full list before bucketing: with duplicate subscripts its
-  // semantics are last-writer-wins (location consistency), so only the
-  // final occurrence of each remote element may enter the IOV -- both the
-  // conservative and the direct/deferred paths treat overlapping
-  // destination segments in one descriptor as erroneous.
-  std::vector<std::uint8_t*> remotes(static_cast<std::size_t>(n));
-  std::vector<int> owners_of(static_cast<std::size_t>(n));  // dist ranks
+  // Route every element up front. scatter needs the full list before
+  // bucketing: with duplicate subscripts its semantics are last-writer-wins
+  // (location consistency), so only the final occurrence of each remote
+  // element may enter the IOV -- both the conservative and the
+  // direct/deferred paths treat overlapping destination segments in one
+  // descriptor as erroneous.
+  std::vector<detail::Route> routes(static_cast<std::size_t>(n));
   std::map<const void*, std::int64_t> last_writer;
   for (std::int64_t i = 0; i < n; ++i) {
     const std::span<const std::int64_t> idx =
         subs.subspan(static_cast<std::size_t>(i) * nd, nd);
     const int proc = ga.dist.owner_of(idx);
-    const Patch block = ga.dist.patch_of(proc);
-    auto* remote =
-        static_cast<std::uint8_t*>(
-            ga.bases[static_cast<std::size_t>(detail::abs_proc(ga, proc))]) +
-        detail::element_offset(block, idx, esz);
-    remotes[static_cast<std::size_t>(i)] = remote;
-    owners_of[static_cast<std::size_t>(i)] = proc;
-    if (kind == ElemXfer::put) last_writer[remote] = i;
+    const detail::Route& rt = routes[static_cast<std::size_t>(i)] =
+        detail::route(ga, proc,
+                      detail::element_offset(ga.dist.patch_of(proc), idx, esz));
+    if (kind == ElemXfer::put) last_writer[rt.primary] = i;
   }
-
-  // Buddy-replica address of an element (replicated arrays): same offset
-  // within the owner's block, stored on the ring successor after its own
-  // block. Null when the buddy holds no storage.
-  const bool repl = detail::replicated(ga);
-  auto replica_of = [&](int owner, std::uint8_t* remote) -> std::uint8_t* {
-    const int buddy = detail::buddy_of(ga, owner);
-    auto* bbase = static_cast<std::uint8_t*>(
-        ga.bases[static_cast<std::size_t>(detail::abs_proc(ga, buddy))]);
-    if (bbase == nullptr) return nullptr;
-    auto* obase = static_cast<std::uint8_t*>(
-        ga.bases[static_cast<std::size_t>(detail::abs_proc(ga, owner))]);
-    return bbase + ga.block_bytes[static_cast<std::size_t>(buddy)] +
-           static_cast<std::size_t>(remote - obase);
-  };
 
   // Bucket elements by the absolute process each transfer is issued to,
   // preserving per-owner order. Duplicates are dropped only for scatter;
@@ -83,82 +62,48 @@ void element_xfer(detail::GaImpl& ga, ElemXfer kind, void* values,
   // so all duplicates must land. Replicated arrays write through to the
   // buddy replica and fail gets over to it when the owner has died.
   std::map<int, armci::Giov> per_owner;
-  bool observed_death = false;
-  int dead_owner_abs = -1;
+  const auto push = [&](int proc, const void* src, void* dst) {
+    armci::Giov& g = per_owner[proc];
+    g.bytes = esz;
+    g.src.push_back(src);
+    g.dst.push_back(dst);
+  };
+  int dead_owner = -1;
   for (std::int64_t i = 0; i < n; ++i) {
-    auto* remote = remotes[static_cast<std::size_t>(i)];
+    const detail::Route& rt = routes[static_cast<std::size_t>(i)];
     auto* local = static_cast<std::uint8_t*>(values) +
                   static_cast<std::size_t>(i) * esz;
-    const int owner = owners_of[static_cast<std::size_t>(i)];
-    const int owner_abs = detail::abs_proc(ga, owner);
-    std::uint8_t* rep = repl ? replica_of(owner, remote) : nullptr;
-    const int buddy_abs =
-        repl ? detail::abs_proc(ga, detail::buddy_of(ga, owner)) : -1;
-    const bool owner_dead = repl && armci::is_failed(owner_abs);
-    const bool buddy_dead =
-        repl && (rep == nullptr || armci::is_failed(buddy_abs));
-
     if (kind == ElemXfer::get) {
-      armci::Giov& g = (owner_dead && !buddy_dead) ? per_owner[buddy_abs]
-                                                   : per_owner[owner_abs];
-      g.bytes = esz;
-      g.src.push_back((owner_dead && !buddy_dead) ? rep : remote);
-      g.dst.push_back(local);
-      if (owner_dead && !buddy_dead) {
+      if (rt.fails_over()) {
+        push(rt.buddy_proc, rt.replica, local);
         ++armci::state().stats.failovers;
-        observed_death = true;
-        dead_owner_abs = owner_abs;
+        dead_owner = rt.owner_proc;
+      } else {
+        push(rt.owner_proc, rt.primary, local);
       }
       continue;
     }
-
-    if (kind == ElemXfer::put && last_writer[remote] != i) continue;
-    if (!owner_dead) {
-      armci::Giov& g = per_owner[owner_abs];
-      g.bytes = esz;
-      g.src.push_back(local);
-      g.dst.push_back(remote);
-    }
-    if (repl && !buddy_dead) {
-      armci::Giov& g = per_owner[buddy_abs];
-      g.bytes = esz;
-      g.src.push_back(local);
-      g.dst.push_back(rep);
+    if (kind == ElemXfer::put && last_writer[rt.primary] != i) continue;
+    if (!rt.owner_dead) push(rt.owner_proc, local, rt.primary);
+    if (rt.writes_replica()) {
+      push(rt.buddy_proc, local, rt.replica);
       ++armci::state().stats.replica_writes;
     }
   }
-  if (observed_death) {
-    mpisim::SimCore& core = mpisim::ctx().core();
-    std::lock_guard lk(core.mu());
-    core.note_death_observed_locked(dead_owner_abs);
-  }
+  if (dead_owner >= 0) detail::note_death_observed(dead_owner);
 
   // One nonblocking IOV batch per owner, one covering wait: the
   // aggregation engine overlaps the per-owner epochs (see region_xfer).
-  const armci::AccType at = ga.type == ElemType::dbl
-                                ? armci::AccType::float64
-                                : armci::AccType::int64;
-  armci::Request req;
-  int fanout = 0;
-  std::uint64_t batches = 0;
+  const armci::AccType at = detail::acc_type(ga);
+  detail::OwnerOps ops;
   for (auto& [proc, giov] : per_owner) {
-    armci::Request r;
-    switch (kind) {
-      case ElemXfer::put:
-        r = armci::nb_put_iov({&giov, 1}, proc);
-        break;
-      case ElemXfer::get:
-        r = armci::nb_get_iov({&giov, 1}, proc);
-        break;
-      case ElemXfer::acc:
-        r = armci::nb_acc_iov(at, alpha, {&giov, 1}, proc);
-        break;
-    }
-    if (!r.test()) ++batches;
-    req.merge(r);
-    ++fanout;
+    const std::span<const armci::Giov> one(&giov, 1);
+    ops.add(kind == ElemXfer::put   ? armci::nb_put_iov(one, proc)
+            : kind == ElemXfer::get ? armci::nb_get_iov(one, proc)
+                                    : armci::nb_acc_iov(at, alpha, one, proc));
+    ++ops.owners;
   }
-  detail::count_multi_owner(fanout, batches);
+  armci::Request req = ops.finish();
   armci::wait(req);
 }
 
@@ -191,43 +136,10 @@ void GlobalArray::elem_multiply(const GlobalArray& a, const GlobalArray& b) {
     mpisim::raise(Errc::invalid_argument,
                   "elem_multiply requires conformable double arrays");
   sync();
-  // Owner-computes only works in place when all three arrays assign this
-  // block to this process; with a different chunk or irregular map the
-  // paired local blocks cover different index ranges, so stage a's and b's
-  // conformable patches one-sidedly instead. The gets happen before the
-  // local-access epoch opens (holding a self-epoch while locking another
-  // window is the §V-E1 trap).
-  const bool aligned =
-      impl_->dist == a.impl_->dist && impl_->dist == b.impl_->dist;
-  std::vector<double> sa, sb;
-  if (!aligned) {
-    const std::int64_t n = impl_->my_patch.num_elems();
-    if (n > 0) {
-      sa.resize(static_cast<std::size_t>(n));
-      sb.resize(static_cast<std::size_t>(n));
-      a.get(impl_->my_patch, sa.data());
-      b.get(impl_->my_patch, sb.data());
-    }
-  }
-  Patch p, pa, pb;
-  auto* pc = static_cast<double*>(access(p));
-  if (aligned) {
-    auto* xa = static_cast<double*>(const_cast<GlobalArray&>(a).access(pa));
-    auto* xb = static_cast<double*>(const_cast<GlobalArray&>(b).access(pb));
-    if (pc != nullptr) {
-      const std::int64_t n = p.num_elems();
-      for (std::int64_t i = 0; i < n; ++i) pc[i] = xa[i] * xb[i];
-    }
-    if (xb != nullptr) const_cast<GlobalArray&>(b).release();
-    if (xa != nullptr) const_cast<GlobalArray&>(a).release();
-  } else if (pc != nullptr) {
-    const std::int64_t n = p.num_elems();
-    for (std::int64_t i = 0; i < n; ++i) {
-      const auto k = static_cast<std::size_t>(i);
-      pc[i] = sa[k] * sb[k];
-    }
-  }
-  if (pc != nullptr) release_update();
+  detail::owner_computes<double, 2>(
+      *this, {&a, &b}, [](double* c, const auto& x, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) c[i] = x[0][i] * x[1][i];
+      });
   sync();
 }
 

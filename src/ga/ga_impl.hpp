@@ -5,11 +5,13 @@
 /// Internal shared state of a GlobalArray (used by the implementation
 /// files ga.cpp / ga_gather.cpp; not part of the public API).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/armci/types.hpp"
 #include "src/ga/distribution.hpp"
 #include "src/ga/ga.hpp"
 #include "src/mpisim/runtime.hpp"
@@ -61,15 +63,100 @@ inline bool replicated(const GaImpl& ga) noexcept {
   return ga.resilience == Resilience::replicate && dist_nprocs(ga) >= 2;
 }
 
-/// Buddy (replica holder) of distribution rank \p r.
-inline int buddy_of(const GaImpl& ga, int r) noexcept {
-  return (r + 1) % dist_nprocs(ga);
+/// ARMCI accumulate type of the array's elements.
+inline armci::AccType acc_type(const GaImpl& ga) noexcept {
+  return ga.type == ElemType::dbl ? armci::AccType::float64
+                                  : armci::AccType::int64;
 }
 
-/// Record a multi-owner GA access in armci::stats(): \p owners is the
-/// access's fan-out, \p batches how many of its per-owner ops the
-/// aggregation engine deferred (vs executed eagerly). No-op for owners < 2.
-void count_multi_owner(int owners, std::uint64_t batches);
+/// Where byte \p offset of distribution rank \p owner's block lives, and
+/// whether its holders are alive. Replicated arrays keep each block's
+/// replica on the buddy (the owner's ring successor), in the same layout,
+/// after the buddy's own block.
+struct Route {
+  std::uint8_t* primary = nullptr;
+  int owner_proc = -1;  ///< absolute process id
+  std::uint8_t* replica = nullptr;  ///< null: unreplicated or no storage
+  int buddy_proc = -1;
+  bool owner_dead = false;
+  bool buddy_dead = false;
+
+  /// Reads are served by the replica: the owner died, its buddy did not.
+  bool fails_over() const noexcept { return owner_dead && !buddy_dead; }
+  /// Writes go through to the replica.
+  bool writes_replica() const noexcept {
+    return replica != nullptr && !buddy_dead;
+  }
+};
+
+/// Route one byte of \p owner's block. For replicated arrays this asks
+/// armci::is_failed about the owner, then (if it holds the replica) the
+/// buddy; unreplicated arrays never ask.
+Route route(const GaImpl& ga, int owner, std::size_t offset);
+
+/// This process observed \p proc's death at a read failover: advance to
+/// the detector bound and stamp the detection-latency gauge.
+void note_death_observed(int proc);
+
+/// The per-owner nonblocking ops of one GA access and their covering
+/// handle.
+struct OwnerOps {
+  armci::Request req;
+  int owners = 0;
+  std::uint64_t batches = 0;  ///< ops the engine deferred, not ran eagerly
+
+  void add(const armci::Request& r) {
+    if (!r.test()) ++batches;
+    req.merge(r);
+  }
+  /// Record a multi-owner access (owners >= 2) in armci::stats() and
+  /// hand over the covering handle.
+  armci::Request finish();
+};
+
+/// Owner-computes over the calling process's block of \p home: run
+/// kernel(block, operand elements, count) on the home block and each
+/// operand's elements of the same index range. The operands are read in
+/// place when all of them are distributed like \p home; if any differs,
+/// every operand's patch is staged with one-sided gets first, before any
+/// local-access epoch opens (holding a self-epoch while locking another
+/// window is the §V-E1 trap). Direct access opens on \p home, then on each
+/// operand in order (operands first if \p operands_first), and closes in
+/// reverse order.
+template <typename T, std::size_t N, typename Kernel>
+void owner_computes(GlobalArray& home,
+                    const std::array<const GlobalArray*, N>& operands,
+                    Kernel kernel, bool operands_first = false) {
+  const GaImpl& h = impl_of(home);
+  bool aligned = true;
+  for (const GlobalArray* op : operands)
+    aligned = aligned && impl_of(*op).dist == h.dist;
+  const auto n = static_cast<std::size_t>(h.my_patch.num_elems());
+  std::array<std::vector<T>, N> staged;
+  std::array<const T*, N> in{};
+  if (!aligned && n > 0) {
+    for (std::size_t i = 0; i < N; ++i)
+      staged[i].resize(n * elem_size(operands[i]->type()) / sizeof(T));
+    for (std::size_t i = 0; i < N; ++i) {
+      operands[i]->get(h.my_patch, staged[i].data());
+      in[i] = staged[i].data();
+    }
+  }
+  std::array<Patch, N + 1> patches;  // [0]: home
+  const auto open_operands = [&] {
+    for (std::size_t i = 0; i < N && aligned; ++i)
+      in[i] = static_cast<const T*>(
+          const_cast<GlobalArray*>(operands[i])->access(patches[i + 1]));
+  };
+  if (operands_first) open_operands();
+  auto* out = static_cast<T*>(home.access(patches[0]));
+  if (!operands_first) open_operands();
+  if (out != nullptr && n > 0) kernel(out, in, n);
+  if (operands_first) home.release();
+  for (std::size_t i = N; i-- > 0 && aligned;)
+    const_cast<GlobalArray*>(operands[i])->release();
+  if (!operands_first) home.release();
+}
 
 }  // namespace ga::detail
 

@@ -17,8 +17,6 @@ using mpisim::Errc;
 
 namespace {
 
-std::int64_t local_elems(const Patch& p) { return p.num_elems(); }
-
 void require_conformable(const GlobalArray& a, const GlobalArray& b,
                          const char* what) {
   if (a.dims() != b.dims() || a.type() != b.type())
@@ -32,7 +30,7 @@ void for_local(GlobalArray& g, F f) {
              // from the previous phase may still be in flight
   Patch p;
   auto* ptr = static_cast<T*>(g.access(p));
-  if (ptr != nullptr) f(ptr, local_elems(p));
+  if (ptr != nullptr) f(ptr, p.num_elems());
   if (ptr != nullptr) g.release_update();
   g.sync();
 }
@@ -88,72 +86,24 @@ void GlobalArray::add(const void* alpha, const GlobalArray& a,
   const double bv = *static_cast<const double*>(beta);
 
   sync();
-  // Owner-computes in place is only valid when all three arrays give this
-  // process the same block; conformable dims with different chunk hints or
-  // an irregular map used to read the wrong elements here. Mismatched
-  // distributions stage a's and b's conformable patches with one-sided
-  // gets, issued before the local-access epoch opens (§V-E1).
-  const bool aligned =
-      impl_->dist == a.impl_->dist && impl_->dist == b.impl_->dist;
-  std::vector<double> sa, sb;
-  if (!aligned) {
-    const std::int64_t n = local_elems(impl_->my_patch);
-    if (n > 0) {
-      sa.resize(static_cast<std::size_t>(n));
-      sb.resize(static_cast<std::size_t>(n));
-      a.get(impl_->my_patch, sa.data());
-      b.get(impl_->my_patch, sb.data());
-    }
-  }
-  Patch p, pa, pb;
-  auto* pc = static_cast<double*>(access(p));
-  if (aligned) {
-    auto* xa = static_cast<double*>(const_cast<GlobalArray&>(a).access(pa));
-    auto* xb = static_cast<double*>(const_cast<GlobalArray&>(b).access(pb));
-    if (pc != nullptr) {
-      const std::int64_t n = local_elems(p);
-      for (std::int64_t i = 0; i < n; ++i) pc[i] = av * xa[i] + bv * xb[i];
-    }
-    if (xb != nullptr) const_cast<GlobalArray&>(b).release();
-    if (xa != nullptr) const_cast<GlobalArray&>(a).release();
-  } else if (pc != nullptr) {
-    const std::int64_t n = local_elems(p);
-    for (std::int64_t i = 0; i < n; ++i) {
-      const auto k = static_cast<std::size_t>(i);
-      pc[i] = av * sa[k] + bv * sb[k];
-    }
-  }
-  if (pc != nullptr) release_update();
+  detail::owner_computes<double, 2>(
+      *this, {&a, &b}, [av, bv](double* c, const auto& x, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) c[i] = av * x[0][i] + bv * x[1][i];
+      });
   sync();
 }
 
 void GlobalArray::copy_to(GlobalArray& dst) const {
   require_conformable(*this, dst, "copy");
   sync();
-  if (impl_->dist == dst.impl_->dist) {
-    Patch p, pd;
-    auto& self = const_cast<GlobalArray&>(*this);
-    auto* src = static_cast<const std::uint8_t*>(self.access(p));
-    auto* d = static_cast<std::uint8_t*>(dst.access(pd));
-    if (src != nullptr)
-      std::memcpy(d, src,
-                  static_cast<std::size_t>(local_elems(p)) * elem_size(type()));
-    if (d != nullptr) dst.release_update();
-    if (src != nullptr) self.release();
-  } else {
-    // Paired blocks cover different index ranges: stage the source patch
-    // that matches dst's block one-sidedly, then write it in place.
-    Patch pd;
-    const std::int64_t n = local_elems(dst.impl_->my_patch);
-    std::vector<std::uint8_t> buf;
-    if (n > 0) {
-      buf.resize(static_cast<std::size_t>(n) * elem_size(type()));
-      get(dst.impl_->my_patch, buf.data());
-    }
-    auto* d = static_cast<std::uint8_t*>(dst.access(pd));
-    if (d != nullptr && !buf.empty()) std::memcpy(d, buf.data(), buf.size());
-    if (d != nullptr) dst.release_update();
-  }
+  // dst's block is the home; the source block opens first.
+  const std::size_t esz = elem_size(type());
+  detail::owner_computes<std::uint8_t, 1>(
+      dst, {this},
+      [esz](std::uint8_t* d, const auto& src, std::size_t n) {
+        std::memcpy(d, src[0], n * esz);
+      },
+      /*operands_first=*/true);
   dst.sync();
 }
 
@@ -162,29 +112,12 @@ double GlobalArray::ddot(const GlobalArray& other) const {
   if (type() != ElemType::dbl)
     mpisim::raise(Errc::invalid_argument, "ddot requires double arrays");
   sync();
-  // Mismatched distributions: stage other's conformable patch before the
-  // local-access epoch (same reasoning as add()).
-  const bool aligned = impl_->dist == other.impl_->dist;
-  std::vector<double> sy;
-  if (!aligned) {
-    const std::int64_t n = local_elems(impl_->my_patch);
-    if (n > 0) {
-      sy.resize(static_cast<std::size_t>(n));
-      other.get(impl_->my_patch, sy.data());
-    }
-  }
-  Patch p, po;
-  auto& self = const_cast<GlobalArray&>(*this);
-  auto& oth = const_cast<GlobalArray&>(other);
-  auto* x = static_cast<const double*>(self.access(p));
-  auto* y = aligned ? static_cast<const double*>(oth.access(po)) : sy.data();
   double local = 0.0;
-  if (x != nullptr) {
-    const std::int64_t n = local_elems(p);
-    for (std::int64_t i = 0; i < n; ++i) local += x[i] * y[i];
-  }
-  if (aligned && y != nullptr) oth.release();
-  if (x != nullptr) self.release();
+  detail::owner_computes<double, 1>(
+      const_cast<GlobalArray&>(*this), {&other},
+      [&local](const double* x, const auto& y, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) local += x[i] * y[0][i];
+      });
   double total = 0.0;
   mpisim::world().allreduce(&local, &total, 1, mpisim::BasicType::float64,
                             mpisim::Op::sum);

@@ -236,6 +236,26 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
   }
 }
 
+/// Queue \p origin's \p type lock request on \p target, grant what is
+/// grantable and block until the request is granted. In survivable mode
+/// every wakeup purges dead holders and regrants, so a holder that died
+/// inside its epoch cannot strand the queue behind it.
+void queue_and_wait_locked(SimCore& core, WinImpl& w,
+                           std::unique_lock<SimMutex>& lk, int origin,
+                           int target, LockType type, const char* site) {
+  TargetState& ts = w.targets[static_cast<std::size_t>(target)];
+  ts.waiters.emplace_back(origin, type);
+  grant_locked(core, w, target);
+  core.wait(lk,
+            [&] {
+              if (ts.open.contains(origin)) return true;
+              if (!core.survivable()) return false;
+              grant_locked(core, w, target);
+              return ts.open.contains(origin);
+            },
+            site);
+}
+
 /// Validate a target rank before indexing per-target window state.
 void require_target(const WinImpl& w, int target_rank, const char* site) {
   if (target_rank < 0 || target_rank >= w.comm.size())
@@ -524,18 +544,9 @@ void Win::lock(LockType type, int target_rank) const {
   const char* trace_name =
       type == LockType::exclusive ? "win.lock_excl" : "win.lock_shared";
   me.tracer().begin(TraceCat::window, trace_name, w.id);
-  TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
-  ts.waiters.emplace_back(myrank, type);
-  detail::grant_locked(core, w, target_rank);
-  core.wait(lk,
-            [&] {
-              if (ts.open.contains(myrank)) return true;
-              if (!core.survivable()) return false;
-              // The blocking holder may have died: purge and regrant.
-              detail::grant_locked(core, w, target_rank);
-              return ts.open.contains(myrank);
-            },
-            "win.lock");
+  detail::queue_and_wait_locked(core, w, lk, myrank, target_rank, type,
+                                "win.lock");
+  const TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
   w.locked_target[static_cast<std::size_t>(myrank)] = target_rank;
 
   // Virtual time: a lock round trip; exclusive epochs additionally serialize
@@ -613,12 +624,9 @@ void Win::lock_all() const {
   // open an MPI-3 epoch: conflicting accesses have undefined values but are
   // not erroneous, so the checker skips them.
   w.locked_target[static_cast<std::size_t>(myrank)] = detail::kLockAll;
-  for (int t = 0; t < w.comm.size(); ++t) {
-    TargetState& ts = w.targets[static_cast<std::size_t>(t)];
-    ts.waiters.emplace_back(myrank, LockType::shared);
-    detail::grant_locked(core, w, t);
-    core.wait(lk, [&] { return ts.open.contains(myrank); }, "win.lock_all");
-  }
+  for (int t = 0; t < w.comm.size(); ++t)
+    detail::queue_and_wait_locked(core, w, lk, myrank, t, LockType::shared,
+                                  "win.lock_all");
   me.clock().advance(core.model().lock_ns() +
                      me.fault().draw_lock_stall_ns());
   if (me.tracer().enabled()) {

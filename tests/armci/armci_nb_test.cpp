@@ -197,6 +197,39 @@ TEST(ArmciNbTest, SameTypeAccumulatesCoalesceWithoutConflict) {
   });
 }
 
+TEST(ArmciNbTest, AccumulateTypeConflictSeesEveryQueuedType) {
+  mpisim::run(2, Platform::ideal, [] {
+    init();
+    std::vector<void*> bases = malloc_world(64);
+    if (mpisim::rank() == 1) {
+      access_begin(bases[1]);
+      std::memset(bases[1], 0, 64);
+      access_end(bases[1]);
+    }
+    barrier();
+    if (mpisim::rank() == 0) {
+      reset_stats();
+      const double dscale = 1.0, dval = 2.5;
+      const std::int64_t lscale = 1, lval = 3;
+      // The queue holds a float64 accumulate on bytes [0, 8) and an int64
+      // one on [32, 40). The third, int64 on [0, 8), overlaps the float64
+      // range: different accumulate types on one location may not share
+      // an epoch, even though the newest queued type matches.
+      nb_acc(AccType::float64, &dscale, &dval, bases[1], sizeof dval, 1);
+      nb_acc(AccType::int64, &lscale, &lval, slice(bases, 1, 32), sizeof lval,
+             1);
+      EXPECT_EQ(stats().nb_conflict_flushes, 0u);
+      nb_acc(AccType::int64, &lscale, &lval, bases[1], sizeof lval, 1);
+      EXPECT_EQ(stats().nb_conflict_flushes, 1u);
+      wait_all();
+      EXPECT_EQ(stats().flushed_queues, 2u);
+    }
+    barrier();
+    free_mine(bases);
+    finalize();
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Wait-ticket granularity and completion points
 // ---------------------------------------------------------------------------

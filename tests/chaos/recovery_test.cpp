@@ -207,6 +207,101 @@ TEST_P(RecoveryBackendTest, ReplicatedGaKillAndRecoverBitExact) {
       << "gauge never stamped: " << res.metrics;
 }
 
+TEST_P(RecoveryBackendTest, ReplicatedScatterGatherFailOverBitExact) {
+  // The element path (scatter / scatter_acc / gather) routes through the
+  // buddy replicas like region access does, but counts per element: every
+  // element written through is one replica write and every element read
+  // from a replica one failover. A region get counts once per owner patch.
+  constexpr int kN = 4;
+  constexpr int kVictim = 2;  // its column's replica lives on rank 3
+  Options opts;
+  opts.backend = GetParam();
+
+  const RecoveryResult res = run_survivable(kN, opts, [] {
+    const int me = mpisim::rank();
+    const std::int64_t n = kN;
+    const std::int64_t dims[] = {n, n};
+    const std::int64_t chunk[] = {n, 1};  // column c lives on rank c
+    ga::GlobalArray g =
+        ga::GlobalArray::create("scatter", dims, ga::ElemType::dbl, chunk,
+                                ga::NodeMapping::linear,
+                                ga::Resilience::replicate);
+    g.zero();
+
+    // Every element once, in row-major order.
+    const auto n2 = static_cast<std::uint64_t>(n * n);
+    std::vector<std::int64_t> subs;
+    for (std::int64_t r = 0; r < n; ++r)
+      for (std::int64_t c = 0; c < n; ++c) subs.insert(subs.end(), {r, c});
+    const auto values = [n](double bias) {
+      std::vector<double> v(static_cast<std::size_t>(n * n));
+      for (std::size_t i = 0; i < v.size(); ++i)
+        v[i] = static_cast<double>(i) * 10.0 + bias;
+      return v;
+    };
+    const std::vector<double> before = values(0.25);
+    std::vector<double> expected = values(0.75);  // scatter + scatter_acc
+
+    if (me == 0) {
+      reset_stats();
+      g.scatter(before.data(), subs, n * n);
+      EXPECT_EQ(stats().replica_writes, n2);
+      const std::vector<double> half(static_cast<std::size_t>(n * n), 0.5);
+      const double one = 1.0;
+      g.scatter_acc(half.data(), subs, n * n, &one);
+      EXPECT_EQ(stats().replica_writes, 2 * n2);
+      EXPECT_EQ(stats().failovers, 0u);
+    }
+    g.sync();
+
+    if (me == kVictim) {
+      crash_self();
+      return;
+    }
+    await_death(kVictim);
+
+    if (me == 0) {
+      // The dead owner's column: every element fails over to the replica,
+      // which holds both the scatter and the scatter_acc bit-exact.
+      reset_stats();
+      std::vector<std::int64_t> col;
+      std::vector<double> col_expected;
+      for (std::int64_t r = 0; r < n; ++r) {
+        col.insert(col.end(), {r, kVictim});
+        col_expected.push_back(
+            expected[static_cast<std::size_t>(r * n + kVictim)]);
+      }
+      std::vector<double> back(static_cast<std::size_t>(n), -1.0);
+      g.gather(back.data(), col, n);
+      EXPECT_EQ(back, col_expected);
+      EXPECT_EQ(stats().failovers, static_cast<std::uint64_t>(n));
+
+      ga::Patch whole;
+      whole.lo = {0, 0};
+      whole.hi = {n - 1, n - 1};
+      std::vector<double> all(static_cast<std::size_t>(n * n), -1.0);
+      g.get(whole, all.data());
+      EXPECT_EQ(all, expected);
+      EXPECT_EQ(stats().failovers, static_cast<std::uint64_t>(n) + 1);
+
+      // Writes after the death: the dead owner's elements land on its
+      // replica only, and rank 1's elements lose their replica (rank 2
+      // was its buddy), so three of the four columns write through.
+      reset_stats();
+      expected = values(0.125);
+      g.scatter(expected.data(), subs, n * n);
+      EXPECT_EQ(stats().replica_writes, static_cast<std::uint64_t>(3 * n));
+      std::fill(all.begin(), all.end(), -1.0);
+      g.gather(all.data(), subs, n * n);
+      EXPECT_EQ(all, expected);
+      EXPECT_EQ(stats().failovers, static_cast<std::uint64_t>(n));
+    }
+    g.sync();
+    g.destroy();
+  });
+  expect_recovered(res, kVictim);
+}
+
 TEST_P(RecoveryBackendTest, MutexHeldByCrashedRankReclaimedWithinBound) {
   // Regression (satellite): an armci::Mutex held by a crashed rank must be
   // granted to a surviving waiter within the failure-detection bound --

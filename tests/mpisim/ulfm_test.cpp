@@ -428,5 +428,33 @@ TEST(SurvivableTest, WindowOverSurvivorsOfADeadMember) {
   }
 }
 
+// A lock_all queued behind an exclusive holder that then dies: the
+// survivable grant path purges the dead holder's epoch and grants the
+// shared request, as it does for a plain lock() waiter.
+TEST(SurvivableTest, LockAllQueuedBehindDeadExclusiveHolderIsGranted) {
+  for (const LockType held : {LockType::exclusive, LockType::shared}) {
+    int granted = 0;
+    run(survivable_cfg(2), [&] {
+      std::vector<std::int64_t> mem(4, 0);
+      Win w = Win::create(mem.data(), mem.size() * sizeof(std::int64_t),
+                          world());
+      if (rank() == 1) {
+        w.lock(held, 1);
+        clock().advance(1e5);  // rank 0 queues in lock_all meanwhile
+        crash_now();
+      }
+      clock().advance(1e4);  // let rank 1 take its lock first
+      w.lock_all();
+      std::int64_t got = -1;
+      w.get(&got, sizeof got, 0, 0);
+      w.unlock_all();
+      EXPECT_EQ(got, 0);
+      std::lock_guard lk(ctx().core().mu());
+      ++granted;
+    });
+    EXPECT_EQ(granted, 1);
+  }
+}
+
 }  // namespace
 }  // namespace mpisim
