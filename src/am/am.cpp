@@ -264,13 +264,11 @@ bool serve_one(AmState& am, armci::ProcState& st) {
   if ((h.flags & kFlagWantsReply) != 0) {
     WireReply rh;
     rh.seq = h.seq;
-    mpisim::Message r;
+    std::memcpy(am.serve_buf.data(), &rh, sizeof rh);
+    mpisim::Envelope r;
     r.comm_id = cid;
     r.src_comm_rank = me.rank();
     r.tag = reply_tag(h.seq);
-    std::memcpy(am.serve_buf.data(), &rh, sizeof rh);
-    r.payload.assign(am.serve_buf.data(),
-                     am.serve_buf.data() + sizeof rh + reply_bytes);
     const double send_cost_ns = core.model().p2p_ns(0);
     if (st.opts.progress) {
       am.persona_now_ns += send_cost_ns;
@@ -291,7 +289,8 @@ bool serve_one(AmState& am, armci::ProcState& st) {
         // origin the handler's publications (completion edge).
         r.vc = core.hb().send_snapshot(core.hb().persona(me.rank()));
       }
-      core.mailbox(m.src_comm_rank).push(std::move(r));
+      core.mailbox(m.src_comm_rank)
+          .push(std::move(r), am.serve_buf.data(), sizeof rh + reply_bytes);
       core.wake_locked(m.src_comm_rank);
     }
   }

@@ -46,10 +46,10 @@ void DatatypeCache::set_capacity(std::size_t cap) {
   }
 }
 
-mpisim::Datatype DatatypeCache::get_or_build(
-    Key key, Stats& stats, const std::function<mpisim::Datatype()>& build) {
+template <typename Build>
+mpisim::Datatype DatatypeCache::get_or_build(Stats& stats, Build&& build) {
   if (capacity_ == 0) return build();
-  auto it = index_.find(key);
+  auto it = index_.find(probe_);
   if (it != index_.end()) {
     ++stats.dt_cache_hits;
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -57,7 +57,7 @@ mpisim::Datatype DatatypeCache::get_or_build(
   }
   ++stats.dt_cache_misses;
   mpisim::Datatype dt = build();
-  lru_.emplace_front(std::move(key), dt);
+  lru_.emplace_front(probe_, dt);
   index_.emplace(lru_.front().first, lru_.begin());
   if (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
@@ -69,14 +69,14 @@ mpisim::Datatype DatatypeCache::get_or_build(
 mpisim::Datatype DatatypeCache::strided_type(
     std::span<const std::size_t> strides, const StridedSpec& spec,
     mpisim::BasicType elem, Stats& stats) {
-  Key key;
-  key.words.reserve(3 + spec.count.size() + strides.size());
-  key.words.push_back(kTagStrided);
-  key.words.push_back(static_cast<std::uint64_t>(elem));
-  key.words.push_back(static_cast<std::uint64_t>(spec.stride_levels));
-  for (std::size_t c : spec.count) key.words.push_back(c);
-  for (std::size_t s : strides) key.words.push_back(s);
-  return get_or_build(std::move(key), stats,
+  std::vector<std::uint64_t>& w = probe_.words;
+  w.clear();
+  w.push_back(kTagStrided);
+  w.push_back(static_cast<std::uint64_t>(elem));
+  w.push_back(static_cast<std::uint64_t>(spec.stride_levels));
+  w.insert(w.end(), spec.count.begin(), spec.count.end());
+  w.insert(w.end(), strides.begin(), strides.end());
+  return get_or_build(stats,
                       [&] { return make_strided_type(strides, spec, elem); });
 }
 
@@ -84,14 +84,14 @@ mpisim::Datatype DatatypeCache::hindexed_type(
     std::span<const std::size_t> blocklens,
     std::span<const std::ptrdiff_t> displs_bytes, mpisim::BasicType elem,
     Stats& stats) {
-  Key key;
-  key.words.reserve(2 + blocklens.size() + displs_bytes.size());
-  key.words.push_back(kTagHindexed);
-  key.words.push_back(static_cast<std::uint64_t>(elem));
-  for (std::size_t b : blocklens) key.words.push_back(b);
+  std::vector<std::uint64_t>& w = probe_.words;
+  w.clear();
+  w.push_back(kTagHindexed);
+  w.push_back(static_cast<std::uint64_t>(elem));
+  w.insert(w.end(), blocklens.begin(), blocklens.end());
   for (std::ptrdiff_t d : displs_bytes)
-    key.words.push_back(static_cast<std::uint64_t>(d));
-  return get_or_build(std::move(key), stats, [&] {
+    w.push_back(static_cast<std::uint64_t>(d));
+  return get_or_build(stats, [&] {
     return mpisim::Datatype::hindexed(blocklens, displs_bytes,
                                       mpisim::Datatype::basic(elem));
   });

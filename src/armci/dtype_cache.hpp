@@ -20,7 +20,6 @@
 /// Stats::dt_cache_hits / dt_cache_misses.
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <span>
 #include <unordered_map>
@@ -105,11 +104,15 @@ class DatatypeCache {
   };
   using Entry = std::pair<Key, mpisim::Datatype>;
 
-  mpisim::Datatype get_or_build(
-      Key key, Stats& stats,
-      const std::function<mpisim::Datatype()>& build);
+  /// The cached type for the shape in probe_, or build() cached under a
+  /// copy of it. A hit allocates nothing.
+  template <typename Build>
+  mpisim::Datatype get_or_build(Stats& stats, Build&& build);
 
   std::size_t capacity_ = 64;
+  /// The shape being looked up, rebuilt in place by every lookup so its
+  /// storage is reused (the cache is per rank, and no lookup nests).
+  Key probe_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
 };

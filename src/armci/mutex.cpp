@@ -38,14 +38,15 @@ void QueueingMutexSet::destroy() {
   count_ = 0;
 }
 
-std::vector<std::uint8_t> QueueingMutexSet::swap_flag(int m, int host,
-                                                     std::uint8_t flag) {
+const std::vector<std::uint8_t>& QueueingMutexSet::swap_flag(
+    int m, int host, std::uint8_t flag) {
   const int n = comm_.size();
   const int me = comm_.rank();
   const std::size_t row =
       static_cast<std::size_t>(m) * (static_cast<std::size_t>(n) + 1);
   // The put and the gets touch disjoint bytes, so this is a legal epoch.
-  std::vector<std::uint8_t> others(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint8_t>& others = flags_;
+  others.assign(static_cast<std::size_t>(n), 0);
   EpochGuard eg(win_, LockType::exclusive, host);
   win_.put(&flag, 1, host, row + static_cast<std::size_t>(me));
   if (me > 0) win_.get(others.data(), static_cast<std::size_t>(me), host, row);
@@ -89,7 +90,7 @@ void QueueingMutexSet::lock(int m, int host) {
   const std::size_t row = static_cast<std::size_t>(m) * stride;
 
   // Request: set B[me] = 1 and fetch every other member's flag.
-  const std::vector<std::uint8_t> others = swap_flag(m, host, 1);
+  const std::vector<std::uint8_t>& others = swap_flag(m, host, 1);
 
   bool contended = false;
   int dead_seen = -1;
@@ -186,7 +187,7 @@ void QueueingMutexSet::unlock(int m, int host) {
   const bool surv = mpisim::ctx().core().survivable();
 
   // Release: clear B[me] and fetch every other member's flag.
-  const std::vector<std::uint8_t> others = swap_flag(m, host, 0);
+  const std::vector<std::uint8_t>& others = swap_flag(m, host, 0);
 
   // Fair handoff: scan circularly starting at me+1 and forward the lock to
   // the first enqueued requester, if any. Survivable mode skips dead

@@ -74,8 +74,10 @@ class QueueingMutexSet {
  private:
   /// One exclusive epoch on \p host: set this member's request flag of
   /// mutex \p m to \p flag, then fetch the flags below it and those above
-  /// it. Returns every member's flag, with this member's own entry 0.
-  std::vector<std::uint8_t> swap_flag(int m, int host, std::uint8_t flag);
+  /// it. Returns every member's flag, with this member's own entry 0, in
+  /// storage the next call reuses.
+  const std::vector<std::uint8_t>& swap_flag(int m, int host,
+                                             std::uint8_t flag);
 
   /// Publish the holder byte of mutex \p m on \p host (survivable mode).
   void put_holder(int m, int host, std::uint8_t value);
@@ -92,6 +94,8 @@ class QueueingMutexSet {
   /// (count * (nproc + 1) bytes: nproc request flags plus the holder byte),
   /// shared so copies of the handle stay valid.
   std::shared_ptr<std::vector<std::uint8_t>> bytes_;
+  /// swap_flag's result (per rank: each member keeps its own handle).
+  std::vector<std::uint8_t> flags_;
 };
 
 }  // namespace armci

@@ -11,6 +11,7 @@
 #include "src/armci/strided.hpp"
 #include "src/mpisim/hb.hpp"
 #include "src/mpisim/runtime.hpp"
+#include "src/mpisim/scratch.hpp"
 #include "src/mpisim/trace.hpp"
 #include "src/mpisim/win.hpp"
 
@@ -39,6 +40,15 @@ void clear_ranges(NbQueue& q) {
   q.acc_types = 0;
 }
 
+/// Empties leased scratch when its use ends, however it ends: an issued
+/// batch's storage is swapped into a queue again and ready callbacks must
+/// not outlive their dispatch, so nothing may stay in it.
+template <typename T>
+struct ClearOnExit {
+  std::vector<T>& v;
+  ~ClearOnExit() { v.clear(); }
+};
+
 /// A queue died before its contract records could be published: drop the
 /// persona's pending intervals silently (the mirror of the checker's
 /// epoch_abandoned). Leaving them pending would make every later touch of
@@ -57,10 +67,10 @@ void abandon_contract(NbQueue& q) {
 }  // namespace
 
 bool Request::test() const noexcept {
-  if (tickets_.empty()) return true;
+  if (n_ == 0) return true;
   const ProcState* st = state_if_initialized();
   if (st == nullptr) return true;  // finalize drained or dropped the queues
-  for (const NbTicket& t : tickets_)
+  for (const NbTicket& t : tickets())
     if (!st->nb.ticket_complete(t)) return false;
   return true;
 }
@@ -104,8 +114,11 @@ void NbEngine::flush(ProcState& st, NbQueue& q) {
   }
   bool pending = q.pending_flush;
   if (q.ops.empty() && !pending) return;
-  std::vector<NbOp> batch = std::move(q.ops);
-  q.ops.clear();
+  // The batch takes the queue's ops; the queue takes the spare storage.
+  mpisim::Lease<std::vector<NbOp>> lease(batch_);
+  std::vector<NbOp>& batch = *lease;
+  batch.swap(q.ops);
+  ClearOnExit<NbOp> clear_batch{batch};
   clear_ranges(q);
   q.pending_flush = false;
   // Mark complete *before* executing: if the backend surfaces an error
@@ -130,10 +143,8 @@ void NbEngine::flush(ProcState& st, NbQueue& q) {
   retire_queue(st, q);
 }
 
-void NbEngine::flush_group(ProcState& st, std::span<NbQueue* const> group) {
-  std::vector<NbQueue*> pending;
-  for (NbQueue* q : group)
-    if (q != nullptr && queue_live(*q)) pending.push_back(q);
+void NbEngine::flush_group(ProcState& st, std::vector<NbQueue*>& pending) {
+  std::erase_if(pending, [](const NbQueue* q) { return !queue_live(*q); });
   if (pending.empty()) return;
 
   // Drain every queue even if one fails: a crashed owner must not leave
@@ -160,28 +171,32 @@ void NbEngine::flush_group(ProcState& st, std::span<NbQueue* const> group) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void NbEngine::flush_all(ProcState& st) {
-  std::vector<NbQueue*> group;
-  for (auto& [key, q] : queues_)
-    if (queue_live(q)) group.push_back(&q);
-  flush_group(st, group);
+template <typename Match>
+void NbEngine::flush_matching(ProcState& st, Match match) {
+  {
+    mpisim::Lease<std::vector<NbQueue*>> group(group_);
+    group->clear();
+    for (auto& [key, q] : queues_)
+      if (match(key, q)) group->push_back(&q);
+    flush_group(st, *group);
+  }
   run_callbacks(st);
+}
+
+void NbEngine::flush_all(ProcState& st) {
+  flush_matching(st, [](const QueueKey&, const NbQueue&) { return true; });
 }
 
 void NbEngine::flush_proc(ProcState& st, int proc) {
-  std::vector<NbQueue*> group;
-  for (auto& [key, q] : queues_)
-    if (q.proc == proc && queue_live(q)) group.push_back(&q);
-  flush_group(st, group);
-  run_callbacks(st);
+  flush_matching(st, [proc](const QueueKey&, const NbQueue& q) {
+    return q.proc == proc;
+  });
 }
 
 void NbEngine::flush_gmr(ProcState& st, std::uint64_t gmr_id) {
-  std::vector<NbQueue*> group;
-  for (auto& [key, q] : queues_)
-    if (key.first == gmr_id && queue_live(q)) group.push_back(&q);
-  flush_group(st, group);
-  run_callbacks(st);
+  flush_matching(st, [gmr_id](const QueueKey& key, const NbQueue&) {
+    return key.first == gmr_id;
+  });
 }
 
 void NbEngine::drop_gmr(ProcState& st, std::uint64_t gmr_id) {
@@ -216,20 +231,24 @@ void NbEngine::flush_for_blocking(ProcState& st, int proc, const void* local,
 }
 
 void NbEngine::complete(ProcState& st, const Request& req) {
-  std::vector<NbQueue*> group;
-  for (const NbTicket& t : RequestAccess::tickets(req)) {
-    auto it = queues_.find({t.gmr_id, t.proc});
-    if (it == queues_.end()) continue;
-    NbQueue* q = &it->second;
-    // A parked queue's tickets read complete, but wait() must still visit
-    // it to surface the parked error. (A pending_flush queue with
-    // seq_completed >= t.seq only has *later* ops in flight: skipping it
-    // keeps wait(req) from completing more than the request covers.)
-    if (q->seq_completed >= t.seq && !q->parked) continue;
-    if (std::find(group.begin(), group.end(), q) == group.end())
-      group.push_back(q);
+  {
+    mpisim::Lease<std::vector<NbQueue*>> lease(group_);
+    std::vector<NbQueue*>& group = *lease;
+    group.clear();
+    for (const NbTicket& t : RequestAccess::tickets(req)) {
+      auto it = queues_.find({t.gmr_id, t.proc});
+      if (it == queues_.end()) continue;
+      NbQueue* q = &it->second;
+      // A parked queue's tickets read complete, but wait() must still
+      // visit it to surface the parked error. (A pending_flush queue with
+      // seq_completed >= t.seq only has *later* ops in flight: skipping it
+      // keeps wait(req) from completing more than the request covers.)
+      if (q->seq_completed >= t.seq && !q->parked) continue;
+      if (std::find(group.begin(), group.end(), q) == group.end())
+        group.push_back(q);
+    }
+    flush_group(st, group);
   }
-  flush_group(st, group);
   run_callbacks(st);
 }
 
@@ -251,7 +270,9 @@ std::uint64_t NbEngine::enqueue(ProcState& st, const std::shared_ptr<Gmr>& gmr,
   // segments come in the caller's order; sorted, they join the queue's set
   // in one O(N + M) merge.
   constexpr std::size_t kMaxPreciseSegments = 4096;
-  std::vector<mpisim::IntervalSet::Range> lsegs;
+  mpisim::Lease<std::vector<mpisim::IntervalSet::Range>> lease(lsegs_);
+  std::vector<mpisim::IntervalSet::Range>& lsegs = *lease;
+  lsegs.clear();
   if (op.typed && op.ltype.segment_count() <= kMaxPreciseSegments) {
     const std::uintptr_t base = lo_of(op.local);
     op.ltype.for_each_segment(1, [&](mpisim::Segment s) {
@@ -582,57 +603,63 @@ void NbEngine::progress_tick(ProcState& st) {
 
   // Snapshot the stage set: backend calls can grow the queue map (std::map
   // nodes are stable, but newcomers belong to the next tick).
-  std::vector<NbQueue*> live;
-  for (auto& [key, q] : queues_)
-    if (!q.parked && (!q.ops.empty() || q.pending_flush)) live.push_back(&q);
+  {
+    mpisim::Lease<std::vector<NbQueue*>> live(group_);
+    live->clear();
+    for (auto& [key, q] : queues_)
+      if (!q.parked && (!q.ops.empty() || q.pending_flush))
+        live->push_back(&q);
 
-  for (NbQueue* qp : live) {
-    NbQueue& q = *qp;
-    try {
-      if (!q.ops.empty()) {
-        // Issue stage: hand the queued batch to the transport. Source
-        // completion for everything enqueued so far.
-        std::vector<NbOp> batch = std::move(q.ops);
-        q.ops.clear();
-        q.seq_issued = q.seq_enqueued;
-        ++st.stats.flushed_queues;
-        if (batch.size() >= 2) ++st.stats.coalesced_epochs;
-        // put/acc sources are captured at issue; only get destinations
-        // stay covered until target completion. A batch the backend
-        // completes at issue (MPI-2 exclusive epochs, or put/acc-only under
-        // the standing MPI-3 epoch) is the whole completion; a pending flag
-        // left by an earlier tick stays until its completion stage.
-        if (st.backend->issue_queue(*q.gmr, q.target_rank, batch))
-          q.pending_flush = true;
-        q.l_reads.clear();
-        if (!q.pending_flush) {
-          q.seq_completed = q.seq_enqueued;
+    for (NbQueue* qp : *live) {
+      NbQueue& q = *qp;
+      try {
+        if (!q.ops.empty()) {
+          // Issue stage: hand the queued batch to the transport. Source
+          // completion for everything enqueued so far.
+          mpisim::Lease<std::vector<NbOp>> lease(batch_);
+          std::vector<NbOp>& batch = *lease;
+          batch.swap(q.ops);
+          ClearOnExit<NbOp> clear_batch{batch};
+          q.seq_issued = q.seq_enqueued;
+          ++st.stats.flushed_queues;
+          if (batch.size() >= 2) ++st.stats.coalesced_epochs;
+          // put/acc sources are captured at issue; only get destinations
+          // stay covered until target completion. A batch the backend
+          // completes at issue (MPI-2 exclusive epochs, or put/acc-only under
+          // the standing MPI-3 epoch) is the whole completion; a pending flag
+          // left by an earlier tick stays until its completion stage.
+          if (st.backend->issue_queue(*q.gmr, q.target_rank, batch))
+            q.pending_flush = true;
+          q.l_reads.clear();
+          if (!q.pending_flush) {
+            q.seq_completed = q.seq_enqueued;
+            clear_ranges(q);
+            retire_queue(st, q);
+            note_retired(q);
+          }
+        } else if (q.pending_flush) {
+          // Completion stage: finish the batch issued on an earlier tick.
+          st.backend->complete_target(*q.gmr, q.target_rank);
+          q.pending_flush = false;
+          q.seq_completed = q.seq_issued;
           clear_ranges(q);
           retire_queue(st, q);
           note_retired(q);
         }
-      } else if (q.pending_flush) {
-        // Completion stage: finish the batch issued on an earlier tick.
-        st.backend->complete_target(*q.gmr, q.target_rank);
+      } catch (...) {
+        // Park the error instead of throwing out of the persona: one dead
+        // target must not stop progress on healthy queues, and the caller
+        // of advance_compute() is charging compute, not communicating with
+        // this target. Tickets read complete (error-drain, like a failed
+        // flush); the error surfaces exactly once at the next test(),
+        // callback, or flush point covering this queue.
+        q.parked = std::current_exception();
         q.pending_flush = false;
-        q.seq_completed = q.seq_issued;
+        q.seq_issued = q.seq_enqueued;
+        q.seq_completed = q.seq_enqueued;
         clear_ranges(q);
-        retire_queue(st, q);
-        note_retired(q);
+        abandon_contract(q);
       }
-    } catch (...) {
-      // Park the error instead of throwing out of the persona: one dead
-      // target must not stop progress on healthy queues, and the caller
-      // of advance_compute() is charging compute, not communicating with
-      // this target. Tickets read complete (error-drain, like a failed
-      // flush); the error surfaces exactly once at the next test(),
-      // callback, or flush point covering this queue.
-      q.parked = std::current_exception();
-      q.pending_flush = false;
-      q.seq_issued = q.seq_enqueued;
-      q.seq_completed = q.seq_enqueued;
-      clear_ranges(q);
-      abandon_contract(q);
     }
   }
   if (traced) tr.end(mpisim::TraceCat::progress, "progress.tick");
@@ -659,13 +686,9 @@ bool NbEngine::test(ProcState& st, const Request& req, Completion level) {
 void NbEngine::on_complete(ProcState& st, const Request& req, Completion level,
                            std::function<void(std::exception_ptr)> fn) {
   (void)st;
-  CallbackRec rec;
-  const std::span<const NbTicket> tickets = RequestAccess::tickets(req);
-  rec.tickets.assign(tickets.begin(), tickets.end());
-  rec.level = level;
-  rec.fn = std::move(fn);
+  CallbackRec rec{req, level, std::move(fn)};
   bool done = true;
-  for (const NbTicket& t : rec.tickets) {
+  for (const NbTicket& t : RequestAccess::tickets(rec.req)) {
     const bool ok =
         level == Completion::source ? ticket_issued(t) : ticket_complete(t);
     if (!ok) {
@@ -674,7 +697,8 @@ void NbEngine::on_complete(ProcState& st, const Request& req, Completion level,
     }
   }
   if (done) {
-    rec.fn(take_parked(rec.tickets));  // already satisfied: run in place
+    // Already satisfied: run in place.
+    rec.fn(take_parked(RequestAccess::tickets(rec.req)));
     return;
   }
   callbacks_.push_back(std::move(rec));
@@ -699,10 +723,12 @@ void NbEngine::run_callbacks(ProcState& st) {
   // Collect the ready records and erase them *before* invoking anything: a
   // callback may issue nb ops, wait, or register further callbacks, all of
   // which re-enter this engine.
-  std::vector<CallbackRec> ready;
+  mpisim::Lease<std::vector<CallbackRec>> lease(ready_);
+  std::vector<CallbackRec>& ready = *lease;
+  ClearOnExit<CallbackRec> clear_ready{ready};
   for (auto it = callbacks_.begin(); it != callbacks_.end();) {
     bool done = true;
-    for (const NbTicket& t : it->tickets) {
+    for (const NbTicket& t : RequestAccess::tickets(it->req)) {
       const bool ok = it->level == Completion::source ? ticket_issued(t)
                                                       : ticket_complete(t);
       if (!ok) {
@@ -717,7 +743,8 @@ void NbEngine::run_callbacks(ProcState& st) {
       ++it;
     }
   }
-  for (CallbackRec& cb : ready) cb.fn(take_parked(cb.tickets));
+  for (CallbackRec& cb : ready)
+    cb.fn(take_parked(RequestAccess::tickets(cb.req)));
 }
 
 }  // namespace armci

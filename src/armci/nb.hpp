@@ -221,7 +221,14 @@ class NbEngine {
   /// per-target epoch round trips (the GA layer's owner pipelining). A
   /// failing queue (e.g. Errc::crashed from its target) does not stop the
   /// drain: every queue is flushed, and the first error is rethrown after.
-  void flush_group(ProcState& st, std::span<NbQueue* const> group);
+  /// \p group is the caller's scratch list; queues that are not live are
+  /// dropped from it first.
+  void flush_group(ProcState& st, std::vector<NbQueue*>& group);
+
+  /// flush_group over every queue whose (key, queue) satisfies \p match,
+  /// then run the callbacks that became ready.
+  template <typename Match>
+  void flush_matching(ProcState& st, Match match);
 
   /// True when \p q still needs a completion point (queued ops, an issued
   /// batch awaiting target completion, or a parked error to surface).
@@ -249,9 +256,10 @@ class NbEngine {
   /// name; nullptr when none.
   std::exception_ptr take_parked(std::span<const NbTicket> tickets);
 
-  /// One registered completion callback.
+  /// One registered completion callback. It keeps a copy of the request,
+  /// whose tickets usually fit inside the handle.
   struct CallbackRec {
-    std::vector<NbTicket> tickets;
+    Request req;
     Completion level = Completion::operation;
     std::function<void(std::exception_ptr)> fn;
   };
@@ -259,6 +267,15 @@ class NbEngine {
   std::map<QueueKey, NbQueue> queues_;
   std::vector<CallbackRec> callbacks_;
   bool ticking_ = false;  ///< progress_tick re-entrancy guard
+
+  // Per-rank scratch, reused from call to call through mpisim::Lease
+  // (scratch.hpp), so a warm op allocates nothing: the batch being issued,
+  // the queues one completion point drains, an enqueued op's local
+  // footprint, and the callbacks ready to run.
+  std::vector<NbOp> batch_;
+  std::vector<NbQueue*> group_;
+  std::vector<mpisim::IntervalSet::Range> lsegs_;
+  std::vector<CallbackRec> ready_;
 };
 
 /// Runtime-internal accessor for Request's ticket list.
@@ -266,10 +283,10 @@ class RequestAccess {
  public:
   static void add_ticket(Request& req, std::uint64_t gmr_id, int proc,
                          std::uint64_t seq) {
-    req.tickets_.push_back(NbTicket{gmr_id, proc, seq});
+    req.add(NbTicket{gmr_id, proc, seq});
   }
   static std::span<const NbTicket> tickets(const Request& req) noexcept {
-    return req.tickets_;
+    return req.tickets();
   }
 };
 

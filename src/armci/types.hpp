@@ -5,8 +5,10 @@
 /// Public types of the ARMCI layer: configuration, IOV descriptors,
 /// strided-operation notation, accumulate types, nonblocking handles.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace armci {
@@ -157,13 +159,34 @@ class Request {
   /// batch of nb ops (one per target) and want one completion point without
   /// the indiscriminate flush of wait_all().
   void merge(const Request& other) {
-    tickets_.insert(tickets_.end(), other.tickets_.begin(),
-                    other.tickets_.end());
+    for (const NbTicket& t : other.tickets()) add(t);
   }
 
  private:
   friend class RequestAccess;
-  std::vector<NbTicket> tickets_;  ///< empty: nothing pending (eager path)
+
+  /// Tickets kept inside the handle before the list moves to the heap:
+  /// enough for a few GA accesses that each span a few owners, so a warm
+  /// nb op and its covering handle allocate nothing.
+  static constexpr std::size_t kInlineTickets = 8;
+
+  std::span<const NbTicket> tickets() const noexcept {
+    if (n_ <= kInlineTickets) return {inline_.data(), n_};
+    return spill_;
+  }
+  void add(const NbTicket& t) {
+    if (n_ < kInlineTickets) {
+      inline_[n_++] = t;
+      return;
+    }
+    if (n_ == kInlineTickets) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(t);
+    ++n_;
+  }
+
+  std::array<NbTicket, kInlineTickets> inline_{};
+  std::vector<NbTicket> spill_;  ///< every ticket, once n_ > kInlineTickets
+  std::size_t n_ = 0;            ///< 0: nothing pending (eager path)
 };
 
 /// Completion level of a nonblocking operation, for armci::test() and

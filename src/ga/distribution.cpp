@@ -1,6 +1,7 @@
 #include "src/ga/distribution.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "src/mpisim/error.hpp"
 
@@ -203,6 +204,13 @@ Patch Distribution::patch_of(int proc) const {
 }
 
 std::vector<OwnedPatch> Distribution::intersect(const Patch& region) const {
+  std::vector<OwnedPatch> out;
+  intersect(region, out);  // grows an empty buffer to exactly the owners
+  return out;
+}
+
+std::span<const OwnedPatch> Distribution::intersect(
+    const Patch& region, std::vector<OwnedPatch>& buf) const {
   const std::size_t nd = dims_.size();
   if (region.lo.size() != nd || region.hi.size() != nd)
     mpisim::raise(Errc::invalid_argument, "region rank mismatch");
@@ -212,17 +220,24 @@ std::vector<OwnedPatch> Distribution::intersect(const Patch& region) const {
       mpisim::raise(Errc::invalid_argument, "region out of range");
   }
 
-  // Block-index ranges touched per dimension.
-  std::vector<int> first(nd), last(nd);
+  // Block-index ranges touched per dimension, and the cell counter that
+  // walks them. Kept on the stack up to kInlineDims dimensions.
+  constexpr std::size_t kInlineDims = 8;
+  std::array<int, 3 * kInlineDims> inline_idx{};
+  std::vector<int> heap_idx(nd > kInlineDims ? 3 * nd : 0);
+  int* const first = nd > kInlineDims ? heap_idx.data() : inline_idx.data();
+  int* const last = first + nd;
+  int* const cell = last + nd;
   for (std::size_t d = 0; d < nd; ++d) {
     first[d] = block_index(d, region.lo[d]);
     last[d] = block_index(d, region.hi[d]);
+    cell[d] = first[d];
   }
 
-  std::vector<OwnedPatch> out;
-  std::vector<int> cell(first.begin(), first.end());
+  std::size_t n = 0;
   while (true) {
-    OwnedPatch op;
+    if (n == buf.size()) buf.emplace_back();
+    OwnedPatch& op = buf[n++];
     op.patch.lo.resize(nd);
     op.patch.hi.resize(nd);
     int c = 0;
@@ -235,7 +250,6 @@ std::vector<OwnedPatch> Distribution::intersect(const Patch& region) const {
       op.patch.hi[d] = std::min(region.hi[d], bhi);
     }
     op.proc = proc_of_cell(c);
-    out.push_back(std::move(op));
 
     // Advance the cell counter (row-major, innermost last).
     std::size_t d = nd;
@@ -245,9 +259,9 @@ std::vector<OwnedPatch> Distribution::intersect(const Patch& region) const {
         break;
       }
       cell[d] = first[d];
-      if (d == 0) return out;
+      if (d == 0) return {buf.data(), n};
     }
-    if (d == static_cast<std::size_t>(-1)) return out;
+    if (d == static_cast<std::size_t>(-1)) return {buf.data(), n};
   }
 }
 

@@ -85,6 +85,12 @@ class Distribution {
   /// deterministic (row-major grid order).
   std::vector<OwnedPatch> intersect(const Patch& region) const;
 
+  /// intersect() into \p buf, returning the filled prefix. \p buf never
+  /// shrinks, so reusing it reuses its patches' storage: a warm call
+  /// allocates nothing.
+  std::span<const OwnedPatch> intersect(const Patch& region,
+                                        std::vector<OwnedPatch>& buf) const;
+
   /// Block index of \p x in dimension \p d.
   int block_index(std::size_t d, std::int64_t x) const;
 

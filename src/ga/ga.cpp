@@ -10,6 +10,7 @@
 #include "src/ga/layout.hpp"
 #include "src/mpisim/error.hpp"
 #include "src/mpisim/runtime.hpp"
+#include "src/mpisim/scratch.hpp"
 
 namespace ga {
 
@@ -33,14 +34,20 @@ namespace {
 std::shared_ptr<GaImpl> finish_create(std::shared_ptr<GaImpl> impl) {
   const int nprocs = detail::dist_nprocs(*impl);
   const std::size_t esz = elem_size(impl->type);
-  impl->block_bytes.assign(static_cast<std::size_t>(nprocs), 0);
-  for (int r = 0; r < nprocs; ++r)
-    impl->block_bytes[static_cast<std::size_t>(r)] =
-        static_cast<std::size_t>(impl->dist.patch_of(r).num_elems()) * esz;
+  const auto n = static_cast<std::size_t>(nprocs);
+  impl->blocks.resize(n);
+  impl->block_strides.resize(n);
+  impl->block_bytes.assign(n, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    impl->blocks[r] = impl->dist.patch_of(static_cast<int>(r));
+    impl->block_strides[r] = detail::row_major_strides(impl->blocks[r], esz);
+    impl->block_bytes[r] =
+        static_cast<std::size_t>(impl->blocks[r].num_elems()) * esz;
+  }
 
   const int me = detail::dist_rank_of(*impl, mpisim::rank());
   if (me >= 0) {
-    impl->my_patch = impl->dist.patch_of(me);
+    impl->my_patch = impl->blocks[static_cast<std::size_t>(me)];
   } else {
     const std::size_t nd = static_cast<std::size_t>(impl->dist.ndim());
     impl->my_patch.lo.assign(nd, 0);
@@ -123,7 +130,7 @@ ElemType GlobalArray::type() const { return impl_->type; }
 
 Patch GlobalArray::distribution(int proc) const {
   const int r = detail::dist_rank_of(*impl_, proc);
-  if (r >= 0) return impl_->dist.patch_of(r);
+  if (r >= 0) return impl_->blocks[static_cast<std::size_t>(r)];
   const std::size_t nd = static_cast<std::size_t>(impl_->dist.ndim());
   Patch empty;
   empty.lo.assign(nd, 0);
@@ -202,28 +209,30 @@ armci::Request region_xfer_issue(GaImpl& ga, XferKind kind,
   if (!ld.empty() && ld.size() != nd - 1)
     mpisim::raise(Errc::invalid_argument, "ld must have ndim-1 entries");
 
-  // Byte strides of the caller's buffer.
-  std::vector<std::int64_t> buf_ext(nd);
-  for (std::size_t d = 0; d < nd; ++d) buf_ext[d] = region.extent(d);
+  // Byte strides of the caller's buffer: each dimension's extent, or its
+  // leading dimension when given.
   for (std::size_t k = 0; k + 1 < nd; ++k) {
-    if (!ld.empty()) {
-      if (ld[k] < buf_ext[k + 1])
-        mpisim::raise(Errc::invalid_argument,
-                      "ld smaller than the patch extent");
-      buf_ext[k + 1] = ld[k];
-    }
+    if (!ld.empty() && ld[k] < region.extent(k + 1))
+      mpisim::raise(Errc::invalid_argument,
+                    "ld smaller than the patch extent");
   }
-  const std::vector<std::size_t> buf_strides =
-      detail::row_major_strides(buf_ext, esz);
+  mpisim::Lease<detail::GaImpl::XferScratch> scratch(ga.xfer);
+  std::vector<std::size_t>& buf_strides = scratch->buf_strides;
+  buf_strides.resize(nd);
+  std::size_t stride = esz;
+  for (std::size_t d = nd; d-- > 0;) {
+    buf_strides[d] = stride;
+    stride *= static_cast<std::size_t>(
+        d > 0 && !ld.empty() ? ld[d - 1] : region.extent(d));
+  }
 
   const armci::AccType at = detail::acc_type(ga);
   detail::OwnerOps ops;
-  for (const OwnedPatch& op : ga.dist.intersect(region)) {
-    const Patch block = ga.dist.patch_of(op.proc);
-    std::vector<std::int64_t> blk_ext(nd);
-    for (std::size_t d = 0; d < nd; ++d) blk_ext[d] = block.extent(d);
-    const std::vector<std::size_t> rem_strides =
-        detail::row_major_strides(blk_ext, esz);
+  armci::StridedSpec& spec = scratch->spec;
+  for (const OwnedPatch& op : ga.dist.intersect(region, scratch->owned)) {
+    const auto owner = static_cast<std::size_t>(op.proc);
+    const Patch& block = ga.blocks[owner];
+    const std::vector<std::size_t>& rem_strides = ga.block_strides[owner];
 
     // Offset of the sub-patch start within the owner's block.
     std::size_t rem_off = 0;
@@ -238,7 +247,6 @@ armci::Request region_xfer_issue(GaImpl& ga, XferKind kind,
 
     // ARMCI strided notation: count[0] in bytes over the innermost
     // dimension; stride level i covers dimension nd-2-i.
-    armci::StridedSpec spec;
     spec.stride_levels = static_cast<int>(nd) - 1;
     spec.count.resize(nd);
     spec.count[0] = static_cast<std::size_t>(op.patch.extent(nd - 1)) * esz;
@@ -355,15 +363,9 @@ std::int64_t GlobalArray::read_inc(std::span<const std::int64_t> subscript,
     mpisim::raise(Errc::invalid_argument, "read_inc requires an int64 array");
   const int proc = ga.dist.owner_of(subscript);
   const int proc_abs = detail::abs_proc(ga, proc);
-  const Patch block = ga.dist.patch_of(proc);
-  const std::size_t nd = static_cast<std::size_t>(ga.dist.ndim());
-  std::vector<std::int64_t> ext(nd);
-  for (std::size_t d = 0; d < nd; ++d) ext[d] = block.extent(d);
-  const std::vector<std::size_t> strides =
-      detail::row_major_strides(ext, sizeof(std::int64_t));
-  std::size_t off = 0;
-  for (std::size_t d = 0; d < nd; ++d)
-    off += static_cast<std::size_t>(subscript[d] - block.lo[d]) * strides[d];
+  const auto r = static_cast<std::size_t>(proc);
+  const std::size_t off = detail::element_offset(
+      ga.blocks[r], ga.block_strides[r], subscript);
   auto* remote = static_cast<std::uint8_t*>(
                      ga.bases[static_cast<std::size_t>(proc_abs)]) +
                  off;

@@ -51,7 +51,10 @@ void element_xfer(detail::GaImpl& ga, ElemXfer kind, void* values,
     const int proc = ga.dist.owner_of(idx);
     const detail::Route& rt = routes[static_cast<std::size_t>(i)] =
         detail::route(ga, proc,
-                      detail::element_offset(ga.dist.patch_of(proc), idx, esz));
+                      detail::element_offset(
+                          ga.blocks[static_cast<std::size_t>(proc)],
+                          ga.block_strides[static_cast<std::size_t>(proc)],
+                          idx));
     if (kind == ElemXfer::put) last_writer[rt.primary] = i;
   }
 

@@ -36,6 +36,19 @@ struct GaImpl {
   /// append distribution rank r's replica to the allocation of its buddy
   /// (r + 1) % nprocs, at offset block_bytes[buddy].
   std::vector<std::size_t> block_bytes;
+  /// Every distribution rank's block and its row-major byte strides,
+  /// cached when the array is created: accesses read them per owner.
+  std::vector<Patch> blocks;
+  std::vector<std::vector<std::size_t>> block_strides;
+
+  /// Scratch of one region access, reused from access to access through
+  /// mpisim::Lease (scratch.hpp); the array state is per rank.
+  struct XferScratch {
+    std::vector<OwnedPatch> owned;  ///< Distribution::intersect buffer
+    std::vector<std::size_t> buf_strides;
+    armci::StridedSpec spec;
+  };
+  XferScratch xfer;
 };
 
 /// Number of distribution ranks the array is laid out over.

@@ -13,29 +13,26 @@
 
 namespace ga::detail {
 
-/// Byte strides (row-major) for a block of the given extents.
-inline std::vector<std::size_t> row_major_strides(
-    std::span<const std::int64_t> ext, std::size_t esz) {
-  const std::size_t nd = ext.size();
+/// Byte strides (row-major) of the local storage of \p block.
+inline std::vector<std::size_t> row_major_strides(const Patch& block,
+                                                  std::size_t esz) {
+  const std::size_t nd = block.lo.size();
   std::vector<std::size_t> s(nd);
   std::size_t acc = esz;
   for (std::size_t d = nd; d-- > 0;) {
     s[d] = acc;
-    acc *= static_cast<std::size_t>(ext[d]);
+    acc *= static_cast<std::size_t>(block.extent(d));
   }
   return s;
 }
 
-/// Byte offset of global element \p idx within the owner block \p block.
+/// Byte offset of global element \p idx within the owner block \p block,
+/// whose byte strides are \p strides.
 inline std::size_t element_offset(const Patch& block,
-                                  std::span<const std::int64_t> idx,
-                                  std::size_t esz) {
-  const std::size_t nd = idx.size();
-  std::vector<std::int64_t> ext(nd);
-  for (std::size_t d = 0; d < nd; ++d) ext[d] = block.extent(d);
-  const std::vector<std::size_t> strides = row_major_strides(ext, esz);
+                                  std::span<const std::size_t> strides,
+                                  std::span<const std::int64_t> idx) {
   std::size_t off = 0;
-  for (std::size_t d = 0; d < nd; ++d)
+  for (std::size_t d = 0; d < idx.size(); ++d)
     off += static_cast<std::size_t>(idx[d] - block.lo[d]) * strides[d];
   return off;
 }

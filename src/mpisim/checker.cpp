@@ -91,7 +91,7 @@ void RmaChecker::epoch_opened(std::uint64_t win, int target, int origin,
   ep.exclusive = exclusive;
   ep.mpi3 = mpi3;
   ep.sets = take_sets();
-  wins_[win].targets[target].open.insert_or_assign(origin, std::move(ep));
+  epoch_nodes_.put(wins_[win].targets[target].open, origin, std::move(ep));
 }
 
 void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
@@ -104,7 +104,7 @@ void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
   if (eit == tit->second.open.end()) return;
 
   EpochRec ep = std::move(eit->second);
-  tit->second.open.erase(eit);
+  epoch_nodes_.erase(tit->second.open, eit);
 
   // Hand this epoch's access summary to every epoch still open on the
   // target: those epochs were concurrent with it, and MPI-2 makes the
@@ -157,7 +157,7 @@ void RmaChecker::epoch_abandoned(std::uint64_t win, int target, int origin) {
   auto eit = tit->second.open.find(origin);
   if (eit == tit->second.open.end()) return;
   recycle(std::move(eit->second.sets));
-  tit->second.open.erase(eit);
+  epoch_nodes_.erase(tit->second.open, eit);
 }
 
 void RmaChecker::window_freed(std::uint64_t win) { wins_.erase(win); }

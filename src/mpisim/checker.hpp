@@ -59,6 +59,7 @@
 #include "src/mpisim/datatype.hpp"
 #include "src/mpisim/interval_set.hpp"
 #include "src/mpisim/op.hpp"
+#include "src/mpisim/scratch.hpp"
 
 namespace mpisim {
 
@@ -273,8 +274,10 @@ class RmaChecker {
   /// once, and the owner's own local access must not collide with them.
   using LocalKey = std::pair<int, std::ptrdiff_t>;
 
+  using EpochMap = std::map<int, EpochRec>;  ///< origin rank -> epoch
+
   struct TargetRec {
-    std::map<int, EpochRec> open;         ///< origin rank -> epoch
+    EpochMap open;
     std::map<LocalKey, LocalRec> locals;  ///< (accessor, offset) -> access
   };
 
@@ -335,6 +338,9 @@ class RmaChecker {
   std::uint64_t next_epoch_id_ = 1;
   std::map<std::uint64_t, WinRec> wins_;
   std::vector<Sets> spare_sets_;
+  /// Map nodes of closed epochs, reused by epoch_opened so a warm epoch
+  /// record allocates nothing.
+  NodePool<EpochMap> epoch_nodes_;
   /// Coverage of the operation record_op is recording; empty between calls.
   Sets op_sets_;
   std::vector<PerRankCounts> per_rank_;

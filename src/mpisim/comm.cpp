@@ -66,12 +66,10 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
   const Group& dest_group = c.is_inter ? c.remote_group : c.group;
   const int dest_world = dest_group.world_rank(dest);
 
-  Message m;
+  Envelope m;
   m.comm_id = c.id;
   m.src_comm_rank = rank();
   m.tag = tag;
-  m.payload.assign(static_cast<const std::uint8_t*>(buf),
-                   static_cast<const std::uint8_t*>(buf) + bytes);
   RankContext& me = ctx();
   me.fault().fault_point(me.clock());
   m.send_ts_ns = me.clock().now_ns() + me.fault().draw_delivery_delay_ns();
@@ -89,9 +87,9 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
   const std::size_t cap = core.config().mailbox_cap_bytes;
   if (cap > 0 && c.id != kSystemChannel &&
       !mb.has_posted_match(m.comm_id, m.src_comm_rank, m.tag) &&
-      mb.queued_bytes() + m.payload.size() > cap) {
+      mb.queued_bytes() + bytes > cap) {
     raise(Errc::resource_exhausted,
-          "eager send of " + std::to_string(m.payload.size()) +
+          "eager send of " + std::to_string(bytes) +
               " bytes to world rank " + std::to_string(dest_world) +
               " would exceed the mailbox cap (" +
               std::to_string(mb.queued_bytes()) + " of " +
@@ -99,7 +97,7 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
   }
   core.note_time_locked(me.clock().now_ns());
   if (core.hb().enabled()) m.vc = core.hb().send_snapshot(me.rank());
-  mb.push(std::move(m));
+  mb.push(std::move(m), buf, bytes);
   core.wake_locked(dest_world);
 }
 

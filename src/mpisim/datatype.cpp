@@ -1,6 +1,7 @@
 #include "src/mpisim/datatype.hpp"
 
 #include <cstring>
+#include <iterator>
 #include <numeric>
 
 #include "src/mpisim/error.hpp"
@@ -77,7 +78,9 @@ using detail::TypeImpl;
 
 Datatype::Datatype(std::shared_ptr<const TypeImpl> impl) : impl_(std::move(impl)) {}
 
-Datatype Datatype::basic(BasicType t) {
+namespace {
+
+std::shared_ptr<const TypeImpl> make_basic(BasicType t) {
   auto impl = std::make_shared<TypeImpl>();
   impl->kind = TypeImpl::Kind::basic;
   impl->elem = t;
@@ -85,7 +88,24 @@ Datatype Datatype::basic(BasicType t) {
   impl->extent = static_cast<std::ptrdiff_t>(impl->size);
   impl->nsegments = 1;
   impl->contig = true;
-  return Datatype(std::move(impl));
+  return impl;
+}
+
+}  // namespace
+
+Datatype Datatype::basic(BasicType t) {
+  // Built once, never modified: the nodes are immutable, so sharing them
+  // across ranks and runs is safe.
+  static const std::shared_ptr<const TypeImpl> nodes[] = {
+      make_basic(BasicType::byte_),  make_basic(BasicType::int32),
+      make_basic(BasicType::int64),  make_basic(BasicType::uint64),
+      make_basic(BasicType::float32), make_basic(BasicType::float64),
+  };
+  static_assert(static_cast<std::size_t>(BasicType::float64) + 1 ==
+                std::size(nodes));
+  const auto i = static_cast<std::size_t>(t);
+  require_internal(i < std::size(nodes), "unknown basic type");
+  return Datatype(nodes[i]);
 }
 
 Datatype Datatype::contiguous(std::size_t count, const Datatype& old) {
@@ -224,11 +244,12 @@ void Datatype::for_each_segment(std::size_t count,
     detail::walk(*impl_, static_cast<std::ptrdiff_t>(i) * impl_->extent, f);
 }
 
-std::vector<Segment> Datatype::flatten(std::size_t count) const {
+void Datatype::flatten_into(std::size_t count,
+                            std::vector<Segment>& out) const {
   // Coalesce adjacent segments: consecutive instances of a contiguous type
   // (and steps of a packed stride) collapse into one long segment, so both
   // data movement and segment-based cost accounting see the true layout.
-  std::vector<Segment> out;
+  out.clear();
   for_each_segment(count, [&](Segment s) {
     if (!out.empty() &&
         out.back().offset + static_cast<std::ptrdiff_t>(out.back().length) ==
@@ -238,7 +259,6 @@ std::vector<Segment> Datatype::flatten(std::size_t count) const {
       out.push_back(s);
     }
   });
-  return out;
 }
 
 void Datatype::pack(const void* base, std::size_t count, void* out) const {

@@ -13,7 +13,8 @@
 /// contiguous-segment iteration, and pack/unpack.
 ///
 /// Datatypes are immutable value handles (shared immutable tree underneath);
-/// copying is cheap and thread-safe.
+/// copying is cheap and thread-safe. Each basic type is one process-wide
+/// immutable node, so basic() and the handles below allocate nothing.
 
 #include <cstddef>
 #include <functional>
@@ -38,7 +39,7 @@ struct Segment {
 /// Immutable handle to a (possibly derived) datatype.
 class Datatype {
  public:
-  /// A predefined basic type.
+  /// A predefined basic type. Every call for one \p t shares one node.
   static Datatype basic(BasicType t);
 
   /// \p count consecutive copies of \p old.
@@ -94,8 +95,10 @@ class Datatype {
   void for_each_segment(std::size_t count,
                         const std::function<void(Segment)>& f) const;
 
-  /// Flatten \p count instances into an explicit segment list.
-  std::vector<Segment> flatten(std::size_t count) const;
+  /// Flatten \p count instances into \p out (cleared first) as an explicit
+  /// segment list, adjacent segments merged. Reusing one \p out across
+  /// calls reuses its capacity: a warm call allocates nothing.
+  void flatten_into(std::size_t count, std::vector<Segment>& out) const;
 
   /// Gather \p count instances from \p base into the contiguous buffer
   /// \p out (which must hold count * size() bytes).

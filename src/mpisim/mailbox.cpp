@@ -13,36 +13,38 @@ bool Mailbox::matches(const Message& m, std::uint64_t comm_id, int src,
          (tag == kAnyTag || m.tag == tag);
 }
 
-void Mailbox::deliver(PostedRecv& rec, Message msg) {
+void Mailbox::deliver(PostedRecv& rec, Envelope& env, const void* data,
+                      std::size_t bytes) {
   require_internal(!rec.matched && !rec.cancelled,
                    "delivery into a completed posted receive");
   rec.matched = true;
-  rec.msg_bytes = msg.payload.size();
-  rec.truncated = msg.payload.size() > rec.capacity;
+  rec.msg_bytes = bytes;
+  rec.truncated = bytes > rec.capacity;
   // A truncating message still delivers the prefix (diagnosability); the
   // poster raises Errc::truncation when it completes the request.
-  std::memcpy(rec.buf, msg.payload.data(),
-              std::min(msg.payload.size(), rec.capacity));
-  rec.send_ts_ns = msg.send_ts_ns;
-  rec.vc = std::move(msg.vc);
-  rec.st.source = msg.src_comm_rank;
-  rec.st.tag = msg.tag;
-  rec.st.bytes = msg.payload.size();
+  if (bytes > 0) std::memcpy(rec.buf, data, std::min(bytes, rec.capacity));
+  rec.send_ts_ns = env.send_ts_ns;
+  rec.vc = std::move(env.vc);
+  rec.st.source = env.src_comm_rank;
+  rec.st.tag = env.tag;
+  rec.st.bytes = bytes;
 }
 
-bool Mailbox::push(Message msg) {
+bool Mailbox::push(Envelope env, const void* data, std::size_t bytes) {
   for (auto it = posted_.begin(); it != posted_.end(); ++it) {
     PostedRecv& rec = **it;
-    if (rec.comm_id != msg.comm_id) continue;
-    if (rec.src != kAnySource && rec.src != msg.src_comm_rank) continue;
-    if (rec.tag != kAnyTag && rec.tag != msg.tag) continue;
-    deliver(rec, std::move(msg));
+    if (rec.comm_id != env.comm_id) continue;
+    if (rec.src != kAnySource && rec.src != env.src_comm_rank) continue;
+    if (rec.tag != kAnyTag && rec.tag != env.tag) continue;
+    deliver(rec, env, data, bytes);
     posted_.erase(it);
     return true;
   }
-  queued_bytes_ += msg.payload.size();
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  queue_.push_back(
+      Message{std::move(env), std::vector<std::uint8_t>(p, p + bytes)});
+  queued_bytes_ += bytes;
   high_water_bytes_ = std::max(high_water_bytes_, queued_bytes_);
-  queue_.push_back(std::move(msg));
   return false;
 }
 

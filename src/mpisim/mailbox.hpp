@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -30,17 +29,23 @@ namespace mpisim {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
-/// An in-flight message. Payload is copied at send time (eager protocol).
-struct Message {
+/// Everything about a message but its payload.
+struct Envelope {
   std::uint64_t comm_id = 0;  ///< communicator the send was posted on
   int src_comm_rank = 0;      ///< sender's rank in that communicator
   int tag = 0;
-  std::vector<std::uint8_t> payload;
   double send_ts_ns = 0.0;  ///< sender's virtual clock at send
   /// Sender's vector clock at send, joined by the matching receive
   /// (happens-before piggyback, hb.hpp). Empty unless the race detector
   /// is enabled.
   std::vector<std::uint64_t> vc;
+};
+
+/// A message on the unexpected queue. The payload is copied at send time
+/// (eager protocol); a message a posted receive takes is copied straight
+/// into that receive's buffer and never becomes a Message.
+struct Message : Envelope {
+  std::vector<std::uint8_t> payload;
 };
 
 /// Completion information returned by receives.
@@ -76,11 +81,14 @@ struct PostedRecv {
 /// destination rank.
 class Mailbox {
  public:
-  /// Deliver a message: the first matching posted receive (post order)
-  /// consumes it directly; otherwise it is appended to the unexpected
-  /// queue (preserving per-(src,tag) FIFO order). Returns true when a
-  /// posted receive consumed it.
-  bool push(Message msg);
+  /// Deliver a message: \p env and the \p bytes at \p data. The first
+  /// matching posted receive (post order) takes it by one copy straight
+  /// from \p data into its buffer, and no payload vector is built;
+  /// otherwise the bytes are copied into a Message appended to the
+  /// unexpected queue (preserving per-(src,tag) FIFO order). Returns true
+  /// when a posted receive took it. Comm::send and the am layer's replies
+  /// both deliver through here.
+  bool push(Envelope env, const void* data, std::size_t bytes);
 
   /// The first queued message matching (comm, src, tag), or null; \p src
   /// and \p tag may be wildcards. A peek: the queue is left as it is.
@@ -103,7 +111,9 @@ class Mailbox {
 
   /// Deliver \p msg into \p rec immediately (irecv that found a queued
   /// match; \p rec must not be registered).
-  static void deliver(PostedRecv& rec, Message msg);
+  static void deliver(PostedRecv& rec, Message msg) {
+    deliver(rec, msg, msg.payload.data(), msg.payload.size());
+  }
 
   /// True when a currently posted receive would match a message with this
   /// envelope (the send-side cap check: such a message bypasses queueing).
@@ -128,9 +138,14 @@ class Mailbox {
   bool matches(const Message& m, std::uint64_t comm_id, int src,
                int tag) const;
 
+  /// Fill \p rec from \p env (its clock is moved) and the \p bytes at
+  /// \p data.
+  static void deliver(PostedRecv& rec, Envelope& env, const void* data,
+                      std::size_t bytes);
+
   std::deque<Message> queue_;
   /// Posted receives in post order (matching scans front to back).
-  std::list<std::shared_ptr<PostedRecv>> posted_;
+  std::vector<std::shared_ptr<PostedRecv>> posted_;
   std::size_t queued_bytes_ = 0;
   std::size_t high_water_bytes_ = 0;
 };

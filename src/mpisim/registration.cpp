@@ -19,6 +19,8 @@ std::size_t RegistrationCache::ensure_registered(const void* addr,
   std::size_t newly = 0;
 
   // Walk existing intervals overlapping [lo, hi), counting gaps, then merge.
+  // The first interval's map node is reused for the merged one, so a warm
+  // call allocates nothing.
   auto it = pages_.upper_bound(lo);
   if (it != pages_.begin()) {
     auto prev = std::prev(it);
@@ -26,15 +28,25 @@ std::size_t RegistrationCache::ensure_registered(const void* addr,
   }
   std::uintptr_t cur = lo;
   std::uintptr_t merged_lo = lo, merged_hi = hi;
+  PageMap::node_type node;
   while (it != pages_.end() && it->first <= hi) {
     if (it->first > cur) newly += it->first - cur;
     cur = std::max(cur, it->second);
     merged_lo = std::min(merged_lo, it->first);
     merged_hi = std::max(merged_hi, it->second);
-    it = pages_.erase(it);
+    if (node)
+      it = pages_.erase(it);
+    else
+      node = pages_.extract(it++);
   }
   if (cur < hi) newly += hi - cur;
-  pages_[merged_lo] = merged_hi;
+  if (node) {
+    node.key() = merged_lo;
+    node.mapped() = merged_hi;
+    pages_.insert(std::move(node));
+  } else {
+    pages_.emplace(merged_lo, merged_hi);
+  }
   return newly;
 }
 

@@ -161,6 +161,20 @@ class RankContext {
 
   /// Innermost EpochPipeline scope open on this rank (win.hpp).
   EpochPipeline* active_pipeline = nullptr;
+  /// Round-trip chains of this rank's open EpochPipeline scopes, one per
+  /// (window, target), kept as one stack: each scope owns the entries from
+  /// where the stack stood when it opened, and drops them when it closes.
+  struct PipelineChain {
+    std::uint64_t win_id = 0;
+    int target_rank = -1;
+    double ns = 0.0;
+  };
+  std::vector<PipelineChain> pipeline_chains;
+
+  /// Win::rma_op's flattened origin and target segment lists, reused from
+  /// op to op (per rank, see scratch.hpp).
+  std::vector<Segment> rma_origin_segs;
+  std::vector<Segment> rma_target_segs;
 
   /// Virtual-time latency of this rank's most recent failure observation
   /// (observation clock minus the victim's death time; < 0 until this rank

@@ -7,6 +7,7 @@
 #include "src/mpisim/checker.hpp"
 #include "src/mpisim/error.hpp"
 #include "src/mpisim/runtime.hpp"
+#include "src/mpisim/scratch.hpp"
 
 namespace mpisim {
 
@@ -23,10 +24,14 @@ struct Epoch {
 /// locked_target sentinel: the origin holds a lock_all epoch.
 constexpr int kLockAll = -2;
 
+using EpochMap = std::map<int, Epoch>;  // origin comm rank -> epoch
+
 /// Per-target lock and epoch state.
 struct TargetState {
-  std::map<int, Epoch> open;  // origin comm rank -> epoch
-  std::deque<std::pair<int, LockType>> waiters;
+  EpochMap open;
+  // Queued lock requests, FIFO. A vector (the queue is a few ranks long)
+  // keeps its storage, so a warm lock request allocates nothing.
+  std::vector<std::pair<int, LockType>> waiters;
   double busy_until_ns = 0.0;  // virtual end of the last exclusive epoch
 };
 
@@ -42,6 +47,9 @@ struct WinImpl {
   // bases[] point into the block of the rank's node.
   bool shared = false;
   std::vector<std::unique_ptr<std::uint8_t[]>> node_blocks;
+  /// Map nodes of closed epochs, reused by the next grants so a warm
+  /// lock/unlock pair allocates nothing.
+  NodePool<EpochMap> epoch_nodes;
 };
 
 namespace {
@@ -195,7 +203,7 @@ void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
     const int world = w.comm.group().world_rank(it->first);
     if (core.is_dead_locked(world)) {
       record_epoch_abandoned(core, w, target, it->first);
-      it = ts.open.erase(it);
+      w.epoch_nodes.erase(ts.open, it++);
     } else {
       ++it;
     }
@@ -225,14 +233,12 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
     } else {
       if (has_exclusive) return;
     }
-    Epoch ep;
-    ep.type = type;
-    ts.open.emplace(origin, ep);
+    w.epoch_nodes.put(ts.open, origin, Epoch{type, 0});
     record_epoch_open(
         core, w, target, origin, type == LockType::exclusive,
         w.locked_target[static_cast<std::size_t>(origin)] == kLockAll);
     core.wake_locked(w.comm.group().world_rank(origin));
-    ts.waiters.pop_front();
+    ts.waiters.erase(ts.waiters.begin());
   }
 }
 
@@ -312,14 +318,17 @@ using detail::WinImpl;
 // EpochPipeline
 // ---------------------------------------------------------------------------
 
-EpochPipeline::EpochPipeline() : prev_(ctx().active_pipeline) {
+EpochPipeline::EpochPipeline()
+    : first_(ctx().pipeline_chains.size()), prev_(ctx().active_pipeline) {
   ctx().active_pipeline = this;
 }
 
 EpochPipeline::~EpochPipeline() {
-  ctx().active_pipeline = prev_;
+  RankContext& me = ctx();
+  me.active_pipeline = prev_;
   const double ns = pending_ns();
-  if (ns > 0.0) ctx().clock().advance(ns);
+  me.pipeline_chains.resize(first_);
+  if (ns > 0.0) me.clock().advance(ns);
 }
 
 EpochPipeline* EpochPipeline::active() noexcept {
@@ -329,18 +338,22 @@ EpochPipeline* EpochPipeline::active() noexcept {
 void EpochPipeline::defer_round_trip(std::uint64_t win_id, int target_rank,
                                      double ns) {
   if (ns <= 0.0) return;
-  for (Chain& c : chains_) {
-    if (c.win_id == win_id && c.target_rank == target_rank) {
-      c.ns += ns;
+  std::vector<RankContext::PipelineChain>& chains = ctx().pipeline_chains;
+  for (std::size_t i = first_; i < chains.size(); ++i) {
+    if (chains[i].win_id == win_id && chains[i].target_rank == target_rank) {
+      chains[i].ns += ns;
       return;
     }
   }
-  chains_.push_back(Chain{win_id, target_rank, ns});
+  chains.push_back({win_id, target_rank, ns});
 }
 
-double EpochPipeline::pending_ns() const noexcept {
+double EpochPipeline::pending_ns() const {
+  const std::vector<RankContext::PipelineChain>& chains =
+      ctx().pipeline_chains;
   double mx = 0.0;
-  for (const Chain& c : chains_) mx = std::max(mx, c.ns);
+  for (std::size_t i = first_; i < chains.size(); ++i)
+    mx = std::max(mx, chains[i].ns);
   return mx;
 }
 
@@ -590,7 +603,7 @@ void Win::unlock(int target_rank) const {
   detail::record_epoch_close(core, w, target_rank, myrank, was_exclusive);
 
   me.tracer().begin(TraceCat::window, "win.unlock", w.id);
-  ts.open.erase(it);
+  w.epoch_nodes.erase(ts.open, it);
   w.locked_target[static_cast<std::size_t>(myrank)] = -1;
 
   detail::charge_round_trip(me, w, target_rank, core.model().unlock_ns());
@@ -650,7 +663,8 @@ void Win::unlock_all() const {
   for (int t = 0; t < w.comm.size(); ++t) {
     TargetState& ts = w.targets[static_cast<std::size_t>(t)];
     detail::record_epoch_close(core, w, t, myrank, /*exclusive=*/false);
-    ts.open.erase(myrank);
+    if (auto it = ts.open.find(myrank); it != ts.open.end())
+      w.epoch_nodes.erase(ts.open, it);
     detail::grant_locked(core, w, t);
   }
   w.locked_target[static_cast<std::size_t>(myrank)] = -1;
@@ -846,8 +860,12 @@ void Win::rma_op(RmaKind kind, const void* origin, std::size_t origin_count,
     raise(Errc::no_epoch, "RMA operation outside a passive-target epoch");
   Epoch& ep = eit->second;
 
-  const std::vector<Segment> osegs = origin_type.flatten(origin_count);
-  const std::vector<Segment> tsegs = target_type.flatten(target_count);
+  Lease<std::vector<Segment>> olease(me.rma_origin_segs);
+  Lease<std::vector<Segment>> tlease(me.rma_target_segs);
+  const std::vector<Segment>& osegs = *olease;
+  const std::vector<Segment>& tsegs = *tlease;
+  origin_type.flatten_into(origin_count, *olease);
+  target_type.flatten_into(target_count, *tlease);
 
   // MPI-2 conflicting-access detection: reported when the epoch completes.
   detail::record_rma(core, w, me, target_rank, myrank,

@@ -30,7 +30,6 @@
 /// registration-managed platforms) on-demand pinning of the local buffer.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -79,19 +78,18 @@ class EpochPipeline {
   static EpochPipeline* active() noexcept;
 
   /// Divert \p ns of round-trip wait bound for \p target_rank of window
-  /// \p win_id into that target's chain.
+  /// \p win_id into that target's chain. Only the innermost scope
+  /// (active()) takes charges.
   void defer_round_trip(std::uint64_t win_id, int target_rank, double ns);
 
   /// Longest chain accumulated so far (what the destructor will charge).
-  double pending_ns() const noexcept;
+  double pending_ns() const;
 
  private:
-  struct Chain {
-    std::uint64_t win_id = 0;
-    int target_rank = -1;
-    double ns = 0.0;
-  };
-  std::vector<Chain> chains_;
+  /// This scope's chains are RankContext::pipeline_chains[first_, end):
+  /// scopes nest, so the rank's scopes share one stack and a warm scope
+  /// allocates nothing.
+  std::size_t first_ = 0;
   EpochPipeline* prev_ = nullptr;
 };
 

@@ -56,11 +56,12 @@ void decode_triple(std::int64_t task, std::int64_t no, std::int64_t& i,
 /// accumulate C into T2new's bt tile. The real contraction would be a
 /// DGEMM against the synthesized integral tile; its time is charged to the
 /// virtual clock while a rank-1 coefficient update keeps a verifiable
-/// data dependency.
+/// data dependency. The buffers and \p patch are the caller's, reused from
+/// task to task.
 void run_ccsd_task(const CcsdParams& p, const Amplitudes& t2,
                    Amplitudes& t2new, std::int64_t at, std::int64_t bt,
                    std::vector<double>& c_buf, std::vector<double>& b_buf,
-                   std::vector<double>& b_next) {
+                   std::vector<double>& b_next, ga::Patch& patch) {
   const std::int64_t rows = t2.rows();
   const std::int64_t wb = t2.tile_width(bt);
   c_buf.assign(static_cast<std::size_t>(rows * wb), 0.0);
@@ -72,9 +73,8 @@ void run_ccsd_task(const CcsdParams& p, const Amplitudes& t2,
   auto issue_tile = [&](std::int64_t kt, std::vector<double>& buf) {
     const auto [klo, khi] = t2.tile_cols(kt);
     buf.resize(static_cast<std::size_t>(rows * (khi - klo + 1)));
-    ga::Patch patch;
-    patch.lo = {0, klo};
-    patch.hi = {rows - 1, khi};
+    patch.lo.assign({0, klo});
+    patch.hi.assign({rows - 1, khi});
     return t2.array().nb_get(patch, buf.data());
   };
 
@@ -108,11 +108,10 @@ void run_ccsd_task(const CcsdParams& p, const Amplitudes& t2,
   }
 
   const auto [blo, bhi] = t2new.tile_cols(bt);
-  ga::Patch out;
-  out.lo = {0, blo};
-  out.hi = {rows - 1, bhi};
+  patch.lo.assign({0, blo});
+  patch.hi.assign({rows - 1, bhi});
   const double one = 1.0;
-  t2new.array().acc(out, c_buf.data(), &one);
+  t2new.array().acc(patch, c_buf.data(), &one);
 }
 
 /// Phase time metric: job time is the slowest rank's virtual time. Task
@@ -143,6 +142,7 @@ PhaseResult run_ccsd(const CcsdParams& p, Amplitudes& t2) {
   const double t0 = mpisim::clock().now_ns();
 
   std::vector<double> c_buf, b_buf, b_next;
+  ga::Patch patch;
   for (int iter = 0; iter < p.iterations; ++iter) {
     t2new.array().zero();
     counter.reset(0);
@@ -161,7 +161,7 @@ PhaseResult run_ccsd(const CcsdParams& p, Amplitudes& t2) {
         const std::int64_t mixed = (task * 7919) % res.total_tasks;
         std::int64_t at = 0, bt = 0;
         decode_pair(mixed, at, bt);
-        run_ccsd_task(p, t2, t2new, at, bt, c_buf, b_buf, b_next);
+        run_ccsd_task(p, t2, t2new, at, bt, c_buf, b_buf, b_next, patch);
         ++res.my_tasks;
       }
     }
@@ -194,6 +194,7 @@ PhaseResult run_triples(const CcsdParams& p, const Amplitudes& t2) {
   std::vector<double> b2(static_cast<std::size_t>(cols));
   std::vector<double> b3(static_cast<std::size_t>(cols));
   double local_e = 0.0;
+  ga::Patch row;  // reused by every row fetch
 
   std::int64_t start = 0;
   while ((mpisim::pace(), start = counter.next(p.chunk_tasks)) <
@@ -208,10 +209,9 @@ PhaseResult run_triples(const CcsdParams& p, const Amplitudes& t2) {
       // engine overlaps the rows' epochs when they live on different owners.
       auto fetch_row = [&](std::int64_t a, std::int64_t b,
                            std::vector<double>& buf) {
-        ga::Patch patch;
-        patch.lo = {a * p.no + b, 0};
-        patch.hi = {a * p.no + b, cols - 1};
-        return t2.array().nb_get(patch, buf.data());
+        row.lo.assign({a * p.no + b, 0});
+        row.hi.assign({a * p.no + b, cols - 1});
+        return t2.array().nb_get(row, buf.data());
       };
       armci::Request rows_req = fetch_row(i, j, b1);
       rows_req.merge(fetch_row(j, k, b2));

@@ -204,7 +204,8 @@ TEST_P(StridedTypeEquivalenceTest, DatatypeMatchesIteration) {
       make_strided_type(s.src_strides, s, mpisim::BasicType::byte_);
   EXPECT_EQ(t.size(), strided_total_bytes(s));
 
-  std::vector<mpisim::Segment> segs = t.flatten(1);
+  std::vector<mpisim::Segment> segs;
+  t.flatten_into(1, segs);
   StridedIter it(s);
   std::size_t so = 0, to = 0;
   std::size_t k = 0;
@@ -241,7 +242,9 @@ TEST(StridedTypeTest, DoubleElementLayout) {
       make_strided_type(s.src_strides, s, mpisim::BasicType::float64);
   EXPECT_EQ(t.element_type(), mpisim::BasicType::float64);
   EXPECT_EQ(t.size(), 64u);
-  EXPECT_EQ(t.flatten(1).size(), 4u);
+  std::vector<mpisim::Segment> segs;
+  t.flatten_into(1, segs);
+  EXPECT_EQ(segs.size(), 4u);
 }
 
 }  // namespace

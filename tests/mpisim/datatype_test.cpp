@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -11,6 +12,36 @@
 
 namespace mpisim {
 namespace {
+
+/// flatten_into() into a fresh list.
+std::vector<Segment> flat(const Datatype& t, std::size_t count) {
+  std::vector<Segment> out;
+  t.flatten_into(count, out);
+  return out;
+}
+
+/// The segment walk with adjacent segments merged, built from
+/// for_each_segment alone: what flatten_into() must produce.
+std::vector<Segment> reference_flatten(const Datatype& t, std::size_t count) {
+  std::vector<Segment> out;
+  t.for_each_segment(count, [&](Segment s) {
+    if (!out.empty() &&
+        out.back().offset + static_cast<std::ptrdiff_t>(out.back().length) ==
+            s.offset)
+      out.back().length += s.length;
+    else
+      out.push_back(s);
+  });
+  return out;
+}
+
+bool same_segments(const std::vector<Segment>& a,
+                   const std::vector<Segment>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].offset != b[i].offset || a[i].length != b[i].length) return false;
+  return true;
+}
 
 TEST(DatatypeTest, BasicDouble) {
   Datatype t = double_type();
@@ -37,7 +68,7 @@ TEST(DatatypeTest, VectorLayout) {
   EXPECT_FALSE(t.contiguous_layout());
   EXPECT_EQ(t.segment_count(), 3u);
 
-  std::vector<Segment> segs = t.flatten(1);
+  std::vector<Segment> segs = flat(t, 1);
   ASSERT_EQ(segs.size(), 3u);
   EXPECT_EQ(segs[0].offset, 0);
   EXPECT_EQ(segs[0].length, 16u);
@@ -59,7 +90,7 @@ TEST(DatatypeTest, IndexedLayout) {
   EXPECT_EQ(t.size(), 6u * 4u);
   EXPECT_EQ(t.extent(), 11 * 4);
   EXPECT_EQ(t.segment_count(), 3u);
-  std::vector<Segment> segs = t.flatten(1);
+  std::vector<Segment> segs = flat(t, 1);
   EXPECT_EQ(segs[1].offset, 16);
   EXPECT_EQ(segs[1].length, 4u);
   EXPECT_EQ(segs[2].offset, 32);
@@ -70,7 +101,7 @@ TEST(DatatypeTest, HindexedByteDisplacements) {
   std::vector<std::size_t> bl{1, 1};
   std::vector<std::ptrdiff_t> disp{3, 11};
   Datatype t = Datatype::hindexed(bl, disp, byte_type());
-  std::vector<Segment> segs = t.flatten(1);
+  std::vector<Segment> segs = flat(t, 1);
   ASSERT_EQ(segs.size(), 2u);
   EXPECT_EQ(segs[0].offset, 3);
   EXPECT_EQ(segs[1].offset, 11);
@@ -160,7 +191,7 @@ TEST(DatatypeTest, MultipleInstancesAdvanceByExtent) {
   // extent = (2-1)*16 + 8 = 24 bytes; instance 1 starts at 24, and its
   // first block [24, 32) merges with instance 0's trailing block [16, 24).
   EXPECT_EQ(t.extent(), 24);
-  std::vector<Segment> segs = t.flatten(2);
+  std::vector<Segment> segs = flat(t, 2);
   ASSERT_EQ(segs.size(), 3u);
   EXPECT_EQ(segs[0].offset, 0);
   EXPECT_EQ(segs[0].length, 8u);
@@ -188,6 +219,87 @@ TEST(DatatypeTest, IndexedMismatchedSpansThrow) {
   EXPECT_THROW(Datatype::indexed(bl, disp, byte_type()), MpiError);
 }
 
+/// One datatype of every constructor shape, nested ones included.
+std::vector<Datatype> every_shape() {
+  const std::size_t bl[] = {2, 1, 3};
+  const std::ptrdiff_t disp_elems[] = {0, 4, 8};
+  const std::ptrdiff_t disp_bytes[] = {40, 3, 17};
+  const std::size_t sizes2[] = {6, 8}, sub2[] = {3, 4}, start2[] = {2, 3};
+  const std::size_t at0[] = {0, 0};
+  const std::size_t sizes3[] = {4, 5, 6}, sub3[] = {2, 3, 2},
+                    start3[] = {1, 1, 3};
+  const Datatype vec = Datatype::vector(3, 2, 4, double_type());
+  return {
+      double_type(),
+      Datatype::basic(BasicType::int32),
+      Datatype::contiguous(10, double_type()),
+      vec,
+      Datatype::vector(4, 3, 3, double_type()),  // packed stride
+      Datatype::hvector(3, 1, 40, int64_type()),
+      Datatype::hvector(3, 2, -32, int32_type()),  // negative stride
+      Datatype::indexed(bl, disp_elems, int32_type()),
+      Datatype::hindexed(bl, disp_bytes, byte_type()),  // unsorted
+      Datatype::subarray(sizes2, sub2, start2, double_type()),
+      Datatype::subarray(sizes2, sub2, at0, double_type()),
+      Datatype::subarray(sizes3, sub3, start3, int32_type()),
+      Datatype::hvector(3, 1, 200, vec),  // vector of vectors
+      Datatype::indexed(bl, disp_elems, vec),
+      Datatype::contiguous(2, vec),
+  };
+}
+
+TEST(DatatypeTest, FlattenIntoEqualsMergedWalkForEveryShape) {
+  const std::vector<Datatype> shapes = every_shape();
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    for (std::size_t count : {1u, 2u, 3u}) {
+      const std::vector<Segment> want = reference_flatten(shapes[i], count);
+      EXPECT_TRUE(same_segments(flat(shapes[i], count), want))
+          << "shape " << i << " count " << count;
+      std::size_t total = 0;
+      for (const Segment& s : want) total += s.length;
+      EXPECT_EQ(total, count * shapes[i].size()) << "shape " << i;
+    }
+  }
+}
+
+TEST(DatatypeTest, ReusedFlattenBufferKeepsNoStaleSegments) {
+  // One buffer, reused by calls whose output grows and shrinks: each call
+  // must leave exactly its own segments, never a tail of a longer one.
+  const std::vector<Datatype> shapes = every_shape();
+  std::vector<Segment> buf(64, Segment{-7, 7});  // junk to be discarded
+  const std::size_t order[] = {12, 0, 3, 2, 11, 1, 13, 0, 9, 14, 4};
+  std::size_t largest = 0;
+  for (std::size_t i : order) {
+    for (std::size_t count : {3u, 1u}) {
+      shapes[i].flatten_into(count, buf);
+      EXPECT_TRUE(same_segments(buf, reference_flatten(shapes[i], count)))
+          << "shape " << i << " count " << count;
+      largest = std::max(largest, buf.size());
+    }
+  }
+  EXPECT_GT(largest, 4u);  // the sequence did grow and shrink the output
+}
+
+TEST(DatatypeTest, BasicHandlesOfOneTypeAgree) {
+  const BasicType all[] = {BasicType::byte_,  BasicType::int32,
+                           BasicType::int64,  BasicType::uint64,
+                           BasicType::float32, BasicType::float64};
+  for (BasicType b : all) {
+    const Datatype x = Datatype::basic(b);
+    const Datatype y = Datatype::basic(b);
+    EXPECT_EQ(x.size(), basic_type_size(b));
+    EXPECT_EQ(x.size(), y.size());
+    EXPECT_EQ(x.extent(), y.extent());
+    EXPECT_EQ(x.extent(), static_cast<std::ptrdiff_t>(x.size()));
+    EXPECT_EQ(x.element_type(), b);
+    EXPECT_EQ(y.element_type(), b);
+    EXPECT_TRUE(x.contiguous_layout());
+    EXPECT_EQ(x.segment_count(), 1u);
+  }
+  EXPECT_EQ(double_type().element_type(), BasicType::float64);
+  EXPECT_EQ(byte_type().size(), 1u);
+}
+
 // Property: for any subarray, flattened segments are disjoint, ordered,
 // and their total length equals size().
 class SubarrayPropertyTest
@@ -203,7 +315,7 @@ TEST_P(SubarrayPropertyTest, SegmentsDisjointAndComplete) {
                                 static_cast<std::size_t>(sc)};
   Datatype t = Datatype::subarray(sizes, subsizes, starts, double_type());
 
-  std::vector<Segment> segs = t.flatten(1);
+  std::vector<Segment> segs = flat(t, 1);
   std::size_t total = 0;
   std::ptrdiff_t prev_end = -1;
   for (const Segment& s : segs) {
