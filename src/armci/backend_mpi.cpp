@@ -173,7 +173,11 @@ void MpiBackend::iov_one(OneSided kind, const Giov& giov, int proc,
         same_gmr = l.gmr.get() == first;
       }
     }
-    const bool overlap = iov_has_overlap(as_const_span(giov.dst), giov.bytes);
+    const bool overlap = [&] {
+      mpisim::Lease<IovScratch> scratch(iov_);
+      return iov_has_overlap(as_const_span(giov.dst), giov.bytes,
+                             scratch->tree);
+    }();
     method = (same_gmr && !overlap) ? IovMethod::direct
                                     : IovMethod::conservative;
   }
@@ -263,17 +267,21 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
   const bool staged = stage_iov_in(kind, giov, at, scale, temp);
 
   // Resolve every remote segment and group by GMR, preserving order.
+  mpisim::Lease<IovScratch> scratch(iov_);
+  std::vector<GmrLoc>& locs = scratch->locs;
   const auto remote = remote_segments(giov, is_get);
-  std::vector<GmrLoc> locs(n);
+  locs.clear();
   for (std::size_t i = 0; i < n; ++i)
-    locs[i] = st_->table.require(proc, remote[i], bytes);
+    locs.push_back(st_->table.require(proc, remote[i], bytes));
 
   const std::size_t limit = st_->opts.iov_batched_limit;
   if (kind == OneSided::acc && bytes % acc_type_size(at) != 0)
     mpisim::raise(Errc::invalid_argument,
                   "IOV segment length not a multiple of the element size");
   const auto local = local_segments(giov, is_get);
-  for (const auto& idxs : group_by_gmr(locs)) {
+  group_by_gmr(locs, scratch->groups);
+  for (std::size_t g = 0; g < scratch->groups.size(); ++g) {
+    const std::span<const std::size_t> idxs = scratch->groups[g];
     const Gmr& gmr = *locs[idxs.front()].gmr;
     const int grank = locs[idxs.front()].target_rank;
     const LockType lt = epoch_lock(gmr, kind);
@@ -293,6 +301,7 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
       eg.release();
     });
   }
+  locs.clear();
 
   if (is_get && staged) unstage_iov_out(giov, temp);
 }
@@ -312,7 +321,9 @@ void MpiBackend::iov_direct(OneSided kind, const Giov& giov, int proc,
   // All remote segments must resolve into one GMR (§VI-A: required by the
   // direct method; the auto method guarantees it before choosing direct).
   const auto remote = remote_segments(giov, is_get);
-  std::vector<std::ptrdiff_t> rdispls(n);
+  mpisim::Lease<IovScratch> scratch(iov_);
+  std::vector<std::ptrdiff_t>& rdispls = scratch->rdispls;
+  rdispls.resize(n);
   GmrLoc loc0;
   for (std::size_t i = 0; i < n; ++i) {
     GmrLoc l = st_->table.require(proc, remote[i], bytes);
@@ -329,7 +340,7 @@ void MpiBackend::iov_direct(OneSided kind, const Giov& giov, int proc,
   std::vector<std::uint8_t> temp;
   const bool staged = stage_iov_in(kind, giov, at, scale, temp);
   const IovPlan plan = st_->dt_cache.iov_plan(
-      std::move(rdispls),
+      rdispls,
       staged ? std::span<const void* const>() : local_segments(giov, is_get),
       bytes, elem, st_->stats);
   void* origin = staged ? temp.data() : plan.origin;

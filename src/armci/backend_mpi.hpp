@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/armci/backend.hpp"
+#include "src/armci/iov.hpp"
 #include "src/armci/mutex.hpp"
 
 namespace armci {
@@ -100,6 +101,7 @@ class MpiBackend final : public CommBackend {
 
   ProcState* st_;
   QueueingMutexSet user_mutexes_;
+  IovScratch iov_;
 };
 
 }  // namespace armci

@@ -219,11 +219,15 @@ void Mpi3Backend::iov(OneSided kind, std::span<const Giov> vec, int proc,
     // Group segments by owning GMR.
     const auto remote = remote_segments(g, is_get);
     const auto local = local_segments(g, is_get);
-    std::vector<GmrLoc> locs(g.src.size());
+    mpisim::Lease<IovScratch> scratch(iov_);
+    std::vector<GmrLoc>& locs = scratch->locs;
+    locs.clear();
     for (std::size_t i = 0; i < g.src.size(); ++i)
-      locs[i] = st_->table.require(proc, remote[i], g.bytes);
+      locs.push_back(st_->table.require(proc, remote[i], g.bytes));
 
-    for (const auto& idxs : group_by_gmr(locs)) {
+    group_by_gmr(locs, scratch->groups);
+    for (std::size_t k = 0; k < scratch->groups.size(); ++k) {
+      const std::span<const std::size_t> idxs = scratch->groups[k];
       if (direct_path(locs[idxs.front()])) {
         // Same-node IOV: each descriptor segment is a direct copy; the
         // per-segment GmrLoc already carries its displacement.
@@ -232,18 +236,21 @@ void Mpi3Backend::iov(OneSided kind, std::span<const Giov> vec, int proc,
                      scale);
         continue;
       }
-      std::vector<std::ptrdiff_t> rdispls(idxs.size());
-      std::vector<const void*> lsegs(idxs.size());
-      for (std::size_t k = 0; k < idxs.size(); ++k) {
-        rdispls[k] = static_cast<std::ptrdiff_t>(locs[idxs[k]].offset);
-        lsegs[k] = local[idxs[k]];
+      std::vector<std::ptrdiff_t>& rdispls = scratch->rdispls;
+      std::vector<const void*>& lsegs = scratch->lsegs;
+      rdispls.clear();
+      lsegs.clear();
+      for (std::size_t i : idxs) {
+        rdispls.push_back(static_cast<std::ptrdiff_t>(locs[i].offset));
+        lsegs.push_back(local[i]);
       }
-      const IovPlan plan = st_->dt_cache.iov_plan(std::move(rdispls), lsegs,
-                                                  g.bytes, elem, st_->stats);
+      const IovPlan plan = st_->dt_cache.iov_plan(rdispls, lsegs, g.bytes,
+                                                  elem, st_->stats);
       const GmrLoc& l = locs[idxs.front()];
       issue(kind, *l.gmr, l.target_rank, plan.disp, plan.origin, plan.ltype,
             plan.rtype, at, scale);
     }
+    locs.clear();
   }
 }
 

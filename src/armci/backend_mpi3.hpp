@@ -29,6 +29,7 @@
 /// double-locking or deadlock hazard (§V-E1 disappears).
 
 #include "src/armci/backend.hpp"
+#include "src/armci/iov.hpp"
 #include "src/armci/mutex.hpp"
 
 namespace armci {
@@ -105,6 +106,7 @@ class Mpi3Backend final : public CommBackend {
 
   ProcState* st_;
   QueueingMutexSet user_mutexes_;
+  IovScratch iov_;
 };
 
 }  // namespace armci

@@ -6,6 +6,7 @@
 #include "src/armci/accops.hpp"
 #include "src/armci/backend.hpp"
 #include "src/armci/strided.hpp"
+#include "src/mpisim/scratch.hpp"
 
 namespace armci {
 
@@ -15,7 +16,7 @@ constexpr std::uint64_t kTagStrided = 1;
 constexpr std::uint64_t kTagHindexed = 2;
 
 /// Subtract the lowest displacement from every one; returns it.
-std::ptrdiff_t rebase(std::vector<std::ptrdiff_t>& displs) {
+std::ptrdiff_t rebase(std::span<std::ptrdiff_t> displs) {
   const std::ptrdiff_t lo = *std::min_element(displs.begin(), displs.end());
   for (std::ptrdiff_t& d : displs) d -= lo;
   return lo;
@@ -109,25 +110,27 @@ StridedPlan DatatypeCache::strided_plan(OneSided kind, const void* src,
           std::move(rtype), std::move(ltype)};
 }
 
-IovPlan DatatypeCache::iov_plan(std::vector<std::ptrdiff_t> rdispls,
+IovPlan DatatypeCache::iov_plan(std::span<std::ptrdiff_t> rdispls,
                                 std::span<const void* const> locals,
                                 std::size_t seg_bytes, mpisim::BasicType elem,
                                 Stats& stats) {
   const std::size_t n = rdispls.size();
   const std::size_t seg_elems = seg_bytes / mpisim::basic_type_size(elem);
-  const std::vector<std::size_t> blocklens(n, seg_elems);
+  mpisim::Lease<std::vector<std::size_t>> blocklens(blocklens_);
+  blocklens->assign(n, seg_elems);
   const auto disp = static_cast<std::size_t>(rebase(rdispls));
-  mpisim::Datatype rtype = hindexed_type(blocklens, rdispls, elem, stats);
+  mpisim::Datatype rtype = hindexed_type(*blocklens, rdispls, elem, stats);
   if (locals.empty())
     return {disp, std::move(rtype), nullptr,
             mpisim::Datatype::contiguous(n * seg_elems,
                                          mpisim::Datatype::basic(elem))};
-  std::vector<std::ptrdiff_t> ldispls(n);
+  mpisim::Lease<std::vector<std::ptrdiff_t>> ldispls(ldispls_);
+  ldispls->resize(n);
   for (std::size_t i = 0; i < n; ++i)
-    ldispls[i] = reinterpret_cast<std::intptr_t>(locals[i]);
-  void* origin = reinterpret_cast<void*>(rebase(ldispls));
+    (*ldispls)[i] = reinterpret_cast<std::intptr_t>(locals[i]);
+  void* origin = reinterpret_cast<void*>(rebase(*ldispls));
   return {disp, std::move(rtype), origin,
-          hindexed_type(blocklens, ldispls, elem, stats)};
+          hindexed_type(*blocklens, *ldispls, elem, stats)};
 }
 
 }  // namespace armci

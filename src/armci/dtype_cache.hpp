@@ -84,11 +84,12 @@ class DatatypeCache {
                            Stats& stats);
 
   /// Plan a direct transfer of equal \p seg_bytes segments: \p rdispls
-  /// holds each segment's offset in the target slice and \p locals its
-  /// local address. Looks up the remote type, then the local type. An empty
-  /// \p locals means the local side is a packed staging buffer: ltype is
-  /// then a plain contiguous type and nothing more is looked up.
-  IovPlan iov_plan(std::vector<std::ptrdiff_t> rdispls,
+  /// holds each segment's offset in the target slice (rebased in place to
+  /// its lowest) and \p locals its local address. Looks up the remote
+  /// type, then the local type. An empty \p locals means the local side is
+  /// a packed staging buffer: ltype is then a plain contiguous type and
+  /// nothing more is looked up.
+  IovPlan iov_plan(std::span<std::ptrdiff_t> rdispls,
                    std::span<const void* const> locals, std::size_t seg_bytes,
                    mpisim::BasicType elem, Stats& stats);
 
@@ -113,6 +114,10 @@ class DatatypeCache {
   /// The shape being looked up, rebuilt in place by every lookup so its
   /// storage is reused (the cache is per rank, and no lookup nests).
   Key probe_;
+  /// iov_plan's block lengths and rebased local displacements, reused
+  /// through mpisim::Lease.
+  std::vector<std::size_t> blocklens_;
+  std::vector<std::ptrdiff_t> ldispls_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
 };

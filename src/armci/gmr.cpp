@@ -85,20 +85,21 @@ bool GmrTable::overlaps_global(int proc, const void* addr,
   return it->first + size > a;
 }
 
-std::vector<std::vector<std::size_t>> group_by_gmr(
-    const std::vector<GmrLoc>& locs) {
-  std::vector<const Gmr*> keys;
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < locs.size(); ++i) {
-    const auto it = std::find(keys.begin(), keys.end(), locs[i].gmr.get());
-    if (it == keys.end()) {
-      keys.push_back(locs[i].gmr.get());
-      groups.push_back({i});
-    } else {
-      groups[static_cast<std::size_t>(it - keys.begin())].push_back(i);
-    }
+void group_by_gmr(std::span<const GmrLoc> locs, GmrGroups& out) {
+  out.keys.clear();
+  out.group_of.clear();
+  out.index.clear();
+  out.ends.clear();
+  for (const GmrLoc& loc : locs) {
+    const auto it = std::find(out.keys.begin(), out.keys.end(), loc.gmr.get());
+    out.group_of.push_back(static_cast<std::size_t>(it - out.keys.begin()));
+    if (it == out.keys.end()) out.keys.push_back(loc.gmr.get());
   }
-  return groups;
+  for (std::size_t g = 0; g < out.keys.size(); ++g) {
+    for (std::size_t i = 0; i < locs.size(); ++i)
+      if (out.group_of[i] == g) out.index.push_back(i);
+    out.ends.push_back(out.index.size());
+  }
 }
 
 std::vector<std::shared_ptr<Gmr>> GmrTable::all() const {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/armci/groups.hpp"
@@ -74,11 +75,26 @@ struct GmrLoc {
   Locality locality = Locality::remote;
 };
 
-/// Indices into \p locs grouped by GMR, the groups in order of first
-/// appearance. Never ordered by GMR address: that would tie the issue order
-/// to the heap layout.
-std::vector<std::vector<std::size_t>> group_by_gmr(
-    const std::vector<GmrLoc>& locs);
+/// Indices into a GmrLoc list grouped by GMR (group_by_gmr). Reused from
+/// call to call, it allocates nothing once warm.
+struct GmrGroups {
+  std::vector<const Gmr*> keys;       ///< each group's GMR
+  std::vector<std::size_t> group_of;  ///< the group of each loc
+  std::vector<std::size_t> index;     ///< loc indices, group after group
+  std::vector<std::size_t> ends;      ///< where each group ends in index
+
+  std::size_t size() const noexcept { return ends.size(); }
+  /// The loc indices of group \p g, ascending.
+  std::span<const std::size_t> operator[](std::size_t g) const noexcept {
+    const std::size_t begin = g == 0 ? 0 : ends[g - 1];
+    return {index.data() + begin, ends[g] - begin};
+  }
+};
+
+/// Group the indices of \p locs by GMR into \p out, the groups in order of
+/// first appearance. Never ordered by GMR address: that would tie the issue
+/// order to the heap layout.
+void group_by_gmr(std::span<const GmrLoc> locs, GmrGroups& out);
 
 /// Per-process translation table from (absolute proc, address) to GMR.
 class GmrTable {

@@ -2,13 +2,17 @@
 
 #include <cstdint>
 
-#include "src/mpisim/conflict_tree.hpp"
-
 namespace armci {
 
 bool iov_has_overlap(std::span<const void* const> ptrs, std::size_t bytes) {
-  if (bytes == 0) return false;
   mpisim::ConflictTree tree;
+  return iov_has_overlap(ptrs, bytes, tree);
+}
+
+bool iov_has_overlap(std::span<const void* const> ptrs, std::size_t bytes,
+                     mpisim::ConflictTree& tree) {
+  if (bytes == 0) return false;
+  tree.clear();
   for (const void* p : ptrs) {
     const auto lo = reinterpret_cast<std::uintptr_t>(p);
     if (!tree.insert(lo, lo + bytes - 1)) return true;

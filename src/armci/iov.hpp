@@ -12,7 +12,9 @@
 #include <span>
 #include <vector>
 
+#include "src/armci/gmr.hpp"
 #include "src/armci/types.hpp"
+#include "src/mpisim/conflict_tree.hpp"
 
 namespace armci {
 
@@ -40,6 +42,23 @@ inline std::span<const void* const> remote_segments(const Giov& g,
 /// O(N log N) overlap detection over \p n segments of \p bytes bytes each,
 /// using the AVL conflict tree (paper §VI-B).
 bool iov_has_overlap(std::span<const void* const> ptrs, std::size_t bytes);
+
+/// The same check in \p tree, a caller's scratch tree: it is cleared first
+/// and its nodes are reused, so a warm check allocates nothing.
+bool iov_has_overlap(std::span<const void* const> ptrs, std::size_t bytes,
+                     mpisim::ConflictTree& tree);
+
+/// Per-rank scratch of the IOV transfer paths (a backend's, or the nb
+/// engine's), taken through mpisim::Lease so a warm call allocates nothing.
+/// Users clear what they fill; locs hold GMR references, so they are
+/// cleared after use.
+struct IovScratch {
+  std::vector<GmrLoc> locs;             ///< each segment's location
+  GmrGroups groups;                     ///< locs grouped by GMR
+  std::vector<std::ptrdiff_t> rdispls;  ///< remote displacements
+  std::vector<const void*> lsegs;       ///< local addresses of one group
+  mpisim::ConflictTree tree;            ///< the overlap check's tree
+};
 
 /// Naive O(N^2) pairwise scan; ablation baseline for bench_conflict_tree.
 bool iov_has_overlap_naive(std::span<const void* const> ptrs,

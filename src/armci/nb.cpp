@@ -446,15 +446,13 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
   // Resolve every descriptor first; defer all or none so one nb call never
   // splits between deferred and eager halves. Nothing is looked up in the
   // datatype cache until all of them qualify, so an op that goes eager
-  // leaves the cache as its blocking call would.
-  struct Plan {
-    const Giov* g;
-    GmrLoc loc;
-    std::vector<std::ptrdiff_t> rdispls;
-    std::uintptr_t l_lo = 0, l_hi = 0;
-  };
-  std::vector<Plan> plans;
-  plans.reserve(vec.size());
+  // leaves the cache as its blocking call would. The descriptors' remote
+  // displacements follow one another in the scratch rdispls.
+  mpisim::Lease<std::vector<IovDeferral>> plans(iov_deferrals_);
+  mpisim::Lease<IovScratch> scratch(iov_);
+  std::vector<std::ptrdiff_t>& rdispls = scratch->rdispls;
+  plans->clear();
+  rdispls.clear();
 
   for (const Giov& g : vec) {
     if (g.src.size() != g.dst.size()) return false;  // eager path diagnoses
@@ -463,11 +461,12 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
     // The single hindexed op per side is erroneous if the *written* side
     // self-overlaps (same rule as the §VI-B direct method); the written
     // side is dst for every direction.
-    if (iov_has_overlap(as_const_span(g.dst), g.bytes)) return false;
+    if (iov_has_overlap(as_const_span(g.dst), g.bytes, scratch->tree))
+      return false;
 
     // Resolve the remote side; all segments must land in one GMR.
     const std::size_t n = g.src.size();
-    std::vector<std::ptrdiff_t> rdispls(n);
+    const std::size_t first = rdispls.size();
     GmrLoc loc0;
     const auto remote = remote_segments(g, is_get);
     for (std::size_t i = 0; i < n; ++i) {
@@ -477,7 +476,7 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
         loc0 = l;
       else if (l.gmr.get() != loc0.gmr.get())
         return false;
-      rdispls[i] = static_cast<std::ptrdiff_t>(l.offset);
+      rdispls.push_back(static_cast<std::ptrdiff_t>(l.offset));
     }
     // Direct-path targets (same GMR for every segment, so one check) go
     // eager: the backend copies each segment through shared memory.
@@ -490,13 +489,13 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
     const std::uintptr_t l_lo = lo_of(*lo);
     const std::uintptr_t l_hi = lo_of(*hi) + g.bytes - 1;
     if (local_needs_staging(st, *lo, l_hi - l_lo + 1)) return false;
-    plans.push_back({&g, std::move(loc0), std::move(rdispls), l_lo, l_hi});
+    plans->push_back({&g, std::move(loc0), first, l_lo, l_hi});
   }
 
-  for (Plan& p : plans) {
-    IovPlan iov = st.dt_cache.iov_plan(std::move(p.rdispls),
-                                       local_segments(*p.g, is_get),
-                                       p.g->bytes, elem, st.stats);
+  for (const IovDeferral& p : *plans) {
+    IovPlan iov = st.dt_cache.iov_plan(
+        std::span(rdispls).subspan(p.first, p.g->src.size()),
+        local_segments(*p.g, is_get), p.g->bytes, elem, st.stats);
     NbOp op;
     op.kind = kind;
     op.at = at;
@@ -512,6 +511,7 @@ bool NbEngine::try_defer_iov(ProcState& st, OneSided kind,
                 p.l_lo, p.l_hi);
     RequestAccess::add_ticket(req, p.loc.gmr->id, proc, seq);
   }
+  plans->clear();  // drop the GMR references
   return true;
 }
 

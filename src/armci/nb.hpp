@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "src/armci/gmr.hpp"
+#include "src/armci/iov.hpp"
 #include "src/armci/types.hpp"
 #include "src/mpisim/datatype.hpp"
 #include "src/mpisim/interval_set.hpp"
@@ -276,6 +277,17 @@ class NbEngine {
   std::vector<NbQueue*> group_;
   std::vector<mpisim::IntervalSet::Range> lsegs_;
   std::vector<CallbackRec> ready_;
+
+  /// One IOV descriptor try_defer_iov resolved: its GMR location, where its
+  /// remote displacements start in the scratch rdispls, and its local span.
+  struct IovDeferral {
+    const Giov* g;
+    GmrLoc loc;
+    std::size_t first;
+    std::uintptr_t l_lo, l_hi;
+  };
+  std::vector<IovDeferral> iov_deferrals_;
+  IovScratch iov_;
 };
 
 /// Runtime-internal accessor for Request's ticket list.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "src/mpisim/error.hpp"
@@ -60,6 +61,7 @@ void RmaChecker::Sets::clear() noexcept {
   reads.clear();
   writes.clear();
   for (IntervalSet& set : accs) set.clear();
+  begin = 0;
   end = 0;
 }
 
@@ -69,29 +71,26 @@ std::size_t RmaChecker::Sets::capacity() const noexcept {
   return n;
 }
 
-RmaChecker::Sets RmaChecker::take_sets() {
-  if (spare_sets_.empty()) return {};
-  Sets sets = std::move(spare_sets_.back());
-  spare_sets_.pop_back();
-  return sets;
-}
-
-void RmaChecker::recycle(Sets&& sets) {
-  if (sets.capacity() > kMaxSpareRanges) return;
-  sets.clear();
-  spare_sets_.push_back(std::move(sets));
+void RmaChecker::retire(EpochRec& ep) {
+  ep.ghosts.clear();
+  ep.pending.clear();
+  if (ep.sets.capacity() > kMaxSpareRanges)
+    ep.sets = Sets();
+  else
+    ep.sets.clear();
 }
 
 void RmaChecker::epoch_opened(std::uint64_t win, int target, int origin,
                               bool exclusive, bool mpi3) {
   if (!enabled()) return;
-  EpochRec ep;
+  EpochRec& ep =
+      epoch_nodes_.acquire(wins_[win].targets[target].open, origin);
+  retire(ep);  // a no-op on a node that erase() retired
   ep.id = next_epoch_id_++;
   ep.origin = origin;
   ep.exclusive = exclusive;
   ep.mpi3 = mpi3;
-  ep.sets = take_sets();
-  epoch_nodes_.put(wins_[win].targets[target].open, origin, std::move(ep));
+  ep.scope = nullptr;
 }
 
 void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
@@ -100,21 +99,20 @@ void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
   if (wit == wins_.end()) return;
   auto tit = wit->second.targets.find(target);
   if (tit == wit->second.targets.end()) return;
-  auto eit = tit->second.open.find(origin);
-  if (eit == tit->second.open.end()) return;
+  EpochMap& open = tit->second.open;
+  auto eit = open.find(origin);
+  if (eit == open.end()) return;
+  EpochRec& ep = eit->second;
 
-  EpochRec ep = std::move(eit->second);
-  epoch_nodes_.erase(tit->second.open, eit);
-
-  // Hand this epoch's access summary to every epoch still open on the
+  // Hand this epoch's access summary to every other epoch still open on the
   // target: those epochs were concurrent with it, and MPI-2 makes the
   // conflicting pair erroneous no matter which side's accesses landed
   // first. Epochs opened later never see this ghost, which is what keeps
   // properly serialized (lock-ordered) reuse of the same bytes legal.
-  std::shared_ptr<Ghost> g;
   if (!ep.mpi3 && !ep.sets.empty()) {
-    for (auto& [orank, oe] : tit->second.open) {
-      if (oe.mpi3) continue;
+    std::shared_ptr<Ghost> g;
+    for (auto& [orank, oe] : open) {
+      if (orank == origin || oe.mpi3) continue;
       if (g == nullptr) {
         g = std::make_shared<Ghost>();
         g->epoch_id = ep.id;
@@ -126,8 +124,9 @@ void RmaChecker::epoch_closing(std::uint64_t win, int target, int origin) {
       oe.ghosts.push_back(g);
     }
   }
-  if (g == nullptr) recycle(std::move(ep.sets));
-  report(ep.pending);
+  std::vector<Violation> pending = std::move(ep.pending);
+  epoch_nodes_.erase(open, eit, retire);
+  report(pending);
 }
 
 void RmaChecker::epoch_flushed(std::uint64_t win, int target, int origin) {
@@ -156,8 +155,7 @@ void RmaChecker::epoch_abandoned(std::uint64_t win, int target, int origin) {
   if (tit == wit->second.targets.end()) return;
   auto eit = tit->second.open.find(origin);
   if (eit == tit->second.open.end()) return;
-  recycle(std::move(eit->second.sets));
-  epoch_nodes_.erase(tit->second.open, eit);
+  epoch_nodes_.erase(tit->second.open, eit, retire);
 }
 
 void RmaChecker::window_freed(std::uint64_t win) { wins_.erase(win); }
@@ -165,7 +163,7 @@ void RmaChecker::window_freed(std::uint64_t win) { wins_.erase(win); }
 bool RmaChecker::conflict_with(const Sets& s, OpKind kind, Op op,
                                std::uintptr_t lo, std::uintptr_t hi,
                                Hit* hit) {
-  if (lo >= s.end) return false;
+  if (!s.meets(lo, hi)) return false;
   std::uintptr_t olo = 0;
   std::uintptr_t ohi = 0;
   // MPI-2 access rules: get conflicts with writes and accumulates; put with
@@ -276,21 +274,87 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
                                  : sets.accs[static_cast<std::size_t>(op)];
   };
 
-  // Visit the segments in ascending offset order, so each one is recorded
-  // into op_sets_ (this operation's coverage so far) by an append or a
-  // merge with the last range; the operation then joins the epoch's
-  // coverage in one merge. A gather's or an IOV's target segments come in
-  // the caller's order.
-  const auto by_offset = [](const Segment& a, const Segment& b) {
-    return a.offset < b.offset;
-  };
-  std::vector<Segment> sorted;
-  if (!std::is_sorted(segs.begin(), segs.end(), by_offset)) {
-    sorted.assign(segs.begin(), segs.end());
-    std::sort(sorted.begin(), sorted.end(), by_offset);
-    segs = sorted;
+  // One pass finds the operation's hull [hull_lo, hull_hi) and whether its
+  // nonempty segments ascend without overlapping (they may touch: such
+  // ranges stay separate). Offsets lie in the target's slice, so they are
+  // not negative.
+  bool sorted = true;
+  bool ascending = true;
+  std::ptrdiff_t prev_offset = std::numeric_limits<std::ptrdiff_t>::min();
+  std::ptrdiff_t hull_lo = std::numeric_limits<std::ptrdiff_t>::max();
+  std::ptrdiff_t hull_hi = 0;
+  for (const Segment& seg : segs) {
+    sorted = sorted && seg.offset >= prev_offset;
+    prev_offset = seg.offset;
+    const std::ptrdiff_t lo = disp + seg.offset;
+    const std::ptrdiff_t hi = lo + static_cast<std::ptrdiff_t>(seg.length);
+    if (lo >= hi) continue;
+    ascending = ascending && lo >= hull_hi;
+    hull_lo = std::min(hull_lo, lo);
+    hull_hi = std::max(hull_hi, hi);
   }
-  IntervalSet& mine = set_of(op_sets_);
+  if (hull_lo >= hull_hi) return;  // no byte to record
+  // Visit overlapping segments in ascending offset order. A gather's or an
+  // IOV's target segments come in the caller's order.
+  if (!ascending && !sorted) {
+    sorted_.assign(segs.begin(), segs.end());
+    std::sort(sorted_.begin(), sorted_.end(),
+              [](const Segment& a, const Segment& b) {
+                return a.offset < b.offset;
+              });
+    segs = sorted_;
+  }
+  const auto ulo_hull = static_cast<std::uintptr_t>(hull_lo);
+  const auto uhi_hull = static_cast<std::uintptr_t>(hull_hi) - 1;
+
+  // Select, once for the operation, the coverage its hull meets; no other
+  // recorded byte can conflict with any of its segments. Epoch-vs-epoch
+  // rules apply to MPI-2 lock epochs only: under an MPI-3 lock_all epoch
+  // conflicting operations have undefined values but are not erroneous.
+  // The op is still recorded below so a concurrent direct shared-memory
+  // access (shm_begin) can be checked against it.
+  const bool check_epoch = !ep.mpi3 && ep.sets.meets(ulo_hull, uhi_hull);
+  // Only overlapping segments can conflict with the operation's own
+  // earlier ones, which it then stages in op_sets_.
+  const bool check_self = !ep.mpi3 && !ascending;
+  near_epochs_.clear();
+  near_ghosts_.clear();
+  if (!ep.mpi3) {
+    for (const auto& [orank, oe] : tr.open)
+      if (orank != origin && !oe.mpi3 && oe.sets.meets(ulo_hull, uhi_hull))
+        near_epochs_.push_back(&oe);
+    for (const auto& g : ep.ghosts)
+      if (g->sets.meets(ulo_hull, uhi_hull)) near_ghosts_.push_back(g.get());
+  }
+  // Direct accesses to the target's exposed memory. A get conflicts only
+  // with a direct store; put/accumulate write the bytes, so a direct load
+  // conflicts too (get_accumulate with no_op is a pure fetch). An MPI-3
+  // epoch only checks shared-memory records: plain local access under the
+  // unified memory model is legal after a flush (the backend's
+  // discipline), while a same-node direct access has no such ordering
+  // against in-flight RMA from third ranks. The shm accumulate path is
+  // element-atomic with RMA accumulates (both apply under the runtime's
+  // accumulate atomicity), so only the MPI acc-mixing rule makes it a
+  // conflict: an incompatible operator, or a non-accumulate access.
+  near_locals_.clear();
+  for (const auto& [lkey, lrec] : tr.locals) {
+    if (lrec.covered) continue;
+    if (ep.mpi3 && !lrec.shm) continue;
+    if (lrec.shm && lrec.accessor == origin) continue;  // its own access
+    if (lrec.hi <= hull_lo || hull_hi <= lrec.lo) continue;
+    if (!lrec.write && !writes_target) continue;
+    if (lrec.acc && acc_class && acc_ops_compatible(op, lrec.op)) continue;
+    near_locals_.push_back(&lrec);
+  }
+
+  // An operation above everything its epoch recorded, with no segment
+  // overlapping another, is appended to the epoch's coverage as it goes.
+  // Any other is staged in op_sets_ and joins it in one merge.
+  const bool staged = !ascending || ulo_hull < ep.sets.end;
+  IntervalSet& into = set_of(staged ? op_sets_ : ep.sets);
+  op_sets_.extend(ulo_hull, uhi_hull);  // so check_self queries reach it
+  const bool check_any = check_epoch || check_self || !near_epochs_.empty() ||
+                         !near_ghosts_.empty() || !near_locals_.empty();
 
   for (const Segment& seg : segs) {
     const std::ptrdiff_t lo = disp + seg.offset;
@@ -298,44 +362,35 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
     if (lo >= hi) continue;
     const auto ulo = static_cast<std::uintptr_t>(lo);
     const auto uhi = static_cast<std::uintptr_t>(hi) - 1;
-    // Diagnostics are built only on the (rare) conflict path.
-    const auto what = [&] {
-      const char* kind_str = kind == OpKind::put   ? "put"
-                             : kind == OpKind::get ? "get"
-                             : kind == OpKind::acc ? "accumulate"
-                                                   : "get_accumulate";
-      return std::string(kind_str) + " on " + byte_range(lo, hi) +
-             " of rank " + std::to_string(target) + " (win " +
-             std::to_string(win) + ", epoch #" + std::to_string(ep.id) +
-             " by origin " + std::to_string(origin) + scope_suffix(scope) +
-             ")";
-    };
-
-    Hit hit;
-    // Epoch-vs-epoch rules apply to MPI-2 lock epochs only: under an MPI-3
-    // lock_all epoch conflicting operations have undefined values but are
-    // not erroneous. The op is still recorded below so a concurrent direct
-    // shared-memory access (shm_begin) can be checked against it.
-    if (!ep.mpi3) {
-      // The operation's earlier segments are recorded in op_sets_.
-      if (conflict_with(ep.sets, kind, op, ulo, uhi, &hit) ||
-          conflict_with(op_sets_, kind, op, ulo, uhi, &hit))
+    if (check_any) {
+      // Diagnostics are built only on the (rare) conflict path.
+      const auto what = [&] {
+        const char* kind_str = kind == OpKind::put   ? "put"
+                               : kind == OpKind::get ? "get"
+                               : kind == OpKind::acc ? "accumulate"
+                                                     : "get_accumulate";
+        return std::string(kind_str) + " on " + byte_range(lo, hi) +
+               " of rank " + std::to_string(target) + " (win " +
+               std::to_string(win) + ", epoch #" + std::to_string(ep.id) +
+               " by origin " + std::to_string(origin) + scope_suffix(scope) +
+               ")";
+      };
+      Hit hit;
+      if ((check_epoch && conflict_with(ep.sets, kind, op, ulo, uhi, &hit)) ||
+          (check_self && conflict_with(op_sets_, kind, op, ulo, uhi, &hit)))
         flag(ep.pending, classify(kind, hit, /*same_origin=*/true, false),
              world_origin,
              what() + " conflicts with " + describe_hit(hit) +
                  " recorded earlier in the same epoch");
-
-      for (auto& [orank, oe] : tr.open) {
-        if (orank == origin || oe.mpi3) continue;
-        if (conflict_with(oe.sets, kind, op, ulo, uhi, &hit))
+      for (const EpochRec* oe : near_epochs_) {
+        if (conflict_with(oe->sets, kind, op, ulo, uhi, &hit))
           flag(ep.pending, classify(kind, hit, false, false), world_origin,
                what() + " conflicts with " + describe_hit(hit) +
-                   " by concurrent epoch #" + std::to_string(oe.id) +
-                   " of origin " + std::to_string(orank) +
-                   scope_suffix(oe.scope));
+                   " by concurrent epoch #" + std::to_string(oe->id) +
+                   " of origin " + std::to_string(oe->origin) +
+                   scope_suffix(oe->scope));
       }
-
-      for (const auto& g : ep.ghosts) {
+      for (const Ghost* g : near_ghosts_) {
         if (conflict_with(g->sets, kind, op, ulo, uhi, &hit))
           flag(ep.pending, classify(kind, hit, false, false), world_origin,
                what() + " conflicts with " + describe_hit(hit) +
@@ -343,45 +398,28 @@ void RmaChecker::record_op(std::uint64_t win, int target, int origin,
                    std::to_string(g->epoch_id) + " of origin " +
                    std::to_string(g->origin) + scope_suffix(g->scope));
       }
+      for (const LocalRec* lrec : near_locals_) {
+        if (lrec->hi <= lo || hi <= lrec->lo) continue;
+        flag(ep.pending, RmaViolation::local, world_origin,
+             what() + " conflicts with a " + describe_direct(*lrec) +
+                 (lrec->shm ? " by rank " + std::to_string(lrec->accessor)
+                            : "") +
+                 " on rank " + std::to_string(target) +
+                 scope_suffix(lrec->scope));
+      }
     }
-
-    // Direct accesses to the target's exposed memory. A get conflicts only
-    // with a direct store; put/accumulate write the bytes, so a direct load
-    // conflicts too (get_accumulate with no_op is a pure fetch). An MPI-3
-    // epoch only checks shared-memory records: plain local access under the
-    // unified memory model is legal after a flush (the backend's
-    // discipline), while a same-node direct access has no such ordering
-    // against in-flight RMA from third ranks.
-    for (auto& [lkey, lrec] : tr.locals) {
-      if (lrec.covered) continue;
-      if (ep.mpi3 && !lrec.shm) continue;
-      if (lrec.shm && lrec.accessor == origin) continue;  // its own access
-      if (lrec.hi <= lo || hi <= lrec.lo) continue;
-      if (!lrec.write && !writes_target) continue;
-      // The shm accumulate path is element-atomic with RMA accumulates (both
-      // apply under the runtime's accumulate atomicity), so only the MPI
-      // acc-mixing rule makes it a conflict: an incompatible operator, or a
-      // non-accumulate access.
-      if (lrec.acc && acc_class && acc_ops_compatible(op, lrec.op)) continue;
-      flag(ep.pending, RmaViolation::local, world_origin,
-           what() + " conflicts with a " + describe_direct(lrec) +
-               (lrec.shm ? " by rank " + std::to_string(lrec.accessor) : "") +
-               " on rank " + std::to_string(target) +
-               scope_suffix(lrec.scope));
-    }
-
-    mine.insert_merge(ulo, uhi);
-    op_sets_.end = std::max(op_sets_.end, uhi + 1);
+    into.insert_merge(ulo, uhi);
+  }  if (staged) {
+    set_of(ep.sets).insert_merge(into.ranges());
+    // Only `into` was written; drop it outright after a large operation.
+    if (into.ranges().capacity() > kMaxSpareRanges)
+      into = IntervalSet();
+    else
+      into.clear();
   }
-
-  set_of(ep.sets).insert_merge(mine.ranges());
-  ep.sets.end = std::max(ep.sets.end, op_sets_.end);
-  // Only `mine` was written; drop it outright after a large operation.
-  if (mine.ranges().capacity() > kMaxSpareRanges)
-    mine = IntervalSet();
-  else
-    mine.clear();
+  op_sets_.begin = 0;
   op_sets_.end = 0;
+  ep.sets.extend(ulo_hull, uhi_hull);
 }
 
 void RmaChecker::check_direct(std::uint64_t win, int target, TargetRec& tr,

@@ -29,10 +29,11 @@
 ///  - lock-discipline misuse (counted here; the window layer raises the
 ///    classified Errc).
 ///
-/// Per-epoch coverage lives in flat sorted-range sets (interval_set.hpp).
-/// An operation's segments are recorded in offset order whatever order its
-/// datatype lists them in, and a closed or flushed epoch's storage is kept
-/// for the next epoch, so steady-state recording allocates nothing.
+/// Per-epoch coverage lives in flat sorted-range sets (interval_set.hpp),
+/// each with the extent it covers. An operation first selects, from those
+/// extents, the coverage its own extent meets; its segments are checked
+/// against that alone. A closed or flushed epoch's storage is kept for the
+/// next epoch, so steady-state recording allocates nothing.
 ///
 /// One knob, Config::rma_check (or MPISIM_RMA_CHECK), selects how violations
 /// are reported; they become structured diagnostics reported when the access
@@ -45,6 +46,7 @@
 /// Epochs opened by lock_all() follow MPI-3 semantics (conflicting accesses
 /// have undefined *values* but are not erroneous) and are not tracked.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -155,12 +157,18 @@ class RmaChecker {
   /// epoch, concurrent epochs, closed concurrent epochs' summaries, and
   /// open local accesses *before* recording it, so an operation whose
   /// datatype touches the same bytes twice conflicts with itself. Segments
-  /// are visited in ascending offset (a sorted copy when \p segs is not):
-  /// O(M log M) for M segments in any order, plus one O(N + M) merge into
-  /// the epoch's N recorded ranges. \p origin
-  /// is the window-communicator rank, \p world_origin the world rank
-  /// (counter attribution), \p scope the origin's innermost open trace
-  /// scope (may be null when tracing is off).
+  /// are visited in ascending offset (sorted into a reused buffer when
+  /// \p segs is not). Once per operation, the hull of its segments picks
+  /// the coverage whose extent it meets; only that is queried per segment,
+  /// so a segment costs O(1) when the hull meets nothing and O(log N) per
+  /// selected set of N ranges otherwise. Segments that ascend without
+  /// overlapping, at or above everything the epoch recorded, are appended
+  /// to the epoch's set as they are checked: O(M) for M segments. Any other
+  /// operation is staged and joins the epoch in one O(N + M) merge, after
+  /// an O(M log M) sort when unsorted. \p origin is the window-communicator
+  /// rank, \p world_origin the world rank (counter attribution), \p scope
+  /// the origin's innermost open trace scope (may be null when tracing is
+  /// off).
   void record_op(std::uint64_t win, int target, int origin, int world_origin,
                  OpKind kind, Op op, std::ptrdiff_t disp,
                  std::span<const Segment> segs, const char* scope);
@@ -213,17 +221,27 @@ class RmaChecker {
 
  private:
   /// Per-epoch (or per-ghost) recorded coverage. clear() keeps the
-  /// storage, so a recycled Sets (spare_sets_) records without allocating.
+  /// storage, so an epoch record reused from epoch_nodes_ records without
+  /// allocating.
   struct Sets {
     IntervalSet reads;
     IntervalSet writes;
     std::array<IntervalSet, kOpCount> accs;  ///< indexed by Op
-    /// One past the highest recorded byte (0 when empty): an access at or
-    /// above it conflicts with nothing here, which makes the usual
-    /// ascending recording O(1) per segment.
+    /// The lowest recorded byte, and one past the highest (0 when empty):
+    /// an access outside [begin, end) conflicts with nothing here.
+    std::uintptr_t begin = 0;
     std::uintptr_t end = 0;
 
     bool empty() const noexcept { return end == 0; }
+    /// True when inclusive [lo, hi] meets the recorded extent.
+    bool meets(std::uintptr_t lo, std::uintptr_t hi) const noexcept {
+      return lo < end && hi >= begin;
+    }
+    /// Widen the extent by inclusive [lo, hi].
+    void extend(std::uintptr_t lo, std::uintptr_t hi) noexcept {
+      begin = empty() ? lo : std::min(begin, lo);
+      end = std::max(end, hi + 1);
+    }
     void clear() noexcept;
     /// Ranges the storage holds without reallocating, over all the sets.
     std::size_t capacity() const noexcept;
@@ -323,26 +341,30 @@ class RmaChecker {
   /// warn: print and clear; abort: print, clear and raise Errc::rma_conflict.
   void report(std::vector<Violation>& pending);
 
-  /// A cleared Sets for a new epoch, from spare_sets_ when one is there.
-  Sets take_sets();
-
-  /// Clear \p sets and keep them in spare_sets_ for take_sets(), unless
-  /// they grew past kMaxSpareRanges (one large scatter must not pin its
-  /// peak storage for the rest of the run). Sets a ghost took are not
-  /// returned: they die with the last epoch that was concurrent with them.
-  void recycle(Sets&& sets);
+  /// Ready a closed epoch's record, left in its pooled map node, for the
+  /// next epoch: drop its ghosts and violations, and clear its coverage,
+  /// keeping the storage unless it grew past kMaxSpareRanges (one large
+  /// scatter must not pin its peak storage for the rest of the run). Sets
+  /// a ghost took are not kept: they die with the last epoch that was
+  /// concurrent with them.
+  static void retire(EpochRec& ep);
 
   static constexpr std::size_t kMaxSpareRanges = 1024;
 
   RmaCheck mode_;
   std::uint64_t next_epoch_id_ = 1;
   std::map<std::uint64_t, WinRec> wins_;
-  std::vector<Sets> spare_sets_;
-  /// Map nodes of closed epochs, reused by epoch_opened so a warm epoch
-  /// record allocates nothing.
+  /// Map nodes of closed epochs with their coverage storage, reused by
+  /// epoch_opened so a warm epoch record allocates nothing.
   NodePool<EpochMap> epoch_nodes_;
-  /// Coverage of the operation record_op is recording; empty between calls.
+  // record_op scratch, empty between calls: the operation's staged
+  // coverage, its segments in offset order when they came unsorted, and
+  // the coverage its hull meets.
   Sets op_sets_;
+  std::vector<Segment> sorted_;
+  std::vector<const EpochRec*> near_epochs_;
+  std::vector<const Ghost*> near_ghosts_;
+  std::vector<const LocalRec*> near_locals_;
   std::vector<PerRankCounts> per_rank_;
 };
 

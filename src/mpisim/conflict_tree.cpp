@@ -62,16 +62,22 @@ Node* rebalance(Node* n) noexcept {
 
 /// Merged check-and-insert (paper §VI-B): descend comparing against each
 /// node; a new range that neither lies wholly below nor wholly above the
-/// node's range overlaps it, and the insertion fails.
-Node* insert_node(Node* n, std::uintptr_t lo, std::uintptr_t hi, bool& ok) {
+/// node's range overlaps it, and the insertion fails. A new node comes from
+/// \p spare (kept by clear(), chained through left) when it has one.
+Node* insert_node(Node* n, std::uintptr_t lo, std::uintptr_t hi, bool& ok,
+                  Node*& spare) {
   if (n == nullptr) {
     ok = true;
-    return new Node{lo, hi};
+    if (spare == nullptr) return new Node{lo, hi};
+    Node* fresh = spare;
+    spare = fresh->left;
+    *fresh = Node{lo, hi};
+    return fresh;
   }
   if (hi < n->lo) {
-    n->left = insert_node(n->left, lo, hi, ok);
+    n->left = insert_node(n->left, lo, hi, ok, spare);
   } else if (lo > n->hi) {
-    n->right = insert_node(n->right, lo, hi, ok);
+    n->right = insert_node(n->right, lo, hi, ok, spare);
   } else {
     // lo or hi falls inside [n->lo, n->hi], or the new range encloses it.
     ok = false;
@@ -129,6 +135,24 @@ void destroy(Node* n) noexcept {
   delete n;
 }
 
+/// Chain every node of the subtree \p n onto \p spare, through left.
+void release(Node* n, Node*& spare) noexcept {
+  if (n == nullptr) return;
+  release(n->left, spare);
+  release(n->right, spare);
+  n->left = spare;
+  spare = n;
+}
+
+/// Delete a spare chain; a loop, since the chain may be long.
+void destroy_chain(Node* n) noexcept {
+  while (n != nullptr) {
+    Node* next = n->left;
+    delete n;
+    n = next;
+  }
+}
+
 bool check_node(const Node* n, std::uintptr_t lo_bound, std::uintptr_t hi_bound,
                 bool has_lo, bool has_hi) {
   if (n == nullptr) return true;
@@ -144,20 +168,27 @@ bool check_node(const Node* n, std::uintptr_t lo_bound, std::uintptr_t hi_bound,
 
 }  // namespace
 
-ConflictTree::~ConflictTree() { destroy(root_); }
+ConflictTree::~ConflictTree() {
+  destroy(root_);
+  destroy_chain(spare_);
+}
 
 ConflictTree::ConflictTree(ConflictTree&& other) noexcept
-    : root_(other.root_), size_(other.size_) {
+    : root_(other.root_), spare_(other.spare_), size_(other.size_) {
   other.root_ = nullptr;
+  other.spare_ = nullptr;
   other.size_ = 0;
 }
 
 ConflictTree& ConflictTree::operator=(ConflictTree&& other) noexcept {
   if (this != &other) {
     destroy(root_);
+    destroy_chain(spare_);
     root_ = other.root_;
+    spare_ = other.spare_;
     size_ = other.size_;
     other.root_ = nullptr;
+    other.spare_ = nullptr;
     other.size_ = 0;
   }
   return *this;
@@ -166,7 +197,7 @@ ConflictTree& ConflictTree::operator=(ConflictTree&& other) noexcept {
 bool ConflictTree::insert(std::uintptr_t lo, std::uintptr_t hi) {
   if (lo > hi) return false;
   bool ok = false;
-  root_ = insert_node(root_, lo, hi, ok);
+  root_ = insert_node(root_, lo, hi, ok, spare_);
   if (ok) ++size_;
   return ok;
 }
@@ -188,7 +219,7 @@ void ConflictTree::insert_coalesce(std::uintptr_t lo, std::uintptr_t hi) {
     if (removed) --size_;
   }
   bool ok = false;
-  root_ = insert_node(root_, lo, hi, ok);
+  root_ = insert_node(root_, lo, hi, ok, spare_);
   if (ok) ++size_;
 }
 
@@ -226,7 +257,7 @@ bool ConflictTree::overlapping(std::uintptr_t lo, std::uintptr_t hi,
 }
 
 void ConflictTree::clear() noexcept {
-  destroy(root_);
+  release(root_, spare_);
   root_ = nullptr;
   size_ = 0;
 }

@@ -86,7 +86,8 @@ class ConflictTree {
 
   bool empty() const noexcept { return size_ == 0; }
 
-  /// Remove all ranges.
+  /// Remove all ranges, keeping their nodes for later inserts: a tree
+  /// reused as scratch allocates nothing once it has held its largest set.
   void clear() noexcept;
 
   /// Tree height (diagnostics; AVL guarantees O(log N)).
@@ -97,6 +98,7 @@ class ConflictTree {
 
  private:
   detail::CtNode* root_ = nullptr;
+  detail::CtNode* spare_ = nullptr;  ///< nodes clear() kept, chained by left
   std::size_t size_ = 0;
 };
 

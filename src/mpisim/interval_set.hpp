@@ -42,22 +42,15 @@ class IntervalSet {
   /// by their union. Never fails; lo > hi is ignored.
   void insert_merge(std::uintptr_t lo, std::uintptr_t hi) {
     if (lo > hi) return;
-    if (v_.empty() || lo > v_.back().hi) {
-      v_.push_back({lo, hi});
+    if (!v_.empty() && lo <= v_.back().hi) {
+      merge_inside(lo, hi);
       return;
     }
-    const auto first = first_ending_at_or_after(v_.begin(), v_.end(), lo);
-    if (first->lo > hi) {
-      v_.insert(first, {lo, hi});
-      return;
-    }
-    // [first, last) overlap [lo, hi]: fold them into *first.
-    const auto last = std::upper_bound(
-        first, v_.end(), hi,
-        [](std::uintptr_t h, const Range& r) { return h < r.lo; });
-    first->lo = std::min(first->lo, lo);
-    first->hi = std::max((last - 1)->hi, hi);
-    v_.erase(first + 1, last);
+    // Two scalar stores: a Range temporary copied in one 16-byte move
+    // stalls on store forwarding once this append is inlined.
+    Range& r = v_.emplace_back();
+    r.lo = lo;
+    r.hi = hi;
   }
 
   /// Insert every range of \p rs, which must be sorted by lo (they may
@@ -120,6 +113,23 @@ class IntervalSet {
   void clear() noexcept { v_.clear(); }
 
  private:
+  /// insert_merge of [lo, hi] when it does not lie above every stored
+  /// range (kept apart, so the common append stays small).
+  void merge_inside(std::uintptr_t lo, std::uintptr_t hi) {
+    const auto first = first_ending_at_or_after(v_.begin(), v_.end(), lo);
+    if (first->lo > hi) {
+      v_.insert(first, {lo, hi});
+      return;
+    }
+    // [first, last) overlap [lo, hi]: fold them into *first.
+    const auto last = std::upper_bound(
+        first, v_.end(), hi,
+        [](std::uintptr_t h, const Range& r) { return h < r.lo; });
+    first->lo = std::min(first->lo, lo);
+    first->hi = std::max((last - 1)->hi, hi);
+    v_.erase(first + 1, last);
+  }
+
   /// Stored ranges are disjoint and sorted, so their hi bounds ascend too:
   /// the first range with hi >= lo is the lowest one that can overlap.
   template <class It>

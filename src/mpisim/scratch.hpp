@@ -48,27 +48,29 @@ class Lease {
 template <typename Map>
 class NodePool {
  public:
-  /// Insert (or overwrite) \p key -> \p value, in a spare node if one is
-  /// kept.
-  void put(Map& map, const typename Map::key_type& key,
-           typename Map::mapped_type value) {
-    if (auto it = map.find(key); it != map.end()) {
-      it->second = std::move(value);
-    } else if (spare_.empty()) {
-      map.emplace(key, std::move(value));
-    } else {
-      typename Map::node_type node = std::move(spare_.back());
-      spare_.pop_back();
-      node.key() = key;
-      node.mapped() = std::move(value);
-      map.insert(std::move(node));
-    }
+  /// The value at \p key. A missing entry is inserted, in a spare node
+  /// when one is kept: its value is then as erase() left it.
+  typename Map::mapped_type& acquire(Map& map,
+                                     const typename Map::key_type& key) {
+    if (auto it = map.find(key); it != map.end()) return it->second;
+    if (spare_.empty()) return map.try_emplace(key).first->second;
+    typename Map::node_type node = std::move(spare_.back());
+    spare_.pop_back();
+    node.key() = key;
+    return map.insert(std::move(node)).position->second;
   }
 
-  /// Erase the entry at \p it, keeping its node (its value reset).
-  void erase(Map& map, typename Map::iterator it) {
+  /// Erase the entry at \p it, keeping its node; \p reset readies the
+  /// value for its next acquire() (it may keep storage worth reusing).
+  template <typename Reset>
+  void erase(Map& map, typename Map::iterator it, Reset&& reset) {
     spare_.push_back(map.extract(it));
-    spare_.back().mapped() = {};
+    reset(spare_.back().mapped());
+  }
+
+  /// Erase the entry at \p it, keeping its node (its value reset to {}).
+  void erase(Map& map, typename Map::iterator it) {
+    erase(map, it, [](typename Map::mapped_type& v) { v = {}; });
   }
 
  private:

@@ -233,7 +233,7 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
     } else {
       if (has_exclusive) return;
     }
-    w.epoch_nodes.put(ts.open, origin, Epoch{type, 0});
+    w.epoch_nodes.acquire(ts.open, origin) = Epoch{type, 0};
     record_epoch_open(
         core, w, target, origin, type == LockType::exclusive,
         w.locked_target[static_cast<std::size_t>(origin)] == kLockAll);

@@ -4,10 +4,12 @@
 // strides, a reused intersect buffer and strided descriptor), not in ARMCI
 // (engine scratch, tickets inside the request, the datatype cache's reused
 // key) and not in mpisim (reused segment lists, shared basic types, reused
-// epoch and registration records). 4 ranks on InfiniBand over ARMCI-MPI,
-// RMA checker on. This binary replaces the global operator new/delete
-// (forwarding to malloc/free) to count blocks, so it is kept apart from the
-// other test executables.
+// epoch and registration records). Nor do blocking and nb IOV puts, gets
+// and accumulates of one fixed shape (reused IOV scratch, overlap-check
+// tree and datatype-plan buffers). 4 ranks on InfiniBand, RMA checker on.
+// This binary replaces the global operator new/delete (forwarding to
+// malloc/free) to count blocks, so it is kept apart from the other test
+// executables.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/armci/armci.hpp"
@@ -46,19 +50,24 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace ga {
 namespace {
 
-class ArmciAllocTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ArmciAllocTest, WarmGaNbGetAndAccAllocateNothing) {
-  // The counter must see this binary's own allocations; a sanitizer
-  // runtime that keeps its own operator new would leave it blind.
+/// The counter must see this binary's own allocations; a sanitizer
+/// runtime that keeps its own operator new would leave it blind.
+bool counter_in_effect() {
   allocs = 0;
   counting = true;
   ::operator delete(::operator new(16));
   counting = false;
-  if (allocs != 1)
+  const bool seen = allocs == 1;
+  allocs = 0;
+  return seen;
+}
+
+class ArmciAllocTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ArmciAllocTest, WarmGaNbGetAndAccAllocateNothing) {
+  if (!counter_in_effect())
     GTEST_SKIP() << "operator new replacement not in effect "
                     "(sanitizer runtime)";
-  allocs = 0;
 
   constexpr int kWarmup = 20;
   constexpr int kOps = 200;
@@ -117,6 +126,97 @@ INSTANTIATE_TEST_SUITE_P(Metrics, ArmciAllocTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "MetricsOn" : "MetricsOff";
                          });
+
+struct IovAllocCase {
+  armci::Backend backend;
+  armci::IovMethod method;
+  const char* name;
+};
+
+class ArmciIovAllocTest : public ::testing::TestWithParam<IovAllocCase> {};
+
+TEST_P(ArmciIovAllocTest, WarmIovOpsAllocateNothing) {
+  if (!counter_in_effect())
+    GTEST_SKIP() << "operator new replacement not in effect "
+                    "(sanitizer runtime)";
+
+  constexpr int kWarmup = 20;
+  constexpr int kOps = 200;
+  // 16 segments of 8 doubles, every other 64-byte slot of the target's
+  // slice, so neither side's datatype is contiguous.
+  constexpr std::size_t kSegs = 16;
+  constexpr std::size_t kSegDoubles = 8;
+  constexpr std::size_t kSegBytes = kSegDoubles * sizeof(double);
+  mpisim::Config cfg;
+  cfg.nranks = 4;
+  cfg.platform = mpisim::Platform::infiniband;
+  std::size_t seen = 0;
+  double value = 0.0;
+  bool race_detector = false;
+  mpisim::run(cfg, [&] {
+    armci::Options o;
+    o.backend = GetParam().backend;
+    o.iov_method = GetParam().method;
+    armci::init(o);
+    race_detector = mpisim::ctx().core().hb().enabled();
+    std::vector<void*> bases = armci::malloc_world(2 * kSegs * kSegBytes);
+    armci::barrier();
+    if (mpisim::rank() == 0) {
+      // Rank 2 is on the other node: every op goes over the network.
+      auto* remote = static_cast<std::uint8_t*>(bases[2]);
+      std::vector<double> local(kSegs * kSegDoubles, 1.0);
+      armci::Giov to_remote;
+      armci::Giov from_remote;
+      to_remote.bytes = from_remote.bytes = kSegBytes;
+      for (std::size_t i = 0; i < kSegs; ++i) {
+        void* l = local.data() + i * kSegDoubles;
+        void* r = remote + 2 * i * kSegBytes;
+        to_remote.src.push_back(l);
+        to_remote.dst.push_back(r);
+        from_remote.src.push_back(r);
+        from_remote.dst.push_back(l);
+      }
+      const std::span<const armci::Giov> put(&to_remote, 1);
+      const std::span<const armci::Giov> get(&from_remote, 1);
+      const double one = 1.0;
+      // Each pass doubles every local value twice: put, acc and get leave
+      // 2x local behind, once blocking and once nonblocking.
+      for (int i = 0; i < kWarmup + kOps; ++i) {
+        if (i == kWarmup) counting = true;
+        armci::put_iov(put, 2);
+        armci::acc_iov(armci::AccType::float64, &one, put, 2);
+        armci::get_iov(get, 2);
+        armci::Request req = armci::nb_put_iov(put, 2);
+        armci::wait(req);
+        req = armci::nb_acc_iov(armci::AccType::float64, &one, put, 2);
+        armci::wait(req);
+        req = armci::nb_get_iov(get, 2);
+        armci::wait(req);
+      }
+      counting = false;
+      seen = allocs;
+      value = local.back();
+    }
+    armci::barrier();
+    armci::free(bases[static_cast<std::size_t>(mpisim::rank())]);
+    armci::finalize();
+  });
+  EXPECT_DOUBLE_EQ(value, std::ldexp(1.0, 2 * (kWarmup + kOps)));
+  if (race_detector)
+    GTEST_SKIP() << "happens-before race detector on: it allocates per access";
+  EXPECT_EQ(seen, 0u) << "heap blocks over " << kOps
+                      << " warm passes of blocking and nb IOV put, acc, get";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Methods, ArmciIovAllocTest,
+    ::testing::Values(
+        IovAllocCase{armci::Backend::mpi, armci::IovMethod::auto_, "MpiAuto"},
+        IovAllocCase{armci::Backend::mpi, armci::IovMethod::batched,
+                     "MpiBatched"},
+        IovAllocCase{armci::Backend::mpi3, armci::IovMethod::auto_,
+                     "Mpi3Auto"}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace ga

@@ -403,10 +403,13 @@ TEST(ArmciIovGroupTest, GroupsFollowFirstAppearanceNotAddress) {
   locs[1].gmr = lo;
   locs[2].gmr = hi;
   locs[3].gmr = lo;
-  const std::vector<std::vector<std::size_t>> groups = group_by_gmr(locs);
+  GmrGroups groups;
+  group_by_gmr(locs, groups);
   ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(groups[1], (std::vector<std::size_t>{1, 3}));
+  EXPECT_EQ(std::vector<std::size_t>(groups[0].begin(), groups[0].end()),
+            (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(std::vector<std::size_t>(groups[1].begin(), groups[1].end()),
+            (std::vector<std::size_t>{1, 3}));
 }
 
 }  // namespace
