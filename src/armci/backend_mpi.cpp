@@ -10,6 +10,7 @@
 #include "src/armci/strided.hpp"
 #include "src/mpisim/error.hpp"
 #include "src/mpisim/runtime.hpp"
+#include "src/mpisim/scratch.hpp"
 #include "src/mpisim/trace.hpp"
 
 namespace armci {
@@ -23,20 +24,20 @@ using mpisim::TraceScope;
 namespace {
 
 /// The one window call per op kind on the MPI-2 backend: put, get, or
-/// accumulate(SUM) of \p count \p ltype instances at \p origin against as
-/// many \p rtype instances at \p disp on \p target.
+/// accumulate(SUM) of \p ocount \p otype instances at \p origin against
+/// \p tcount \p ttype instances at \p disp on \p target.
 void win_op(OneSided kind, const mpisim::Win& win, void* origin,
-            std::size_t count, const Datatype& ltype, int target,
-            std::size_t disp, const Datatype& rtype) {
+            std::size_t ocount, const Datatype& otype, int target,
+            std::size_t disp, std::size_t tcount, const Datatype& ttype) {
   switch (kind) {
     case OneSided::put:
-      win.put(origin, count, ltype, target, disp, count, rtype);
+      win.put(origin, ocount, otype, target, disp, tcount, ttype);
       return;
     case OneSided::get:
-      win.get(origin, count, ltype, target, disp, count, rtype);
+      win.get(origin, ocount, otype, target, disp, tcount, ttype);
       return;
     case OneSided::acc:
-      win.accumulate(origin, count, ltype, target, disp, count, rtype,
+      win.accumulate(origin, ocount, otype, target, disp, tcount, ttype,
                      mpisim::Op::sum);
       return;
   }
@@ -46,10 +47,9 @@ void win_op(OneSided kind, const mpisim::Win& win, void* origin,
 /// bytes, ...) issues), bytes / esz elements of the accumulate type for acc.
 void win_op(OneSided kind, const mpisim::Win& win, void* origin,
             std::size_t bytes, AccType at, int target, std::size_t disp) {
-  const Datatype t = kind == OneSided::acc
-                         ? Datatype::basic(basic_type_of_acc(at))
-                         : mpisim::byte_type();
-  win_op(kind, win, origin, bytes / t.size(), t, target, disp, t);
+  const Datatype t = Datatype::basic(direct_elem(kind, at));
+  win_op(kind, win, origin, bytes / t.size(), t, target, disp,
+         bytes / t.size(), t);
 }
 
 }  // namespace
@@ -115,20 +115,20 @@ void MpiBackend::contig(OneSided kind, const GmrLoc& loc, void* local,
   const Gmr& gmr = *loc.gmr;
   const LockType lt = epoch_lock(gmr, kind);
 
-  std::vector<std::uint8_t> temp;
+  mpisim::Lease<std::vector<std::uint8_t>> temp(stage_);
   void* buf = local;
   const bool staged = local_is_global(local, bytes);
+  const bool scaled = kind == OneSided::acc && !scale_is_identity(at, scale);
+  if (staged || scaled) temp->resize(bytes);
   if (staged) {
-    temp.resize(bytes);
     if (kind != OneSided::get)
-      staged_local_copy(temp.data(), local, bytes, local);
-    buf = temp.data();
+      staged_local_copy(temp->data(), local, bytes, local);
+    buf = temp->data();
   }
-  if (kind == OneSided::acc && !scale_is_identity(at, scale)) {
-    if (temp.empty()) temp.resize(bytes);
-    scale_buffer(at, scale, temp.data(), buf, bytes);
+  if (scaled) {
+    scale_buffer(at, scale, temp->data(), buf, bytes);
     mpisim::clock().advance(mpisim::model().pack_ns(bytes));
-    buf = temp.data();
+    buf = temp->data();
   }
 
   with_retry(*st_, "mpi.contig", [&] {
@@ -138,7 +138,7 @@ void MpiBackend::contig(OneSided kind, const GmrLoc& loc, void* local,
   });
 
   if (kind == OneSided::get && staged)
-    staged_local_copy(local, temp.data(), bytes, local);
+    staged_local_copy(local, temp->data(), bytes, local);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,8 +263,8 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
 
   // Stage or scale the local side up front, so no window lock is ever held
   // while another is requested (§V-E1).
-  std::vector<std::uint8_t> temp;
-  const bool staged = stage_iov_in(kind, giov, at, scale, temp);
+  mpisim::Lease<std::vector<std::uint8_t>> temp(stage_);
+  const bool staged = stage_iov_in(kind, giov, at, scale, *temp);
 
   // Resolve every remote segment and group by GMR, preserving order.
   mpisim::Lease<IovScratch> scratch(iov_);
@@ -293,7 +293,7 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
           eg.cycle();
           issued = 0;
         }
-        void* origin = staged ? temp.data() + i * bytes
+        void* origin = staged ? temp->data() + i * bytes
                               : const_cast<void*>(local[i]);
         win_op(kind, gmr.win, origin, bytes, at, grank, locs[i].offset);
         ++issued;
@@ -303,7 +303,7 @@ void MpiBackend::iov_batched(OneSided kind, const Giov& giov, int proc,
   }
   locs.clear();
 
-  if (is_get && staged) unstage_iov_out(giov, temp);
+  if (is_get && staged) unstage_iov_out(giov, *temp);
 }
 
 void MpiBackend::iov_direct(OneSided kind, const Giov& giov, int proc,
@@ -337,24 +337,24 @@ void MpiBackend::iov_direct(OneSided kind, const Giov& giov, int proc,
   }
 
   // Local side: one hindexed datatype, or a staged/scaled packed buffer.
-  std::vector<std::uint8_t> temp;
-  const bool staged = stage_iov_in(kind, giov, at, scale, temp);
+  mpisim::Lease<std::vector<std::uint8_t>> temp(stage_);
+  const bool staged = stage_iov_in(kind, giov, at, scale, *temp);
   const IovPlan plan = st_->dt_cache.iov_plan(
       rdispls,
       staged ? std::span<const void* const>() : local_segments(giov, is_get),
       bytes, elem, st_->stats);
-  void* origin = staged ? temp.data() : plan.origin;
+  void* origin = staged ? temp->data() : plan.origin;
 
   const Gmr& gmr = *loc0.gmr;
   const int grank = loc0.target_rank;
   const LockType lt = epoch_lock(gmr, kind);
   with_retry(*st_, "mpi.iov_direct", [&] {
     EpochGuard eg(gmr.win, lt, grank);
-    win_op(kind, gmr.win, origin, 1, plan.ltype, grank, plan.disp,
-           plan.rtype);
+    win_op(kind, gmr.win, origin, plan.lcount, plan.ltype, grank, plan.disp,
+           1, plan.rtype);
     eg.release();
   });
-  if (is_get && staged) unstage_iov_out(giov, temp);
+  if (is_get && staged) unstage_iov_out(giov, *temp);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ bool MpiBackend::issue_queue(const Gmr& gmr, int target_rank,
     for (const NbOp& op : ops) {
       if (op.typed)
         win_op(op.kind, gmr.win, op.local, 1, op.ltype, target_rank,
-               op.offset, op.rtype);
+               op.offset, 1, op.rtype);
       else
         win_op(op.kind, gmr.win, op.local, op.bytes, op.at, target_rank,
                op.offset);
@@ -431,11 +431,12 @@ void MpiBackend::strided(OneSided kind, const void* src, void* dst,
       kind == OneSided::acc && !scale_is_identity(at, scale);
   const bool local_global = local_is_global(p.local, lextent);
   const bool staged = local_global || need_scale;
-  std::vector<std::uint8_t> temp;
+  mpisim::Lease<std::vector<std::uint8_t>> temp(stage_);
   void* origin = p.local;
+  std::size_t ocount = 1;
   Datatype otype = p.ltype;
   if (staged) {
-    temp.resize(total);
+    temp->resize(total);
     if (!is_get) {
       if (local_global) {
         ++st_->stats.staged_local_copies;
@@ -443,28 +444,31 @@ void MpiBackend::strided(OneSided kind, const void* src, void* dst,
         with_retry(*st_, "mpi.strided_pack", [&] {
           EpochGuard eg(l.gmr->win, LockType::exclusive, l.target_rank);
           LocalAccessGuard la(l.gmr->win, p.local, lextent, /*write=*/false);
-          p.ltype.pack(p.local, 1, temp.data());
+          p.ltype.pack(p.local, 1, temp->data());
           la.release();
           eg.release();
         });
       } else {
-        p.ltype.pack(p.local, 1, temp.data());
+        p.ltype.pack(p.local, 1, temp->data());
       }
       mpisim::clock().advance(mpisim::model().pack_ns(total));
       if (need_scale) {
-        scale_buffer(at, scale, temp.data(), temp.data(), total);
+        scale_buffer(at, scale, temp->data(), temp->data(), total);
         mpisim::clock().advance(mpisim::model().pack_ns(total));
       }
     }
-    origin = temp.data();
-    otype = Datatype::contiguous(total / mpisim::basic_type_size(elem),
-                                 Datatype::basic(elem));
+    // The packed buffer as elements of the shared basic type: the
+    // segments one contiguous type of as many elements gives, with no
+    // type built per op.
+    origin = temp->data();
+    otype = Datatype::basic(elem);
+    ocount = total / otype.size();
   }
 
   with_retry(*st_, "mpi.strided", [&] {
     EpochGuard eg(gmr.win, lt, loc.target_rank);
-    win_op(kind, gmr.win, origin, 1, otype, loc.target_rank, loc.offset,
-           p.rtype);
+    win_op(kind, gmr.win, origin, ocount, otype, loc.target_rank, loc.offset,
+           1, p.rtype);
     eg.release();
   });
 
@@ -475,12 +479,12 @@ void MpiBackend::strided(OneSided kind, const void* src, void* dst,
       with_retry(*st_, "mpi.strided_unpack", [&] {
         EpochGuard eg(l.gmr->win, LockType::exclusive, l.target_rank);
         LocalAccessGuard la(l.gmr->win, p.local, lextent, /*write=*/true);
-        p.ltype.unpack(temp.data(), p.local, 1);
+        p.ltype.unpack(temp->data(), p.local, 1);
         la.release();
         eg.release();
       });
     } else {
-      p.ltype.unpack(temp.data(), p.local, 1);
+      p.ltype.unpack(temp->data(), p.local, 1);
     }
     mpisim::clock().advance(mpisim::model().pack_ns(total));
   }

@@ -79,7 +79,7 @@ class MpiBackend final : public CommBackend {
   /// §V-E1 for an IOV descriptor: when a local segment is in global space
   /// or an accumulate needs scaling, size \p temp to hold every segment
   /// packed, gather the put/acc sources into it (scaled) and return true.
-  /// Returns false, leaving \p temp empty, when the descriptor needs no
+  /// Returns false, leaving \p temp untouched, when the descriptor needs no
   /// staging.
   bool stage_iov_in(OneSided kind, const Giov& giov, AccType at,
                     const void* scale, std::vector<std::uint8_t>& temp) const;
@@ -102,6 +102,9 @@ class MpiBackend final : public CommBackend {
   ProcState* st_;
   QueueingMutexSet user_mutexes_;
   IovScratch iov_;
+  /// The staging buffer of §V-E1 copies and scaled accumulates, taken
+  /// through mpisim::Lease so a warm staged op allocates nothing.
+  std::vector<std::uint8_t> stage_;
 };
 
 }  // namespace armci

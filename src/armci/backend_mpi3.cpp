@@ -11,6 +11,7 @@
 #include "src/armci/strided.hpp"
 #include "src/mpisim/error.hpp"
 #include "src/mpisim/runtime.hpp"
+#include "src/mpisim/scratch.hpp"
 #include "src/mpisim/trace.hpp"
 
 namespace armci {
@@ -22,23 +23,24 @@ using mpisim::TraceScope;
 
 namespace {
 
-/// The one window call per op kind under the standing lock_all epoch, one
-/// \p ltype instance at \p origin against one \p rtype instance at \p disp:
-/// put as accumulate(REPLACE) -- element-atomic, so concurrent updates are
-/// defined (§VIII-B item 1) --, get, or accumulate(SUM).
+/// The one window call per op kind under the standing lock_all epoch,
+/// \p count \p ltype instances at \p origin against as many \p rtype
+/// instances at \p disp: put as accumulate(REPLACE) -- element-atomic, so
+/// concurrent updates are defined (§VIII-B item 1) --, get, or
+/// accumulate(SUM).
 void win_op(OneSided kind, const mpisim::Win& win, void* origin,
-            const Datatype& ltype, int target, std::size_t disp,
-            const Datatype& rtype) {
+            std::size_t count, const Datatype& ltype, int target,
+            std::size_t disp, const Datatype& rtype) {
   switch (kind) {
     case OneSided::put:
-      win.accumulate(origin, 1, ltype, target, disp, 1, rtype,
+      win.accumulate(origin, count, ltype, target, disp, count, rtype,
                      mpisim::Op::replace);
       return;
     case OneSided::get:
-      win.get(origin, 1, ltype, target, disp, 1, rtype);
+      win.get(origin, count, ltype, target, disp, count, rtype);
       return;
     case OneSided::acc:
-      win.accumulate(origin, 1, ltype, target, disp, 1, rtype,
+      win.accumulate(origin, count, ltype, target, disp, count, rtype,
                      mpisim::Op::sum);
       return;
   }
@@ -50,15 +52,6 @@ bool has_get(std::span<const NbOp> ops) {
   return std::any_of(ops.begin(), ops.end(), [](const NbOp& op) {
     return op.kind == OneSided::get;
   });
-}
-
-/// \p bytes contiguous bytes as one datatype instance: bytes for put and
-/// get, elements of the accumulate type for acc.
-Datatype contig_type(OneSided kind, std::size_t bytes, AccType at) {
-  if (kind == OneSided::acc)
-    return Datatype::contiguous(bytes / acc_type_size(at),
-                                Datatype::basic(basic_type_of_acc(at)));
-  return Datatype::contiguous(bytes, mpisim::byte_type());
 }
 
 }  // namespace
@@ -88,24 +81,26 @@ void Mpi3Backend::gmr_freeing(Gmr& gmr) {
 }
 
 void Mpi3Backend::issue(OneSided kind, const Gmr& gmr, int grank,
-                        std::size_t disp, void* local, const Datatype& ltype,
-                        const Datatype& rtype, AccType at,
-                        const void* scale) const {
+                        std::size_t disp, void* local, std::size_t count,
+                        const Datatype& ltype, const Datatype& rtype,
+                        AccType at, const void* scale) {
   // The standing lock_all epoch survives a transient fault, so a retry
   // simply reissues the operation (the injector fires before anything is
   // applied; see retry.hpp).
   with_retry(*st_, "mpi3.issue", [&] {
     if (kind == OneSided::acc && !scale_is_identity(at, scale)) {
-      const std::size_t bytes = ltype.size();
-      std::vector<std::uint8_t> temp(bytes);
-      ltype.pack(local, 1, temp.data());
-      scale_buffer(at, scale, temp.data(), temp.data(), bytes);
+      const std::size_t bytes = count * ltype.size();
+      mpisim::Lease<std::vector<std::uint8_t>> temp(stage_);
+      temp->resize(bytes);
+      ltype.pack(local, count, temp->data());
+      scale_buffer(at, scale, temp->data(), temp->data(), bytes);
       mpisim::clock().advance(2.0 * mpisim::model().pack_ns(bytes));
-      gmr.win.accumulate(temp.data(), 1, contig_type(kind, bytes, at), grank,
-                         disp, 1, rtype, mpisim::Op::sum);
+      const Datatype t = Datatype::basic(direct_elem(kind, at));
+      gmr.win.accumulate(temp->data(), bytes / t.size(), t, grank, disp,
+                         count, rtype, mpisim::Op::sum);
       return;
     }
-    win_op(kind, gmr.win, local, ltype, grank, disp, rtype);
+    win_op(kind, gmr.win, local, count, ltype, grank, disp, rtype);
     if (kind == OneSided::get) gmr.win.flush(grank);  // blocking-get semantics
   });
 }
@@ -138,11 +133,12 @@ bool Mpi3Backend::issue_queue(const Gmr& gmr, int target_rank,
       me.fault().maybe_transient(me.clock(), "mpi3.nb_flush.op");
       const NbOp& op = ops[i];
       if (op.typed) {
-        win_op(op.kind, gmr.win, op.local, op.ltype, target_rank, op.offset,
-               op.rtype);
+        win_op(op.kind, gmr.win, op.local, 1, op.ltype, target_rank,
+               op.offset, op.rtype);
       } else {
-        const Datatype t = contig_type(op.kind, op.bytes, op.at);
-        win_op(op.kind, gmr.win, op.local, t, target_rank, op.offset, t);
+        const Datatype t = Datatype::basic(direct_elem(op.kind, op.at));
+        win_op(op.kind, gmr.win, op.local, op.bytes / t.size(), t,
+               target_rank, op.offset, t);
       }
       next = i + 1;
     }
@@ -152,7 +148,7 @@ bool Mpi3Backend::issue_queue(const Gmr& gmr, int target_rank,
 
 void Mpi3Backend::shm_contig(OneSided kind, const GmrLoc& loc, void* local,
                              std::size_t bytes, AccType at,
-                             const void* scale) const {
+                             const void* scale) {
   TraceScope ts(mpisim::tracer(), TraceCat::backend, "mpi3.shm", bytes);
   const Gmr& gmr = *loc.gmr;
   // The direct path stays transient-faultable: a retry reissues the whole
@@ -169,10 +165,11 @@ void Mpi3Backend::shm_contig(OneSided kind, const GmrLoc& loc, void* local,
       case OneSided::acc: {
         const mpisim::BasicType elem = basic_type_of_acc(at);
         if (!scale_is_identity(at, scale)) {
-          std::vector<std::uint8_t> temp(bytes);
-          scale_buffer(at, scale, temp.data(), local, bytes);
+          mpisim::Lease<std::vector<std::uint8_t>> temp(stage_);
+          temp->resize(bytes);
+          scale_buffer(at, scale, temp->data(), local, bytes);
           mpisim::clock().advance(mpisim::model().pack_ns(bytes));
-          gmr.win.shm_acc(mpisim::Op::sum, elem, temp.data(), bytes,
+          gmr.win.shm_acc(mpisim::Op::sum, elem, temp->data(), bytes,
                           loc.target_rank, loc.offset);
           return;
         }
@@ -196,8 +193,11 @@ void Mpi3Backend::contig(OneSided kind, const GmrLoc& loc, void* local,
     return;
   }
   TraceScope ts(mpisim::tracer(), TraceCat::backend, "mpi3.contig", bytes);
-  const Datatype t = contig_type(kind, bytes, at);
-  issue(kind, *loc.gmr, loc.target_rank, loc.offset, local, t, t, at, scale);
+  // Contiguous bytes as elements of a shared basic type: bytes for put
+  // and get, the accumulate type for acc.
+  const Datatype t = Datatype::basic(direct_elem(kind, at));
+  issue(kind, *loc.gmr, loc.target_rank, loc.offset, local, bytes / t.size(),
+        t, t, at, scale);
 }
 
 void Mpi3Backend::iov(OneSided kind, std::span<const Giov> vec, int proc,
@@ -247,8 +247,8 @@ void Mpi3Backend::iov(OneSided kind, std::span<const Giov> vec, int proc,
       const IovPlan plan = st_->dt_cache.iov_plan(rdispls, lsegs, g.bytes,
                                                   elem, st_->stats);
       const GmrLoc& l = locs[idxs.front()];
-      issue(kind, *l.gmr, l.target_rank, plan.disp, plan.origin, plan.ltype,
-            plan.rtype, at, scale);
+      issue(kind, *l.gmr, l.target_rank, plan.disp, plan.origin, 1,
+            plan.ltype, plan.rtype, at, scale);
     }
     locs.clear();
   }
@@ -279,7 +279,7 @@ void Mpi3Backend::strided(OneSided kind, const void* src, void* dst,
     }
     return;
   }
-  issue(kind, *loc.gmr, loc.target_rank, loc.offset, p.local, p.ltype,
+  issue(kind, *loc.gmr, loc.target_rank, loc.offset, p.local, 1, p.ltype,
         p.rtype, at, scale);
 }
 

@@ -28,6 +28,9 @@
 /// staging copy: there is no second lock to acquire, hence no
 /// double-locking or deadlock hazard (§V-E1 disappears).
 
+#include <cstdint>
+#include <vector>
+
 #include "src/armci/backend.hpp"
 #include "src/armci/iov.hpp"
 #include "src/armci/mutex.hpp"
@@ -91,22 +94,24 @@ class Mpi3Backend final : public CommBackend {
 
  private:
   /// One transfer against a resolved location under the standing lock_all
-  /// epoch, with one datatype instance describing each side.
+  /// epoch: \p count instances of \p ltype against as many of \p rtype.
   void issue(OneSided kind, const Gmr& gmr, int grank, std::size_t disp,
-             void* local, const mpisim::Datatype& ltype,
-             const mpisim::Datatype& rtype, AccType at,
-             const void* scale) const;
+             void* local, std::size_t count, const mpisim::Datatype& ltype,
+             const mpisim::Datatype& rtype, AccType at, const void* scale);
 
   /// The same-node fast path: a contiguous transfer against a self or
   /// co-located target via direct shared-memory access (Win::shm_put/
   /// shm_get/shm_acc) -- no epoch, no flush, memcpy-speed cost, with a
   /// CPU-atomic apply for accumulates.
   void shm_contig(OneSided kind, const GmrLoc& loc, void* local,
-                  std::size_t bytes, AccType at, const void* scale) const;
+                  std::size_t bytes, AccType at, const void* scale);
 
   ProcState* st_;
   QueueingMutexSet user_mutexes_;
   IovScratch iov_;
+  /// Scaled accumulates' staging buffer, taken through mpisim::Lease so a
+  /// warm scaled op allocates nothing.
+  std::vector<std::uint8_t> stage_;
 };
 
 }  // namespace armci

@@ -121,9 +121,8 @@ IovPlan DatatypeCache::iov_plan(std::span<std::ptrdiff_t> rdispls,
   const auto disp = static_cast<std::size_t>(rebase(rdispls));
   mpisim::Datatype rtype = hindexed_type(*blocklens, rdispls, elem, stats);
   if (locals.empty())
-    return {disp, std::move(rtype), nullptr,
-            mpisim::Datatype::contiguous(n * seg_elems,
-                                         mpisim::Datatype::basic(elem))};
+    return {disp, std::move(rtype), nullptr, mpisim::Datatype::basic(elem),
+            n * seg_elems};
   mpisim::Lease<std::vector<std::ptrdiff_t>> ldispls(ldispls_);
   ldispls->resize(n);
   for (std::size_t i = 0; i < n; ++i)

@@ -47,12 +47,14 @@ struct StridedPlan {
 };
 
 /// The direct (§VI-A) plan of IOV segments that all land in one GMR: one
-/// hindexed datatype per side, each rebased to its lowest segment.
+/// hindexed datatype per side, each rebased to its lowest segment, or, for
+/// a packed local side, lcount elements of a basic type.
 struct IovPlan {
   std::size_t disp;        ///< lowest remote offset (the target disp)
-  mpisim::Datatype rtype;  ///< remote segments relative to disp
+  mpisim::Datatype rtype;  ///< remote segments relative to disp (1 instance)
   void* origin;            ///< lowest local address; null when packed
   mpisim::Datatype ltype;  ///< local segments relative to origin
+  std::size_t lcount = 1;  ///< ltype instances on the local side
 };
 
 class DatatypeCache {
@@ -87,8 +89,8 @@ class DatatypeCache {
   /// holds each segment's offset in the target slice (rebased in place to
   /// its lowest) and \p locals its local address. Looks up the remote
   /// type, then the local type. An empty \p locals means the local side is
-  /// a packed staging buffer: ltype is then a plain contiguous type and
-  /// nothing more is looked up.
+  /// a packed staging buffer: ltype is then the basic element type, lcount
+  /// the number of elements, and nothing more is looked up or built.
   IovPlan iov_plan(std::span<std::ptrdiff_t> rdispls,
                    std::span<const void* const> locals, std::size_t seg_bytes,
                    mpisim::BasicType elem, Stats& stats);

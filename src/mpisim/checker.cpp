@@ -482,7 +482,7 @@ void RmaChecker::local_begin(std::uint64_t win, int rank, int world_rank,
   if (!covered)
     check_direct(win, rank, tr, lrec, write ? OpKind::put : OpKind::get,
                  Op::replace, world_rank);
-  tr.locals.insert_or_assign(LocalKey{rank, lo}, std::move(lrec));
+  local_nodes_.acquire(tr.locals, LocalKey{rank, lo}) = std::move(lrec);
 }
 
 RmaChecker::LocalRec RmaChecker::check_shm(
@@ -509,10 +509,9 @@ void RmaChecker::shm_begin(std::uint64_t win, int target, int origin,
                            const char* scope) {
   if (!enabled() || lo >= hi) return;
   TargetRec& tr = wins_[win].targets[target];
-  tr.locals.insert_or_assign(
-      LocalKey{origin, lo},
-      check_shm(win, target, tr, origin, world_origin, kind, op, lo, hi,
-                scope));
+  LocalRec lrec = check_shm(win, target, tr, origin, world_origin, kind, op,
+                            lo, hi, scope);
+  local_nodes_.acquire(tr.locals, LocalKey{origin, lo}) = std::move(lrec);
 }
 
 void RmaChecker::shm_op(std::uint64_t win, int target, int origin,
@@ -536,7 +535,7 @@ void RmaChecker::access_end(std::uint64_t win, int target, int accessor,
   auto lit = tit->second.locals.find(LocalKey{accessor, lo});
   if (lit == tit->second.locals.end()) return;
   std::vector<Violation> pending = std::move(lit->second.pending);
-  tit->second.locals.erase(lit);
+  local_nodes_.erase(tit->second.locals, lit);
   report(pending);
 }
 

@@ -293,10 +293,11 @@ class RmaChecker {
   using LocalKey = std::pair<int, std::ptrdiff_t>;
 
   using EpochMap = std::map<int, EpochRec>;  ///< origin rank -> epoch
+  using LocalMap = std::map<LocalKey, LocalRec>;  ///< (accessor, offset)
 
   struct TargetRec {
     EpochMap open;
-    std::map<LocalKey, LocalRec> locals;  ///< (accessor, offset) -> access
+    LocalMap locals;  ///< open direct accesses
   };
 
   struct WinRec {
@@ -357,6 +358,9 @@ class RmaChecker {
   /// Map nodes of closed epochs with their coverage storage, reused by
   /// epoch_opened so a warm epoch record allocates nothing.
   NodePool<EpochMap> epoch_nodes_;
+  /// Map nodes of ended direct accesses, reused so a warm staged copy
+  /// (a local access per copy) allocates nothing.
+  NodePool<LocalMap> local_nodes_;
   // record_op scratch, empty between calls: the operation's staged
   // coverage, its segments in offset order when they came unsorted, and
   // the coverage its hull meets.

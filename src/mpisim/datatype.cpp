@@ -1,5 +1,6 @@
 #include "src/mpisim/datatype.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <numeric>
@@ -7,72 +8,6 @@
 #include "src/mpisim/error.hpp"
 
 namespace mpisim {
-
-namespace detail {
-
-/// Immutable node of a datatype tree. `extent` may exceed `size` when the
-/// layout has holes; both describe exactly one instance of the type.
-struct TypeImpl {
-  enum class Kind { basic, hvector, hindexed } kind = Kind::basic;
-
-  BasicType elem = BasicType::byte_;
-  std::size_t size = 0;        // payload bytes per instance
-  std::ptrdiff_t extent = 0;   // bytes spanned per instance
-  std::size_t nsegments = 1;   // maximal contiguous segments per instance
-  bool contig = true;
-
-  std::shared_ptr<const TypeImpl> child;  // null for Kind::basic
-
-  // hvector parameters
-  std::size_t count = 0;
-  std::size_t blocklen = 0;
-  std::ptrdiff_t stride_bytes = 0;
-
-  // hindexed parameters
-  std::vector<std::size_t> blocklens;
-  std::vector<std::ptrdiff_t> displs;
-};
-
-namespace {
-
-void walk(const TypeImpl& t, std::ptrdiff_t base,
-          const std::function<void(Segment)>& f) {
-  switch (t.kind) {
-    case TypeImpl::Kind::basic:
-      f({base, t.size});
-      return;
-    case TypeImpl::Kind::hvector: {
-      const TypeImpl& c = *t.child;
-      for (std::size_t i = 0; i < t.count; ++i) {
-        std::ptrdiff_t block = base + static_cast<std::ptrdiff_t>(i) * t.stride_bytes;
-        if (c.contig) {
-          f({block, t.blocklen * c.size});
-        } else {
-          for (std::size_t j = 0; j < t.blocklen; ++j)
-            walk(c, block + static_cast<std::ptrdiff_t>(j) * c.extent, f);
-        }
-      }
-      return;
-    }
-    case TypeImpl::Kind::hindexed: {
-      const TypeImpl& c = *t.child;
-      for (std::size_t i = 0; i < t.blocklens.size(); ++i) {
-        std::ptrdiff_t block = base + t.displs[i];
-        if (c.contig) {
-          f({block, t.blocklens[i] * c.size});
-        } else {
-          for (std::size_t j = 0; j < t.blocklens[i]; ++j)
-            walk(c, block + static_cast<std::ptrdiff_t>(j) * c.extent, f);
-        }
-      }
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-}  // namespace detail
 
 using detail::TypeImpl;
 
@@ -86,6 +21,7 @@ std::shared_ptr<const TypeImpl> make_basic(BasicType t) {
   impl->elem = t;
   impl->size = basic_type_size(t);
   impl->extent = static_cast<std::ptrdiff_t>(impl->size);
+  impl->ub = impl->extent;
   impl->nsegments = 1;
   impl->contig = true;
   return impl;
@@ -137,6 +73,9 @@ Datatype Datatype::hvector(std::size_t count, std::size_t blocklen,
   impl->extent = static_cast<std::ptrdiff_t>(count - 1) * stride_bytes + block_extent;
   if (impl->extent < block_extent)  // negative stride: span measured from 0
     impl->extent = block_extent - static_cast<std::ptrdiff_t>(count - 1) * stride_bytes;
+  const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(count - 1) * stride_bytes;
+  impl->lb = std::min<std::ptrdiff_t>(0, last) + c.lb;
+  impl->ub = std::max<std::ptrdiff_t>(0, last) + block_extent - c.extent + c.ub;
 
   const bool block_contig = c.contig;
   impl->contig = block_contig && (count == 1 || stride_bytes == block_extent);
@@ -179,12 +118,19 @@ Datatype Datatype::hindexed(std::span<const std::size_t> blocklens,
   std::size_t payload = 0;
   std::ptrdiff_t hi = 0;
   std::size_t nseg = 0;
+  bool any = false;
   for (std::size_t i = 0; i < blocklens.size(); ++i) {
     payload += blocklens[i] * c.size;
     const std::ptrdiff_t end =
         displs_bytes[i] + static_cast<std::ptrdiff_t>(blocklens[i]) * c.extent;
     hi = std::max(hi, end);
     nseg += c.contig ? 1 : blocklens[i] * c.nsegments;
+    if (blocklens[i] == 0) continue;
+    const std::ptrdiff_t lb = displs_bytes[i] + c.lb;
+    const std::ptrdiff_t ub = end - c.extent + c.ub;
+    impl->lb = any ? std::min(impl->lb, lb) : lb;
+    impl->ub = any ? std::max(impl->ub, ub) : ub;
+    any = true;
   }
   impl->size = payload;
   impl->extent = hi;
@@ -234,15 +180,11 @@ Datatype Datatype::subarray(std::span<const std::size_t> sizes,
 
 std::size_t Datatype::size() const noexcept { return impl_->size; }
 std::ptrdiff_t Datatype::extent() const noexcept { return impl_->extent; }
+std::ptrdiff_t Datatype::true_lb() const noexcept { return impl_->lb; }
+std::ptrdiff_t Datatype::true_ub() const noexcept { return impl_->ub; }
 BasicType Datatype::element_type() const noexcept { return impl_->elem; }
 bool Datatype::contiguous_layout() const noexcept { return impl_->contig; }
 std::size_t Datatype::segment_count() const noexcept { return impl_->nsegments; }
-
-void Datatype::for_each_segment(std::size_t count,
-                                const std::function<void(Segment)>& f) const {
-  for (std::size_t i = 0; i < count; ++i)
-    detail::walk(*impl_, static_cast<std::ptrdiff_t>(i) * impl_->extent, f);
-}
 
 void Datatype::flatten_into(std::size_t count,
                             std::vector<Segment>& out) const {

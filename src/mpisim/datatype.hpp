@@ -9,15 +9,14 @@
 /// the MPI library then chooses how to move the data (pack/unpack, batched,
 /// or hardware scatter/gather). This module provides exactly the datatype
 /// machinery those methods need: basic types, contiguous, (h)vector,
-/// (h)indexed, and C-order subarray constructors, with size/extent queries,
-/// contiguous-segment iteration, and pack/unpack.
+/// (h)indexed, and C-order subarray constructors, with size/extent/bound
+/// queries, contiguous-segment iteration, and pack/unpack.
 ///
 /// Datatypes are immutable value handles (shared immutable tree underneath);
 /// copying is cheap and thread-safe. Each basic type is one process-wide
 /// immutable node, so basic() and the handles below allocate nothing.
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -77,8 +76,16 @@ class Datatype {
   /// Payload bytes carried by one instance of this type.
   std::size_t size() const noexcept;
 
-  /// Bytes spanned in memory by one instance (lower bound is always 0 here).
+  /// Distance in bytes from one instance to the next: instance i of a
+  /// count starts at byte offset i * extent().
   std::ptrdiff_t extent() const noexcept;
+
+  /// The bytes one instance touches lie in [true_lb(), true_ub()), relative
+  /// to its start (MPI_Type_get_true_extent). true_lb() is negative when a
+  /// negative hvector stride or hindexed displacement lays data below the
+  /// start, and positive when the layout begins with a hole.
+  std::ptrdiff_t true_lb() const noexcept;
+  std::ptrdiff_t true_ub() const noexcept;
 
   /// Underlying element type (uniform across the whole tree).
   BasicType element_type() const noexcept;
@@ -89,11 +96,15 @@ class Datatype {
   /// Number of maximal contiguous segments in one instance.
   std::size_t segment_count() const noexcept;
 
-  /// Invoke \p f for every contiguous segment of \p count instances laid out
-  /// back-to-back (instance i starts at byte offset i * extent()). Adjacent
-  /// segments are emitted as produced, not merged.
-  void for_each_segment(std::size_t count,
-                        const std::function<void(Segment)>& f) const;
+  /// Call \p f(Segment) for every segment of \p count instances laid out
+  /// back-to-back (instance i starts at byte offset i * extent()), instance
+  /// by instance, each in tree order: a basic type is one segment, a block
+  /// of contiguous children is one segment, and adjacent segments are not
+  /// merged. \p f is any callable, taken by reference and never copied, so
+  /// it may hold state; the walk is a template, so each segment is a direct
+  /// call. It allocates nothing.
+  template <typename F>
+  void for_each_segment(std::size_t count, F&& f) const;
 
   /// Flatten \p count instances into \p out (cleared first) as an explicit
   /// segment list, adjacent segments merged. Reusing one \p out across
@@ -120,5 +131,8 @@ Datatype int64_type();
 Datatype double_type();
 
 }  // namespace mpisim
+
+// The datatype tree and the template walk behind for_each_segment.
+#include "src/mpisim/datatype_impl.hpp"  // IWYU pragma: export
 
 #endif  // MPISIM_DATATYPE_HPP

@@ -835,15 +835,19 @@ void Win::rma_op(RmaKind kind, const void* origin, std::size_t origin_count,
       origin_type.element_type() != target_type.element_type())
     raise(Errc::type_mismatch, "accumulate element types differ");
 
-  const std::size_t target_span =
-      target_disp + (target_count - 1) * static_cast<std::size_t>(
-                                             target_type.extent()) +
-      static_cast<std::size_t>(target_type.extent());
-  if (target_span > w.sizes[static_cast<std::size_t>(target_rank)])
+  // The bytes the access touches: the first instance's true lower bound
+  // (negative for a negative stride or displacement) to the last
+  // instance's true upper bound.
+  const auto disp = static_cast<std::ptrdiff_t>(target_disp);
+  const std::ptrdiff_t lo = disp + target_type.true_lb();
+  const std::ptrdiff_t hi =
+      disp + static_cast<std::ptrdiff_t>(target_count - 1) * target_type.extent() +
+      target_type.true_ub();
+  const std::size_t wsize = w.sizes[static_cast<std::size_t>(target_rank)];
+  if (lo < 0 || hi > static_cast<std::ptrdiff_t>(wsize))
     raise(Errc::window_bounds,
-          "access [" + std::to_string(target_disp) + ", " +
-              std::to_string(target_span) + ") exceeds window of " +
-              std::to_string(w.sizes[static_cast<std::size_t>(target_rank)]) +
+          "access [" + std::to_string(lo) + ", " + std::to_string(hi) +
+              ") exceeds window of " + std::to_string(wsize) +
               " bytes on rank " + std::to_string(target_rank));
 
   auto* tbase = static_cast<std::uint8_t*>(

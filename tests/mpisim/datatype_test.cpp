@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -20,18 +21,18 @@ std::vector<Segment> flat(const Datatype& t, std::size_t count) {
   return out;
 }
 
-/// The segment walk with adjacent segments merged, built from
-/// for_each_segment alone: what flatten_into() must produce.
-std::vector<Segment> reference_flatten(const Datatype& t, std::size_t count) {
+/// \p segs with adjacent segments merged: what flatten_into() makes of a
+/// walk.
+std::vector<Segment> merged(const std::vector<Segment>& segs) {
   std::vector<Segment> out;
-  t.for_each_segment(count, [&](Segment s) {
+  for (const Segment& s : segs) {
     if (!out.empty() &&
         out.back().offset + static_cast<std::ptrdiff_t>(out.back().length) ==
             s.offset)
       out.back().length += s.length;
     else
       out.push_back(s);
-  });
+  }
   return out;
 }
 
@@ -219,8 +220,34 @@ TEST(DatatypeTest, IndexedMismatchedSpansThrow) {
   EXPECT_THROW(Datatype::indexed(bl, disp, byte_type()), MpiError);
 }
 
+/// A datatype with its layout written out from its constructor parameters,
+/// without the segment walk: the extent and the segments of one instance in
+/// walk order, unmerged (a basic type, or a block of contiguous children,
+/// is one segment).
+struct Shape {
+  Datatype type;
+  std::ptrdiff_t extent;
+  std::vector<Segment> one;
+};
+
+/// Append \p n segments of \p len bytes to \p out, the first at \p first,
+/// \p stride apart.
+void blocks(std::vector<Segment>& out, std::size_t n, std::ptrdiff_t first,
+            std::ptrdiff_t stride, std::size_t len) {
+  for (std::size_t i = 0; i < n; ++i)
+    out.push_back({first + static_cast<std::ptrdiff_t>(i) * stride, len});
+}
+
+/// \p n segments of \p len bytes, the first at \p first, \p stride apart.
+std::vector<Segment> blocks(std::size_t n, std::ptrdiff_t first,
+                            std::ptrdiff_t stride, std::size_t len) {
+  std::vector<Segment> out;
+  blocks(out, n, first, stride, len);
+  return out;
+}
+
 /// One datatype of every constructor shape, nested ones included.
-std::vector<Datatype> every_shape() {
+std::vector<Shape> every_shape() {
   const std::size_t bl[] = {2, 1, 3};
   const std::ptrdiff_t disp_elems[] = {0, 4, 8};
   const std::ptrdiff_t disp_bytes[] = {40, 3, 17};
@@ -228,51 +255,207 @@ std::vector<Datatype> every_shape() {
   const std::size_t at0[] = {0, 0};
   const std::size_t sizes3[] = {4, 5, 6}, sub3[] = {2, 3, 2},
                     start3[] = {1, 1, 3};
+  // vector(3, 2, 4, double): 3 blocks of 16 bytes, 32 apart; extent 80.
   const Datatype vec = Datatype::vector(3, 2, 4, double_type());
+
+  std::vector<Segment> indexed_int, hindexed_byte, indexed_vec;
+  for (std::size_t b = 0; b < 3; ++b) {
+    indexed_int.push_back({disp_elems[b] * 4, bl[b] * 4});
+    hindexed_byte.push_back({disp_bytes[b], bl[b]});
+    // Blocks of bl[b] vec instances (not contiguous: one walk each).
+    for (std::size_t j = 0; j < bl[b]; ++j)
+      blocks(indexed_vec, 3,
+             disp_elems[b] * 80 + static_cast<std::ptrdiff_t>(j) * 80, 32, 16);
+  }
+  // 3-D subarray of int32: rows of 2 elements (8 bytes), 3 per plane 24
+  // bytes apart, 2 planes 120 bytes apart, from (1, 1, 3) = byte 156.
+  std::vector<Segment> sub3_one;
+  for (std::ptrdiff_t i = 0; i < 2; ++i) blocks(sub3_one, 3, 156 + 120 * i, 24, 8);
+  std::vector<Segment> vec_of_vec, contig_vec;
+  for (std::ptrdiff_t i = 0; i < 3; ++i) blocks(vec_of_vec, 3, 200 * i, 32, 16);
+  for (std::ptrdiff_t i = 0; i < 2; ++i) blocks(contig_vec, 3, 80 * i, 32, 16);
+
   return {
-      double_type(),
-      Datatype::basic(BasicType::int32),
-      Datatype::contiguous(10, double_type()),
-      vec,
-      Datatype::vector(4, 3, 3, double_type()),  // packed stride
-      Datatype::hvector(3, 1, 40, int64_type()),
-      Datatype::hvector(3, 2, -32, int32_type()),  // negative stride
-      Datatype::indexed(bl, disp_elems, int32_type()),
-      Datatype::hindexed(bl, disp_bytes, byte_type()),  // unsorted
-      Datatype::subarray(sizes2, sub2, start2, double_type()),
-      Datatype::subarray(sizes2, sub2, at0, double_type()),
-      Datatype::subarray(sizes3, sub3, start3, int32_type()),
-      Datatype::hvector(3, 1, 200, vec),  // vector of vectors
-      Datatype::indexed(bl, disp_elems, vec),
-      Datatype::contiguous(2, vec),
+      {double_type(), 8, {{0, 8}}},
+      {Datatype::basic(BasicType::int32), 4, {{0, 4}}},
+      // An hvector of 10 doubles: one segment per (contiguous) child.
+      {Datatype::contiguous(10, double_type()), 80, blocks(10, 0, 8, 8)},
+      {vec, 80, blocks(3, 0, 32, 16)},
+      {Datatype::vector(4, 3, 3, double_type()), 96,  // packed stride
+       blocks(4, 0, 24, 24)},
+      {Datatype::hvector(3, 1, 40, int64_type()), 88, blocks(3, 0, 40, 8)},
+      {Datatype::hvector(3, 2, -32, int32_type()), 72,  // negative stride
+       blocks(3, 0, -32, 8)},
+      {Datatype::indexed(bl, disp_elems, int32_type()), 44, indexed_int},
+      {Datatype::hindexed(bl, disp_bytes, byte_type()), 42,  // unsorted
+       hindexed_byte},
+      // 6x8 doubles, 3x4 patch at (2, 3): rows of 32 bytes, 64 apart, from
+      // byte 2 * 64 + 3 * 8 = 152; extent 152 + 2 * 64 + 32.
+      {Datatype::subarray(sizes2, sub2, start2, double_type()), 312,
+       blocks(3, 152, 64, 32)},
+      {Datatype::subarray(sizes2, sub2, at0, double_type()), 160,
+       blocks(3, 0, 64, 32)},
+      {Datatype::subarray(sizes3, sub3, start3, int32_type()), 332, sub3_one},
+      {Datatype::hvector(3, 1, 200, vec), 480, vec_of_vec},  // vector of vectors
+      {Datatype::indexed(bl, disp_elems, vec), 880, indexed_vec},
+      {Datatype::contiguous(2, vec), 160, contig_vec},
   };
 }
 
+/// The expected walk of \p count instances of \p s: instance i is one
+/// instance's segments shifted by i * extent.
+std::vector<Segment> expected_walk(const Shape& s, std::size_t count) {
+  std::vector<Segment> out;
+  for (std::size_t i = 0; i < count; ++i)
+    for (const Segment& seg : s.one)
+      out.push_back(
+          {seg.offset + static_cast<std::ptrdiff_t>(i) * s.extent, seg.length});
+  return out;
+}
+
+TEST(DatatypeTest, WalkFollowsConstructorParametersForEveryShape) {
+  const std::vector<Shape> shapes = every_shape();
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const Shape& s = shapes[i];
+    ASSERT_EQ(s.type.extent(), s.extent) << "shape " << i;
+    std::size_t one_bytes = 0;
+    std::ptrdiff_t lb = s.one.front().offset, ub = lb;
+    for (const Segment& seg : s.one) {
+      one_bytes += seg.length;
+      lb = std::min(lb, seg.offset);
+      ub = std::max(ub, seg.offset + static_cast<std::ptrdiff_t>(seg.length));
+    }
+    EXPECT_EQ(s.type.size(), one_bytes) << "shape " << i;
+    EXPECT_EQ(s.type.true_lb(), lb) << "shape " << i;
+    EXPECT_EQ(s.type.true_ub(), ub) << "shape " << i;
+    for (std::size_t count : {1u, 2u, 3u}) {
+      std::vector<Segment> walked;
+      s.type.for_each_segment(count,
+                              [&](Segment seg) { walked.push_back(seg); });
+      EXPECT_TRUE(same_segments(walked, expected_walk(s, count)))
+          << "shape " << i << " count " << count;
+    }
+  }
+}
+
 TEST(DatatypeTest, FlattenIntoEqualsMergedWalkForEveryShape) {
-  const std::vector<Datatype> shapes = every_shape();
+  const std::vector<Shape> shapes = every_shape();
   for (std::size_t i = 0; i < shapes.size(); ++i) {
     for (std::size_t count : {1u, 2u, 3u}) {
-      const std::vector<Segment> want = reference_flatten(shapes[i], count);
-      EXPECT_TRUE(same_segments(flat(shapes[i], count), want))
+      const std::vector<Segment> want = merged(expected_walk(shapes[i], count));
+      EXPECT_TRUE(same_segments(flat(shapes[i].type, count), want))
           << "shape " << i << " count " << count;
       std::size_t total = 0;
       for (const Segment& s : want) total += s.length;
-      EXPECT_EQ(total, count * shapes[i].size()) << "shape " << i;
+      EXPECT_EQ(total, count * shapes[i].type.size()) << "shape " << i;
     }
   }
+}
+
+TEST(DatatypeTest, PackAndUnpackFollowTheWalkForEveryShape) {
+  const std::vector<Shape> shapes = every_shape();
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    for (std::size_t count : {1u, 2u, 3u}) {
+      const std::vector<Segment> segs = expected_walk(shapes[i], count);
+      // A buffer covering every segment; base sits at its offset 0.
+      std::ptrdiff_t lo = 0, hi = 0;
+      for (const Segment& s : segs) {
+        lo = std::min(lo, s.offset);
+        hi = std::max(hi, s.offset + static_cast<std::ptrdiff_t>(s.length));
+      }
+      std::vector<std::uint8_t> mem(static_cast<std::size_t>(hi - lo));
+      for (std::size_t b = 0; b < mem.size(); ++b)
+        mem[b] = static_cast<std::uint8_t>(b * 7 + 1);
+      std::uint8_t* base = mem.data() - lo;
+
+      std::vector<std::uint8_t> want;
+      for (const Segment& s : segs)
+        want.insert(want.end(), base + s.offset,
+                    base + s.offset + static_cast<std::ptrdiff_t>(s.length));
+      std::vector<std::uint8_t> packed(count * shapes[i].type.size());
+      ASSERT_EQ(packed.size(), want.size()) << "shape " << i;
+      shapes[i].type.pack(base, count, packed.data());
+      EXPECT_EQ(packed, want) << "shape " << i << " count " << count;
+
+      // Unpack a distinct stream: segment bytes take it in walk order (a
+      // later segment wins where two overlap), every other byte keeps 0xEE.
+      std::vector<std::uint8_t> stream(packed.size());
+      for (std::size_t b = 0; b < stream.size(); ++b)
+        stream[b] = static_cast<std::uint8_t>(255 - b % 200);
+      std::vector<std::uint8_t> out(mem.size(), 0xEE), expect(mem.size(), 0xEE);
+      std::size_t pos = 0;
+      for (const Segment& s : segs)
+        for (std::size_t b = 0; b < s.length; ++b)
+          expect[static_cast<std::size_t>(s.offset - lo) + b] = stream[pos++];
+      shapes[i].type.unpack(stream.data(), out.data() - lo, count);
+      EXPECT_EQ(out, expect) << "shape " << i << " count " << count;
+    }
+  }
+}
+
+/// A visitor that owns state and cannot be copied or moved: the walk must
+/// use the caller's object itself.
+struct SegmentTally {
+  SegmentTally() = default;
+  SegmentTally(const SegmentTally&) = delete;
+  SegmentTally& operator=(const SegmentTally&) = delete;
+  void operator()(Segment s) {
+    ++segments;
+    bytes += s.length;
+    last = s;
+  }
+  std::size_t segments = 0;
+  std::size_t bytes = 0;
+  Segment last{0, 0};
+};
+
+TEST(DatatypeTest, ForEachSegmentUsesTheCallersVisitor) {
+  const std::vector<Shape> shapes = every_shape();
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    SegmentTally tally;
+    shapes[i].type.for_each_segment(3, tally);
+    const std::vector<Segment> want = expected_walk(shapes[i], 3);
+    EXPECT_EQ(tally.segments, want.size()) << "shape " << i;
+    EXPECT_EQ(tally.bytes, 3 * shapes[i].type.size()) << "shape " << i;
+    EXPECT_EQ(tally.last.offset, want.back().offset) << "shape " << i;
+    EXPECT_EQ(tally.last.length, want.back().length) << "shape " << i;
+  }
+}
+
+TEST(DatatypeTest, NegativeStrideAndDisplacementBounds) {
+  // 3 blocks of 2 int32, stride -32: offsets 0, -32, -64.
+  const Datatype v = Datatype::hvector(3, 2, -32, int32_type());
+  EXPECT_EQ(v.true_lb(), -64);
+  EXPECT_EQ(v.true_ub(), 8);
+  EXPECT_EQ(v.extent(), 72);
+  // Blocks at -24 (2 int32) and 8 (1 int32).
+  const std::size_t bl[] = {2, 1};
+  const std::ptrdiff_t disp[] = {-24, 8};
+  const Datatype h = Datatype::hindexed(bl, disp, int32_type());
+  EXPECT_EQ(h.true_lb(), -24);
+  EXPECT_EQ(h.true_ub(), 12);
+  // Nested: the child's bounds carry through to every block.
+  const Datatype n = Datatype::hvector(2, 1, 100, v);
+  EXPECT_EQ(n.true_lb(), -64);
+  EXPECT_EQ(n.true_ub(), 108);
+  const std::ptrdiff_t at[] = {-8};
+  const std::size_t one[] = {1};
+  const Datatype m = Datatype::hindexed(one, at, v);
+  EXPECT_EQ(m.true_lb(), -72);
+  EXPECT_EQ(m.true_ub(), 0);
 }
 
 TEST(DatatypeTest, ReusedFlattenBufferKeepsNoStaleSegments) {
   // One buffer, reused by calls whose output grows and shrinks: each call
   // must leave exactly its own segments, never a tail of a longer one.
-  const std::vector<Datatype> shapes = every_shape();
+  const std::vector<Shape> shapes = every_shape();
   std::vector<Segment> buf(64, Segment{-7, 7});  // junk to be discarded
   const std::size_t order[] = {12, 0, 3, 2, 11, 1, 13, 0, 9, 14, 4};
   std::size_t largest = 0;
   for (std::size_t i : order) {
     for (std::size_t count : {3u, 1u}) {
-      shapes[i].flatten_into(count, buf);
-      EXPECT_TRUE(same_segments(buf, reference_flatten(shapes[i], count)))
+      shapes[i].type.flatten_into(count, buf);
+      EXPECT_TRUE(same_segments(buf, merged(expected_walk(shapes[i], count))))
           << "shape " << i << " count " << count;
       largest = std::max(largest, buf.size());
     }

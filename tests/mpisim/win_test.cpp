@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -125,6 +127,66 @@ TEST(WinTest, TypedPutScattersWithTargetDatatype) {
       EXPECT_DOUBLE_EQ(mem[4], 3.0);
       EXPECT_DOUBLE_EQ(mem[6], 4.0);
       EXPECT_DOUBLE_EQ(mem[1], 0.0);
+    }
+    win.free();
+  });
+}
+
+TEST(WinTest, PutBelowWindowBaseThrowsAndLeavesGuardBytes) {
+  run(2, Platform::ideal, [] {
+    // 16 guard words, a 32-word window, 16 guard words.
+    std::vector<std::int32_t> mem(64, -1);
+    std::fill(mem.begin() + 16, mem.begin() + 48, 0);
+    Win win = Win::create(mem.data() + 16, 32 * sizeof(std::int32_t), world());
+    world().barrier();
+    if (rank() == 0) {
+      // 3 blocks of 2 words at byte offsets 0, -32 and -64: at
+      // displacement 0 two of them fall below the window's base.
+      const Datatype down = Datatype::hvector(3, 2, -32, int32_type());
+      std::vector<std::int32_t> src{1, 2, 3, 4, 5, 6};
+      win.lock(LockType::exclusive, 1);
+      try {
+        win.put(src.data(), 6, int32_type(), 1, 0, 1, down);
+        ADD_FAILURE() << "expected window_bounds";
+      } catch (const MpiError& e) {
+        EXPECT_EQ(e.code(), Errc::window_bounds);
+      }
+      win.unlock(1);
+    }
+    world().barrier();
+    if (rank() == 1) {
+      for (std::size_t i = 0; i < mem.size(); ++i)
+        EXPECT_EQ(mem[i], i < 16 || i >= 48 ? -1 : 0) << "word " << i;
+    }
+    win.free();
+  });
+}
+
+TEST(WinTest, NegativeStridePutLandsAboveItsLowerBound) {
+  run(2, Platform::ideal, [] {
+    std::vector<std::int32_t> mem(32, 0);
+    Win win = Win::create(mem.data(), mem.size() * sizeof(std::int32_t),
+                          world());
+    world().barrier();
+    if (rank() == 0) {
+      // Blocks at byte offsets 120, 88 and 56: the access ends exactly at
+      // the window's end although disp + extent (120 + 72) is past it.
+      const Datatype down = Datatype::hvector(3, 2, -32, int32_type());
+      std::vector<std::int32_t> src{1, 2, 3, 4, 5, 6};
+      win.lock(LockType::exclusive, 1);
+      win.put(src.data(), 6, int32_type(), 1, 120, 1, down);
+      win.unlock(1);
+    }
+    world().barrier();
+    if (rank() == 1) {
+      std::vector<std::int32_t> want(32, 0);
+      want[30] = 1;
+      want[31] = 2;
+      want[22] = 3;
+      want[23] = 4;
+      want[14] = 5;
+      want[15] = 6;
+      EXPECT_EQ(mem, want);
     }
     win.free();
   });
