@@ -52,11 +52,11 @@ struct Store {
   std::vector<std::int64_t> fma_primary, fma_replica;
 };
 
-int verify_failures = 0;  // summed under the simulator lock
+int verify_failures = 0;  // summed by every rank (one host thread)
 
 void check(bool ok, const char* what, std::uint64_t key) {
   if (ok) return;
-  std::lock_guard lk(mpisim::ctx().core().mu());
+  mpisim::ctx().core().sync();
   ++verify_failures;
   std::fprintf(stderr, "dht: VERIFY FAILED rank %d key %llu: %s\n",
                mpisim::rank(), (unsigned long long)key, what);

@@ -91,8 +91,8 @@ struct AmState {
   std::array<std::uint8_t, sizeof(WireReply) + kMaxReplyBytes> serve_buf;
   /// One completed rpc state kept for reuse (see take_op). Only a
   /// successful wait() puts an op here, after its reply receive was reset:
-  /// this slot is torn down under SimCore::mu(), where destroying a live
-  /// Comm::Request would take that lock again.
+  /// this slot is torn down in the rank-exit cleanup, where destroying a
+  /// live Comm::Request would reach a scheduling point (Errc::internal).
   std::shared_ptr<OpState> spare;
 };
 
@@ -131,7 +131,8 @@ struct OpState {
 
 namespace {
 
-/// Fire and clear the operation-level callbacks (never under the lock).
+/// Fire and clear the operation-level callbacks (user code, which may reach
+/// scheduling points).
 void fire_callbacks(OpState& op, std::exception_ptr e) {
   std::vector<std::function<void(std::exception_ptr)>> cbs;
   cbs.swap(op.callbacks);
@@ -201,18 +202,15 @@ bool serve_one(AmState& am, armci::ProcState& st) {
   mpisim::RankContext& me = mpisim::ctx();
   mpisim::SimCore& core = me.core();
   const std::uint64_t cid = am.comm.id();
-  mpisim::Message m;
-  {
-    std::unique_lock lk(core.mu());
-    mpisim::Mailbox& mb = core.mailbox(me.rank());
-    if (!mb.has_match(cid, mpisim::kAnySource, kReqTag)) return false;
-    m = mb.pop_match(cid, mpisim::kAnySource, kReqTag);
-    if (core.hb().enabled()) {
-      // The persona acts for the owner: order it after the owner's current
-      // point, then acquire the requester's clock at the receive.
-      core.hb().persona_sync(me.rank());
-      core.hb().recv_join(core.hb().persona(me.rank()), m.vc);
-    }
+  core.sync();
+  mpisim::Mailbox& mb = core.mailbox(me.rank());
+  if (!mb.has_match(cid, mpisim::kAnySource, kReqTag)) return false;
+  mpisim::Message m = mb.pop_match(cid, mpisim::kAnySource, kReqTag);
+  if (core.hb().enabled()) {
+    // The persona acts for the owner: order it after the owner's current
+    // point, then acquire the requester's clock at the receive.
+    core.hb().persona_sync(me.rank());
+    core.hb().recv_join(core.hb().persona(me.rank()), m.vc);
   }
   // Delivery time is node-aware: same-node delegates ride the shared-memory
   // copy cost. With the cooperative progress engine the persona serves at
@@ -278,9 +276,9 @@ bool serve_one(AmState& am, armci::ProcState& st) {
       serve_ns = me.clock().now_ns();
     }
     r.send_ts_ns = serve_ns + me.fault().draw_delivery_delay_ns();
-    std::lock_guard lk(core.mu());
-    core.note_time_locked(std::max(serve_ns, me.clock().now_ns()));
-    if (core.survivable() && core.is_dead_locked(m.src_comm_rank)) {
+    core.sync();
+    core.note_time(std::max(serve_ns, me.clock().now_ns()));
+    if (core.survivable() && core.is_dead(m.src_comm_rank)) {
       // The requester died while we served: nobody will consume the
       // reply, and its handle already surfaces Errc::crashed. Drop it.
     } else {
@@ -291,13 +289,13 @@ bool serve_one(AmState& am, armci::ProcState& st) {
       }
       core.mailbox(m.src_comm_rank)
           .push(std::move(r), am.serve_buf.data(), sizeof rh + reply_bytes);
-      core.wake_locked(m.src_comm_rank);
+      core.wake(m.src_comm_rank);
     }
   }
   if (core.hb().enabled()) {
     // The handler ran on this thread: the owner continues sequenced after
     // it, so it acquires the persona clock (no false race with own serve).
-    std::lock_guard lk(core.mu());
+    core.sync();
     core.hb().persona_retire(me.rank());
   }
   return true;
@@ -500,17 +498,16 @@ void Handle::wait() {
     // Block until the reply is delivered, an inbound request arrives
     // (serve-while-waiting), or -- in survivable mode -- the target dies;
     // rreq.test() then surfaces Errc::crashed through the handle.
-    std::unique_lock lk(core.mu());
-    core.wait(lk,
-              [&] {
-                if (op.rreq.ready_locked()) return true;
-                if (core.mailbox(me.rank())
-                        .has_match(cid, mpisim::kAnySource, kReqTag))
-                  return true;
-                return core.survivable() &&
-                       core.is_dead_locked(op.target);
-              },
-              "am.wait");
+    core.sync();
+    core.wait(
+        [&] {
+          if (op.rreq.ready()) return true;
+          if (core.mailbox(me.rank())
+                  .has_match(cid, mpisim::kAnySource, kReqTag))
+            return true;
+          return core.survivable() && core.is_dead(op.target);
+        },
+        "am.wait");
   }
 }
 
@@ -576,14 +573,12 @@ void quiesce(int gce) {
     am.comm.allreduce(in.data(), out.data(), 2 * n,
                       mpisim::BasicType::uint64, mpisim::Op::sum);
     bool converged = true;
-    {
-      std::lock_guard lk(core.mu());
-      for (std::size_t t = 0; t < n; ++t) {
-        if (core.is_dead_locked(static_cast<int>(t))) continue;
-        if (out[n + t] < out[t]) {
-          converged = false;
-          break;
-        }
+    core.sync();
+    for (std::size_t t = 0; t < n; ++t) {
+      if (core.is_dead(static_cast<int>(t))) continue;
+      if (out[n + t] < out[t]) {
+        converged = false;
+        break;
       }
     }
     if (converged) break;
@@ -593,7 +588,7 @@ void quiesce(int gce) {
     // Termination is the collective completion edge for fire-and-forget
     // delegates: every rank retires its persona, and the allreduce just
     // completed crosses the persona clocks to every other rank.
-    std::lock_guard lk(core.mu());
+    core.sync();
     core.hb().persona_retire(me);
   }
 }
@@ -606,19 +601,17 @@ void poll_wait(const std::function<bool()>& pred) {
   mpisim::SimCore& core = me.core();
   const std::uint64_t cid = am.comm.id();
   for (;;) {
-    {
-      std::lock_guard lk(core.mu());
-      if (pred()) return;
-    }
+    core.sync();
+    if (pred()) return;
     if (poll_impl() > 0) continue;  // serving may have flipped pred
-    std::unique_lock lk(core.mu());
-    core.wait(lk,
-              [&] {
-                return pred() ||
-                       core.mailbox(me.rank())
-                           .has_match(cid, mpisim::kAnySource, kReqTag);
-              },
-              "am.poll_wait");
+    core.sync();
+    core.wait(
+        [&] {
+          return pred() ||
+                 core.mailbox(me.rank())
+                     .has_match(cid, mpisim::kAnySource, kReqTag);
+        },
+        "am.poll_wait");
   }
 }
 
@@ -636,7 +629,7 @@ void barrier() {
     poll_wait([&] {
       int present = am.barrier_tokens[gen];
       for (int r = 1; r < n; ++r)
-        if (core.is_dead_locked(r)) ++present;
+        if (core.is_dead(r)) ++present;
       return present >= n - 1;
     });
     am.barrier_tokens.erase(gen);
@@ -676,7 +669,7 @@ void touch(const void* ptr, std::size_t bytes, bool write) {
                             : loc.target_rank;
   const auto lo = static_cast<std::ptrdiff_t>(loc.offset);
   const auto hi = static_cast<std::ptrdiff_t>(loc.offset + bytes);
-  std::lock_guard lk(core.mu());
+  core.sync();
   core.hb().direct_op(space, target, loc.gmr->group.rank(),
                       core.hb().persona(mpisim::rank()),
                       write ? mpisim::HbChecker::OpKind::put

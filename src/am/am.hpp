@@ -151,9 +151,9 @@ void quiesce(int gce = 0);
 /// Serve inbound requests while waiting for \p pred to become true -- the
 /// blocking primitive for code that must stay responsive as a server (a
 /// rank waiting on handler-updated local state, a phase fence). \p pred is
-/// evaluated with the simulator lock held: it may read rank-local state a
-/// handler updates and _locked simulator accessors, and must not block,
-/// send, or serve itself.
+/// evaluated inside the wait, without a scheduling point: it may read
+/// rank-local state a handler updates and simulator state (SimCore::is_dead,
+/// not is_failed), and must not block, send, or serve itself.
 void poll_wait(const std::function<bool()>& pred);
 
 /// Serving barrier over the live world ranks: returns once every live rank

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "src/armci/accops.hpp"
 #include "src/armci/backend_mpi.hpp"
@@ -719,7 +718,7 @@ void put_notify(const void* src, void* dst, std::size_t bytes, int* flag,
   // checking -- its ordering is exactly this channel edge.
   mpisim::SimCore& core = mpisim::ctx().core();
   if (core.hb().enabled()) {
-    std::lock_guard lk(core.mu());
+    core.sync();
     core.hb().channel_release(reinterpret_cast<std::uintptr_t>(flag),
                               mpisim::ctx().rank());
   }
@@ -747,20 +746,17 @@ void wait_notify(const int* flag, int value) {
       // flag is ordered by the notify channel, not by data-race rules).
       mpisim::HbChecker::MuteScope mute(core.hb(), mpisim::rank());
       st.backend->access_begin(loc);
-      {
-        // The remote flag write lands as a memcpy under the simulator's
-        // global lock (the stand-in for the target NIC); polling under the
-        // same lock gives data-then-flag delivery a real happens-before
-        // edge, so the payload the flag guards is visible too.
-        std::lock_guard lk(core.mu());
-        v = *flag;
-        // Acquire the producer's channel release: orders every payload
-        // access after this wait against the publications that preceded
-        // the notify.
-        if (v == value)
-          core.hb().channel_acquire(reinterpret_cast<std::uintptr_t>(flag),
-                                    mpisim::rank());
-      }
+      // The remote flag write lands as a memcpy in one critical section
+      // (the stand-in for the target NIC); polling after a scheduling point
+      // gives data-then-flag delivery a real happens-before edge, so the
+      // payload the flag guards is visible too.
+      core.sync();
+      v = *flag;
+      // Acquire the producer's channel release: orders every payload access
+      // after this wait against the publications that preceded the notify.
+      if (v == value)
+        core.hb().channel_acquire(reinterpret_cast<std::uintptr_t>(flag),
+                                  mpisim::rank());
       st.backend->access_end(loc);
     }
     if (v == value) return;

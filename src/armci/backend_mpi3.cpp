@@ -268,7 +268,8 @@ void Mpi3Backend::strided(OneSided kind, const void* src, void* dst,
   if (direct_path(loc)) {
     // Same-node strided access: walk Algorithm 1's segments as direct
     // shared-memory copies instead of opening a datatype epoch.
-    StridedIter it(spec);
+    mpisim::Lease<std::vector<std::size_t>> idx(strided_idx_);
+    StridedIter it(spec, *idx);
     std::size_t s_off = 0, d_off = 0;
     auto* lbase = static_cast<std::uint8_t*>(p.local);
     GmrLoc seg = loc;

@@ -112,6 +112,8 @@ class Mpi3Backend final : public CommBackend {
   /// Scaled accumulates' staging buffer, taken through mpisim::Lease so a
   /// warm scaled op allocates nothing.
   std::vector<std::uint8_t> stage_;
+  /// Same-node strided ops' StridedIter counters, taken the same way.
+  std::vector<std::size_t> strided_idx_;
 };
 
 }  // namespace armci

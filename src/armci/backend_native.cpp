@@ -1,13 +1,13 @@
 #include "src/armci/backend_native.hpp"
 
 #include <cstring>
-#include <mutex>
 
 #include "src/armci/accops.hpp"
 #include "src/armci/state.hpp"
 #include "src/armci/strided.hpp"
 #include "src/mpisim/error.hpp"
 #include "src/mpisim/runtime.hpp"
+#include "src/mpisim/scratch.hpp"
 #include "src/mpisim/trace.hpp"
 
 namespace armci {
@@ -58,11 +58,11 @@ void NativeBackend::move_segment(OneSided kind, const Gmr& gmr,
                                  int target_rank, std::size_t offset,
                                  void* remote, void* local, std::size_t bytes,
                                  AccType at, const void* scale) const {
-  // Direct access; the simulator's global lock stands in for the target
-  // NIC/CHT applying the operation atomically with respect to other ops.
+  // Direct access; one critical section stands in for the target NIC/CHT
+  // applying the operation atomically with respect to other ops.
   mpisim::SimCore& core = mpisim::ctx().core();
-  std::lock_guard lk(core.mu());
-  core.check_failed_locked();
+  core.sync();
+  core.check_failed();
   if (core.hb().enabled()) {
     // No window backs native memory: key the shadow space off the GMR id.
     const auto hk = kind == OneSided::put   ? mpisim::RmaChecker::OpKind::put
@@ -160,7 +160,8 @@ void NativeBackend::strided(OneSided kind, const void* src, void* dst,
           loc.gmr->bases[static_cast<std::size_t>(loc.target_rank)]) +
       loc.offset;
 
-  StridedIter it(spec);
+  mpisim::Lease<std::vector<std::size_t>> idx(strided_idx_);
+  StridedIter it(spec, *idx);
   std::size_t so = 0, to = 0;
   std::size_t nseg = 0;
   bool pinned = true;
@@ -204,49 +205,47 @@ void NativeBackend::rmw(RmwOp op, void* ploc, void* prem, std::int64_t extra,
                                 : 4;
   const GmrLoc loc = st_->table.require(proc, prem, bytes);
   // Host-side atomic (CHT service): one critical section, one round trip.
-  {
-    mpisim::SimCore& core = mpisim::ctx().core();
-    std::lock_guard lk(core.mu());
-    core.check_failed_locked();
-    if (core.hb().enabled()) {
-      // Accumulate-class atomic: fetch_and_add mixes with itself (sum),
-      // swap behaves like an atomic replace -- mixing the two is a race.
-      const bool is_swap = op == RmwOp::swap || op == RmwOp::swap_long;
-      const auto lo = static_cast<std::ptrdiff_t>(loc.offset);
-      core.hb().direct_op(
-          mpisim::HbChecker::kNativeSpace | loc.gmr->id,
-          loc.gmr->group.absolute_id(loc.target_rank), loc.gmr->group.rank(),
-          mpisim::ctx().rank(), mpisim::RmaChecker::OpKind::acc,
-          is_swap ? mpisim::Op::replace : mpisim::Op::sum, lo,
-          lo + static_cast<std::ptrdiff_t>(bytes), "native.rmw");
+  mpisim::SimCore& core = mpisim::ctx().core();
+  core.sync();
+  core.check_failed();
+  if (core.hb().enabled()) {
+    // Accumulate-class atomic: fetch_and_add mixes with itself (sum),
+    // swap behaves like an atomic replace -- mixing the two is a race.
+    const bool is_swap = op == RmwOp::swap || op == RmwOp::swap_long;
+    const auto lo = static_cast<std::ptrdiff_t>(loc.offset);
+    core.hb().direct_op(
+        mpisim::HbChecker::kNativeSpace | loc.gmr->id,
+        loc.gmr->group.absolute_id(loc.target_rank), loc.gmr->group.rank(),
+        mpisim::ctx().rank(), mpisim::RmaChecker::OpKind::acc,
+        is_swap ? mpisim::Op::replace : mpisim::Op::sum, lo,
+        lo + static_cast<std::ptrdiff_t>(bytes), "native.rmw");
+  }
+  switch (op) {
+    case RmwOp::fetch_and_add: {
+      auto* r = static_cast<std::int32_t*>(prem);
+      const std::int32_t old = *r;
+      *r = old + static_cast<std::int32_t>(extra);
+      *static_cast<std::int32_t*>(ploc) = old;
+      break;
     }
-    switch (op) {
-      case RmwOp::fetch_and_add: {
-        auto* r = static_cast<std::int32_t*>(prem);
-        const std::int32_t old = *r;
-        *r = old + static_cast<std::int32_t>(extra);
-        *static_cast<std::int32_t*>(ploc) = old;
-        break;
-      }
-      case RmwOp::fetch_and_add_long: {
-        auto* r = static_cast<std::int64_t*>(prem);
-        const std::int64_t old = *r;
-        *r = old + extra;
-        *static_cast<std::int64_t*>(ploc) = old;
-        break;
-      }
-      case RmwOp::swap: {
-        auto* r = static_cast<std::int32_t*>(prem);
-        auto* l = static_cast<std::int32_t*>(ploc);
-        std::swap(*r, *l);
-        break;
-      }
-      case RmwOp::swap_long: {
-        auto* r = static_cast<std::int64_t*>(prem);
-        auto* l = static_cast<std::int64_t*>(ploc);
-        std::swap(*r, *l);
-        break;
-      }
+    case RmwOp::fetch_and_add_long: {
+      auto* r = static_cast<std::int64_t*>(prem);
+      const std::int64_t old = *r;
+      *r = old + extra;
+      *static_cast<std::int64_t*>(ploc) = old;
+      break;
+    }
+    case RmwOp::swap: {
+      auto* r = static_cast<std::int32_t*>(prem);
+      auto* l = static_cast<std::int32_t*>(ploc);
+      std::swap(*r, *l);
+      break;
+    }
+    case RmwOp::swap_long: {
+      auto* r = static_cast<std::int64_t*>(prem);
+      auto* l = static_cast<std::int64_t*>(ploc);
+      std::swap(*r, *l);
+      break;
     }
   }
   mpisim::clock().advance(2.0 * mpisim::model().p2p_ns(0));
@@ -265,9 +264,9 @@ void NativeBackend::mutexes_destroy() {
 void NativeBackend::mutex_lock(int m, int proc) {
   mpisim::RankContext& me = mpisim::ctx();
   mpisim::SimCore& core = me.core();
-  std::unique_lock lk(core.mu());
+  core.sync();
   // The host's helper thread services mutex requests; a dead host cannot.
-  core.check_target_alive_locked(proc, "native.mutex_lock");
+  core.check_target_alive(proc, "native.mutex_lock");
   auto* host = static_cast<ProcState*>(core.rank_ctx(proc).user_state);
   if (host == nullptr || m < 0 ||
       m >= static_cast<int>(host->native_mutexes.size()))
@@ -276,16 +275,16 @@ void NativeBackend::mutex_lock(int m, int proc) {
   host->native_mutexes[static_cast<std::size_t>(m)].queue.push_back(me.rank());
   int reclaimed_from = -1;
   bool host_gone = false;
-  // The host's death deletes its ProcState (user_state_cleanup runs under
-  // mu() when its rank exits), so never hold a reference across a
-  // wait: re-resolve the mutex row on every predicate evaluation and bail
-  // out first when the host is gone. The predicate only flags; the throw
-  // happens after wait() returns so the blocked-rank accounting stays
-  // balanced (same pattern as comm.recv).
-  core.wait(lk, [&] {
+  // The host's death deletes its ProcState (user_state_cleanup runs when
+  // its rank exits), so never hold a reference across a wait: re-resolve
+  // the mutex row on every predicate evaluation and bail out first when the
+  // host is gone. The predicate only flags; the throw happens after wait()
+  // returns so the blocked-rank accounting stays balanced (same pattern as
+  // comm.recv).
+  core.wait([&] {
     auto* h = static_cast<ProcState*>(core.rank_ctx(proc).user_state);
     if (h == nullptr || m >= static_cast<int>(h->native_mutexes.size()) ||
-        (core.survivable() && core.is_dead_locked(proc))) {
+        (core.survivable() && core.is_dead(proc))) {
       host_gone = true;
       return true;
     }
@@ -293,19 +292,19 @@ void NativeBackend::mutex_lock(int m, int proc) {
     if (core.survivable()) {
       // A dead holder never unlocks and a dead waiter never takes its
       // turn: reclaim the one, strip the others.
-      if (mx.holder != -1 && core.is_dead_locked(mx.holder)) {
+      if (mx.holder != -1 && core.is_dead(mx.holder)) {
         reclaimed_from = mx.holder;
         mx.holder = -1;
       }
       while (!mx.queue.empty() && mx.queue.front() != me.rank() &&
-             core.is_dead_locked(mx.queue.front()))
+             core.is_dead(mx.queue.front()))
         mx.queue.pop_front();
     }
     return mx.holder == -1 && !mx.queue.empty() && mx.queue.front() == me.rank();
   }, "native.mutex");
   if (host_gone) {
-    if (core.survivable() && core.is_dead_locked(proc))
-      core.observe_death_locked(proc, "native.mutex_lock");  // throws crashed
+    if (core.survivable() && core.is_dead(proc))
+      core.observe_death(proc, "native.mutex_lock");  // throws crashed
     mpisim::raise(Errc::invalid_argument,
                   "mutex set destroyed or host exited while locking");
   }
@@ -316,16 +315,15 @@ void NativeBackend::mutex_lock(int m, int proc) {
   // Critical-section edge: acquire the clock the previous holder released
   // at unlock (a dead holder never released -- correctly no edge).
   core.hb().channel_acquire(native_mutex_hb_key(proc, m), me.rank());
-  if (reclaimed_from >= 0) core.note_death_observed_locked(reclaimed_from);
-  lk.unlock();
+  if (reclaimed_from >= 0) core.note_death_observed(reclaimed_from);
   mpisim::clock().advance(2.0 * mpisim::model().p2p_ns(0));
 }
 
 void NativeBackend::mutex_unlock(int m, int proc) {
   mpisim::RankContext& me = mpisim::ctx();
   mpisim::SimCore& core = me.core();
-  std::unique_lock lk(core.mu());
-  core.check_target_alive_locked(proc, "native.mutex_unlock");
+  core.sync();
+  core.check_target_alive(proc, "native.mutex_unlock");
   auto* host = static_cast<ProcState*>(core.rank_ctx(proc).user_state);
   if (host == nullptr || m < 0 ||
       m >= static_cast<int>(host->native_mutexes.size()))
@@ -336,8 +334,7 @@ void NativeBackend::mutex_unlock(int m, int proc) {
     mpisim::raise(Errc::invalid_argument, "unlock of a mutex not held");
   core.hb().channel_release(native_mutex_hb_key(proc, m), me.rank());
   mx.holder = -1;
-  for (int r : mx.queue) core.wake_locked(r);
-  lk.unlock();
+  for (int r : mx.queue) core.wake(r);
   mpisim::clock().advance(mpisim::model().p2p_ns(0));
 }
 

@@ -15,6 +15,7 @@
 /// serviced host-side (CHT), and direct local access needs no epochs.
 
 #include <set>
+#include <vector>
 
 #include "src/armci/backend.hpp"
 
@@ -50,7 +51,7 @@ class NativeBackend final : public CommBackend {
   void access_end(const GmrLoc& loc) override;
 
  private:
-  /// Move one segment directly (under the simulator's global lock). The
+  /// Move one segment directly, in one critical section. The
   /// <gmr, target_rank, offset> locate the remote bytes for the race
   /// detector: native transfers never open an epoch, so each segment is
   /// checked and published as one atomic direct access.
@@ -64,6 +65,9 @@ class NativeBackend final : public CommBackend {
 
   ProcState* st_;
   std::set<int> pending_remote_;  ///< targets with un-fenced put/acc
+  /// Strided ops' StridedIter counters, taken through mpisim::Lease so a
+  /// warm strided op allocates nothing.
+  std::vector<std::size_t> strided_idx_;
 };
 
 }  // namespace armci

@@ -1,6 +1,5 @@
 #include "src/armci/mutex.hpp"
 
-#include <mutex>
 
 #include "src/armci/epoch_guard.hpp"
 #include "src/mpisim/error.hpp"
@@ -114,8 +113,8 @@ void QueueingMutexSet::lock(int m, int host) {
         // held) is an act of failure detection: charge the detector bound
         // and stamp the latency gauge, as the blocked-waiter path does.
         mpisim::SimCore& core = mpisim::ctx().core();
-        std::lock_guard lk(core.mu());
-        core.note_death_observed_locked(comm_.world_rank(dead_seen));
+        core.sync();
+        core.note_death_observed(comm_.world_rank(dead_seen));
       }
       put_holder(m, host, static_cast<std::uint8_t>(me + 1));
     }

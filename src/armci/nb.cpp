@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <mutex>
 
 #include "src/armci/accops.hpp"
 #include "src/armci/backend.hpp"
@@ -58,7 +57,7 @@ void abandon_contract(NbQueue& q) {
   mpisim::SimCore& core = mpisim::ctx().core();
   mpisim::HbChecker& hb = core.hb();
   const int me = mpisim::rank();
-  std::lock_guard lk(core.mu());
+  core.sync();
   for (const NbLocalSpace& s : q.local_spaces)
     hb.epoch_abandoned(s.space, s.target_rank, hb.persona(me));
   q.local_spaces.clear();
@@ -539,19 +538,17 @@ void NbEngine::record_local_contract(ProcState& st, NbQueue& q, OneSided kind,
   // does next.
   const auto hbkind = kind == OneSided::get ? mpisim::HbChecker::OpKind::put
                                             : mpisim::HbChecker::OpKind::get;
-  {
-    std::lock_guard lk(core.mu());
-    // Order the persona after the enqueue point, then record the contract
-    // interval under the persona identity: it stays pending until
-    // retirement publishes it, so an application touch in between is an
-    // unordered cross-identity conflict.
-    hb.persona_sync(me);
-    hb.record_local_pending(
-        space, lloc.target_rank, lloc.gmr->group.rank(), hb.persona(me),
-        hbkind, mpisim::Op::sum, static_cast<std::ptrdiff_t>(lloc.offset),
-        static_cast<std::ptrdiff_t>(lloc.offset + bytes),
-        "nb deferred-op contract (progress engine)");
-  }
+  core.sync();
+  // Order the persona after the enqueue point, then record the contract
+  // interval under the persona identity: it stays pending until retirement
+  // publishes it, so an application touch in between is an unordered
+  // cross-identity conflict.
+  hb.persona_sync(me);
+  hb.record_local_pending(
+      space, lloc.target_rank, lloc.gmr->group.rank(), hb.persona(me), hbkind,
+      mpisim::Op::sum, static_cast<std::ptrdiff_t>(lloc.offset),
+      static_cast<std::ptrdiff_t>(lloc.offset + bytes),
+      "nb deferred-op contract (progress engine)");
   const NbLocalSpace ls{space, lloc.target_rank};
   const auto same = [&](const NbLocalSpace& s) {
     return s.space == ls.space && s.target_rank == ls.target_rank;
@@ -566,7 +563,7 @@ void NbEngine::retire_queue(ProcState& st, NbQueue& q) {
   mpisim::SimCore& core = mpisim::ctx().core();
   mpisim::HbChecker& hb = core.hb();
   const int me = mpisim::rank();
-  std::lock_guard lk(core.mu());
+  core.sync();
   // Publish the persona's contract intervals (they become summaries
   // stamped with the persona clock), then hand the owner the retirement
   // edge: touches after this point are ordered, touches before it were

@@ -41,8 +41,8 @@ struct ProcState {
   int mutex_count = 0;
 
   /// Native-backend mutex state hosted by *this* process; peers reach it
-  /// through the host's RankContext under the simulator's global lock
-  /// (modeling the communication helper thread that services requests).
+  /// through the host's RankContext in one critical section each (modeling
+  /// the communication helper thread that services requests).
   struct NativeMutex {
     int holder = -1;
     std::deque<int> queue;

@@ -53,9 +53,11 @@ std::size_t strided_span(std::span<const std::size_t> strides,
   return span;
 }
 
-StridedIter::StridedIter(const StridedSpec& spec)
-    : spec_(&spec),
-      idx_(static_cast<std::size_t>(spec.stride_levels), 0) {}
+StridedIter::StridedIter(const StridedSpec& spec,
+                         std::vector<std::size_t>& idx)
+    : spec_(&spec), idx_(idx) {
+  idx_.assign(static_cast<std::size_t>(spec.stride_levels), 0);
+}
 
 bool StridedIter::next(std::size_t& src_off, std::size_t& dst_off) {
   if (done_) return false;
@@ -102,7 +104,8 @@ Giov strided_to_iov(const void* src, void* dst, const StridedSpec& spec) {
   const std::size_t n = strided_segments(spec);
   giov.src.reserve(n);
   giov.dst.reserve(n);
-  StridedIter it(spec);
+  std::vector<std::size_t> idx;
+  StridedIter it(spec, idx);
   std::size_t so = 0, to = 0;
   while (it.next(so, to)) {
     giov.src.push_back(static_cast<const std::uint8_t*>(src) + so);

@@ -18,6 +18,7 @@
 ///    dimensions, an equivalent nested-hvector type is built instead.
 
 #include <span>
+#include <vector>
 
 #include "src/armci/types.hpp"
 #include "src/mpisim/datatype.hpp"
@@ -42,10 +43,12 @@ std::size_t strided_span(std::span<const std::size_t> strides,
 
 /// Algorithm 1 as a constant-space iterator: yields the source and
 /// destination byte displacement of each count[0]-byte segment, innermost
-/// dimension fastest.
+/// dimension fastest. The per-level counters live in the caller's \p idx
+/// (resized to stride_levels), so a backend that leases it from its own
+/// scratch walks a warm operation without allocating.
 class StridedIter {
  public:
-  explicit StridedIter(const StridedSpec& spec);
+  StridedIter(const StridedSpec& spec, std::vector<std::size_t>& idx);
 
   /// Produce the next segment's displacements; false when exhausted.
   bool next(std::size_t& src_off, std::size_t& dst_off);
@@ -58,7 +61,7 @@ class StridedIter {
 
  private:
   const StridedSpec* spec_;
-  std::vector<std::size_t> idx_;  // per-level counters, length sl
+  std::vector<std::size_t>& idx_;  // per-level counters, length sl
   bool done_ = false;
 };
 

@@ -171,8 +171,8 @@ Route route(const GaImpl& ga, int owner, std::size_t offset) {
 
 void note_death_observed(int proc) {
   mpisim::SimCore& core = mpisim::ctx().core();
-  std::lock_guard lk(core.mu());
-  core.note_death_observed_locked(proc);
+  core.sync();
+  core.note_death_observed(proc);
 }
 
 armci::Request OwnerOps::finish() {

@@ -125,7 +125,7 @@ class RmaChecker {
   /// accumulate-class but follows MPI's same_op_no_op mixing rule.
   enum class OpKind { put, get, acc, get_acc };
 
-  // ---- epoch lifecycle (caller holds SimCore::mu()) ----
+  // ---- epoch lifecycle ----
 
   /// A lock was granted: open epoch <win, target, origin>. \p mpi3 marks
   /// an epoch of lock_all (MPI-3 semantics: untracked).
@@ -150,7 +150,7 @@ class RmaChecker {
   /// Window destroyed: drop all its state.
   void window_freed(std::uint64_t win);
 
-  // ---- access recording (caller holds SimCore::mu()) ----
+  // ---- access recording ----
 
   /// Record the target-side byte intervals of one RMA operation -- each of
   /// \p segs, offset by \p disp -- and check each against the origin's own

@@ -40,8 +40,8 @@ class SimClock {
 
   /// Advance by a nonnegative delta (negative deltas are clamped to zero).
   /// Never fires the progress hook: plain advances happen inside backend
-  /// code paths (often under the simulator's global lock) where re-entering
-  /// the communication engine would deadlock.
+  /// code paths (often mid-way through a shared-state update) where
+  /// re-entering the communication engine would deadlock.
   void advance(double delta_ns) noexcept {
     if (delta_ns > 0) now_ns_ += delta_ns;
   }

@@ -12,11 +12,11 @@ namespace {
 
 /// Survivable mode: a collective round may complete once every member has
 /// either arrived or died -- the survivors must not block forever on a
-/// dead peer. Caller must hold the global lock.
-bool round_satisfied_locked(const CollCtx& cc, const CommImpl& c) {
+/// dead peer.
+bool round_satisfied(const CollCtx& cc, const CommImpl& c) {
   for (int r = 0; r < c.group.size(); ++r) {
     if (cc.present[static_cast<std::size_t>(r)] != 0) continue;
-    if (!c.core->is_dead_locked(c.group.world_rank(r))) return false;
+    if (!c.core->is_dead(c.group.world_rank(r))) return false;
   }
   return true;
 }
@@ -76,9 +76,9 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
   // Eager protocol: the sender pays injection overhead only.
   me.clock().advance(core.model().p2p_ns(0));
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   if (c.revoked) throw_revoked("comm.send");
-  core.check_target_alive_locked(dest_world, "comm.send");
+  core.check_target_alive(dest_world, "comm.send");
   Mailbox& mb = core.mailbox(dest_world);
   // Eager-flow control: refuse to buffer without bound. A message that a
   // posted receive consumes never queues and is exempt, as is the system
@@ -95,10 +95,10 @@ void Comm::send(const void* buf, std::size_t bytes, int dest, int tag) const {
               std::to_string(mb.queued_bytes()) + " of " +
               std::to_string(cap) + " bytes already queued)");
   }
-  core.note_time_locked(me.clock().now_ns());
+  core.note_time(me.clock().now_ns());
   if (core.hb().enabled()) m.vc = core.hb().send_snapshot(me.rank());
   mb.push(std::move(m), buf, bytes);
-  core.wake_locked(dest_world);
+  core.wake(dest_world);
 }
 
 Status Comm::recv(void* buf, std::size_t capacity, int src, int tag) const {
@@ -112,7 +112,7 @@ bool Comm::iprobe(int src, int tag, Status* st) const {
   CommImpl& c = *impl_;
   SimCore& core = *c.core;
   RankContext& me = ctx();
-  std::unique_lock lk(core.mu());
+  core.sync();
   const Message* m = core.mailbox(me.rank()).find_match(c.id, src, tag);
   if (m == nullptr) return false;
   if (st != nullptr) {
@@ -151,7 +151,7 @@ Comm::Request Comm::irecv(void* buf, std::size_t capacity, int src,
   rec->capacity = capacity;
   r.rec_ = rec;
 
-  std::lock_guard lk(core.mu());
+  core.sync();
   if (c.revoked) throw_revoked("comm.irecv");
   Mailbox& mb = core.mailbox(me.rank());
   if (mb.has_match(c.id, src, tag))
@@ -165,23 +165,22 @@ namespace {
 
 /// Survivable-mode failure check shared by Request wait()/test(): the
 /// world rank whose death this unmatched receive must surface, or -1.
-/// Caller holds the global lock.
-int pending_death_locked(const SimCore& core, const CommImpl& c,
-                         const PostedRecv& p) {
+int pending_death(const SimCore& core, const CommImpl& c,
+                  const PostedRecv& p) {
   if (!core.survivable()) return -1;
   if (p.src != kAnySource) {
     const Group& g = c.is_inter ? c.remote_group : c.group;
     const int w = g.world_rank(p.src);
-    return core.is_dead_locked(w) ? w : -1;
+    return core.is_dead(w) ? w : -1;
   }
-  if (core.death_epoch_locked() > ctx().acked_death_epoch)
-    return core.latest_dead_locked();
+  if (core.death_epoch() > ctx().acked_death_epoch)
+    return core.latest_dead();
   return -1;
 }
 
 }  // namespace
 
-void Comm::Request::consume_delivery_locked() const {
+void Comm::Request::consume_delivery() const {
   const CommImpl& c = *impl_;
   RankContext& me = ctx();
   const PostedRecv& p = *rec_;
@@ -194,12 +193,9 @@ void Comm::Request::consume_delivery_locked() const {
 }
 
 /// Finish a matched receive on the posting rank: consume the delivery, then
-/// raise a truncation or publish the status. Expects the global lock held
-/// on entry; returns unlocked.
-void Comm::Request::complete_matched(std::unique_lock<SimMutex>& lk,
-                                     Status* st) {
-  consume_delivery_locked();
-  lk.unlock();
+/// raise a truncation or publish the status.
+void Comm::Request::complete_matched(Status* st) {
+  consume_delivery();
   completed_ = true;
   const PostedRecv& p = *rec_;
   if (p.truncated)
@@ -225,7 +221,7 @@ void Comm::Request::wait_at(Status* st, const char* site) {
   RankContext& me = ctx();
   me.fault().fault_point(me.clock());
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   PostedRecv& p = *rec_;
   // Failure-aware wait: wake on delivery, but also on revocation and -- in
   // survivable mode -- on the death of the awaited sender (specific source)
@@ -234,26 +230,26 @@ void Comm::Request::wait_at(Status* st, const char* site) {
   // dead peer. The predicate only flags; the throw comes after wait().
   int dead_src = -1;
   bool was_revoked = false;
-  core.wait(lk,
-            [&] {
-              if (p.matched) return true;
-              if (c.revoked) {
-                was_revoked = true;
-                return true;
-              }
-              dead_src = pending_death_locked(core, c, p);
-              return dead_src >= 0;
-            },
-            site);
+  core.wait(
+      [&] {
+        if (p.matched) return true;
+        if (c.revoked) {
+          was_revoked = true;
+          return true;
+        }
+        dead_src = pending_death(core, c, p);
+        return dead_src >= 0;
+      },
+      site);
   if (!p.matched) {
     // Error completion: deregister the posting so it cannot dangle, then
     // surface the failure exactly once through this handle.
     core.mailbox(me.rank()).cancel_posted(rec_);
     completed_ = true;
     if (was_revoked) throw_revoked(site);
-    core.observe_death_locked(dead_src, site);  // throws
+    core.observe_death(dead_src, site);  // throws
   }
-  complete_matched(lk, st);
+  complete_matched(st);
 }
 
 bool Comm::Request::test(Status* st) {
@@ -264,7 +260,7 @@ bool Comm::Request::test(Status* st) {
   CommImpl& c = *impl_;
   SimCore& core = *c.core;
   RankContext& me = ctx();
-  std::unique_lock lk(core.mu());
+  core.sync();
   PostedRecv& p = *rec_;
   if (!p.matched) {
     // Nonblocking failure surface: the same conditions wait() wakes on.
@@ -273,19 +269,19 @@ bool Comm::Request::test(Status* st) {
       completed_ = true;
       throw_revoked("comm.irecv_test");
     }
-    const int dead_src = pending_death_locked(core, c, p);
+    const int dead_src = pending_death(core, c, p);
     if (dead_src >= 0) {
       core.mailbox(me.rank()).cancel_posted(rec_);
       completed_ = true;
-      core.observe_death_locked(dead_src, "comm.irecv_test");  // throws
+      core.observe_death(dead_src, "comm.irecv_test");  // throws
     }
     return false;
   }
-  complete_matched(lk, st);
+  complete_matched(st);
   return true;
 }
 
-bool Comm::Request::ready_locked() const noexcept {
+bool Comm::Request::ready() const noexcept {
   return !is_recv_ || completed_ || (rec_ != nullptr && rec_->matched);
 }
 
@@ -294,7 +290,7 @@ Comm::Request::~Request() {
   if (!in_simulation()) return;  // simulator already torn down
   SimCore& core = *impl_->core;
   RankContext& me = ctx();
-  std::lock_guard lk(core.mu());
+  core.sync();
   if (!rec_->matched) {
     // Never matched: deregister deterministically so the mailbox holds no
     // dangling posting aimed at a dead stack frame.
@@ -303,7 +299,7 @@ Comm::Request::~Request() {
   }
   // Delivered but never completed: consume the message here so dropping the
   // handle cannot erase a communication the buffer already observed.
-  consume_delivery_locked();
+  consume_delivery();
 }
 
 void Comm::wait_all(std::span<Request> reqs) {
@@ -329,7 +325,7 @@ bool Comm::collective_round(
   const int n = c.group.size();
   const int myrank = rank();
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   if (c.revoked) throw_revoked("comm.collective");
   CollCtx& cc = c.coll;
   const std::uint64_t my_gen = cc.gen;
@@ -338,7 +334,7 @@ bool Comm::collective_round(
   cc.incounts[static_cast<std::size_t>(myrank)] = count;
   cc.present[static_cast<std::size_t>(myrank)] = 1;
   cc.max_clock_ns = std::max(cc.max_clock_ns, me.clock().now_ns());
-  core.note_time_locked(me.clock().now_ns());
+  core.note_time(me.clock().now_ns());
   if (core.hb().enabled()) core.hb().coll_arrive(cc.hb_acc, me.rank());
   ++cc.arrived;
 
@@ -346,8 +342,8 @@ bool Comm::collective_round(
   // arrived (dead; their pointers are stale from earlier rounds) so
   // leader functions skip them, fold the detector bound of each dead
   // member into the departure clock, run the leader body, and open the
-  // next generation. Caller holds the global lock.
-  const auto complete_locked = [&] {
+  // next generation.
+  const auto complete_round = [&] {
     double detect_ns = cc.max_clock_ns;
     if (core.survivable()) {
       for (int r = 0; r < n; ++r) {
@@ -357,7 +353,7 @@ bool Comm::collective_round(
         cc.outbufs[ri] = nullptr;
         cc.incounts[ri] = 0;
         detect_ns = std::max(
-            detect_ns, core.detection_bound_locked(c.group.world_rank(r)));
+            detect_ns, core.detection_bound(c.group.world_rank(r)));
       }
     }
     cc.dep_dead = false;
@@ -369,25 +365,25 @@ bool Comm::collective_round(
     cc.max_clock_ns = 0.0;
     std::fill(cc.present.begin(), cc.present.end(), 0);
     ++cc.gen;
-    core.wake_locked(c.group.members());
+    core.wake(c.group.members());
   };
 
   if (cc.arrived == n ||
-      (core.survivable() && round_satisfied_locked(cc, c))) {
-    complete_locked();
+      (core.survivable() && round_satisfied(cc, c))) {
+    complete_round();
   } else {
     // Survivable mode: a waiter may become the completer when the last
     // missing member dies rather than arrives (the death wakes it).
-    core.wait(lk,
-              [&] {
-                if (cc.gen != my_gen) return true;
-                if (core.survivable() && round_satisfied_locked(cc, c)) {
-                  complete_locked();
-                  return true;
-                }
-                return false;
-              },
-              "comm.collective");
+    core.wait(
+        [&] {
+          if (cc.gen != my_gen) return true;
+          if (core.survivable() && round_satisfied(cc, c)) {
+            complete_round();
+            return true;
+          }
+          return false;
+        },
+        "comm.collective");
   }
   me.clock().advance_to(cc.result_clock_ns);
   if (core.hb().enabled()) core.hb().coll_depart(me.rank(), cc.hb_result);
@@ -408,8 +404,8 @@ void Comm::barrier() const {
 /// buffers. The observation advances nothing; it stamps the latency gauge
 /// and the trace event before throwing.
 void Comm::raise_dead_root(int root, const char* site) const {
-  std::lock_guard lk(impl_->core->mu());
-  impl_->core->observe_death_locked(impl_->group.world_rank(root), site);
+  impl_->core->sync();
+  impl_->core->observe_death(impl_->group.world_rank(root), site);
 }
 
 void Comm::bcast(void* buf, std::size_t bytes, int root) const {
@@ -602,11 +598,8 @@ std::shared_ptr<CommImpl> make_intracomm(SimCore& core, std::uint64_t id,
 Comm Comm::self() {
   RankContext& me = ctx();
   SimCore& core = me.core();
-  std::uint64_t id;
-  {
-    std::lock_guard lk(core.mu());
-    id = core.alloc_comm_id_locked();
-  }
+  core.sync();
+  const std::uint64_t id = core.alloc_comm_id();
   return Comm(make_intracomm(core, id, Group({me.rank()})));
 }
 
@@ -615,8 +608,8 @@ Comm Comm::dup() const {
   std::shared_ptr<CommImpl> result;
   collective_round(nullptr, &result, 0, core.model().barrier_ns(size()),
                    [&core](CollCtx& cc, const Group& g) {
-                     cc.hand_out(make_intracomm(
-                         core, core.alloc_comm_id_locked(), g));
+                     cc.hand_out(
+                         make_intracomm(core, core.alloc_comm_id(), g));
                    });
   return Comm(std::move(result));
 }
@@ -659,7 +652,7 @@ Comm Comm::split(int color, int key) const {
             members.reserve(j - i);
             for (std::size_t k = i; k < j; ++k)
               members.push_back(g.world_rank(entries[k].grank));
-            auto impl = make_intracomm(core, core.alloc_comm_id_locked(),
+            auto impl = make_intracomm(core, core.alloc_comm_id(),
                                        Group(std::move(members)));
             for (std::size_t k = i; k < j; ++k) {
               void* slot =
@@ -682,7 +675,7 @@ Comm Comm::create(const Group& subgroup) const {
       [&core, &subgroup](CollCtx& cc, const Group& g) {
         auto impl =
             subgroup.size() > 0
-                ? make_intracomm(core, core.alloc_comm_id_locked(), subgroup)
+                ? make_intracomm(core, core.alloc_comm_id(), subgroup)
                 : nullptr;
         for (int r = 0; r < g.size(); ++r) {
           void* slot = cc.outbufs[static_cast<std::size_t>(r)];
@@ -707,8 +700,8 @@ Comm Comm::intercomm_create(int local_leader, int remote_leader_world,
   if (rank() == local_leader) {
     std::int64_t proposed = 0;
     if (i_allocate) {
-      std::unique_lock lk(core.mu());
-      proposed = static_cast<std::int64_t>(core.alloc_comm_id_locked());
+      core.sync();
+      proposed = static_cast<std::int64_t>(core.alloc_comm_id());
     }
     std::vector<std::int64_t> msg;
     msg.push_back(proposed);
@@ -745,9 +738,9 @@ Comm Comm::intercomm_create(int local_leader, int remote_leader_world,
     impl = make_intracomm(core, static_cast<std::uint64_t>(agreed_id), c.group);
     impl->is_inter = true;
     impl->remote_group = Group(std::move(rm));
-    std::unique_lock lk(core.mu());
-    core.publish_comm_locked(key, impl);
-    core.wake_locked(c.group.members());
+    core.sync();
+    core.publish_comm(key, impl);
+    core.wake(c.group.members());
   } else {
     impl = core.fetch_published_comm(key);
   }
@@ -774,8 +767,8 @@ Comm Comm::merge(bool high) const {
   if (rank() == local_leader) {
     std::int64_t proposed = 0;
     if (i_allocate) {
-      std::unique_lock lk(core.mu());
-      proposed = static_cast<std::int64_t>(core.alloc_comm_id_locked());
+      core.sync();
+      proposed = static_cast<std::int64_t>(core.alloc_comm_id());
     }
     const std::int64_t msg[2] = {proposed, high ? 1 : 0};
     std::int64_t reply[2] = {0, 0};
@@ -806,9 +799,9 @@ Comm Comm::merge(bool high) const {
   if (rank() == local_leader && i_allocate) {
     impl = make_intracomm(core, static_cast<std::uint64_t>(merged_id),
                           Group(std::move(members)));
-    std::unique_lock lk(core.mu());
-    core.publish_comm_locked(key, impl);
-    core.wake_locked(impl->group.members());
+    core.sync();
+    core.publish_comm(key, impl);
+    core.wake(impl->group.members());
   } else {
     impl = core.fetch_published_comm(key);
   }
@@ -835,11 +828,11 @@ void Comm::revoke() const {
     tr.begin(TraceCat::fault, "fault.revoke", c.id);
     tr.end(TraceCat::fault, "fault.revoke", c.id);
   }
-  std::lock_guard lk(core.mu());
+  core.sync();
   c.revoked = true;
-  core.note_time_locked(me.clock().now_ns());
+  core.note_time(me.clock().now_ns());
   // Blocked members must wake and observe the revocation.
-  core.wake_locked(c.group.members());
+  core.wake(c.group.members());
 }
 
 Comm Comm::shrink() const {
@@ -853,25 +846,22 @@ Comm Comm::shrink() const {
     tr.end(TraceCat::fault, "fault.shrink", c.id);
   }
 
-  // Snapshot the survivor set and this round's sequence number under the
-  // lock: liveness is global shared state, so every live member calling
-  // this collective sees the same set (assuming no new failure mid-shrink;
-  // see DESIGN.md for the failure model).
+  // Snapshot the survivor set and this round's sequence number in one
+  // critical section: liveness is global shared state, so every live member
+  // calling this collective sees the same set (assuming no new failure
+  // mid-shrink; see DESIGN.md for the failure model).
+  core.sync();
   std::vector<int> live;
-  std::uint32_t seq = 0;
-  {
-    std::lock_guard lk(core.mu());
-    for (int wr : c.group.members())
-      if (!core.is_dead_locked(wr)) live.push_back(wr);
-    // Recovery edge: shrinking acknowledges every observed death, so the
-    // survivors acquire the dead ranks' final clocks (post-shrink accesses
-    // to data the dead published are ordered, not dead_origin races).
-    core.hb().ack_deaths(me.rank());
-    const int myrank = c.group.rank_of_world(me.rank());
-    if (myrank < 0)
-      raise(Errc::rank_out_of_range, "shrink caller not in communicator");
-    seq = c.shrink_calls[static_cast<std::size_t>(myrank)]++;
-  }
+  for (int wr : c.group.members())
+    if (!core.is_dead(wr)) live.push_back(wr);
+  // Recovery edge: shrinking acknowledges every observed death, so the
+  // survivors acquire the dead ranks' final clocks (post-shrink accesses
+  // to data the dead published are ordered, not dead_origin races).
+  core.hb().ack_deaths(me.rank());
+  const int myrank = c.group.rank_of_world(me.rank());
+  if (myrank < 0)
+    raise(Errc::rank_out_of_range, "shrink caller not in communicator");
+  const std::uint32_t seq = c.shrink_calls[static_cast<std::size_t>(myrank)]++;
   require_internal(!live.empty(), "shrink with no survivors");
 
   // The lowest-ranked survivor builds the shrunken shared state; the rest
@@ -884,10 +874,10 @@ Comm Comm::shrink() const {
   const std::uint64_t key = (3ull << 62) | (c.id << 32) | seq;
   std::shared_ptr<CommImpl> impl;
   if (live.front() == me.rank()) {
-    std::unique_lock lk(core.mu());
-    impl = make_intracomm(core, core.alloc_comm_id_locked(), Group(live));
-    core.publish_comm_locked(key, impl);
-    core.wake_locked(live);
+    core.sync();
+    impl = make_intracomm(core, core.alloc_comm_id(), Group(live));
+    core.publish_comm(key, impl);
+    core.wake(live);
   } else {
     impl = core.fetch_published_comm(key);
   }
@@ -910,8 +900,8 @@ bool Comm::agree(bool flag) const {
 void Comm::failure_ack() const {
   SimCore& core = *impl_->core;
   RankContext& me = ctx();
-  std::lock_guard lk(core.mu());
-  me.acked_death_epoch = core.death_epoch_locked();
+  core.sync();
+  me.acked_death_epoch = core.death_epoch();
   core.hb().ack_deaths(me.rank());
 }
 

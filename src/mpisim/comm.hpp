@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -24,7 +23,6 @@
 namespace mpisim {
 
 class SimCore;
-class SimMutex;
 class Win;
 
 /// Communicator id of the runtime-internal system channel: a communicator
@@ -33,7 +31,6 @@ class Win;
 inline constexpr std::uint64_t kSystemChannel = 0;
 
 /// Rendezvous state for in-progress collectives on one communicator.
-/// All fields are guarded by the simulator's global lock.
 struct CollCtx {
   std::uint64_t gen = 0;       ///< completed-collective generation
   int arrived = 0;             ///< ranks arrived in the current round
@@ -78,7 +75,7 @@ struct CommImpl {
   bool is_inter = false;
   Group remote_group;
 
-  // Survivable-failure support (guarded by the global lock).
+  // Survivable-failure support.
   bool revoked = false;  ///< sticky ULFM-style revocation flag
   /// Per group rank: number of shrink() calls made, used to derive the
   /// publication key of each shrink round (collective, so all live members
@@ -145,7 +142,7 @@ class Comm {
 
   /// Handle for isend()/irecv(). A receive is truly *posted*: the matching
   /// message -- even one arriving later -- is delivered straight into the
-  /// buffer under the simulator lock, and wait()/test() complete it on the
+  /// buffer by the sender, and wait()/test() complete it on the
   /// posting rank (clock advance, happens-before join). Complete each
   /// receive exactly once, via wait() or a successful test(); a second
   /// wait() raises Errc::invalid_argument. Destroying a never-completed
@@ -177,19 +174,19 @@ class Comm {
 
     /// True when wait()/test() will complete without blocking (a message
     /// has been delivered, the request already completed, or it is a
-    /// send). Caller must hold the simulator lock (SimCore::mu()): this is
-    /// the nonblocking peek multi-event wait predicates need (e.g. the AM
-    /// layer's serve-while-waiting loop).
-    bool ready_locked() const noexcept;
+    /// send). Not a scheduling point: this is the nonblocking peek
+    /// multi-event wait predicates need (e.g. the AM layer's
+    /// serve-while-waiting loop).
+    bool ready() const noexcept;
 
    private:
     friend class Comm;
     /// wait(), naming \p site in diagnostics (Comm::recv passes comm.recv).
     void wait_at(Status* st, const char* site);
     /// Join the delivered message's happens-before clock and advance to its
-    /// delivery time. Caller holds the simulator lock.
-    void consume_delivery_locked() const;
-    void complete_matched(std::unique_lock<SimMutex>& lk, Status* st);
+    /// delivery time.
+    void consume_delivery() const;
+    void complete_matched(Status* st);
     std::shared_ptr<CommImpl> impl_;
     std::shared_ptr<PostedRecv> rec_;
     bool is_recv_ = false;
@@ -296,8 +293,8 @@ class Comm {
   friend class Win;
 
   /// Run one rendezvous collective round: every member contributes
-  /// (in, out, count); the last arriver executes \p leader_fn while holding
-  /// the global lock, then everyone's clock advances to the common result
+  /// (in, out, count); the last arriver executes \p leader_fn in the same
+  /// critical section, then everyone's clock advances to the common result
   /// time (max arrival + \p cost_ns). Returns this round's
   /// CollCtx::dep_dead verdict (true when a rooted collective's dependency
   /// rank was dead; always false for unrooted collectives).

@@ -115,14 +115,17 @@ Datatype Datatype::hindexed(std::span<const std::size_t> blocklens,
   impl->blocklens.assign(blocklens.begin(), blocklens.end());
   impl->displs.assign(displs_bytes.begin(), displs_bytes.end());
 
+  // The extent spans [min(0, lowest displacement), max(0, highest block
+  // end)), as a negative-stride hvector's does.
   std::size_t payload = 0;
-  std::ptrdiff_t hi = 0;
+  std::ptrdiff_t lo = 0, hi = 0;
   std::size_t nseg = 0;
   bool any = false;
   for (std::size_t i = 0; i < blocklens.size(); ++i) {
     payload += blocklens[i] * c.size;
     const std::ptrdiff_t end =
         displs_bytes[i] + static_cast<std::ptrdiff_t>(blocklens[i]) * c.extent;
+    lo = std::min(lo, displs_bytes[i]);
     hi = std::max(hi, end);
     nseg += c.contig ? 1 : blocklens[i] * c.nsegments;
     if (blocklens[i] == 0) continue;
@@ -133,7 +136,7 @@ Datatype Datatype::hindexed(std::span<const std::size_t> blocklens,
     any = true;
   }
   impl->size = payload;
-  impl->extent = hi;
+  impl->extent = hi - lo;
   impl->nsegments = nseg;
   impl->contig = (nseg == 1 && blocklens.size() == 1 && displs_bytes[0] == 0 &&
                   static_cast<std::size_t>(impl->extent) == impl->size);

@@ -409,7 +409,7 @@ void HbChecker::direct_op(std::uint64_t space, int target, int origin,
   a.scope = scope;
   TargetRec& t = spaces_[{space, target}];
   check(t, space, target, a);
-  // The operation completes atomically under the global lock: publish it
+  // The operation completes within one critical section: publish it
   // immediately with the origin's clock at this instant. It never enters
   // the pending set, so a held-open access by the same origin over the
   // same bytes stays pending.

@@ -135,7 +135,7 @@ class HbChecker {
     int& muted_;
   };
 
-  // ---- synchronization edges (caller holds SimCore::mu()) ----
+  // ---- synchronization edges ----
 
   /// Release for a message send: tick, snapshot the sender's clock.
   HbClock send_snapshot(int world_src);
@@ -166,7 +166,7 @@ class HbChecker {
   /// every dead rank's final clock (persona rows included).
   void ack_deaths(int world_observer);
 
-  // ---- progress persona (caller holds SimCore::mu()) ----
+  // ---- progress persona ----
   //
   // A rank's cooperative progress engine acts on deferred operations'
   // *local* buffers after the application call has returned. Those
@@ -199,7 +199,7 @@ class HbChecker {
                             std::ptrdiff_t lo, std::ptrdiff_t hi,
                             const char* scope);
 
-  // ---- epoch lifecycle (caller holds SimCore::mu()) ----
+  // ---- epoch lifecycle ----
 
   /// A lock was granted on <win, target>. Every grant acquires the last
   /// exclusive release; an exclusive grant additionally acquires the joined
@@ -224,7 +224,7 @@ class HbChecker {
   /// Window destroyed (collective): drop all its shadow state.
   void window_freed(std::uint64_t win);
 
-  // ---- access recording (caller holds SimCore::mu()) ----
+  // ---- access recording ----
 
   /// Record one target-side byte interval of an RMA operation issued by
   /// \p world_origin (window-communicator rank \p origin, for diagnostics):
@@ -235,7 +235,7 @@ class HbChecker {
                  std::ptrdiff_t hi, const char* scope);
 
   /// An atomically-completing direct access (shm fast path, native
-  /// backend): check and publish in one step under the global lock.
+  /// backend): check and publish in one step.
   void direct_op(std::uint64_t space, int target, int origin,
                  int world_origin, OpKind kind, Op op, std::ptrdiff_t lo,
                  std::ptrdiff_t hi, const char* scope);
@@ -256,8 +256,7 @@ class HbChecker {
   HbRaceCounts counts(int world_rank) const noexcept;
   HbRaceCounts total_counts() const noexcept;
 
-  /// Total intervals currently held in the shadow store (tests; requires
-  /// SimCore::mu()).
+  /// Total intervals currently held in the shadow store (tests).
   std::size_t shadow_intervals() const noexcept { return intervals_; }
 
  private:

@@ -4,9 +4,9 @@
 /// \file mailbox.hpp
 /// Tag-matched message queues for two-sided communication.
 ///
-/// One mailbox per world rank; all access is serialized by the simulator's
-/// global lock (see runtime.hpp), so the mailbox itself is a plain data
-/// structure. Matching follows MPI rules: (communicator, source, tag) with
+/// One mailbox per world rank; ranks share one host thread and switch only
+/// at scheduling points (see runtime.hpp), so the mailbox itself is a plain
+/// data structure. Matching follows MPI rules: (communicator, source, tag) with
 /// wildcard source/tag, FIFO per (source, tag) pair.
 ///
 /// Every receive is a *posted* receive (a blocking recv() is irecv() plus
@@ -57,10 +57,10 @@ struct Status {
 
 /// Shared state of one posted (nonblocking) receive. Owned jointly by the
 /// poster's Comm::Request and -- until matched or cancelled -- by the
-/// destination mailbox's posted list. All fields are guarded by the
-/// simulator's global lock. Delivery copies the payload into `buf` and
-/// fills the completion fields; the posting rank finishes the receive
-/// (clock advance, happens-before join, truncation raise) at wait()/test().
+/// destination mailbox's posted list. Delivery copies the payload into
+/// `buf` and fills the completion fields; the posting rank finishes the
+/// receive (clock advance, happens-before join, truncation raise) at
+/// wait()/test().
 struct PostedRecv {
   std::uint64_t comm_id = 0;
   int src = kAnySource;  ///< comm rank or kAnySource

@@ -115,43 +115,37 @@ SimCore::SimCore(const Config& cfg)
 SimCore::~SimCore() = default;
 
 void SimCore::abort(std::exception_ptr err) noexcept {
-  std::lock_guard lk(mu_);
+  sync();
   if (!aborted_) {
     aborted_ = true;
     first_error_ = err;
   }
-  wake_all_locked();
+  wake_all();
 }
 
-void SimCore::wake_all_locked() noexcept {
-  for (int r = 0; r < cfg_.nranks; ++r) wake_locked(r);
+void SimCore::wake_all() noexcept {
+  for (int r = 0; r < cfg_.nranks; ++r) wake(r);
 }
 
-SimCore::Fiber& SimCore::wait_enter_locked() {
+SimCore::Fiber& SimCore::wait_enter() {
   require_internal(t_ctx != nullptr, "blocking wait outside a rank");
   Fiber& f = fibers_[static_cast<std::size_t>(t_ctx->rank())];
   f.waiting = true;
   f.t0_ns = t_ctx->clock().now_ns();
-  note_time_locked(f.t0_ns);
+  note_time(f.t0_ns);
   if (cfg_.wait_deadline_ns > 0.0)
     next_deadline_ns_ =
         std::min(next_deadline_ns_, f.t0_ns + cfg_.wait_deadline_ns);
   return f;
 }
 
-void SimCore::wait_exit_locked(Fiber& f) noexcept { f.waiting = false; }
+void SimCore::wait_exit(Fiber& f) noexcept { f.waiting = false; }
 
 // ---- scheduler ----
 //
-// The scheduler runs between critical sections: on a rank's fiber inside
-// SimMutex::lock() before the lock is taken, inside block() after it is
-// released, and at rank exit. It never switches with mu_ held.
-
-void SimMutex::lock() {
-  core_->maybe_hand_off();
-  require_internal(!held_, "recursive SimCore::mu() acquisition");
-  held_ = true;
-}
+// The scheduler runs only at scheduling points: on a rank's fiber inside
+// sync(), wait(), yield() and pace(), and at rank exit. The code between
+// two of them is a critical section: no other rank runs there.
 
 void SimCore::make_runnable(int r) noexcept {
   fibers_[static_cast<std::size_t>(r)].state = Fiber::State::runnable;
@@ -159,7 +153,12 @@ void SimCore::make_runnable(int r) noexcept {
   std::push_heap(runq_.begin(), runq_.end(), std::greater<>{});
 }
 
-void SimCore::maybe_hand_off() {
+void SimCore::check_may_switch() const {
+  require_internal(!no_switch_, "scheduling point inside rank-exit cleanup");
+}
+
+void SimCore::sync() {
+  check_may_switch();
   if (current_ < 0) return;
   // Reaching this point counts as the caller's handoff for the yielded.
   if (!yielded_.empty()) release_yielded();
@@ -167,19 +166,9 @@ void SimCore::maybe_hand_off() {
   reschedule(Fiber::State::runnable);
 }
 
-void SimCore::block(std::unique_lock<SimMutex>& lk) {
-  require_internal(lk.mutex() == &mu_ && lk.owns_lock(),
-                   "wait() without holding SimCore::mu()");
-  // Release and re-take behind \p lk's back: the re-take must not hand
-  // off again, and \p lk still owns the lock when the caller resumes.
-  mu_.held_ = false;
-  reschedule(Fiber::State::blocked);
-  mu_.held_ = true;
-}
-
 void SimCore::yield() {
-  require_internal(current_ >= 0 && !mu_.held_,
-                   "yield() outside a rank or under SimCore::mu()");
+  check_may_switch();
+  require_internal(current_ >= 0, "yield() outside a rank");
   if (aborted_) throw_aborted();
   if (runq_.empty() && yielded_.empty() && held_.empty())
     return;  // nobody else can run
@@ -187,22 +176,18 @@ void SimCore::yield() {
 }
 
 void SimCore::pace() {
-  require_internal(current_ >= 0 && !mu_.held_,
-                   "pace() outside a rank or under SimCore::mu()");
-  {
-    std::lock_guard lk(mu_);
-    if (aborted_) throw_aborted();
-    Fiber& me = fibers_[static_cast<std::size_t>(current_)];
-    me.paced_ns = t_ctx->clock().now_ns();
-    note_time_locked(me.paced_ns);
-    if (me.paced_ns <= release_paced()) return;
-  }
+  require_internal(current_ >= 0, "pace() outside a rank");
+  sync();
+  if (aborted_) throw_aborted();
+  Fiber& me = fibers_[static_cast<std::size_t>(current_)];
+  me.paced_ns = t_ctx->clock().now_ns();
+  note_time(me.paced_ns);
+  if (me.paced_ns <= release_paced()) return;
   reschedule(Fiber::State::held);
   if (aborted_) throw_aborted();
 }
 
 void SimCore::reschedule(Fiber::State s) {
-  require_internal(!mu_.held_, "rank switch under SimCore::mu()");
   const int me = current_;
   Fiber& f = fibers_[static_cast<std::size_t>(me)];
   f.out_seq = ++switches_;
@@ -234,7 +219,7 @@ double SimCore::release_paced() noexcept {
   double floor = std::numeric_limits<double>::infinity();
   for (int r = 0; r < cfg_.nranks; ++r) {
     const Fiber& f = fibers_[static_cast<std::size_t>(r)];
-    if (f.state != Fiber::State::done && !is_dead_locked(r))
+    if (f.state != Fiber::State::done && !is_dead(r))
       floor = std::min(floor, f.paced_ns);
   }
   std::size_t kept = 0;
@@ -272,7 +257,7 @@ int SimCore::pick_next() noexcept {
         });
     if (!any_blocked) return -1;
     deadlocked_ = true;
-    wake_all_locked();
+    wake_all();
   }
   std::pop_heap(runq_.begin(), runq_.end(), std::greater<>{});
   const int next = runq_.back().second;
@@ -306,14 +291,14 @@ void SimCore::switch_to(int next) {
 #endif
 }
 
-void SimCore::wake_expired_locked() noexcept {
+void SimCore::wake_expired() noexcept {
   next_deadline_ns_ = std::numeric_limits<double>::infinity();
   for (int r = 0; r < cfg_.nranks; ++r) {
     const Fiber& f = fibers_[static_cast<std::size_t>(r)];
     if (!f.waiting) continue;
     const double deadline = f.t0_ns + cfg_.wait_deadline_ns;
     if (latest_ns_ > deadline)
-      wake_locked(r);
+      wake(r);
     else
       next_deadline_ns_ = std::min(next_deadline_ns_, deadline);
   }
@@ -341,7 +326,7 @@ void SimCore::throw_wait_timeout(const char* site, bool deadlock,
 }
 
 void SimCore::rank_crashed(int rank, double now_ns) noexcept {
-  std::lock_guard lk(mu_);
+  sync();
   if (rank < 0 || rank >= cfg_.nranks ||
       dead_[static_cast<std::size_t>(rank)] != 0)
     return;
@@ -352,32 +337,32 @@ void SimCore::rank_crashed(int rank, double now_ns) noexcept {
   hb_.note_death(rank);
   latest_dead_ = rank;
   ++death_epoch_;
-  note_time_locked(now_ns);
+  note_time(now_ns);
   // A death can satisfy failure-aware wait predicates anywhere (recv from
   // the dead rank, collectives completing over the survivors).
-  wake_all_locked();
+  wake_all();
 }
 
 bool SimCore::is_failed(int r) {
-  std::lock_guard lk(mu_);
-  return is_dead_locked(r);
+  sync();
+  return is_dead(r);
 }
 
 std::vector<int> SimCore::failed_ranks() {
-  std::lock_guard lk(mu_);
+  sync();
   std::vector<int> out;
   for (int r = 0; r < cfg_.nranks; ++r)
     if (dead_[static_cast<std::size_t>(r)] != 0) out.push_back(r);
   return out;
 }
 
-void SimCore::note_death_observed_locked(int dead_rank) {
-  require_internal(t_ctx != nullptr && is_dead_locked(dead_rank),
+void SimCore::note_death_observed(int dead_rank) {
+  require_internal(t_ctx != nullptr && is_dead(dead_rank),
                    "observe_death on a live rank");
   const double died_at = death_ns_[static_cast<std::size_t>(dead_rank)];
   // The observer cannot learn of the death before the detector bound.
-  t_ctx->clock().advance_to(detection_bound_locked(dead_rank));
-  note_time_locked(t_ctx->clock().now_ns());
+  t_ctx->clock().advance_to(detection_bound(dead_rank));
+  note_time(t_ctx->clock().now_ns());
   t_ctx->last_detect_latency_ns = t_ctx->clock().now_ns() - died_at;
   Tracer& tr = t_ctx->tracer();
   if (tr.enabled()) {
@@ -388,8 +373,8 @@ void SimCore::note_death_observed_locked(int dead_rank) {
   }
 }
 
-void SimCore::observe_death_locked(int dead_rank, const char* site) {
-  note_death_observed_locked(dead_rank);
+void SimCore::observe_death(int dead_rank, const char* site) {
+  note_death_observed(dead_rank);
   throw MpiError(
       Errc::crashed,
       std::string("mpisim: ") + site + ": rank " +
@@ -411,16 +396,15 @@ RankContext& SimCore::rank_ctx(int r) {
   return *ranks_[static_cast<std::size_t>(r)];
 }
 
-void SimCore::publish_comm_locked(std::uint64_t key,
-                                  std::shared_ptr<CommImpl> impl) {
+void SimCore::publish_comm(std::uint64_t key, std::shared_ptr<CommImpl> impl) {
   auto [it, inserted] = published_.emplace(key, std::move(impl));
   (void)it;
   require_internal(inserted, "duplicate comm publication key");
 }
 
 std::shared_ptr<CommImpl> SimCore::fetch_published_comm(std::uint64_t key) {
-  std::unique_lock lk(mu_);
-  wait(lk, [&] { return published_.contains(key); }, "comm.publish");
+  sync();
+  wait([&] { return published_.contains(key); }, "comm.publish");
   return published_.at(key);
 }
 
@@ -450,21 +434,22 @@ void SimCore::fiber_main(int r) {
     abort(std::current_exception());
   }
   if (me.user_state_cleanup) {
-    // Run the layer-above cleanup under the global lock: after a peer
-    // failure other ranks can still be mid-RMA, and holding mu() orders
-    // their aborted check (check_failed_locked) before this rank releases
-    // the global memory they would copy into.
+    // The layer-above cleanup runs as one critical section without a
+    // scheduling point: after a peer failure other ranks can still be
+    // mid-RMA, and none of them may run between their aborted check
+    // (check_failed) and this rank releasing the global memory they would
+    // copy into.
     std::exception_ptr cleanup_err;
-    {
-      std::lock_guard lk(mu_);
-      try {
-        me.user_state_cleanup();
-      } catch (...) {
-        // Cleanup failures after an abort are expected; keep the first error.
-        cleanup_err = std::current_exception();
-      }
-      me.user_state_cleanup = nullptr;
+    sync();
+    no_switch_ = true;
+    try {
+      me.user_state_cleanup();
+    } catch (...) {
+      // Cleanup failures after an abort are expected; keep the first error.
+      cleanup_err = std::current_exception();
     }
+    no_switch_ = false;
+    me.user_state_cleanup = nullptr;
     if (cleanup_err) abort(cleanup_err);
   }
   fibers_[static_cast<std::size_t>(r)].state = Fiber::State::done;

@@ -20,14 +20,14 @@
 ///     });
 ///
 /// Exactly one rank runs at a time, and the order is a pure function of
-/// the config and seed. Every acquisition of the core lock (SimCore::mu())
-/// is a scheduling point: the caller first hands off to any runnable rank
-/// with a smaller (virtual clock, rank) key. A blocking wait marks the rank
-/// blocked, releases the lock and switches to the next rank in that order.
-/// So lock grants, any-source matches and shared-counter claims happen in
-/// virtual-time order, and a handoff costs a context switch. The lock
-/// itself never contends; it marks the critical sections that must not
-/// switch.
+/// the config and seed. A rank switches only at a scheduling point, so the
+/// code between two of them is a critical section without a lock. Every
+/// access to shared simulator state starts with SimCore::sync(): the caller
+/// first hands off to any runnable rank with a smaller (virtual clock,
+/// rank) key. A blocking wait marks the rank blocked and switches to the
+/// next rank in that order. So lock grants, any-source matches and
+/// shared-counter claims happen in virtual-time order, and a handoff costs
+/// a context switch.
 ///
 /// A state change wakes only the ranks it can unblock: a mailbox push wakes
 /// the destination, a lock grant the granted origin, a collective
@@ -47,7 +47,7 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <mutex>  // perfbench locks SimCore::SyncAdapter
 #include <span>
 #include <utility>
 #include <vector>
@@ -195,26 +195,6 @@ class RankContext {
   FaultInjector fault_;
 };
 
-/// The lock around shared simulator state (SimCore::mu()). Ranks share one
-/// host thread, so it never contends: lock() is the scheduler's hand-off
-/// point, and holding it marks a section that must not switch ranks.
-class SimMutex {
- public:
-  explicit SimMutex(SimCore& core) noexcept : core_(&core) {}
-  SimMutex(const SimMutex&) = delete;
-  SimMutex& operator=(const SimMutex&) = delete;
-
-  /// Hand off to every runnable rank ordered before the caller, then take
-  /// the lock. Raises Errc::internal on a recursive acquisition.
-  void lock();
-  void unlock() noexcept { held_ = false; }
-
- private:
-  friend class SimCore;
-  SimCore* core_;
-  bool held_ = false;
-};
-
 /// Shared simulation state for one run().
 class SimCore {
  public:
@@ -229,65 +209,81 @@ class SimCore {
   const PlatformProfile& profile() const noexcept { return prof_; }
   const NetworkModel& model() const noexcept { return model_; }
 
-  /// The RMA validity checker (checker.hpp). Stateful methods require mu().
+  /// The RMA validity checker (checker.hpp).
   RmaChecker& checker() noexcept { return checker_; }
 
   /// The happens-before race detector (hb.hpp), active at RmaCheck::race.
-  /// Stateful methods require mu().
   HbChecker& hb() noexcept { return hb_; }
 
-  /// The global lock guarding all shared simulator state.
-  SimMutex& mu() noexcept { return mu_; }
+  /// A scheduling point: hand off to every runnable rank ordered before
+  /// the caller, which continues once it is the smallest again. Every
+  /// access to shared simulator state starts with one, so accesses happen
+  /// in (virtual clock, rank) order; the code up to the caller's next
+  /// scheduling point runs without a switch. A no-op outside a rank.
+  /// Raises Errc::internal inside a rank's exit cleanup
+  /// (RankContext::user_state_cleanup), which must not switch.
+  void sync();
+
+  /// The scheduling point as a lockable, for perfbench's driver, which
+  /// still takes core.mu() in a scoped lock: lock() is sync(), unlock()
+  /// does nothing. Goes with ROADMAP item 2's benchmark change.
+  struct SyncAdapter {
+    SimCore& core;
+    void lock() { core.sync(); }
+    void unlock() noexcept {}
+  };
+  SyncAdapter& mu() noexcept { return mu_adapter_; }
 
   /// Announce a state change that can satisfy world rank \p r's blocking
   /// predicate: a blocked \p r becomes runnable and re-evaluates it when
-  /// its turn comes. Caller must hold mu(). Every mutation site must wake
-  /// each rank whose predicate it can flip; a missed rank stays blocked
-  /// and can be judged deadlocked.
-  void wake_locked(int r) noexcept {
+  /// its turn comes. Every mutation site must wake each rank whose
+  /// predicate it can flip; a missed rank stays blocked and can be judged
+  /// deadlocked.
+  void wake(int r) noexcept {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
     if (f.state != Fiber::State::blocked) return;
     make_runnable(r);
   }
 
-  /// wake_locked() for each world rank in \p ranks.
-  void wake_locked(std::span<const int> ranks) noexcept {
-    for (int r : ranks) wake_locked(r);
+  /// wake() for each world rank in \p ranks.
+  void wake(std::span<const int> ranks) noexcept {
+    for (int r : ranks) wake(r);
   }
 
   /// Wake every rank (abort, rank death, survivable purge, deadlock
-  /// verdict). Caller must hold mu().
-  void wake_all_locked() noexcept;
+  /// verdict).
+  void wake_all() noexcept;
 
   /// Block until \p pred() holds, re-evaluating it whenever a peer wakes
   /// this rank. Raises Errc::aborted if another rank failed meanwhile, and
   /// Errc::wait_timeout when no rank is left runnable (deadlock) or when
   /// the virtual-time deadline (Config::wait_deadline_ns) expires first.
-  /// \p lk must hold mu() and the caller must be a rank; \p site names the
-  /// wait in diagnostics.
+  /// The caller must be a rank, normally right after a sync(); \p site
+  /// names the wait in diagnostics. Counts as a scheduling point even when
+  /// \p pred() already holds (see sync()).
   template <typename Pred>
-  void wait(std::unique_lock<SimMutex>& lk, Pred pred,
-            const char* site = "blocking wait") {
+  void wait(Pred pred, const char* site = "blocking wait") {
+    check_may_switch();
     if (aborted_) throw_aborted();
     if (pred()) return;
-    Fiber& me = wait_enter_locked();
+    Fiber& me = wait_enter();
     for (;;) {
       if (deadlocked_) {
-        wait_exit_locked(me);
+        wait_exit(me);
         throw_wait_timeout(site, /*deadlock=*/true, me.t0_ns);
       }
       if (cfg_.wait_deadline_ns > 0.0 &&
           latest_ns_ - me.t0_ns > cfg_.wait_deadline_ns) {
-        wait_exit_locked(me);
+        wait_exit(me);
         throw_wait_timeout(site, /*deadlock=*/false, me.t0_ns);
       }
-      block(lk);
+      reschedule(Fiber::State::blocked);
       if (aborted_) {
-        wait_exit_locked(me);
+        wait_exit(me);
         throw_aborted();
       }
       if (pred()) {
-        wait_exit_locked(me);
+        wait_exit(me);
         return;
       }
     }
@@ -296,13 +292,12 @@ class SimCore {
   /// The calling rank continues only after every other runnable rank has
   /// run to its next handoff or blocked, whatever its clock (see
   /// mpisim::yield()). Raises Errc::aborted once a peer failed. Caller
-  /// must be a rank and must not hold mu().
+  /// must be a rank.
   void yield();
 
   /// Publish the calling rank's clock as its pace time and hold the rank
   /// while another live rank's pace time is smaller (see mpisim::pace()).
-  /// Raises Errc::aborted once a peer failed. Caller must be a rank and
-  /// must not hold mu().
+  /// Raises Errc::aborted once a peer failed. Caller must be a rank.
   void pace();
 
   /// Record the first failure and wake all blocked ranks.
@@ -311,10 +306,10 @@ class SimCore {
   /// True once any rank failed.
   bool aborted() const noexcept { return aborted_; }
 
-  /// Raise Errc::aborted if a peer already failed; caller must hold mu().
+  /// Raise Errc::aborted if a peer already failed.
   /// RMA data movement calls this so no operation copies into memory a
   /// crashed rank's cleanup hook may have released.
-  void check_failed_locked() const {
+  void check_failed() const {
     if (aborted_) throw_aborted();
   }
 
@@ -329,29 +324,28 @@ class SimCore {
   /// the victim's FaultInjector before its crash exception unwinds.
   void rank_crashed(int rank, double now_ns) noexcept;
 
-  /// True when \p r has been declared dead. Caller must hold mu().
-  bool is_dead_locked(int r) const noexcept {
+  /// True when \p r has been declared dead.
+  bool is_dead(int r) const noexcept {
     return r >= 0 && r < static_cast<int>(dead_.size()) &&
            dead_[static_cast<std::size_t>(r)] != 0;
   }
 
-  /// Locking convenience around is_dead_locked().
+  /// sync(), then is_dead().
   bool is_failed(int r);
 
   /// World ranks declared dead so far, ascending.
   std::vector<int> failed_ranks();
 
   /// Monotone count of deaths; any-source receives compare it against the
-  /// caller's acked_death_epoch. Caller must hold mu().
-  std::uint64_t death_epoch_locked() const noexcept { return death_epoch_; }
+  /// caller's acked_death_epoch.
+  std::uint64_t death_epoch() const noexcept { return death_epoch_; }
 
-  /// Most recently declared dead rank (diagnostics; -1 if none). Caller
-  /// must hold mu().
-  int latest_dead_locked() const noexcept { return latest_dead_; }
+  /// Most recently declared dead rank (diagnostics; -1 if none).
+  int latest_dead() const noexcept { return latest_dead_; }
 
   /// Virtual time by which every rank's detector has declared \p r dead.
-  /// Caller must hold mu(); \p r must be dead.
-  double detection_bound_locked(int r) const noexcept {
+  /// \p r must be dead.
+  double detection_bound(int r) const noexcept {
     return death_ns_[static_cast<std::size_t>(r)] +
            cfg_.fault.detect_period_ns;
   }
@@ -359,44 +353,43 @@ class SimCore {
   /// The calling rank observes \p dead_rank's death without failing: its
   /// clock advances to the detector bound and its detection-latency gauge
   /// is stamped (read-failover sites survive the death, so no throw).
-  /// Caller must hold mu() and be a rank.
-  void note_death_observed_locked(int dead_rank);
+  /// Caller must be a rank.
+  void note_death_observed(int dead_rank);
 
   /// The calling rank observes \p dead_rank's death: its clock advances to
   /// the detector bound (death time + FaultPlan::detect_period_ns), its
   /// detection-latency gauge is stamped, and Errc::crashed is raised.
-  /// Caller must hold mu() and be a rank.
-  [[noreturn]] void observe_death_locked(int dead_rank, const char* site);
+  /// Caller must be a rank.
+  [[noreturn]] void observe_death(int dead_rank, const char* site);
 
-  /// Raise Errc::crashed via observe_death_locked() when \p target is
-  /// dead; otherwise no-op. The survivable-mode analogue of
-  /// check_failed_locked() for operations addressing one specific rank.
-  void check_target_alive_locked(int target, const char* site) {
-    if (survivable() && is_dead_locked(target))
-      observe_death_locked(target, site);
+  /// Raise Errc::crashed via observe_death() when \p target is dead;
+  /// otherwise no-op. The survivable-mode analogue of check_failed() for
+  /// operations addressing one specific rank.
+  void check_target_alive(int target, const char* site) {
+    if (survivable() && is_dead(target)) observe_death(target, site);
   }
 
   /// Fold \p now_ns into the global high-water virtual time that wait
   /// deadlines measure against, waking the waiters whose deadline it
-  /// passes. Caller must hold mu().
-  void note_time_locked(double now_ns) noexcept {
+  /// passes.
+  void note_time(double now_ns) noexcept {
     if (now_ns <= latest_ns_) return;
     latest_ns_ = now_ns;
-    if (now_ns > next_deadline_ns_) wake_expired_locked();
+    if (now_ns > next_deadline_ns_) wake_expired();
   }
 
 
-  /// Mailbox of world rank \p r (access under mu()).
+  /// Mailbox of world rank \p r.
   Mailbox& mailbox(int r);
 
   /// Context of world rank \p r.
   RankContext& rank_ctx(int r);
 
-  /// Fresh communicator id; caller must hold mu().
-  std::uint64_t alloc_comm_id_locked() noexcept { return next_comm_id_++; }
+  /// Fresh communicator id.
+  std::uint64_t alloc_comm_id() noexcept { return next_comm_id_++; }
 
-  /// Fresh window id; caller must hold mu().
-  std::uint64_t alloc_win_id_locked() noexcept { return next_win_id_++; }
+  /// Fresh window id.
+  std::uint64_t alloc_win_id() noexcept { return next_win_id_++; }
 
   /// The world communicator's shared state.
   const std::shared_ptr<CommImpl>& world_impl() const noexcept {
@@ -415,16 +408,14 @@ class SimCore {
   /// serve: merge() shares one impl across the two groups of an
   /// intercommunicator, and shrink() must work on a revoked communicator.
   /// (Comm::dup/split/create and Win hand their shared state out through
-  /// the round itself.) Caller must hold mu() and wake the fetching
-  /// ranks afterwards.
-  void publish_comm_locked(std::uint64_t key, std::shared_ptr<CommImpl> impl);
+  /// the round itself.) The caller wakes the fetching ranks afterwards.
+  void publish_comm(std::uint64_t key, std::shared_ptr<CommImpl> impl);
 
   /// Block until a peer publishes \p key, then return the shared impl.
   std::shared_ptr<CommImpl> fetch_published_comm(std::uint64_t key);
 
  private:
   friend void run(const Config&, const std::function<void()>&);
-  friend class SimMutex;
 
   /// The layout of the C++ runtime's per-thread exception state
   /// (__cxa_get_globals(): the caught-exception stack and the uncaught
@@ -473,9 +464,9 @@ class SimCore {
 
   /// Queue \p r as runnable under its current key.
   void make_runnable(int r) noexcept;
-  /// The calling rank reached a scheduling point (SimMutex::lock): hand
-  /// off if a runnable rank's key is below its own.
-  void maybe_hand_off();
+  /// Raise Errc::internal inside the rank-exit cleanup, where no
+  /// scheduling point may be reached (see fiber_main()).
+  void check_may_switch() const;
   /// The current rank leaves the running state for \p s and the next rank
   /// runs; returns when the caller is scheduled again.
   void reschedule(Fiber::State s);
@@ -485,10 +476,6 @@ class SimCore {
   /// Make every held rank runnable whose pace time no live, unfinished
   /// rank undercuts; returns the smallest such rank's pace time.
   double release_paced() noexcept;
-  /// Mark the caller blocked, release mu(), run other ranks until one wakes
-  /// the caller, then re-take mu() without a hand-off (\p lk owns it
-  /// throughout).
-  void block(std::unique_lock<SimMutex>& lk);
   /// The next rank to run (-1 if none is runnable): the smallest key among
   /// the queued ranks and the yielded ranks whose peers have all had a turn
   /// since. When no rank is queued, the held rank with the smallest key
@@ -509,13 +496,12 @@ class SimCore {
   void run_fibers(const std::function<void()>& rank_main);
 
   /// Count the calling rank as waiting and publish its clock as the wait's
-  /// entry time (deadline reference point). Caller must hold mu() and be a
-  /// rank.
-  Fiber& wait_enter_locked();
-  void wait_exit_locked(Fiber& f) noexcept;
+  /// entry time (deadline reference point). Caller must be a rank.
+  Fiber& wait_enter();
+  void wait_exit(Fiber& f) noexcept;
   /// Wake the waiters whose virtual-time deadline latest_ns_ has passed and
-  /// recompute next_deadline_ns_. Caller must hold mu().
-  void wake_expired_locked() noexcept;
+  /// recompute next_deadline_ns_.
+  void wake_expired() noexcept;
   [[noreturn]] static void throw_aborted();
   [[noreturn]] void throw_wait_timeout(const char* site, bool deadlock,
                                        double t0_ns) const;
@@ -526,12 +512,13 @@ class SimCore {
   RmaChecker checker_;
   HbChecker hb_;
 
-  SimMutex mu_{*this};
+  SyncAdapter mu_adapter_{*this};
   bool aborted_ = false;
+  bool no_switch_ = false;  ///< inside a rank's exit cleanup
   std::exception_ptr first_error_;
 
-  // Scheduler state. The scheduler runs between critical sections (see
-  // runtime.cpp); inside one, wake_locked() only queues ranks.
+  // Scheduler state. The scheduler runs only at scheduling points (see
+  // runtime.cpp); between them, wake() only queues ranks.
   std::vector<Fiber> fibers_;   ///< per rank
   std::vector<Key> runq_;       ///< min-heap of the runnable ranks' keys
   std::vector<int> yielded_;    ///< ranks inside yield()

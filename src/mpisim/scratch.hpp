@@ -9,8 +9,8 @@
 /// reuses capacity instead of allocating. Such a buffer must never be
 /// `thread_local` or function-`static`: every rank is a fiber on one host
 /// thread, so that buffer would be shared by all ranks, and a rank switch
-/// inside SimMutex::lock() while it is in use would let another rank
-/// overwrite it.
+/// at a scheduling point (SimCore::sync()) while it is in use would let
+/// another rank overwrite it.
 ///
 /// A Lease takes a member (a vector, or a struct of vectors) for one use
 /// and hands it back when the use ends. A nested use on the same rank -- a
@@ -44,7 +44,7 @@ class Lease {
 
 /// Spare nodes of a node-based map (std::map), kept when entries are erased
 /// so a warm insert allocates nothing. Used for records that come and go
-/// with every epoch; callers hold the simulator's global lock.
+/// with every epoch.
 template <typename Map>
 class NodePool {
  public:

@@ -62,11 +62,10 @@ const char* trace_scope(RankContext& me) {
 // ---- Access recording ------------------------------------------------------
 // Every window event reaches both analyses -- the epoch checker
 // (checker.hpp) and the happens-before detector (hb.hpp) -- through exactly
-// one of these helpers. Callers hold the global lock. \p origin is always
-// the window-group rank of the rank that opened the epoch or made the
-// access. The detector is active only at RmaCheck::race, which enables the
-// checker too, so the checker's enabled() gates the per-access work of
-// both.
+// one of these helpers. \p origin is always the window-group rank of the
+// rank that opened the epoch or made the access. The detector is active
+// only at RmaCheck::race, which enables the checker too, so the checker's
+// enabled() gates the per-access work of both.
 
 /// The window's operation kind as both analyses classify it.
 RmaChecker::OpKind access_kind(RmaKind kind) {
@@ -194,14 +193,13 @@ void record_shm_op(SimCore& core, const WinImpl& w, RankContext& me,
 /// epochs it holds nor consume the grants it queued for, so both would
 /// stall every later requester forever. Abandon its open epochs (silently
 /// -- see RmaChecker::epoch_abandoned) and drop its queued requests,
-/// waking every rank when anything was dropped. Caller must hold the
-/// global lock.
-void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
+/// waking every rank when anything was dropped.
+void purge_dead(SimCore& core, WinImpl& w, int target) {
   TargetState& ts = w.targets[static_cast<std::size_t>(target)];
   const std::size_t before = ts.open.size() + ts.waiters.size();
   for (auto it = ts.open.begin(); it != ts.open.end();) {
     const int world = w.comm.group().world_rank(it->first);
-    if (core.is_dead_locked(world)) {
+    if (core.is_dead(world)) {
       record_epoch_abandoned(core, w, target, it->first);
       w.epoch_nodes.erase(ts.open, it++);
     } else {
@@ -209,9 +207,9 @@ void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
     }
   }
   std::erase_if(ts.waiters, [&](const std::pair<int, LockType>& wtr) {
-    return core.is_dead_locked(w.comm.group().world_rank(wtr.first));
+    return core.is_dead(w.comm.group().world_rank(wtr.first));
   });
-  if (ts.open.size() + ts.waiters.size() != before) core.wake_all_locked();
+  if (ts.open.size() + ts.waiters.size() != before) core.wake_all();
 }
 
 /// Grant as many queued lock requests as compatibility allows (FIFO) and
@@ -219,8 +217,8 @@ void purge_dead_locked(SimCore& core, WinImpl& w, int target) {
 /// the waiter's wait() returns -- so a ghost handoff by an epoch closing in
 /// between already sees the new epoch as concurrent. An origin in lock_all
 /// is marked kLockAll before it queues, so its epochs open as MPI-3 ones.
-void grant_locked(SimCore& core, WinImpl& w, int target) {
-  if (core.survivable()) purge_dead_locked(core, w, target);
+void grant(SimCore& core, WinImpl& w, int target) {
+  if (core.survivable()) purge_dead(core, w, target);
   TargetState& ts = w.targets[static_cast<std::size_t>(target)];
   while (!ts.waiters.empty()) {
     auto [origin, type] = ts.waiters.front();
@@ -237,7 +235,7 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
     record_epoch_open(
         core, w, target, origin, type == LockType::exclusive,
         w.locked_target[static_cast<std::size_t>(origin)] == kLockAll);
-    core.wake_locked(w.comm.group().world_rank(origin));
+    core.wake(w.comm.group().world_rank(origin));
     ts.waiters.erase(ts.waiters.begin());
   }
 }
@@ -246,20 +244,19 @@ void grant_locked(SimCore& core, WinImpl& w, int target) {
 /// grantable and block until the request is granted. In survivable mode
 /// every wakeup purges dead holders and regrants, so a holder that died
 /// inside its epoch cannot strand the queue behind it.
-void queue_and_wait_locked(SimCore& core, WinImpl& w,
-                           std::unique_lock<SimMutex>& lk, int origin,
-                           int target, LockType type, const char* site) {
+void queue_and_wait(SimCore& core, WinImpl& w, int origin, int target,
+                    LockType type, const char* site) {
   TargetState& ts = w.targets[static_cast<std::size_t>(target)];
   ts.waiters.emplace_back(origin, type);
-  grant_locked(core, w, target);
-  core.wait(lk,
-            [&] {
-              if (ts.open.contains(origin)) return true;
-              if (!core.survivable()) return false;
-              grant_locked(core, w, target);
-              return ts.open.contains(origin);
-            },
-            site);
+  grant(core, w, target);
+  core.wait(
+      [&] {
+        if (ts.open.contains(origin)) return true;
+        if (!core.survivable()) return false;
+        grant(core, w, target);
+        return ts.open.contains(origin);
+      },
+      site);
 }
 
 /// Validate a target rank before indexing per-target window state.
@@ -383,10 +380,10 @@ void fetch_op(WinImpl& w, RankContext& me, int myrank, int target_rank,
   if (disp + bytes > w.sizes[static_cast<std::size_t>(target_rank)])
     raise(Errc::window_bounds, std::string(site) + " outside the window");
   SimCore& core = *w.comm.impl()->core;
-  std::unique_lock lk(core.mu());
-  core.check_failed_locked();
-  core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
-                                 "win.rma");
+  core.sync();
+  core.check_failed();
+  core.check_target_alive(w.comm.group().world_rank(target_rank),
+                          "win.rma");
   TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
   auto eit = ts.open.find(myrank);
   if (eit == ts.open.end())
@@ -433,7 +430,7 @@ std::shared_ptr<WinImpl> Win::build(
         }
         auto w = std::make_shared<WinImpl>();
         w->comm = comm;
-        w->id = core.alloc_win_id_locked();
+        w->id = core.alloc_win_id();
         w->bases.assign(un, nullptr);
         w->sizes.assign(un, 0);
         w->targets.resize(un);
@@ -517,16 +514,14 @@ bool Win::shared_memory() const noexcept {
 void Win::free() {
   WinImpl& w = *impl_;
   SimCore& core = ctx().core();
-  {
-    std::lock_guard lk(core.mu());
-    if (w.locked_target[static_cast<std::size_t>(w.comm.rank())] != -1) {
-      core.checker().note_discipline(ctx().rank());
-      raise(Errc::not_locked, "Win::free with an open epoch");
-    }
+  core.sync();
+  if (w.locked_target[static_cast<std::size_t>(w.comm.rank())] != -1) {
+    core.checker().note_discipline(ctx().rank());
+    raise(Errc::not_locked, "Win::free with an open epoch");
   }
   w.comm.barrier();
   if (w.comm.rank() == 0) {
-    std::lock_guard lk(core.mu());
+    core.sync();
     w.freed = true;
     detail::record_window_freed(core, w);
   }
@@ -542,11 +537,11 @@ void Win::lock(LockType type, int target_rank) const {
   detail::require_target(w, target_rank, "lock");
   me.fault().fault_point(me.clock());
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   // A dead target's window memory may already be released by its cleanup
   // hook; fail the epoch with Errc::crashed before queueing for it.
-  core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
-                                 "win.lock");
+  core.check_target_alive(w.comm.group().world_rank(target_rank),
+                          "win.lock");
   if (w.locked_target[static_cast<std::size_t>(myrank)] != -1) {
     core.checker().note_discipline(me.rank());
     raise(Errc::double_lock,
@@ -557,8 +552,7 @@ void Win::lock(LockType type, int target_rank) const {
   const char* trace_name =
       type == LockType::exclusive ? "win.lock_excl" : "win.lock_shared";
   me.tracer().begin(TraceCat::window, trace_name, w.id);
-  detail::queue_and_wait_locked(core, w, lk, myrank, target_rank, type,
-                                "win.lock");
+  detail::queue_and_wait(core, w, myrank, target_rank, type, "win.lock");
   const TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
   w.locked_target[static_cast<std::size_t>(myrank)] = target_rank;
 
@@ -588,7 +582,7 @@ void Win::unlock(int target_rank) const {
   detail::require_target(w, target_rank, "unlock");
   me.fault().fault_point(me.clock());
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
   auto it = ts.open.find(myrank);
   if (it == ts.open.end() ||
@@ -609,9 +603,9 @@ void Win::unlock(int target_rank) const {
   detail::charge_round_trip(me, w, target_rank, core.model().unlock_ns());
   if (was_exclusive)
     ts.busy_until_ns = std::max(ts.busy_until_ns, me.clock().now_ns());
-  core.note_time_locked(me.clock().now_ns());
+  core.note_time(me.clock().now_ns());
 
-  detail::grant_locked(core, w, target_rank);
+  detail::grant(core, w, target_rank);
   if (me.tracer().enabled()) {
     ++me.tracer().win(w.id).epochs;
     me.tracer().end(TraceCat::window, "win.unlock", w.id);
@@ -625,7 +619,7 @@ void Win::lock_all() const {
   const int myrank = detail::require_member(w, me);
   me.fault().fault_point(me.clock());
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   if (w.locked_target[static_cast<std::size_t>(myrank)] != -1) {
     core.checker().note_discipline(me.rank());
     raise(Errc::double_lock, "lock_all while holding a lock on this window");
@@ -638,8 +632,8 @@ void Win::lock_all() const {
   // not erroneous, so the checker skips them.
   w.locked_target[static_cast<std::size_t>(myrank)] = detail::kLockAll;
   for (int t = 0; t < w.comm.size(); ++t)
-    detail::queue_and_wait_locked(core, w, lk, myrank, t, LockType::shared,
-                                  "win.lock_all");
+    detail::queue_and_wait(core, w, myrank, t, LockType::shared,
+                           "win.lock_all");
   me.clock().advance(core.model().lock_ns() +
                      me.fault().draw_lock_stall_ns());
   if (me.tracer().enabled()) {
@@ -654,7 +648,7 @@ void Win::unlock_all() const {
   RankContext& me = ctx();
   const int myrank = detail::require_member(w, me);
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   if (w.locked_target[static_cast<std::size_t>(myrank)] != detail::kLockAll) {
     core.checker().note_discipline(me.rank());
     raise(Errc::not_locked, "unlock_all without lock_all");
@@ -665,11 +659,11 @@ void Win::unlock_all() const {
     detail::record_epoch_close(core, w, t, myrank, /*exclusive=*/false);
     if (auto it = ts.open.find(myrank); it != ts.open.end())
       w.epoch_nodes.erase(ts.open, it);
-    detail::grant_locked(core, w, t);
+    detail::grant(core, w, t);
   }
   w.locked_target[static_cast<std::size_t>(myrank)] = -1;
   me.clock().advance(core.model().unlock_ns());
-  core.note_time_locked(me.clock().now_ns());
+  core.note_time(me.clock().now_ns());
   if (me.tracer().enabled()) {
     ++me.tracer().win(w.id).epochs;
     me.tracer().end(TraceCat::window, "win.unlock_all", w.id);
@@ -683,7 +677,7 @@ void Win::flush(int target_rank) const {
   const int myrank = detail::require_member(w, me);
   detail::require_target(w, target_rank, "flush");
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
   auto it = ts.open.find(myrank);
   if (it == ts.open.end())
@@ -710,7 +704,7 @@ void Win::flush_all() const {
   RankContext& me = ctx();
   const int myrank = detail::require_member(w, me);
 
-  std::unique_lock lk(core.mu());
+  core.sync();
   me.tracer().begin(TraceCat::window, "win.flush_all", w.id);
   bool any = false;
   for (int t = 0; t < w.comm.size(); ++t) {
@@ -854,10 +848,10 @@ void Win::rma_op(RmaKind kind, const void* origin, std::size_t origin_count,
                     w.bases[static_cast<std::size_t>(target_rank)]) +
                 target_disp;
 
-  std::unique_lock lk(core.mu());
-  core.check_failed_locked();
-  core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
-                                 "win.rma");
+  core.sync();
+  core.check_failed();
+  core.check_target_alive(w.comm.group().world_rank(target_rank),
+                          "win.rma");
   TargetState& ts = w.targets[static_cast<std::size_t>(target_rank)];
   auto eit = ts.open.find(myrank);
   if (eit == ts.open.end())
@@ -875,7 +869,7 @@ void Win::rma_op(RmaKind kind, const void* origin, std::size_t origin_count,
   detail::record_rma(core, w, me, target_rank, myrank,
                      detail::access_kind(kind), op, target_disp, tsegs);
 
-  // ---- Data movement (safe under the global lock) ----
+  // ---- Data movement (same critical section as the checks above) ----
   {
     const std::size_t esz = basic_type_size(origin_type.element_type());
     auto* obase =
@@ -973,7 +967,7 @@ void Win::local_access_begin(const void* ptr, std::size_t bytes,
   const LocalSlice s = find_slice(w, ptr, bytes);
   if (s.rank < 0 || s.lo >= s.hi) return;  // not exposed through this window
 
-  std::lock_guard lk(core.mu());
+  core.sync();
   // The DLA discipline (ARMCI_Access_begin): holding an exclusive self-lock
   // -- or a lock_all epoch, whose MPI-3 unified-model semantics permit
   // direct access -- makes the load/store safe; anything else is checked
@@ -997,7 +991,7 @@ void Win::local_access_end(const void* ptr) const {
   const LocalSlice s = find_slice(w, ptr, 1);
   if (s.rank < 0) return;
 
-  std::lock_guard lk(core.mu());
+  core.sync();
   detail::record_access_end(core, w, ctx(), s.rank, s.rank, s.lo);
 }
 
@@ -1041,10 +1035,10 @@ void Win::shm_op(RmaKind kind, Op op, BasicType type, const void* origin,
     count = bytes / esz;
   }
 
-  std::lock_guard lk(core.mu());
-  core.check_failed_locked();
-  core.check_target_alive_locked(w.comm.group().world_rank(target_rank),
-                                 "win.shm_op");
+  core.sync();
+  core.check_failed();
+  core.check_target_alive(w.comm.group().world_rank(target_rank),
+                          "win.shm_op");
   const auto lo = static_cast<std::ptrdiff_t>(target_disp);
   detail::record_shm_op(core, w, me, target_rank, myrank,
                         detail::access_kind(kind), op, lo,
@@ -1065,7 +1059,7 @@ void Win::shm_op(RmaKind kind, Op op, BasicType type, const void* origin,
   // copy. WinStats epoch counters are deliberately untouched -- the fast
   // path completing without epochs is an observable property tests assert.
   me.clock().advance(core.model().shm_copy_ns(bytes));
-  core.note_time_locked(me.clock().now_ns());
+  core.note_time(me.clock().now_ns());
 }
 
 void Win::shm_access_begin(int target_rank, std::size_t target_disp,
@@ -1079,7 +1073,7 @@ void Win::shm_access_begin(int target_rank, std::size_t target_disp,
   detail::require_shm(w, core, me, target_rank, target_disp, bytes,
                       "win.shm_access_begin");
 
-  std::lock_guard lk(core.mu());
+  core.sync();
   const auto lo = static_cast<std::ptrdiff_t>(target_disp);
   detail::record_shm_begin(core, w, me, target_rank, myrank, write, lo,
                            lo + static_cast<std::ptrdiff_t>(bytes));
@@ -1092,7 +1086,7 @@ void Win::shm_access_end(int target_rank, std::size_t target_disp) const {
   RankContext& me = ctx();
   const int myrank = detail::require_member(w, me);
 
-  std::lock_guard lk(core.mu());
+  core.sync();
   detail::record_access_end(core, w, me, target_rank, myrank,
                             static_cast<std::ptrdiff_t>(target_disp));
 }

@@ -9,9 +9,10 @@
 // tree and datatype-plan buffers), nor staged ones: contiguous, IOV and
 // strided puts, scaled accumulates and gets whose local buffers are in
 // global space (a reused staging buffer, shared basic types for the packed
-// side, pooled local-access records in the checker). 4 InfiniBand ranks
-// (16 for the staged case, so its target is on another node), RMA checker
-// on.
+// side, pooled local-access records in the checker), with the target on
+// another node or on the origin's own (MPI-3's direct path, leased strided
+// counters). 4 InfiniBand ranks (16 for the staged case's remote target),
+// RMA checker on.
 // This binary replaces the global operator new/delete (forwarding to
 // malloc/free) to count blocks, so it is kept apart from the other test
 // executables.
@@ -229,7 +230,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 class ArmciStagedAllocTest : public ::testing::TestWithParam<IovAllocCase> {};
 
-TEST_P(ArmciStagedAllocTest, WarmStagedOpsAllocateNothing) {
+/// 200 warm passes of staged contiguous, IOV and strided put, scaled acc
+/// and get from rank 0 to \p target, on \p nranks InfiniBand ranks (8 per
+/// node), allocate no heap block.
+void expect_warm_staged_ops_allocate_nothing(const IovAllocCase& param,
+                                             int nranks, int target) {
   if (!counter_in_effect())
     GTEST_SKIP() << "operator new replacement not in effect "
                     "(sanitizer runtime)";
@@ -240,19 +245,16 @@ TEST_P(ArmciStagedAllocTest, WarmStagedOpsAllocateNothing) {
   constexpr std::size_t kSegDoubles = 8;
   constexpr std::size_t kSegBytes = kSegDoubles * sizeof(double);
   constexpr std::size_t kBytes = kSegs * kSegBytes;
-  // Two InfiniBand nodes of 8 ranks: rank 8 is on the other node, so every
-  // op from rank 0 goes over the network, on MPI-3 too.
-  constexpr int kTarget = 8;
   mpisim::Config cfg;
-  cfg.nranks = 16;
+  cfg.nranks = nranks;
   cfg.platform = mpisim::Platform::infiniband;
   std::size_t seen = 0;
   std::vector<double> result;
   bool race_detector = false;
   mpisim::run(cfg, [&] {
     armci::Options o;
-    o.backend = GetParam().backend;
-    o.iov_method = GetParam().method;
+    o.backend = param.backend;
+    o.iov_method = param.method;
     armci::init(o);
     race_detector = mpisim::ctx().core().hb().enabled();
     // Each slice: a packed source, a packed destination, then room for 16
@@ -269,7 +271,8 @@ TEST_P(ArmciStagedAllocTest, WarmStagedOpsAllocateNothing) {
       // stages every op (§V-E1); the accumulates scale by 2.
       std::uint8_t* src = mine;
       std::uint8_t* dst = mine + kBytes;
-      auto* remote = static_cast<std::uint8_t*>(bases[kTarget]) + 2 * kBytes;
+      auto* remote = static_cast<std::uint8_t*>(
+          bases[static_cast<std::size_t>(target)]) + 2 * kBytes;
       armci::Giov to_remote;
       armci::Giov from_remote;
       to_remote.bytes = from_remote.bytes = kSegBytes;
@@ -292,15 +295,15 @@ TEST_P(ArmciStagedAllocTest, WarmStagedOpsAllocateNothing) {
       // Every form leaves 1 + 2 * 1 = 3 in each destination double.
       for (int i = 0; i < kWarmup + kOps; ++i) {
         if (i == kWarmup) counting = true;
-        armci::put(src, remote, kBytes, kTarget);
-        armci::acc(armci::AccType::float64, &two, src, remote, kBytes, kTarget);
-        armci::get(remote, dst, kBytes, kTarget);
-        armci::put_iov(put, kTarget);
-        armci::acc_iov(armci::AccType::float64, &two, put, kTarget);
-        armci::get_iov(get, kTarget);
-        armci::put_strided(src, remote, out, kTarget);
-        armci::acc_strided(armci::AccType::float64, &two, src, remote, out, kTarget);
-        armci::get_strided(remote, dst, in, kTarget);
+        armci::put(src, remote, kBytes, target);
+        armci::acc(armci::AccType::float64, &two, src, remote, kBytes, target);
+        armci::get(remote, dst, kBytes, target);
+        armci::put_iov(put, target);
+        armci::acc_iov(armci::AccType::float64, &two, put, target);
+        armci::get_iov(get, target);
+        armci::put_strided(src, remote, out, target);
+        armci::acc_strided(armci::AccType::float64, &two, src, remote, out, target);
+        armci::get_strided(remote, dst, in, target);
       }
       counting = false;
       seen = allocs;
@@ -319,6 +322,18 @@ TEST_P(ArmciStagedAllocTest, WarmStagedOpsAllocateNothing) {
   EXPECT_EQ(seen, 0u) << "heap blocks over " << kOps
                       << " warm passes of staged contiguous, IOV and strided "
                          "put, scaled acc, get";
+}
+
+// Two InfiniBand nodes of 8 ranks: rank 8 is on the other node, so every op
+// from rank 0 goes over the network, on MPI-3 too.
+TEST_P(ArmciStagedAllocTest, WarmStagedOpsAllocateNothing) {
+  expect_warm_staged_ops_allocate_nothing(GetParam(), 16, 8);
+}
+
+// One node: rank 2 shares rank 0's node, so MPI-3 takes its direct
+// shared-memory path, walking each strided op segment by segment.
+TEST_P(ArmciStagedAllocTest, WarmSameNodeOpsAllocateNothing) {
+  expect_warm_staged_ops_allocate_nothing(GetParam(), 4, 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

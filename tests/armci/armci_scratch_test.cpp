@@ -2,8 +2,8 @@
 // layers keep their temporary buffers per rank and lease them per use
 // (mpisim/scratch.hpp). Two origin ranks here issue nonblocking strided and
 // IOV accumulates and gets to one target under exclusive-lock contention,
-// so SimMutex::lock() hands the host thread from one origin to the other
-// in the middle of each path; completion callbacks issue and wait for
+// so a scheduling point (SimCore::sync()) hands the host thread from one
+// origin to the other in the middle of each path; completion callbacks issue and wait for
 // communication of their own, nesting the engine's paths on one rank. A
 // buffer shared across ranks, or reused by a nested call, would corrupt a
 // segment list or a batch, and some byte below would come out wrong. Run

@@ -71,7 +71,8 @@ TEST(StridedIterTest, ContiguousDegenerate) {
   StridedSpec s;
   s.stride_levels = 0;
   s.count = {64};
-  StridedIter it(s);
+  std::vector<std::size_t> idx;
+  StridedIter it(s, idx);
   std::size_t so = 1, to = 1;
   ASSERT_TRUE(it.next(so, to));
   EXPECT_EQ(so, 0u);
@@ -81,7 +82,8 @@ TEST(StridedIterTest, ContiguousDegenerate) {
 
 TEST(StridedIterTest, TwoDimensionalOffsets) {
   StridedSpec s = spec_2d(8, 4, 32, 48);
-  StridedIter it(s);
+  std::vector<std::size_t> idx;
+  StridedIter it(s, idx);
   std::size_t so = 0, to = 0;
   for (std::size_t j = 0; j < 4; ++j) {
     ASSERT_TRUE(it.next(so, to));
@@ -97,7 +99,8 @@ TEST(StridedIterTest, ThreeDimensionalCarry) {
   s.count = {4, 3, 2};
   s.src_strides = {8, 32};
   s.dst_strides = {16, 64};
-  StridedIter it(s);
+  std::vector<std::size_t> idx;
+  StridedIter it(s, idx);
   std::size_t so = 0, to = 0;
   std::size_t k = 0;
   for (std::size_t o = 0; o < 2; ++o) {
@@ -113,7 +116,8 @@ TEST(StridedIterTest, ThreeDimensionalCarry) {
 
 TEST(StridedIterTest, ResetRestarts) {
   StridedSpec s = spec_2d(8, 3, 16, 16);
-  StridedIter it(s);
+  std::vector<std::size_t> idx;
+  StridedIter it(s, idx);
   std::size_t so, to;
   while (it.next(so, to)) {
   }
@@ -206,7 +210,8 @@ TEST_P(StridedTypeEquivalenceTest, DatatypeMatchesIteration) {
 
   std::vector<mpisim::Segment> segs;
   t.flatten_into(1, segs);
-  StridedIter it(s);
+  std::vector<std::size_t> idx;
+  StridedIter it(s, idx);
   std::size_t so = 0, to = 0;
   std::size_t k = 0;
   std::size_t covered = 0;

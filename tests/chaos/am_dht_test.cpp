@@ -230,7 +230,7 @@ TEST(AmDhtChaosTest, FloodingAStalledRankHitsTheCapCleanly) {
         ADD_FAILURE() << "eager delegate buffering is unbounded";
       } catch (const MpiError& e) {
         EXPECT_EQ(e.code(), Errc::resource_exhausted) << e.what();
-        std::lock_guard lk(mpisim::ctx().core().mu());
+        mpisim::ctx().core().sync();
         ++raised;
       }
       capped.store(true, std::memory_order_release);
@@ -242,7 +242,7 @@ TEST(AmDhtChaosTest, FloodingAStalledRankHitsTheCapCleanly) {
       while (!capped.load(std::memory_order_acquire))
         mpisim::yield();
       {
-        std::lock_guard lk(mpisim::ctx().core().mu());
+        mpisim::ctx().core().sync();
         EXPECT_GE(mpisim::ctx()
                       .core()
                       .mailbox(mpisim::rank())

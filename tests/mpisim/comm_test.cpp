@@ -577,7 +577,7 @@ TEST(MailboxCapTest, EagerFloodRaisesResourceExhaustedAtSender) {
         ADD_FAILURE() << "unbounded eager buffering past the cap";
       } catch (const MpiError& e) {
         EXPECT_EQ(e.code(), Errc::resource_exhausted) << e.what();
-        std::lock_guard lk(ctx().core().mu());
+        ctx().core().sync();
         ++raised;
       }
       const char go = 1;
@@ -618,7 +618,7 @@ TEST(MailboxCapTest, PostedReceiveIsExemptAndHighWaterTracks) {
       // Unexpected bytes do count, and the high-water gauge records them.
       w.barrier();
       {
-        std::lock_guard lk(ctx().core().mu());
+        ctx().core().sync();
         EXPECT_GE(ctx().core().mailbox(rank()).high_water_bytes(), 48u);
       }
       std::vector<char> chunk(48);

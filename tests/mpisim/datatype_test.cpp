@@ -251,6 +251,8 @@ std::vector<Shape> every_shape() {
   const std::size_t bl[] = {2, 1, 3};
   const std::ptrdiff_t disp_elems[] = {0, 4, 8};
   const std::ptrdiff_t disp_bytes[] = {40, 3, 17};
+  const std::size_t bl_neg[] = {2, 1};
+  const std::ptrdiff_t disp_neg[] = {-24, 8};
   const std::size_t sizes2[] = {6, 8}, sub2[] = {3, 4}, start2[] = {2, 3};
   const std::size_t at0[] = {0, 0};
   const std::size_t sizes3[] = {4, 5, 6}, sub3[] = {2, 3, 2},
@@ -289,6 +291,10 @@ std::vector<Shape> every_shape() {
       {Datatype::indexed(bl, disp_elems, int32_type()), 44, indexed_int},
       {Datatype::hindexed(bl, disp_bytes, byte_type()), 42,  // unsorted
        hindexed_byte},
+      // Bytes in [-24, 12): the extent runs from the lowest one (MPI's
+      // ub - lb), so instances do not interleave.
+      {Datatype::hindexed(bl_neg, disp_neg, int32_type()), 36,
+       {{-24, 8}, {8, 4}}},
       // 6x8 doubles, 3x4 patch at (2, 3): rows of 32 bytes, 64 apart, from
       // byte 2 * 64 + 3 * 8 = 152; extent 152 + 2 * 64 + 32.
       {Datatype::subarray(sizes2, sub2, start2, double_type()), 312,

@@ -567,7 +567,7 @@ TEST(HbTest, IntervalCapDropsOldestAndCountsOverflow) {
         win.flush(0);  // one single-interval summary per iteration
       }
       win.unlock(0);
-      std::lock_guard lk(ctx().core().mu());
+      ctx().core().sync();
       EXPECT_LE(ctx().core().hb().shadow_intervals(), 2u);
       EXPECT_GE(my_races().overflow, 1u);
       EXPECT_EQ(my_races().total(), 0u);  // overflow is not a race

@@ -11,6 +11,7 @@
 #include <cfenv>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -254,6 +255,36 @@ TEST(ScheduleTest, HeldRankSeesPeerFailure) {
     EXPECT_STREQ(e.what(), "rank 0 failed");
   }
   EXPECT_EQ(seen, Errc::aborted);
+}
+
+// A rank's exit cleanup (RankContext::user_state_cleanup) releases memory
+// that peers may still address, so it runs as one critical section: every
+// scheduling point reached inside it raises Errc::internal, even one that
+// would not switch. A scheduling point anywhere else is legal.
+TEST(ScheduleTest, ExitCleanupRejectsEverySchedulingPoint) {
+  const std::vector<std::function<void(SimCore&)>> points = {
+      [](SimCore& core) { core.sync(); },
+      [](SimCore& core) { core.wait([] { return true; }); },
+      [](SimCore& core) { core.yield(); },
+      [](SimCore& core) { core.pace(); },
+  };
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    int cleanups = 0;
+    try {
+      run(2, Platform::ideal, [&] {
+        SimCore& core = ctx().core();
+        core.sync();
+        ctx().user_state_cleanup = [&] {
+          ++cleanups;
+          points[i](core);
+        };
+      });
+      ADD_FAILURE() << "point " << i << ": run() returned normally";
+    } catch (const MpiError& e) {
+      EXPECT_EQ(e.code(), Errc::internal) << "point " << i << ": " << e.what();
+    }
+    EXPECT_EQ(cleanups, 2) << "point " << i;
+  }
 }
 
 // Rank 0 never paces. Ranks 1 and 2 pace behind its pace time (0); once

@@ -63,7 +63,7 @@ TEST(SurvivableTest, CrashMarksVictimDeadAndLiveRanksComplete) {
     world().allreduce(&in, &out, 1, BasicType::int32, Op::sum);
     EXPECT_EQ(out, 3);
 
-    std::unique_lock lk(ctx().core().mu());
+    ctx().core().sync();
     ++completed;
   });
   EXPECT_EQ(completed, 3);
@@ -287,7 +287,7 @@ TEST(SurvivableTest, OffByDefaultCrashStillAbortsTheRun) {
         world().recv(&c, 1, 1, 8);  // never satisfied: woken by the abort
       } catch (const MpiError& e) {
         if (e.code() == Errc::aborted) {
-          std::unique_lock lk(ctx().core().mu());
+          ctx().core().sync();
           ++aborted;
         }
         throw;
@@ -387,7 +387,7 @@ TEST(SurvivableTest, CollectiveCreationWithDeadRootRaisesCrashed) {
         ADD_FAILURE() << "construction completed without comm rank 0";
       } catch (const MpiError& e) {
         EXPECT_EQ(e.code(), Errc::crashed) << e.what();
-        std::lock_guard lk(ctx().core().mu());
+        ctx().core().sync();
         ++raised;
       }
     });
@@ -421,7 +421,7 @@ TEST(SurvivableTest, WindowOverSurvivorsOfADeadMember) {
       w.get(&got, sizeof got, peer, 0);
       w.unlock(peer);
       EXPECT_EQ(got, v);  // our own put, read back from the peer
-      std::lock_guard lk(ctx().core().mu());
+      ctx().core().sync();
       ++checked;
     });
     EXPECT_EQ(checked, 2);
@@ -449,7 +449,7 @@ TEST(SurvivableTest, LockAllQueuedBehindDeadExclusiveHolderIsGranted) {
       w.get(&got, sizeof got, 0, 0);
       w.unlock_all();
       EXPECT_EQ(got, 0);
-      std::lock_guard lk(ctx().core().mu());
+      ctx().core().sync();
       ++granted;
     });
     EXPECT_EQ(granted, 1);
